@@ -86,10 +86,6 @@ class SurveyImmutableError(WarehouseError):
     """Attempt to replace an already-ingested survey file with different content."""
 
 
-class StaleMatchError(WarehouseError):
-    """A match result references fact ids that no longer exist."""
-
-
 class UnknownFactError(WarehouseError):
     """A validation update references a fact id not present in the fact table."""
 

@@ -204,7 +204,7 @@ def build_image_meta(row: Mapping[str, object], source: str = "<manifest>", line
     except ValueError as exc:
         fail(ParseError, str(exc))
     try:
-        date_key = model.date_key_from_iso(row["capture_date"])
+        date_key = model.date_key_from_iso(row["capture_date"].strip())
     except Exception as exc:
         fail(ParseError, f"capture_date: {exc}")
     meta = ImageMeta(

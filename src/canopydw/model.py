@@ -10,7 +10,7 @@ from __future__ import annotations
 import datetime
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import InvalidDateError
 
@@ -138,7 +138,7 @@ class Geotransform:
         return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Detection box in center/size form, normalized to image dimensions."""
 
@@ -240,7 +240,9 @@ def image_meta_violations(meta: ImageMeta) -> list[str]:
     return v
 
 
-@dataclass(frozen=True)
+# Fact rows and their boxes are the bulk of a loaded warehouse; slots spare
+# each of them a per-instance __dict__.
+@dataclass(frozen=True, slots=True)
 class FactDraft:
     """Fact row attributes before a surrogate fact_id is assigned."""
 
@@ -256,8 +258,15 @@ class FactDraft:
     validation: str = "unvalidated"
     matched_record_id: str | None = None
 
+    def with_id(self, fact_id: int) -> FactTreeMetric:
+        """The stored fact row for this draft."""
+        return FactTreeMetric(*(getattr(self, name) for name in _DRAFT_FIELDS), fact_id=fact_id)
 
-@dataclass(frozen=True)
+
+_DRAFT_FIELDS = tuple(f.name for f in fields(FactDraft))
+
+
+@dataclass(frozen=True, slots=True)
 class FactTreeMetric(FactDraft):
     fact_id: int = 0
 
@@ -337,6 +346,10 @@ class WarehouseState:
 
     def add_fact(self, row: FactTreeMetric) -> None:
         self.facts[row.fact_id] = row
+
+    def copy(self) -> WarehouseState:
+        """A state with its own dicts; the (immutable) rows in them are shared."""
+        return WarehouseState(*(dict(getattr(self, f.name)) for f in fields(self)))
 
     def species_code_of(self, species_key: int) -> str:
         return self.species[species_key].code

@@ -1,10 +1,11 @@
 """HTTP JSON interface over one warehouse root.
 
-The service is the push boundary for detector pipelines: each request
-opens the warehouse for just its own duration (read-only snapshot for GETs,
-writer lock for POSTs), so several service processes and CLI invocations
-can share one root. A busy writer surfaces as 409 rather than queueing
-forever.
+The service is the push boundary for detector pipelines. It keeps one
+storage.SnapshotCache of its root: a GET reads the committed snapshot,
+brought up to date at the start of the request; a POST takes the writer
+lock for just its own duration and starts from the same cached rows.
+Several service processes and CLI invocations can therefore share one
+root. A busy writer surfaces as 409 rather than queueing forever.
 
 Endpoints (all JSON):
     GET  /v1/health     liveness, no auth
@@ -31,12 +32,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from .capacity import estimate_from_warehouse
-from .errors import (
-    InvalidSpecError,
-    LockHeldError,
-    NotInitializedError,
-    WarehouseError,
-)
+from .errors import LockHeldError, WarehouseError
 from .ingest import (
     SURVEY_HEADER,
     ClassMap,
@@ -49,7 +45,7 @@ from .ingest import (
 from .query import run_query, spec_from_strings
 from .reconcile import reconcile_warehouse
 from .report import csv_line, render_cell
-from .storage import open_warehouse, stats_rows
+from .storage import SnapshotCache, open_warehouse, stats_rows
 
 MIB = 2**20
 
@@ -96,6 +92,10 @@ def _table_payload(columns, rows) -> dict:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "canopydw"
+    # Headers and body go out as two writes; with Nagle's algorithm on, the
+    # body waits for the client's delayed ACK (about 40 ms) on every
+    # keep-alive response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -173,13 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._fail(exc.status, str(exc))
         except LockHeldError as exc:
             self._fail(409, str(exc))
-        except InvalidSpecError as exc:
-            self._fail(400, str(exc))
-        except NotInitializedError as exc:
-            self._fail(400, str(exc))
-        except WarehouseError as exc:
-            self._fail(400, str(exc))
-        except ValueError as exc:
+        except (WarehouseError, ValueError) as exc:
             self._fail(400, str(exc))
         except Exception:
             error_id = uuid.uuid4().hex[:12]
@@ -196,12 +190,13 @@ class _Handler(BaseHTTPRequestHandler):
     # -- warehouse access ------------------------------------------------------
 
     def _open_ro(self):
-        return open_warehouse(self.config.warehouse_root, "ro")
+        """The server's shared read-only snapshot, brought up to date; never mutated."""
+        return self.server.cache.current()  # type: ignore[attr-defined]
 
     def _open_rw(self):
-        return open_warehouse(
-            self.config.warehouse_root, "rw", lock_timeout=self.config.lock_timeout
-        )
+        timeout = self.config.lock_timeout
+        handle = self.server.cache.open_writer(timeout)  # type: ignore[attr-defined]
+        return handle or open_warehouse(self.config.warehouse_root, "rw", lock_timeout=timeout)
 
     # -- GET endpoints ---------------------------------------------------------
 
@@ -209,14 +204,12 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, {"status": "ok"}
 
     def _get_stats(self, params):
-        with self._open_ro() as handle:
-            columns, rows = stats_rows(handle.stats())
+        columns, rows = stats_rows(self._open_ro().stats())
         return 200, _table_payload(columns, rows)
 
     def _get_query(self, params):
         spec = spec_from_strings(params)
-        with self._open_ro() as handle:
-            table = run_query(handle, spec)
+        table = run_query(self._open_ro(), spec)
         return 200, _table_payload(table.columns, table.rows)
 
     def _get_estimate(self, params):
@@ -231,8 +224,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise _RequestProblem(400, "years and events_per_year must be integers")
         if years < 0 or events <= 0:
             raise _RequestProblem(400, "years must be >= 0 and events_per_year >= 1")
-        with self._open_ro() as handle:
-            report = estimate_from_warehouse(handle, events, years)
+        report = estimate_from_warehouse(self._open_ro(), events, years)
         columns, rows = report.table_rows()
         payload = _table_payload(columns, rows)
         payload["parameters"] = {name: value for name, value in report.parameter_rows()}
@@ -335,7 +327,12 @@ class WarehouseServer(ThreadingHTTPServer):
 
     def __init__(self, config: ServiceConfig):
         self.config = config
+        self.cache = SnapshotCache(config.warehouse_root)
         super().__init__((config.host, config.port), _Handler)
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.cache.close()
 
     @property
     def bound_address(self) -> str:

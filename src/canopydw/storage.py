@@ -24,18 +24,28 @@ deleted; the single sanctioned fact mutation is the validation annotation.
 Single-writer, multiple-reader: a handle opened in "rw" mode holds the LOCK
 file for its lifetime; "ro" handles read a committed snapshot without
 locking.
+
+Read order: a load reads COMMIT first, then dim_image, dim_species and
+dim_date (each table before the tables it references), then the fact rows up
+to COMMIT. Writers write in the opposite order (a date before the image
+that references it, dimension rows before the facts, COMMIT last), so
+every row a committed fact or an image references is on disk by the time
+the reader gets to its table. SnapshotCache keeps one such snapshot current
+for a long-lived process, parsing only what changed.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Iterator, Mapping, Sequence
 
 from . import model
 from .errors import (
@@ -85,6 +95,15 @@ FACT_HEADER = (
     "confidence,geo_x,geo_y,height_m,dbh_cm,validation,matched_record_id"
 )
 SURVEY_HEADER = "record_id,geo_x,geo_y,species_code,dbh_cm,height_m,surveyed_date_key"
+
+# The dimension tables in load order (an image row checks its date), each
+# with its header, its loader and the WarehouseState fields that loader
+# fills. Readers read the files in the reverse order; see Warehouse._load.
+DIMENSIONS = (
+    (DATE_TABLE, DATE_HEADER, "_load_dates", ("dates",)),
+    (SPECIES_TABLE, SPECIES_HEADER, "_load_species", ("species", "species_by_code")),
+    (IMAGE_TABLE, IMAGE_HEADER, "_load_images", ("images", "images_by_identity")),
+)
 
 _SURVEY_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -272,13 +291,21 @@ def _render_fact_row(row: FactTreeMetric) -> str:
     )
 
 
-def _parse_fact_row(cells: list[str]) -> FactTreeMetric:
+def _parse_fact_row(cells: list[str], keys: dict[str, int]) -> FactTreeMetric:
+    """keys maps the text of a date or image key to one int, which the rows
+    of a load then share (a fact table repeats a few keys many times)."""
     if len(cells) != 15:
         raise ValueError(f"expected 15 fields, got {len(cells)}")
+    date_key = keys.get(cells[1])
+    if date_key is None:
+        date_key = keys[cells[1]] = int(cells[1])
+    image_key = keys.get(cells[2])
+    if image_key is None:
+        image_key = keys[cells[2]] = int(cells[2])
     return FactTreeMetric(
         fact_id=int(cells[0]),
-        date_key=int(cells[1]),
-        image_key=int(cells[2]),
+        date_key=date_key,
+        image_key=image_key,
         species_key=int(cells[3]),
         bbox=BoundingBox(cx=float(cells[4]), cy=float(cells[5]), w=float(cells[6]), h=float(cells[7])),
         confidence=float(cells[8]),
@@ -286,7 +313,7 @@ def _parse_fact_row(cells: list[str]) -> FactTreeMetric:
         geo_y=float(cells[10]),
         height_m=_opt_float(cells[11]),
         dbh_cm=_opt_float(cells[12]),
-        validation=cells[13],
+        validation=sys.intern(cells[13]),
         matched_record_id=_opt_str(cells[14]),
     )
 
@@ -319,25 +346,46 @@ def _parse_survey_row(cells: list[str]) -> SurveyRecord:
     )
 
 
-def _read_table(path: Path, header: str) -> list[tuple[int, list[str]]]:
-    """Read a table file into (line_no, cells) pairs, header checked."""
+def _read_bytes(path: Path) -> bytes:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except FileNotFoundError:
         raise NotInitializedError(f"missing table file: {path}")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+
+
+def _table_rows(path: Path, data: bytes, header: str, line_no: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """The (line_no, cells) rows of data, a table file's bytes from line line_no on.
+
+    Line 1 is the header and is checked now; each later line is split into
+    cells only when its row is taken.
+    """
+    lines = data.decode("utf-8").split("\n")
+    if lines[-1] == "":
         lines.pop()
-    if not lines or lines[0] != header:
-        raise CorruptTableError(path, 1, f"bad header, expected {header!r}")
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
+    if line_no == 1:
+        if not lines or lines[0] != header:
+            raise CorruptTableError(path, 1, f"bad header, expected {header!r}")
+        del lines[0]
+        line_no = 2
+    return _split_rows(path, lines, line_no)
+
+
+def _split_rows(path: Path, lines: list[str], line_no: int) -> Iterator[tuple[int, list[str]]]:
+    for i, line in enumerate(lines, start=line_no):
         try:
             cells = next(csv.reader([line]))
         except (csv.Error, StopIteration):
             raise CorruptTableError(path, i, "unparseable CSV line")
-        out.append((i, cells))
-    return out
+        yield i, cells
+
+
+def _read_table(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
+    """Read a table file now; its (line_no, cells) rows follow lazily."""
+    return _table_rows(path, _read_bytes(path), header)
+
+
+def _digest(data: bytes | memoryview) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
 
 
 @dataclass(frozen=True)
@@ -431,14 +479,23 @@ class Warehouse:
     # -- loading -----------------------------------------------------------
 
     def _load(self) -> None:
-        self._load_dates()
-        self._load_species()
-        self._load_images()
-        self._load_facts()
+        # The read order keeps a concurrent writer's rows consistent; see
+        # "Read order" in the module docstring.
+        committed = self._read_commit_marker()
+        tables = {name: _read_table(self._path(name), header) for name, header, _, _ in reversed(DIMENSIONS)}
+        for name, _, loader, _ in DIMENSIONS:
+            getattr(self, loader)(tables[name])
+        path = self._path(FACT_TABLE)
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            raise NotInitializedError(f"missing table file: {path}")
+        with fh:
+            self._load_facts(fh, committed)
 
-    def _load_dates(self) -> None:
+    def _load_dates(self, table: Iterator[tuple[int, list[str]]]) -> None:
         path = self._path(DATE_TABLE)
-        for line_no, cells in _read_table(path, DATE_HEADER):
+        for line_no, cells in table:
             try:
                 row = _parse_date_row(cells)
             except ValueError as exc:
@@ -449,9 +506,9 @@ class Warehouse:
                 raise CorruptTableError(path, line_no, "derived date fields disagree with date_key")
             self.state.add_date(row)
 
-    def _load_species(self) -> None:
+    def _load_species(self, table: Iterator[tuple[int, list[str]]]) -> None:
         path = self._path(SPECIES_TABLE)
-        for line_no, cells in _read_table(path, SPECIES_HEADER):
+        for line_no, cells in table:
             try:
                 row = _parse_species_row(cells)
             except ValueError as exc:
@@ -467,9 +524,9 @@ class Warehouse:
             self.state.add_species(row)
             self._next_species_key = max(self._next_species_key, row.species_key + 1)
 
-    def _load_images(self) -> None:
+    def _load_images(self, table: Iterator[tuple[int, list[str]]]) -> None:
         path = self._path(IMAGE_TABLE)
-        for line_no, cells in _read_table(path, IMAGE_HEADER):
+        for line_no, cells in table:
             try:
                 row = _parse_image_row(cells)
             except ValueError as exc:
@@ -488,55 +545,77 @@ class Warehouse:
             self.state.add_image(row)
             self._next_image_key = max(self._next_image_key, row.image_key + 1)
 
-    def _load_facts(self) -> None:
+    def _load_facts(
+        self, fh: BinaryIO, committed: int | None, offset: int = 0, line_no: int = 1
+    ) -> tuple[int, int] | None:
+        """Add the fact rows stored in fh from byte offset on, up to committed.
+
+        Offset 0 is a full load and starts at the header line. Otherwise
+        (offset, line_no) is a point an earlier call returned, and every row
+        before it is already in self.state, so a tail refresh runs the same
+        row checks as a full load. Returns the point past the leading run of
+        newline-terminated rows this call accepted, where a later call may
+        resume; None when a row was accepted after one that was left out, so
+        that only a full load reproduces the result.
+        """
         path = self._path(FACT_TABLE)
-        committed = self._read_commit_marker()
-        try:
-            raw = path.read_text(encoding="utf-8").split("\n")
-        except FileNotFoundError:
-            raise NotInitializedError(f"missing table file: {path}")
-        if raw and raw[-1] == "":
-            raw.pop()
-        if not raw or raw[0] != FACT_HEADER:
-            raise CorruptTableError(path, 1, f"bad header, expected {FACT_HEADER!r}")
-        last_line_no = len(raw)
+        fh.seek(offset)
+        lines = fh.read().split(b"\n")
+        terminated = len(lines) - 1  # lines that end in a newline
+        if lines[-1] == b"":
+            lines.pop()
+        first = 0
+        if offset == 0:
+            if not lines or lines[0] != FACT_HEADER.encode():
+                raise CorruptTableError(path, 1, f"bad header, expected {FACT_HEADER!r}")
+            first = 1
+        last_line_no = line_no + len(lines) - 1
+        prev_id = self._next_fact_id - 1 if self.state.facts else None
         rows: list[FactTreeMetric] = []
-        dropped_tail = False
-        for line_no, line in enumerate(raw[1:], start=2):
+        keys: dict[str, int] = {}
+        gap = None  # index of the first line left out
+        for i in range(first, len(lines)):
             try:
-                cells = next(csv.reader([line]))
-                row = _parse_fact_row(cells)
+                cells = next(csv.reader([lines[i].decode("utf-8")]))
+                row = _parse_fact_row(cells, keys)
             except (csv.Error, StopIteration, ValueError) as exc:
-                if line_no == last_line_no:
+                if line_no + i == last_line_no:
                     # torn trailing write from an interrupted append
-                    dropped_tail = True
+                    if gap is None:
+                        gap = i
                     break
-                raise CorruptTableError(path, line_no, f"unparseable fact row: {exc}")
+                raise CorruptTableError(path, line_no + i, f"unparseable fact row: {exc}")
             if committed is not None and row.fact_id > committed:
                 # appended but never committed
-                dropped_tail = True
+                if gap is None:
+                    gap = i
                 continue
-            if rows and row.fact_id <= rows[-1].fact_id:
-                raise CorruptTableError(path, line_no, f"fact_id {row.fact_id} out of order")
+            if prev_id is not None and row.fact_id <= prev_id:
+                raise CorruptTableError(path, line_no + i, f"fact_id {row.fact_id} out of order")
             problems = model.fact_field_violations(row)
             if problems:
-                raise CorruptTableError(path, line_no, "; ".join(problems))
+                raise CorruptTableError(path, line_no + i, "; ".join(problems))
             fk = model.validate_fact(row, self.state)
             if fk:
-                raise IntegrityError(f"{path}:{line_no}: fact {row.fact_id}: " + "; ".join(fk))
+                raise IntegrityError(f"{path}:{line_no + i}: fact {row.fact_id}: " + "; ".join(fk))
             rows.append(row)
-        max_id = rows[-1].fact_id if rows else 0
+            prev_id = row.fact_id
+        max_id = prev_id or 0
         if committed is not None and max_id < committed:
             raise CorruptTableError(path, last_line_no, f"commit marker {committed} exceeds last stored fact_id {max_id}")
         for row in rows:
             self.state.add_fact(row)
         self._next_fact_id = max_id + 1
         if self.mode == "rw":
-            if dropped_tail:
+            if gap is not None:
                 self._rewrite_fact_table()
             elif committed is None:
                 # marker missing (externally assembled warehouse): adopt as-is
                 _atomic_write(self._path(COMMIT_MARKER), f"{max_id}\n")
+        unbroken = len(lines) if gap is None else gap
+        if first + len(rows) != unbroken or unbroken > terminated:
+            return None
+        return offset + sum(map(len, lines[:unbroken])) + unbroken, line_no + unbroken
 
     def _read_commit_marker(self) -> int | None:
         path = self._path(COMMIT_MARKER)
@@ -661,7 +740,7 @@ class Warehouse:
                 return []
             first = self._next_fact_id
             rows = [
-                FactTreeMetric(fact_id=first + i, **draft.__dict__)
+                draft.with_id(first + i)
                 for i, draft in enumerate(drafts)
             ]
             path = self._path(FACT_TABLE)
@@ -823,3 +902,154 @@ def open_warehouse(root, mode: str = "rw", lock_timeout: float = 10.0) -> Wareho
         if lock is not None:
             lock.release()
         raise
+
+
+def _file_key(path: Path) -> tuple[int, int, int]:
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        raise NotInitializedError(f"missing table file: {path}")
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class SnapshotCache:
+    """The committed state of one root, kept current for a long-lived process.
+
+    current() brings the snapshot up to date and returns it as a read-only
+    Warehouse. It reads what a fresh open_warehouse(root, "ro") would, in the
+    same order and through the same row checks, but parses only what is new
+    since the last call:
+    - a dimension file is re-read when its (inode, size, mtime) changed. A
+      writer rewrites it whole, sorted by key; when the bytes loaded before
+      are still its first bytes (checked by digest), only the lines after
+      them are parsed. Otherwise everything is reloaded.
+    - the fact file is held open, so that its inode number cannot be
+      reused, and parsed only past the last committed row already loaded.
+      A fact file with a new inode (rewritten by rewrite_validation or by
+      crash recovery) is reloaded whole.
+    A returned Warehouse is never changed afterwards: a refresh that finds
+    changes publishes a new one, built from copies of the old dicts.
+
+    open_writer() gives the read-write handle open_warehouse(root, "rw")
+    would, built on the same rows, so that a writer does not hold a second
+    copy of the fact table next to the cached one.
+    """
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self._mutex = threading.Lock()
+        self._handle: Warehouse | None = None
+        # per dimension: (inode, size, mtime), bytes loaded (None: not a
+        # whole number of lines), digest of those bytes, next line number
+        self._dims: dict[str, tuple[tuple[int, int, int], int | None, bytes, int]] = {}
+        self._facts_fh: BinaryIO | None = None
+        self._facts_key: tuple[int | None, int] | None = None  # (COMMIT, file size)
+        self._resume: tuple[int, int] | None = None
+
+    def close(self) -> None:
+        with self._mutex:
+            if self._facts_fh is not None:
+                self._facts_fh.close()
+            self._facts_fh = self._handle = self._resume = None
+
+    def open_writer(self, lock_timeout: float = 10.0) -> Warehouse | None:
+        """The handle open_warehouse(root, "rw") would give, built on the cached rows.
+
+        Under the writer lock nothing else changes the root, so a refreshed
+        snapshot holds exactly what the full load of open_warehouse would
+        read, unless that load has something to create or repair: a missing
+        table file or COMMIT marker, or bytes past the last committed fact.
+        Those cases, and a snapshot that fails to load, return None, and the
+        caller opens the root with open_warehouse. The handle gets its own
+        dicts; the frozen rows in them are shared with the snapshot.
+        """
+        if not self.root.is_dir():
+            return None
+        lock = FileLock(self.root / LOCK_FILE)
+        lock.acquire(lock_timeout)
+        try:
+            handle = self._writer(lock)
+        except BaseException:
+            lock.release()
+            raise
+        if handle is None:
+            lock.release()
+        return handle
+
+    def _writer(self, lock: FileLock) -> Warehouse | None:
+        with self._mutex:
+            try:
+                snap = self._refresh(self._handle)
+            except WarehouseError:
+                return None
+            committed, size = self._facts_key
+            if committed is None or self._resume is None or self._resume[0] != size:
+                return None
+        wh = Warehouse(self.root, "rw", lock)
+        wh.state = snap.state.copy()
+        wh._next_image_key = max(wh.state.images, default=0) + 1
+        wh._next_species_key = max(wh.state.species, default=0) + 1
+        wh._next_fact_id = snap._next_fact_id
+        return wh
+
+    def current(self) -> Warehouse:
+        with self._mutex:
+            return self._refresh(self._handle)
+
+    def _refresh(self, old: Warehouse | None) -> Warehouse:
+        """Bring the snapshot up to date from old (None: load everything)."""
+        new = Warehouse(self.root, "ro", None)
+        committed = new._read_commit_marker()
+        keys, tables = {}, {}
+        for name, _, _, _ in reversed(DIMENSIONS):  # the read order of Warehouse._load
+            keys[name] = _file_key(new._path(name))
+            if old is None or self._dims[name][0] != keys[name]:
+                tables[name] = _read_bytes(new._path(name))
+        dims = {}
+        for name, header, loader, fields in DIMENSIONS:
+            data = tables.get(name)
+            if data is None:
+                for f in fields:
+                    setattr(new.state, f, getattr(old.state, f))
+                dims[name] = self._dims[name]
+                continue
+            if old is None:
+                rows = _table_rows(new._path(name), data, header)
+            else:
+                _, loaded, digest, line_no = self._dims[name]
+                if loaded is None or len(data) < loaded or _digest(memoryview(data)[:loaded]) != digest:
+                    # rows loaded before have changed: check everything again
+                    return self._refresh(None)
+                for f in fields:
+                    setattr(new.state, f, dict(getattr(old.state, f)))
+                rows = _table_rows(new._path(name), data[loaded:], header, line_no)
+            getattr(new, loader)(rows)
+            # only whole lines can be extended by a later rewrite
+            loaded = len(data) if data.endswith(b"\n") else None
+            dims[name] = (keys[name], loaded, _digest(data), data.count(b"\n") + 1)
+        path = new._path(FACT_TABLE)
+        ino, size, _ = _file_key(path)
+        facts_key = (committed, size)
+        fh = self._facts_fh
+        if old is None or self._resume is None or os.fstat(fh.fileno()).st_ino != ino:
+            fh = open(path, "rb")
+            try:
+                resume = new._load_facts(fh, committed)
+            except BaseException:
+                fh.close()
+                raise
+        elif facts_key != self._facts_key:
+            new.state.facts = dict(old.state.facts)
+            new._next_fact_id = old._next_fact_id
+            resume = new._load_facts(fh, committed, *self._resume)
+        elif not tables:
+            return old
+        else:
+            new.state.facts = old.state.facts
+            new._next_fact_id = old._next_fact_id
+            resume = self._resume
+        if fh is not self._facts_fh and self._facts_fh is not None:
+            self._facts_fh.close()
+        self._handle, self._dims, self._facts_fh = new, dims, fh
+        self._facts_key, self._resume = facts_key, resume
+        return new

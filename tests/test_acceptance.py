@@ -203,9 +203,7 @@ def test_c04_referential_integrity_and_atomic_batches(tmp_path):
 
 def _bare_fact(fid: int, x: float, y: float, species_key: int = 1) -> FactTreeMetric:
     image = make_image()
-    return FactTreeMetric(
-        fact_id=fid, **make_draft(image, species_key=species_key, geo_x=x, geo_y=y).__dict__
-    )
+    return make_draft(image, species_key=species_key, geo_x=x, geo_y=y).with_id(fid)
 
 
 def test_c05_matching_equals_brute_force():

@@ -183,6 +183,9 @@ def test_parse_manifest():
     assert (m.file_name, m.platform, m.capture_date_key) == ("a.jpg", "uav", 20240305)
     assert (m.width_px, m.height_px, m.size_bytes) == (100, 80, 12345)
     assert m.geotransform.origin_x == 500.0 and m.geotransform.e == -0.1
+    # cells are trimmed, the date's as much as the platform's
+    padded = parse_image_manifest([MANIFEST_HEADER, _manifest_row(date=" 2024-03-05 ", platform=" UAV ")])
+    assert (padded[0].capture_date_key, padded[0].platform) == (20240305, "uav")
 
 
 def test_parse_manifest_rejects_bad_header():

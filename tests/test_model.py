@@ -9,7 +9,6 @@ from canopydw.model import (
     BoundingBox,
     DimDate,
     FactDraft,
-    FactTreeMetric,
     Geotransform,
     WarehouseState,
     date_key_from_iso,
@@ -208,7 +207,7 @@ def test_fact_fields_invalid(overrides):
 
 def test_validate_fact_reports_fk_violations():
     state = WarehouseState()
-    fact = FactTreeMetric(fact_id=1, **_draft().__dict__)
+    fact = _draft().with_id(1)
     assert set(validate_fact(fact, state)) == {
         "date_key unresolved",
         "image_key unresolved",
@@ -221,6 +220,6 @@ def test_validate_fact_reports_fk_violations():
     # date mismatch: image captured on a different day than the fact claims
     state.add_image(make_image(image_key=2, capture_date_key=20240116, file_name="other.jpg"))
     state.add_date(derive_date(20240116))
-    assert validate_fact(FactTreeMetric(fact_id=2, **_draft(image_key=2).__dict__), state) == [
+    assert validate_fact(_draft(image_key=2).with_id(2), state) == [
         "date mismatch"
     ]

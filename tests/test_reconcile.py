@@ -73,10 +73,7 @@ def test_round_trip_property(ox, oy, a, e, b, d, col, row):
 
 def _fact(fid: int, x: float, y: float, species_key: int = 1) -> FactTreeMetric:
     image = make_image()
-    return FactTreeMetric(
-        fact_id=fid,
-        **make_draft(image, species_key=species_key, geo_x=x, geo_y=y).__dict__,
-    )
+    return make_draft(image, species_key=species_key, geo_x=x, geo_y=y).with_id(fid)
 
 
 def test_matching_prefers_global_minimum():

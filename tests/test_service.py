@@ -1,11 +1,15 @@
 import http.client
+import sys
 import threading
+import time
 
 import pytest
 import requests
 
+from canopydw.capacity import estimate_from_warehouse
 from canopydw.query import run_query, spec_from_strings
-from canopydw.storage import open_warehouse
+from canopydw.report import render_cell
+from canopydw.storage import FACT_TABLE, open_warehouse, stats_rows
 
 from conftest import running_server
 from helpers import checksum_for
@@ -71,6 +75,25 @@ def test_health(root):
         r = requests.get(f"{base}/v1/health", timeout=10)
         assert r.status_code == 200
         assert r.json() == {"status": "ok"}
+
+
+def test_keep_alive_responses_are_not_delayed(root):
+    # Headers and body leave as two writes; with Nagle's algorithm on, each
+    # body waits for the client's delayed ACK (about 40 ms per response).
+    with running_server(root) as base:
+        host, port = base.removeprefix("http://").rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+    assert elapsed < 0.4, f"20 keep-alive GETs took {elapsed:.3f} s"
 
 
 def test_unknown_endpoint_404(root):
@@ -385,3 +408,125 @@ def test_concurrent_posts_all_land(root):
         for fact in handle.state.facts.values():
             assert fact.image_key in handle.state.images
             assert fact.species_key in handle.state.species
+
+
+# -- the cached read snapshot --------------------------------------------------------
+
+SNAPSHOT_SPECS = (
+    {"group_by": "date,species", "measures": "tree_count,mean_confidence,mean_height_m,mean_dbh_cm"},
+    {"group_by": "platform,resolution_class", "measures": "tree_count,image_count,confirmed_count"},
+)
+
+
+def _rendered(columns, rows) -> dict:
+    return {"columns": list(columns), "rows": [[render_cell(c) for c in row] for row in rows]}
+
+
+def served_reads(base) -> list[dict]:
+    """Stats, queries and estimate as the service answers them."""
+    out = [requests.get(f"{base}/v1/stats", timeout=10).json()]
+    for spec in SNAPSHOT_SPECS:
+        out.append(requests.get(f"{base}/v1/query", params=spec, timeout=10).json())
+    estimate = requests.get(f"{base}/v1/estimate", timeout=10).json()
+    out.append({"columns": estimate["columns"], "rows": estimate["rows"]})
+    return out
+
+
+def fresh_reads(root) -> list[dict]:
+    """The same reads from a fresh read-only open."""
+    with open_warehouse(root, "ro") as handle:
+        out = [_rendered(*stats_rows(handle.stats()))]
+        for spec in SNAPSHOT_SPECS:
+            table = run_query(handle, spec_from_strings(spec))
+            out.append(_rendered(table.columns, table.rows))
+        out.append(_rendered(*estimate_from_warehouse(handle, 4, 10).table_rows()))
+    return out
+
+
+def test_cached_reads_match_fresh_open_after_post(root):
+    with running_server(root) as base:
+        assert post_image(base, "cam_001.jpg", ["0 0.5 0.5 0.2 0.2 0.9"]).status_code == 200
+        assert served_reads(base) == fresh_reads(root)
+        assert post_image(base, "cam_002.jpg", ["1 0.25 0.25 0.1 0.1 0.8"] * 3).status_code == 200
+        assert served_reads(base) == fresh_reads(root)
+        assert fact_count(base) == 4
+
+
+def test_cached_reads_match_fresh_open_after_reconcile(root):
+    with running_server(root) as base:
+        assert post_image(base, "cam_010.jpg", ["0 0.5 0.5 0.2 0.2 0.9"]).status_code == 200
+        assert served_reads(base) == fresh_reads(root)
+        row = {"record_id": "t1", "geo_x": 5.0, "geo_y": -5.0, "species_code": "PSME",
+               "dbh_cm": 40.0, "height_m": 25.0, "surveyed_date": "2024-01-10"}
+        r = requests.post(f"{base}/v1/surveys", json={"survey_id": "s1", "rows": [row]}, timeout=10)
+        assert r.status_code == 200
+        # reconcile rewrites the whole fact file; the snapshot must reload it
+        assert requests.post(f"{base}/v1/reconcile", json={"radius_m": 2.0}, timeout=10).status_code == 200
+        reads = served_reads(base)
+        assert reads == fresh_reads(root)
+        confirmed = reads[2]["rows"][0][reads[2]["columns"].index("confirmed_count")]
+        assert confirmed == "1"
+
+
+def test_cached_reads_ignore_uncommitted_and_torn_facts(root):
+    with running_server(root) as base:
+        assert post_image(base, "cam_020.jpg", ["0 0.5 0.5 0.2 0.2 0.9"] * 2).status_code == 200
+        committed = served_reads(base)
+        with open(root / FACT_TABLE, "a") as fh:  # appended but never committed
+            fh.write("3,20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,\n")
+        reads = served_reads(base)
+        assert reads == fresh_reads(root)
+        assert reads[1:-1] == committed[1:-1]  # stats and estimate also read file sizes
+        with open(root / FACT_TABLE, "a") as fh:  # torn mid-row
+            fh.write("4,20240115,1,1,0.5")
+        assert served_reads(base) == fresh_reads(root)
+        # the next write recovers the file; both readers see the new facts
+        assert post_image(base, "cam_021.jpg", ["1 0.25 0.25 0.1 0.1 0.8"]).status_code == 200
+        assert served_reads(base) == fresh_reads(root)
+        assert fact_count(base) == 3
+
+
+def test_cached_reads_stay_consistent_under_concurrent_posts(root):
+    per_image, n_posts, n_readers = 3, 12, 4
+    detections = ["0 0.5 0.5 0.2 0.2 0.9", "1 0.25 0.25 0.1 0.1 0.8", "0 0.75 0.75 0.1 0.1 0.7"]
+    done = threading.Event()
+    problems, reads = [], []
+
+    def reader():
+        last = 0
+        with requests.Session() as session:
+            while not done.is_set():
+                r = session.get(f"{base}/v1/query", params={"measures": "tree_count,image_count"}, timeout=30)
+                if r.status_code != 200:
+                    problems.append((r.status_code, r.text))
+                    continue
+                rows = r.json()["rows"]
+                trees, images = (int(c) for c in rows[0]) if rows else (0, 0)
+                # each POST commits one image's facts at once
+                if trees != per_image * images or trees < last:
+                    problems.append((trees, images, last))
+                last = trees
+                reads.append(trees)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the handler threads finely
+    try:
+        with running_server(root) as base:
+            threads = [threading.Thread(target=reader) for _ in range(n_readers)]
+            for t in threads:
+                t.start()
+            try:
+                for i in range(n_posts):
+                    r = post_image(base, f"cc_{i:03d}.jpg", detections[:per_image])
+                    assert r.status_code == 200, r.text
+            finally:
+                done.set()
+                for t in threads:
+                    t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert not problems, problems[:5]
+            assert len(reads) >= n_readers
+            assert served_reads(base) == fresh_reads(root)
+            assert fact_count(base) == per_image * n_posts
+    finally:
+        sys.setswitchinterval(switch)

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import random
 
@@ -14,12 +15,14 @@ from canopydw.errors import (
     ReadOnlyError,
     SurveyImmutableError,
     UnknownFactError,
+    WarehouseError,
 )
-from canopydw.model import ValidationUpdate
+from canopydw.model import ValidationUpdate, encode_date_key
 from canopydw.storage import (
     FACT_HEADER,
     FACT_TABLE,
     Warehouse,
+    SnapshotCache,
     open_warehouse,
     stats_rows,
 )
@@ -326,6 +329,141 @@ def test_missing_marker_adopts_contents(root):
     with open_warehouse(root) as wh:
         assert sorted(wh.state.facts) == [1, 2]
     assert (root / "COMMIT").read_text() == "2\n"
+
+
+# -- read snapshots under a live writer -----------------------------------------------
+
+
+def _open_ro_until(root, cached, stop, out):
+    """Read-only opens (or SnapshotCache refreshes) in a loop until stop is set.
+
+    Reports (opens, failures, first error).
+    """
+    snap = SnapshotCache(root) if cached else None
+    out.put("started")
+    opens, failures, first = 0, 0, None
+    while not stop.is_set():
+        try:
+            if snap is not None:
+                snap.current()
+            else:
+                open_warehouse(root, "ro").close()
+        except WarehouseError as exc:
+            failures += 1
+            first = first or f"{type(exc).__name__}: {exc}"
+        opens += 1
+    out.put((opens, failures, first))
+
+
+def test_read_only_open_is_consistent_during_ingest(root):
+    # Every image brings a new date, so each batch rewrites dim_date and
+    # dim_image just before it commits facts that reference the new rows.
+    with open_warehouse(root) as wh:
+        wh.upsert_species("PSME")
+    ctx = multiprocessing.get_context("spawn")
+    stop, out = ctx.Event(), ctx.Queue()
+    readers = [ctx.Process(target=_open_ro_until, args=(root, cached, stop, out)) for cached in (False, False, True)]
+    for p in readers:
+        p.start()
+    try:
+        assert [out.get(timeout=60) for _ in readers] == ["started"] * len(readers)
+        with open_warehouse(root) as wh:
+            for i in range(150):
+                date_key = wh.ensure_date(encode_date_key(2024, 1 + i // 28, 1 + i % 28))
+                name = f"img_{i:04d}.jpg"
+                key = wh.insert_image(make_image(file_name=name, capture_date_key=date_key).meta)
+                wh.append_facts([make_draft(wh.state.images[key])] * 5)
+    finally:
+        stop.set()
+        results = [out.get(timeout=60) for _ in readers]
+        for p in readers:
+            p.join(timeout=60)
+    assert not any(p.is_alive() for p in readers)
+    opens = sum(r[0] for r in results)
+    failed = [r for r in results if r[1]]
+    assert opens >= 20, results
+    assert not failed, f"{sum(r[1] for r in failed)} of {opens} read-only opens failed, e.g. {failed[0][2]}"
+
+
+def test_read_snapshot_matches_fresh_open(root):
+    def fresh():
+        with open_warehouse(root, "ro") as wh:
+            return logical_state(wh)
+
+    _committed_base(root)
+    snap = SnapshotCache(root)
+    try:
+        first = snap.current()
+        seen = [(first, logical_state(first))]
+        assert seen[0][1] == fresh()
+        assert snap.current() is first  # nothing changed: nothing re-read
+
+        def check():
+            handle = snap.current()
+            assert logical_state(handle) == fresh()
+            seen.append((handle, logical_state(handle)))
+
+        with open_warehouse(root) as wh:  # new date, image and facts
+            date_key = wh.ensure_date(20240301)
+            key = wh.insert_image(make_image(file_name="b.jpg", capture_date_key=date_key).meta)
+            wh.append_facts([make_draft(wh.state.images[key])] * 3)
+        check()
+        with open(root / FACT_TABLE, "a") as fh:  # appended but never committed
+            fh.write("6,20240301,2,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,\n")
+        check()
+        with open(root / FACT_TABLE, "a") as fh:  # torn mid-row
+            fh.write("7,20240301,2,1,0.5")
+        check()
+        with open_warehouse(root) as wh:  # recovery rewrites the fact file
+            wh.append_facts([make_draft(wh.state.images[1])])
+        check()
+        with open_warehouse(root) as wh:
+            wh.rewrite_validation({2: ValidationUpdate("confirmed", "t1", 12.0, 30.0)})
+        check()
+        assert seen[-1][0].state.facts[2].validation == "confirmed"
+        with open_warehouse(root) as wh:  # a date sorted before the others
+            date_key = wh.ensure_date(20240101)
+            key = wh.insert_image(make_image(file_name="c.jpg", capture_date_key=date_key).meta)
+            wh.append_facts([make_draft(wh.state.images[key])])
+        check()
+        text = (root / "dim_species.tbl").read_text()  # an edited dimension row
+        assert ",unknown\n" in text
+        (root / "dim_species.tbl").write_text(text.replace(",unknown\n", ",vulnerable\n"))
+        check()
+        assert seen[-1][0].state.species[1].conservation_status == "vulnerable"
+        # a handle once returned is never changed by later refreshes
+        for handle, state in seen:
+            assert logical_state(handle) == state
+    finally:
+        snap.close()
+
+
+def test_snapshot_writer_matches_full_open(root):
+    snap = SnapshotCache(root)
+    try:
+        assert snap.open_writer() is None  # no root yet: open_warehouse creates it
+        _committed_base(root)
+        with snap.open_writer() as wh:
+            with open_warehouse(root, "ro") as fresh:
+                assert logical_state(wh) == logical_state(fresh)
+            assert wh.upsert_species("TSHE") == 2
+            date_key = wh.ensure_date(20240301)
+            assert wh.insert_image(make_image(file_name="b.jpg", capture_date_key=date_key).meta) == 2
+            assert wh.append_facts([make_draft(wh.state.images[2], species_key=2)]) == [3]
+            with pytest.raises(LockHeldError):
+                open_warehouse(root, lock_timeout=0.05)
+        with open_warehouse(root, "ro") as fresh:
+            assert logical_state(snap.current()) == logical_state(fresh)
+        with open(root / FACT_TABLE, "a") as fh:  # appended but never committed
+            fh.write("4,20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,\n")
+        assert snap.open_writer() is None  # the full open repairs the tail
+        assert not (root / "LOCK").exists()
+        with open_warehouse(root) as wh:
+            assert wh.append_facts([make_draft(wh.state.images[1])]) == [4]
+        with snap.open_writer() as wh:
+            assert sorted(wh.state.facts) == [1, 2, 3, 4]
+    finally:
+        snap.close()
 
 
 # -- locking -----------------------------------------------------------------------
