@@ -331,6 +331,97 @@ def test_missing_marker_adopts_contents(root):
     assert (root / "COMMIT").read_text() == "2\n"
 
 
+# -- corrupt dimension tables ---------------------------------------------------------
+
+
+def _cell(i, value):
+    def edit(lines, line_no):
+        cells = lines[line_no - 1].split(",")
+        cells[i] = value
+        return ",".join(cells)
+
+    return edit
+
+
+def _line(n):
+    return lambda lines, line_no: lines[n - 1]
+
+
+_DROP_LAST = lambda lines, line_no: lines[line_no - 1].rsplit(",", 1)[0]  # noqa: E731
+_BAD_HEADER = lambda lines, line_no: "wrong,header"  # noqa: E731
+
+# (table, line, edit of that line, error type, text in the error's message)
+CORRUPT_TABLE_CASES = {
+    "date-header": ("dim_date.tbl", 1, _BAD_HEADER, CorruptTableError, "bad header"),
+    "image-header": ("dim_image.tbl", 1, _BAD_HEADER, CorruptTableError, "bad header"),
+    "species-header": ("dim_species.tbl", 1, _BAD_HEADER, CorruptTableError, "bad header"),
+    "fact-header": ("fact_tree_metrics.tbl", 1, _BAD_HEADER, CorruptTableError, "bad header"),
+    "date-fields": ("dim_date.tbl", 3, _DROP_LAST, CorruptTableError, "expected 6 fields, got 5"),
+    "image-fields": ("dim_image.tbl", 3, _DROP_LAST, CorruptTableError, "expected 15 fields, got 14"),
+    "species-fields": ("dim_species.tbl", 3, _DROP_LAST, CorruptTableError, "expected 5 fields, got 4"),
+    "date-key": ("dim_date.tbl", 2, _cell(0, "x"), CorruptTableError, "invalid literal for int()"),
+    "image-key": ("dim_image.tbl", 3, _cell(0, "x"), CorruptTableError, "invalid literal for int()"),
+    "species-key": ("dim_species.tbl", 3, _cell(0, "x"), CorruptTableError, "invalid literal for int()"),
+    "date-duplicate": ("dim_date.tbl", 3, _line(2), CorruptTableError, "duplicate date_key 20240115"),
+    "date-derived": (
+        "dim_date.tbl", 2, _cell(5, "16"), CorruptTableError, "derived date fields disagree with date_key"
+    ),
+    "species-duplicate-key": ("dim_species.tbl", 3, _cell(0, "1"), CorruptTableError, "duplicate species_key 1"),
+    "species-empty-code": ("dim_species.tbl", 3, _cell(1, ""), CorruptTableError, "empty species code"),
+    "species-duplicate-code": (
+        "dim_species.tbl", 3, _cell(1, "PSME"), CorruptTableError, "duplicate species code PSME"
+    ),
+    "species-status": (
+        "dim_species.tbl", 3, _cell(4, "extinct"), CorruptTableError, "bad conservation_status 'extinct'"
+    ),
+    "image-duplicate-key": ("dim_image.tbl", 3, _cell(0, "1"), CorruptTableError, "duplicate image_key 1"),
+    "image-meta": ("dim_image.tbl", 3, _cell(2, "blimp"), CorruptTableError, "platform 'blimp' not one of"),
+    "image-identity": (
+        "dim_image.tbl",
+        3,
+        lambda lines, line_no: "2" + lines[1][1:],
+        CorruptTableError,
+        "duplicate (file_name, checksum)",
+    ),
+    "image-missing-date": (
+        "dim_image.tbl", 3, _cell(3, "20240117"), IntegrityError, "image 2 references missing date 20240117"
+    ),
+}
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["open", "cache"])
+@pytest.mark.parametrize("case", list(CORRUPT_TABLE_CASES))
+def test_corrupt_table_is_refused_with_its_line(root, case, cached):
+    table, line_no, edit, error, reason = CORRUPT_TABLE_CASES[case]
+    with open_warehouse(root) as wh:
+        wh.upsert_species("PSME")
+        wh.upsert_species("TSHE")
+        wh.ensure_date(20240115)
+        wh.ensure_date(20240116)
+        wh.insert_image(make_image(file_name="a.jpg").meta)
+        wh.insert_image(make_image(file_name="b.jpg", capture_date_key=20240116).meta)
+        wh.append_facts([make_draft(wh.state.images[1])] * 2)
+    snap = SnapshotCache(root)
+    try:
+        snap.current()  # a good first load
+        path = root / table
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = edit(lines, line_no)
+        # replaced as a writer would, so that the file's inode changes
+        tmp = root / "edited.tmp"
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+        with pytest.raises(error) as err:
+            snap.current() if cached else open_warehouse(root, "ro")
+    finally:
+        snap.close()
+    assert reason in str(err.value)
+    if error is CorruptTableError:
+        assert (err.value.path.name, err.value.line_no) == (table, line_no)
+    else:
+        assert f"{table}:{line_no}: " in str(err.value)
+
+
 # -- read snapshots under a live writer -----------------------------------------------
 
 
