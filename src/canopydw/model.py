@@ -199,29 +199,30 @@ class ImageMeta:
     checksum: str
 
 
+_META_FIELDS = tuple(f.name for f in fields(ImageMeta))
+
+
 @dataclass(frozen=True)
 class DimImage(ImageMeta):
     image_key: int = 0
 
     @property
     def meta(self) -> ImageMeta:
-        return ImageMeta(
-            file_name=self.file_name,
-            platform=self.platform,
-            capture_date_key=self.capture_date_key,
-            width_px=self.width_px,
-            height_px=self.height_px,
-            gsd_cm_per_px=self.gsd_cm_per_px,
-            geotransform=self.geotransform,
-            size_bytes=self.size_bytes,
-            checksum=self.checksum,
-        )
+        return ImageMeta(*(getattr(self, name) for name in _META_FIELDS))
+
+
+def has_line_break(text: str) -> bool:
+    """Table files are split into lines before their cells are parsed, so no
+    stored text may hold a line break."""
+    return "\n" in text or "\r" in text
 
 
 def image_meta_violations(meta: ImageMeta) -> list[str]:
     v = []
     if not meta.file_name:
         v.append("file_name empty")
+    elif has_line_break(meta.file_name):
+        v.append("file_name contains a line break")
     if meta.platform not in PLATFORMS:
         v.append(f"platform {meta.platform!r} not one of {PLATFORMS}")
     if not is_valid_date_key(meta.capture_date_key):

@@ -7,12 +7,21 @@ On-disk layout under the warehouse root:
     dim_species.tbl         species dimension
     fact_tree_metrics.tbl   fact table (one detected tree per row)
     COMMIT                  last committed fact_id, decimal text
-    LOCK                    writer lock (pid of the holder)
+    LOCK                    writer lock (flock; the file is empty and stays)
     surveys/<id>.tbl        immutable ground-truth survey files
 
 Table files are newline-delimited CSV with a fixed header line; text fields
-containing commas, quotes, or newlines are double-quoted with doubled inner
-quotes. Reals use the shortest round-trip decimal form.
+containing commas or quotes are double-quoted with doubled inner quotes.
+Files are split on line breaks before CSV parsing, so text containing a line
+break is refused before it is stored. Reals use the shortest round-trip
+decimal form.
+
+Each table is described once, by a Table: its file, its header (the column
+names, the first of them the key), how a row becomes the cells of a line and
+back, and for a dimension the checks a loaded row must pass and the
+WarehouseState fields it fills. Parsing, rendering, loading, rewriting,
+stats and file creation all iterate these descriptions: TABLES, DIMENSIONS
+(in load order) and SURVEYS for survey files.
 
 Commit protocol: dimension tables are small and rewritten whole via
 write-then-rename; fact batches are appended with fsync and become visible
@@ -21,9 +30,11 @@ last fact_id. A crash mid-append leaves rows past the marker, which reload
 drops, restoring the pre-batch state. Dimension rows are never mutated or
 deleted; the single sanctioned fact mutation is the validation annotation.
 
-Single-writer, multiple-reader: a handle opened in "rw" mode holds the LOCK
-file for its lifetime; "ro" handles read a committed snapshot without
-locking.
+Single-writer, multiple-reader: a handle opened in "rw" mode holds an
+exclusive flock on the LOCK file for its lifetime. The kernel releases it
+when the handle closes it or the holding process exits, however it exits;
+the file itself is never removed. "ro" handles read a committed snapshot
+without locking.
 
 Read order: a load reads COMMIT first, then dim_image, dim_species and
 dim_date (each table before the tables it references), then the fact rows up
@@ -37,15 +48,17 @@ for a long-lived process, parsing only what changed.
 from __future__ import annotations
 
 import csv
+import fcntl
 import hashlib
 import os
 import re
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import model
 from .errors import (
@@ -76,114 +89,58 @@ from .model import (
 )
 from .report import csv_line
 
-DATE_TABLE = "dim_date.tbl"
-IMAGE_TABLE = "dim_image.tbl"
-SPECIES_TABLE = "dim_species.tbl"
-FACT_TABLE = "fact_tree_metrics.tbl"
 COMMIT_MARKER = "COMMIT"
 LOCK_FILE = "LOCK"
 SURVEY_DIR = "surveys"
 
-DATE_HEADER = "date_key,year,quarter,month,day,day_of_year"
-IMAGE_HEADER = (
-    "image_key,file_name,platform,capture_date_key,width_px,height_px,"
-    "gsd_cm_per_px,gt_origin_x,gt_origin_y,gt_a,gt_b,gt_d,gt_e,size_bytes,checksum"
-)
-SPECIES_HEADER = "species_key,code,scientific_name,common_name,conservation_status"
-FACT_HEADER = (
-    "fact_id,date_key,image_key,species_key,bbox_cx,bbox_cy,bbox_w,bbox_h,"
-    "confidence,geo_x,geo_y,height_m,dbh_cm,validation,matched_record_id"
-)
-SURVEY_HEADER = "record_id,geo_x,geo_y,species_code,dbh_cm,height_m,surveyed_date_key"
-
-# The dimension tables in load order (an image row checks its date), each
-# with its header, its loader and the WarehouseState fields that loader
-# fills. Readers read the files in the reverse order; see Warehouse._load.
-DIMENSIONS = (
-    (DATE_TABLE, DATE_HEADER, "_load_dates", ("dates",)),
-    (SPECIES_TABLE, SPECIES_HEADER, "_load_species", ("species", "species_by_code")),
-    (IMAGE_TABLE, IMAGE_HEADER, "_load_images", ("images", "images_by_identity")),
-)
-
 _SURVEY_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
+@dataclass
+class Table:
+    """How one table is stored.
 
+    header names the columns; the first is the key. cells gives a row's
+    cells in header order (default: the row's attributes named by the
+    header); row builds a row from the cells of a line and raises
+    ValueError on a bad cell. fields are the WarehouseState fields the
+    table fills, its rows by key first. A dimension also has check, which
+    returns why a loaded row is refused given the rows loaded before it
+    (None: accepted), and add, which puts an accepted row into the state.
+    """
 
-def _fsync_dir(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    file: str
+    header: str
+    row: Callable[..., Any]
+    cells: Callable[[Any], Sequence[object]] | None = None
+    fields: tuple[str, ...] = ()
+    check: Callable[[WarehouseState, Any], str | None] | None = None
+    add: Callable[[WarehouseState, Any], None] | None = None
+    key: str = field(init=False)
+    width: int = field(init=False)
 
+    def __post_init__(self) -> None:
+        columns = self.header.split(",")
+        self.key, self.width = columns[0], len(columns)
+        if self.cells is None:
+            self.cells = attrgetter(*columns)
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
+    def parse(self, cells: list[str], *args) -> Any:
+        """The row of one line's cells (args go on to row)."""
+        if len(cells) != self.width:
+            raise ValueError(f"expected {self.width} fields, got {len(cells)}")
+        return self.row(cells, *args)
 
+    def rows(self, state: WarehouseState) -> dict:
+        """The table's rows in state, by key."""
+        return getattr(state, self.fields[0])
 
-class FileLock:
-    """Exclusive-create lock file; stale locks from dead pids are reclaimed."""
+    def line(self, row) -> str:
+        return csv_line(self.cells(row))
 
-    def __init__(self, path: Path):
-        self.path = path
-        self._held = False
-
-    def acquire(self, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._steal_if_stale():
-                    continue
-                if time.monotonic() >= deadline:
-                    raise LockHeldError(f"warehouse lock held: {self.path}")
-                time.sleep(0.01)
-                continue
-            with os.fdopen(fd, "w") as fh:
-                fh.write(f"{os.getpid()}\n")
-            self._held = True
-            return
-
-    def _steal_if_stale(self) -> bool:
-        try:
-            text = self.path.read_text().strip()
-            pid = int(text)
-        except (OSError, ValueError):
-            return False
-        if _pid_alive(pid):
-            return False
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
-        return True
-
-    def release(self) -> None:
-        if self._held:
-            self._held = False
-            try:
-                self.path.unlink()
-            except FileNotFoundError:
-                pass
+    def text(self, rows: Iterable) -> str:
+        """A whole file of this table holding rows."""
+        return self.header + "\n" + "".join(self.line(r) + "\n" for r in rows)
 
 
 def _opt_float(cell: str) -> float | None:
@@ -194,42 +151,44 @@ def _opt_str(cell: str) -> str | None:
     return None if cell == "" else cell
 
 
-def _render_date_row(row: DimDate) -> str:
-    return csv_line([row.date_key, row.year, row.quarter, row.month, row.day, row.day_of_year])
+def _date_problem(state: WarehouseState, row: DimDate) -> str | None:
+    if row != model.derive_date(row.date_key):
+        return "derived date fields disagree with date_key"
+    return None
 
 
-def _parse_date_row(cells: list[str]) -> DimDate:
-    if len(cells) != 6:
-        raise ValueError(f"expected 6 fields, got {len(cells)}")
-    return DimDate(*(int(c) for c in cells))
+def _species_problem(state: WarehouseState, row: DimSpecies) -> str | None:
+    if not row.code:
+        return "empty species code"
+    if row.code in state.species_by_code:
+        return f"duplicate species code {row.code}"
+    if row.conservation_status not in model.CONSERVATION_STATUSES:
+        return f"bad conservation_status {row.conservation_status!r}"
+    return None
 
 
-def _render_image_row(row: DimImage) -> str:
+def _image_cells(row: DimImage) -> list:
     gt = row.geotransform
-    return csv_line(
-        [
-            row.image_key,
-            row.file_name,
-            row.platform,
-            row.capture_date_key,
-            row.width_px,
-            row.height_px,
-            row.gsd_cm_per_px,
-            gt.origin_x,
-            gt.origin_y,
-            gt.a,
-            gt.b,
-            gt.d,
-            gt.e,
-            row.size_bytes,
-            row.checksum,
-        ]
-    )
+    return [
+        row.image_key,
+        row.file_name,
+        row.platform,
+        row.capture_date_key,
+        row.width_px,
+        row.height_px,
+        row.gsd_cm_per_px,
+        gt.origin_x,
+        gt.origin_y,
+        gt.a,
+        gt.b,
+        gt.d,
+        gt.e,
+        row.size_bytes,
+        row.checksum,
+    ]
 
 
-def _parse_image_row(cells: list[str]) -> DimImage:
-    if len(cells) != 15:
-        raise ValueError(f"expected 15 fields, got {len(cells)}")
+def _image_row(cells: list[str]) -> DimImage:
     return DimImage(
         image_key=int(cells[0]),
         file_name=cells[1],
@@ -238,64 +197,46 @@ def _parse_image_row(cells: list[str]) -> DimImage:
         width_px=int(cells[4]),
         height_px=int(cells[5]),
         gsd_cm_per_px=float(cells[6]),
-        geotransform=Geotransform(
-            origin_x=float(cells[7]),
-            origin_y=float(cells[8]),
-            a=float(cells[9]),
-            b=float(cells[10]),
-            d=float(cells[11]),
-            e=float(cells[12]),
-        ),
+        geotransform=Geotransform(*map(float, cells[7:13])),
         size_bytes=int(cells[13]),
         checksum=cells[14],
     )
 
 
-def _render_species_row(row: DimSpecies) -> str:
-    return csv_line(
-        [row.species_key, row.code, row.scientific_name, row.common_name, row.conservation_status]
-    )
+def _image_problem(state: WarehouseState, row: DimImage) -> str | None:
+    problems = model.image_meta_violations(row.meta)
+    if problems:
+        return "; ".join(problems)
+    if (row.file_name, row.checksum) in state.images_by_identity:
+        return "duplicate (file_name, checksum)"
+    if row.capture_date_key not in state.dates:
+        raise IntegrityError(f"image {row.image_key} references missing date {row.capture_date_key}")
+    return None
 
 
-def _parse_species_row(cells: list[str]) -> DimSpecies:
-    if len(cells) != 5:
-        raise ValueError(f"expected 5 fields, got {len(cells)}")
-    return DimSpecies(
-        species_key=int(cells[0]),
-        code=cells[1],
-        scientific_name=cells[2],
-        common_name=cells[3],
-        conservation_status=cells[4],
-    )
+def _fact_cells(row: FactTreeMetric) -> list:
+    return [
+        row.fact_id,
+        row.date_key,
+        row.image_key,
+        row.species_key,
+        row.bbox.cx,
+        row.bbox.cy,
+        row.bbox.w,
+        row.bbox.h,
+        row.confidence,
+        row.geo_x,
+        row.geo_y,
+        row.height_m,
+        row.dbh_cm,
+        row.validation,
+        row.matched_record_id,
+    ]
 
 
-def _render_fact_row(row: FactTreeMetric) -> str:
-    return csv_line(
-        [
-            row.fact_id,
-            row.date_key,
-            row.image_key,
-            row.species_key,
-            row.bbox.cx,
-            row.bbox.cy,
-            row.bbox.w,
-            row.bbox.h,
-            row.confidence,
-            row.geo_x,
-            row.geo_y,
-            row.height_m,
-            row.dbh_cm,
-            row.validation,
-            row.matched_record_id,
-        ]
-    )
-
-
-def _parse_fact_row(cells: list[str], keys: dict[str, int]) -> FactTreeMetric:
+def _fact_row(cells: list[str], keys: dict[str, int]) -> FactTreeMetric:
     """keys maps the text of a date or image key to one int, which the rows
     of a load then share (a fact table repeats a few keys many times)."""
-    if len(cells) != 15:
-        raise ValueError(f"expected 15 fields, got {len(cells)}")
     date_key = keys.get(cells[1])
     if date_key is None:
         date_key = keys[cells[1]] = int(cells[1])
@@ -318,32 +259,109 @@ def _parse_fact_row(cells: list[str], keys: dict[str, int]) -> FactTreeMetric:
     )
 
 
-def _render_survey_row(row: SurveyRecord) -> str:
-    return csv_line(
-        [
-            row.record_id,
-            row.geo_x,
-            row.geo_y,
-            row.species_code,
-            row.dbh_cm,
-            row.height_m,
-            row.surveyed_date_key,
-        ]
-    )
+DATES = Table(
+    "dim_date.tbl",
+    "date_key,year,quarter,month,day,day_of_year",
+    row=lambda cells: DimDate(*map(int, cells)),
+    fields=("dates",),
+    check=_date_problem,
+    add=WarehouseState.add_date,
+)
+IMAGES = Table(
+    "dim_image.tbl",
+    "image_key,file_name,platform,capture_date_key,width_px,height_px,"
+    "gsd_cm_per_px,gt_origin_x,gt_origin_y,gt_a,gt_b,gt_d,gt_e,size_bytes,checksum",
+    row=_image_row,
+    cells=_image_cells,
+    fields=("images", "images_by_identity"),
+    check=_image_problem,
+    add=WarehouseState.add_image,
+)
+SPECIES = Table(
+    "dim_species.tbl",
+    "species_key,code,scientific_name,common_name,conservation_status",
+    row=lambda cells: DimSpecies(int(cells[0]), *cells[1:]),
+    fields=("species", "species_by_code"),
+    check=_species_problem,
+    add=WarehouseState.add_species,
+)
+FACTS = Table(
+    "fact_tree_metrics.tbl",
+    "fact_id,date_key,image_key,species_key,bbox_cx,bbox_cy,bbox_w,bbox_h,"
+    "confidence,geo_x,geo_y,height_m,dbh_cm,validation,matched_record_id",
+    row=_fact_row,
+    cells=_fact_cells,
+    fields=("facts",),
+)
+# one file per survey, under SURVEY_DIR
+SURVEYS = Table(
+    "",
+    "record_id,geo_x,geo_y,species_code,dbh_cm,height_m,surveyed_date_key",
+    row=lambda c: SurveyRecord(c[0], float(c[1]), float(c[2]), c[3], _opt_float(c[4]), _opt_float(c[5]), int(c[6])),
+)
+
+TABLES = (DATES, IMAGES, SPECIES, FACTS)
+# In load order: an image row checks its date. Readers read the files in the
+# reverse order; see Warehouse._load.
+DIMENSIONS = (DATES, SPECIES, IMAGES)
 
 
-def _parse_survey_row(cells: list[str]) -> SurveyRecord:
-    if len(cells) != 7:
-        raise ValueError(f"expected 7 fields, got {len(cells)}")
-    return SurveyRecord(
-        record_id=cells[0],
-        geo_x=float(cells[1]),
-        geo_y=float(cells[2]),
-        species_code=cells[3],
-        dbh_cm=_opt_float(cells[4]),
-        height_m=_opt_float(cells[5]),
-        surveyed_date_key=int(cells[6]),
-    )
+def _atomic_write(path: Path, text: str) -> int:
+    """Replace path's content with text; returns the bytes written."""
+    data = text.encode("utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    _fsync_dir(path.parent)
+    return len(data)
+
+
+def _fsync_dir(path: Path) -> None:
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+class FileLock:
+    """Exclusive flock on a lock file, held until release() or the holder's exit.
+
+    The file is never unlinked: a waiter holding the old inode and a new
+    opener creating a fresh one could otherwise both get a lock.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._fd: int | None = None
+
+    def acquire(self, timeout: float) -> None:
+        deadline = time.monotonic() + timeout
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
+        try:
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if time.monotonic() >= deadline:
+                        raise LockHeldError(f"warehouse lock held: {self.path}")
+                    time.sleep(0.01)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
+
+    def release(self) -> None:
+        if self._fd is not None:
+            fd, self._fd = self._fd, None
+            os.close(fd)
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -353,35 +371,30 @@ def _read_bytes(path: Path) -> bytes:
         raise NotInitializedError(f"missing table file: {path}")
 
 
-def _table_rows(path: Path, data: bytes, header: str, line_no: int = 1) -> Iterator[tuple[int, list[str]]]:
-    """The (line_no, cells) rows of data, a table file's bytes from line line_no on.
+def _table_rows(path: Path, data: bytes, table: Table, line_no: int = 1) -> Iterator[tuple[int, Any]]:
+    """The (line_no, row) rows of data, a table file's bytes from line line_no on.
 
-    Line 1 is the header and is checked now; each later line is split into
-    cells only when its row is taken.
+    Line 1 is the header and is checked first; each later line is parsed
+    only when its row is taken.
     """
     lines = data.decode("utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()
     if line_no == 1:
-        if not lines or lines[0] != header:
-            raise CorruptTableError(path, 1, f"bad header, expected {header!r}")
+        if not lines or lines[0] != table.header:
+            raise CorruptTableError(path, 1, f"bad header, expected {table.header!r}")
         del lines[0]
         line_no = 2
-    return _split_rows(path, lines, line_no)
-
-
-def _split_rows(path: Path, lines: list[str], line_no: int) -> Iterator[tuple[int, list[str]]]:
     for i, line in enumerate(lines, start=line_no):
         try:
             cells = next(csv.reader([line]))
         except (csv.Error, StopIteration):
             raise CorruptTableError(path, i, "unparseable CSV line")
-        yield i, cells
-
-
-def _read_table(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
-    """Read a table file now; its (line_no, cells) rows follow lazily."""
-    return _table_rows(path, _read_bytes(path), header)
+        try:
+            row = table.parse(cells)
+        except ValueError as exc:
+            raise CorruptTableError(path, i, str(exc))
+        yield i, row
 
 
 def _digest(data: bytes | memoryview) -> bytes:
@@ -441,12 +454,27 @@ class Warehouse:
         self.root = root
         self.mode = mode
         self.state = WarehouseState()
+        # per table file: the bytes of the rows this handle holds, as the
+        # load read them or the last write wrote them (facts: header and
+        # committed rows only)
+        self.table_bytes: dict[str, int] = {}
         self._lock = lock
         self._mutex = threading.Lock()
-        self._next_image_key = 1
-        self._next_species_key = 1
-        self._next_fact_id = 1
         self._closed = False
+
+    # Surrogate keys continue past the largest one held. Fact rows are held
+    # in fact_id order (a load refuses any other), so the last one is it.
+    @property
+    def _next_image_key(self) -> int:
+        return max(self.state.images, default=0) + 1
+
+    @property
+    def _next_species_key(self) -> int:
+        return max(self.state.species, default=0) + 1
+
+    @property
+    def _next_fact_id(self) -> int:
+        return next(reversed(self.state.facts), 0) + 1
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -482,10 +510,10 @@ class Warehouse:
         # The read order keeps a concurrent writer's rows consistent; see
         # "Read order" in the module docstring.
         committed = self._read_commit_marker()
-        tables = {name: _read_table(self._path(name), header) for name, header, _, _ in reversed(DIMENSIONS)}
-        for name, _, loader, _ in DIMENSIONS:
-            getattr(self, loader)(tables[name])
-        path = self._path(FACT_TABLE)
+        data = {t.file: _read_bytes(self._path(t.file)) for t in reversed(DIMENSIONS)}
+        for table in DIMENSIONS:
+            self._load_dimension(table, data[table.file])
+        path = self._path(FACTS.file)
         try:
             fh = open(path, "rb")
         except FileNotFoundError:
@@ -493,57 +521,25 @@ class Warehouse:
         with fh:
             self._load_facts(fh, committed)
 
-    def _load_dates(self, table: Iterator[tuple[int, list[str]]]) -> None:
-        path = self._path(DATE_TABLE)
-        for line_no, cells in table:
-            try:
-                row = _parse_date_row(cells)
-            except ValueError as exc:
-                raise CorruptTableError(path, line_no, str(exc))
-            if row.date_key in self.state.dates:
-                raise CorruptTableError(path, line_no, f"duplicate date_key {row.date_key}")
-            if row != model.derive_date(row.date_key):
-                raise CorruptTableError(path, line_no, "derived date fields disagree with date_key")
-            self.state.add_date(row)
+    def _load_dimension(self, table: Table, data: bytes, loaded: int = 0, line_no: int = 1) -> None:
+        """Add the rows of data, a dimension file's bytes, past byte loaded.
 
-    def _load_species(self, table: Iterator[tuple[int, list[str]]]) -> None:
-        path = self._path(SPECIES_TABLE)
-        for line_no, cells in table:
+        Line line_no starts at byte loaded; line 1 is the header. Every row
+        before it is already in self.state, so a tail refresh runs the same
+        row checks as a full load.
+        """
+        path = self._path(table.file)
+        rows = table.rows(self.state)
+        for line_no, row in _table_rows(path, data[loaded:], table, line_no):
+            key = getattr(row, table.key)
             try:
-                row = _parse_species_row(cells)
-            except ValueError as exc:
-                raise CorruptTableError(path, line_no, str(exc))
-            if row.species_key in self.state.species:
-                raise CorruptTableError(path, line_no, f"duplicate species_key {row.species_key}")
-            if not row.code:
-                raise CorruptTableError(path, line_no, "empty species code")
-            if row.code in self.state.species_by_code:
-                raise CorruptTableError(path, line_no, f"duplicate species code {row.code}")
-            if row.conservation_status not in model.CONSERVATION_STATUSES:
-                raise CorruptTableError(path, line_no, f"bad conservation_status {row.conservation_status!r}")
-            self.state.add_species(row)
-            self._next_species_key = max(self._next_species_key, row.species_key + 1)
-
-    def _load_images(self, table: Iterator[tuple[int, list[str]]]) -> None:
-        path = self._path(IMAGE_TABLE)
-        for line_no, cells in table:
-            try:
-                row = _parse_image_row(cells)
-            except ValueError as exc:
-                raise CorruptTableError(path, line_no, str(exc))
-            if row.image_key in self.state.images:
-                raise CorruptTableError(path, line_no, f"duplicate image_key {row.image_key}")
-            problems = model.image_meta_violations(row.meta)
-            if problems:
-                raise CorruptTableError(path, line_no, "; ".join(problems))
-            if (row.file_name, row.checksum) in self.state.images_by_identity:
-                raise CorruptTableError(path, line_no, "duplicate (file_name, checksum)")
-            if row.capture_date_key not in self.state.dates:
-                raise IntegrityError(
-                    f"{path}:{line_no}: image {row.image_key} references missing date {row.capture_date_key}"
-                )
-            self.state.add_image(row)
-            self._next_image_key = max(self._next_image_key, row.image_key + 1)
+                problem = f"duplicate {table.key} {key}" if key in rows else table.check(self.state, row)
+            except IntegrityError as exc:
+                raise IntegrityError(f"{path}:{line_no}: {exc}") from None
+            if problem:
+                raise CorruptTableError(path, line_no, problem)
+            table.add(self.state, row)
+        self.table_bytes[table.file] = len(data)
 
     def _load_facts(
         self, fh: BinaryIO, committed: int | None, offset: int = 0, line_no: int = 1
@@ -558,26 +554,28 @@ class Warehouse:
         resume; None when a row was accepted after one that was left out, so
         that only a full load reproduces the result.
         """
-        path = self._path(FACT_TABLE)
+        path = self._path(FACTS.file)
         fh.seek(offset)
         lines = fh.read().split(b"\n")
         terminated = len(lines) - 1  # lines that end in a newline
         if lines[-1] == b"":
             lines.pop()
-        first = 0
         if offset == 0:
-            if not lines or lines[0] != FACT_HEADER.encode():
-                raise CorruptTableError(path, 1, f"bad header, expected {FACT_HEADER!r}")
-            first = 1
+            if not lines or lines[0] != FACTS.header.encode():
+                raise CorruptTableError(path, 1, f"bad header, expected {FACTS.header!r}")
+            first, size = 1, len(lines[0]) + 1
+        else:
+            first, size = 0, self.table_bytes[FACTS.file]
         last_line_no = line_no + len(lines) - 1
-        prev_id = self._next_fact_id - 1 if self.state.facts else None
+        prev_id = next(reversed(self.state.facts), None)
         rows: list[FactTreeMetric] = []
         keys: dict[str, int] = {}
+        parse = FACTS.parse
         gap = None  # index of the first line left out
         for i in range(first, len(lines)):
             try:
                 cells = next(csv.reader([lines[i].decode("utf-8")]))
-                row = _parse_fact_row(cells, keys)
+                row = parse(cells, keys)
             except (csv.Error, StopIteration, ValueError) as exc:
                 if line_no + i == last_line_no:
                     # torn trailing write from an interrupted append
@@ -599,19 +597,21 @@ class Warehouse:
             if fk:
                 raise IntegrityError(f"{path}:{line_no + i}: fact {row.fact_id}: " + "; ".join(fk))
             rows.append(row)
+            size += len(lines[i]) + 1
             prev_id = row.fact_id
         max_id = prev_id or 0
         if committed is not None and max_id < committed:
             raise CorruptTableError(path, last_line_no, f"commit marker {committed} exceeds last stored fact_id {max_id}")
         for row in rows:
             self.state.add_fact(row)
-        self._next_fact_id = max_id + 1
+        self.table_bytes[FACTS.file] = size
         if self.mode == "rw":
             if gap is not None:
-                self._rewrite_fact_table()
+                self._rewrite(FACTS)
+                self._write_commit(max_id)
             elif committed is None:
                 # marker missing (externally assembled warehouse): adopt as-is
-                _atomic_write(self._path(COMMIT_MARKER), f"{max_id}\n")
+                self._write_commit(max_id)
         unbroken = len(lines) if gap is None else gap
         if first + len(rows) != unbroken or unbroken > terminated:
             return None
@@ -631,29 +631,16 @@ class Warehouse:
             raise CorruptTableError(path, 1, f"negative commit marker {value}")
         return value
 
-    # -- rewriting ---------------------------------------------------------
+    # -- writing -----------------------------------------------------------
 
-    def _rewrite_dates(self) -> None:
-        rows = sorted(self.state.dates.values(), key=lambda r: r.date_key)
-        text = DATE_HEADER + "\n" + "".join(_render_date_row(r) + "\n" for r in rows)
-        _atomic_write(self._path(DATE_TABLE), text)
+    def _rewrite(self, table: Table) -> None:
+        """Write table's file anew from the rows held, in key order."""
+        rows = table.rows(self.state)
+        text = table.text(rows[key] for key in sorted(rows))
+        self.table_bytes[table.file] = _atomic_write(self._path(table.file), text)
 
-    def _rewrite_species(self) -> None:
-        rows = sorted(self.state.species.values(), key=lambda r: r.species_key)
-        text = SPECIES_HEADER + "\n" + "".join(_render_species_row(r) + "\n" for r in rows)
-        _atomic_write(self._path(SPECIES_TABLE), text)
-
-    def _rewrite_images(self) -> None:
-        rows = sorted(self.state.images.values(), key=lambda r: r.image_key)
-        text = IMAGE_HEADER + "\n" + "".join(_render_image_row(r) + "\n" for r in rows)
-        _atomic_write(self._path(IMAGE_TABLE), text)
-
-    def _rewrite_fact_table(self) -> None:
-        rows = sorted(self.state.facts.values(), key=lambda r: r.fact_id)
-        text = FACT_HEADER + "\n" + "".join(_render_fact_row(r) + "\n" for r in rows)
-        _atomic_write(self._path(FACT_TABLE), text)
-        last = rows[-1].fact_id if rows else 0
-        _atomic_write(self._path(COMMIT_MARKER), f"{last}\n")
+    def _write_commit(self, fact_id: int) -> None:
+        _atomic_write(self._path(COMMIT_MARKER), f"{fact_id}\n")
 
     # -- mutating operations -----------------------------------------------
 
@@ -674,6 +661,9 @@ class Warehouse:
             raise EmptyCodeError("species code is empty")
         if conservation_status not in model.CONSERVATION_STATUSES:
             raise InvalidMetadataError(f"bad conservation_status {conservation_status!r}")
+        for text in (code, scientific_name, common_name):
+            if model.has_line_break(text):
+                raise InvalidMetadataError(f"species text {text!r} contains a line break")
         with self._mutex:
             existing = self.state.species_by_code.get(code)
             if existing is not None:
@@ -687,8 +677,7 @@ class Warehouse:
                 conservation_status=conservation_status,
             )
             self.state.add_species(row)
-            self._next_species_key = key + 1
-            self._rewrite_species()
+            self._rewrite(SPECIES)
             return key
 
     def ensure_date(self, date_key: int) -> int:
@@ -698,7 +687,7 @@ class Warehouse:
         with self._mutex:
             if date_key not in self.state.dates:
                 self.state.add_date(row)
-                self._rewrite_dates()
+                self._rewrite(DATES)
         return date_key
 
     def insert_image(self, meta: ImageMeta) -> int:
@@ -718,8 +707,7 @@ class Warehouse:
             key = self._next_image_key
             row = DimImage(image_key=key, **meta.__dict__)
             self.state.add_image(row)
-            self._next_image_key = key + 1
-            self._rewrite_images()
+            self._rewrite(IMAGES)
             return key
 
     def append_facts(self, drafts: Sequence[FactDraft]) -> list[int]:
@@ -739,25 +727,22 @@ class Warehouse:
             if not drafts:
                 return []
             first = self._next_fact_id
-            rows = [
-                draft.with_id(first + i)
-                for i, draft in enumerate(drafts)
-            ]
-            path = self._path(FACT_TABLE)
+            rows = [draft.with_id(first + i) for i, draft in enumerate(drafts)]
+            data = "".join(FACTS.line(row) + "\n" for row in rows).encode("utf-8")
+            path = self._path(FACTS.file)
             pre_size = path.stat().st_size
             try:
-                with open(path, "a", encoding="utf-8", newline="") as fh:
-                    for row in rows:
-                        fh.write(_render_fact_row(row) + "\n")
+                with open(path, "ab") as fh:
+                    fh.write(data)
                     fh.flush()
                     os.fsync(fh.fileno())
             except OSError:
                 os.truncate(path, pre_size)
                 raise
-            _atomic_write(self._path(COMMIT_MARKER), f"{rows[-1].fact_id}\n")
+            self._write_commit(rows[-1].fact_id)
             for row in rows:
                 self.state.add_fact(row)
-            self._next_fact_id = rows[-1].fact_id + 1
+            self.table_bytes[FACTS.file] += len(data)
             return [row.fact_id for row in rows]
 
     def rewrite_validation(self, updates: Mapping[int, ValidationUpdate]) -> int:
@@ -776,27 +761,21 @@ class Warehouse:
             for fid, fact in self.state.facts.items():
                 upd = updates.get(fid)
                 if upd is not None:
-                    fact = FactTreeMetric(
-                        fact_id=fact.fact_id,
-                        date_key=fact.date_key,
-                        image_key=fact.image_key,
-                        species_key=fact.species_key,
-                        bbox=fact.bbox,
-                        confidence=fact.confidence,
-                        geo_x=fact.geo_x,
-                        geo_y=fact.geo_y,
+                    fact = replace(
+                        fact,
                         height_m=upd.height_m if upd.height_m is not None else fact.height_m,
                         dbh_cm=upd.dbh_cm if upd.dbh_cm is not None else fact.dbh_cm,
                         validation=upd.validation,
                         matched_record_id=upd.matched_record_id,
                     )
                 new_facts[fid] = fact
-            old = self.state.facts
+            old = self.state.facts, self.table_bytes[FACTS.file]
             self.state.facts = new_facts
             try:
-                self._rewrite_fact_table()
+                self._rewrite(FACTS)
+                self._write_commit(self._next_fact_id - 1)
             except OSError:
-                self.state.facts = old
+                self.state.facts, self.table_bytes[FACTS.file] = old
                 raise
             return len(updates)
 
@@ -811,8 +790,12 @@ class Warehouse:
         self._require_writer()
         if not _SURVEY_ID_RE.match(survey_id):
             raise WarehouseError(f"bad survey id {survey_id!r} (use letters, digits, . _ -)")
+        for rec in records:
+            for text in (rec.record_id, rec.species_code):
+                if model.has_line_break(text):
+                    raise InvalidMetadataError(f"survey text {text!r} contains a line break")
         path = self.survey_path(survey_id)
-        text = SURVEY_HEADER + "\n" + "".join(_render_survey_row(r) + "\n" for r in records)
+        text = SURVEYS.text(records)
         with self._mutex:
             if path.exists():
                 if path.read_text(encoding="utf-8") == text:
@@ -830,13 +813,7 @@ class Warehouse:
 
     def load_survey(self, survey_id: str) -> list[SurveyRecord]:
         path = self.survey_path(survey_id)
-        out = []
-        for line_no, cells in _read_table(path, SURVEY_HEADER):
-            try:
-                out.append(_parse_survey_row(cells))
-            except ValueError as exc:
-                raise CorruptTableError(path, line_no, str(exc))
-        return out
+        return [row for _, row in _table_rows(path, _read_bytes(path), SURVEYS)]
 
     def load_all_survey_records(self) -> list[SurveyRecord]:
         """All survey records merged; record ids must be globally unique."""
@@ -855,18 +832,17 @@ class Warehouse:
     # -- stats ---------------------------------------------------------------
 
     def stats(self) -> WarehouseStats:
-        tables = []
-        for name, rows in (
-            (DATE_TABLE, self.state.dates),
-            (IMAGE_TABLE, self.state.images),
-            (SPECIES_TABLE, self.state.species),
-            (FACT_TABLE, self.state.facts),
-        ):
-            path = self._path(name)
-            size = path.stat().st_size if path.exists() else 0
-            tables.append(TableStats(name=name.removesuffix(".tbl"), row_count=len(rows), file_bytes=size))
+        """Row counts and stored bytes of the rows this handle holds."""
+        tables = tuple(
+            TableStats(
+                name=t.file.removesuffix(".tbl"),
+                row_count=len(t.rows(self.state)),
+                file_bytes=self.table_bytes[t.file],
+            )
+            for t in TABLES
+        )
         payload = sum(img.size_bytes for img in self.state.images.values())
-        return WarehouseStats(tables=tuple(tables), image_payload_bytes=payload)
+        return WarehouseStats(tables=tables, image_payload_bytes=payload)
 
 
 def open_warehouse(root, mode: str = "rw", lock_timeout: float = 10.0) -> Warehouse:
@@ -887,15 +863,10 @@ def open_warehouse(root, mode: str = "rw", lock_timeout: float = 10.0) -> Wareho
     try:
         wh = Warehouse(root, mode, lock)
         if mode == "rw":
-            for name, header in (
-                (DATE_TABLE, DATE_HEADER),
-                (IMAGE_TABLE, IMAGE_HEADER),
-                (SPECIES_TABLE, SPECIES_HEADER),
-                (FACT_TABLE, FACT_HEADER),
-            ):
-                path = root / name
+            for table in TABLES:
+                path = root / table.file
                 if not path.exists():
-                    _atomic_write(path, header + "\n")
+                    _atomic_write(path, table.text(()))
         wh._load()
         return wh
     except BaseException:
@@ -939,8 +910,8 @@ class SnapshotCache:
         self.root = Path(root)
         self._mutex = threading.Lock()
         self._handle: Warehouse | None = None
-        # per dimension: (inode, size, mtime), bytes loaded (None: not a
-        # whole number of lines), digest of those bytes, next line number
+        # per dimension file: (inode, size, mtime), bytes loaded (None: not
+        # a whole number of lines), digest of those bytes, next line number
         self._dims: dict[str, tuple[tuple[int, int, int], int | None, bytes, int]] = {}
         self._facts_fh: BinaryIO | None = None
         self._facts_key: tuple[int | None, int] | None = None  # (COMMIT, file size)
@@ -987,9 +958,7 @@ class SnapshotCache:
                 return None
         wh = Warehouse(self.root, "rw", lock)
         wh.state = snap.state.copy()
-        wh._next_image_key = max(wh.state.images, default=0) + 1
-        wh._next_species_key = max(wh.state.species, default=0) + 1
-        wh._next_fact_id = snap._next_fact_id
+        wh.table_bytes = dict(snap.table_bytes)
         return wh
 
     def current(self) -> Warehouse:
@@ -1001,33 +970,34 @@ class SnapshotCache:
         new = Warehouse(self.root, "ro", None)
         committed = new._read_commit_marker()
         keys, tables = {}, {}
-        for name, _, _, _ in reversed(DIMENSIONS):  # the read order of Warehouse._load
-            keys[name] = _file_key(new._path(name))
-            if old is None or self._dims[name][0] != keys[name]:
-                tables[name] = _read_bytes(new._path(name))
+        for table in reversed(DIMENSIONS):  # the read order of Warehouse._load
+            path = new._path(table.file)
+            keys[table.file] = _file_key(path)
+            if old is None or self._dims[table.file][0] != keys[table.file]:
+                tables[table.file] = _read_bytes(path)
+        if old is not None:
+            new.table_bytes = dict(old.table_bytes)
         dims = {}
-        for name, header, loader, fields in DIMENSIONS:
-            data = tables.get(name)
+        for table in DIMENSIONS:
+            data = tables.get(table.file)
             if data is None:
-                for f in fields:
+                for f in table.fields:
                     setattr(new.state, f, getattr(old.state, f))
-                dims[name] = self._dims[name]
+                dims[table.file] = self._dims[table.file]
                 continue
-            if old is None:
-                rows = _table_rows(new._path(name), data, header)
-            else:
-                _, loaded, digest, line_no = self._dims[name]
+            loaded, line_no = 0, 1
+            if old is not None:
+                _, loaded, digest, line_no = self._dims[table.file]
                 if loaded is None or len(data) < loaded or _digest(memoryview(data)[:loaded]) != digest:
                     # rows loaded before have changed: check everything again
                     return self._refresh(None)
-                for f in fields:
+                for f in table.fields:
                     setattr(new.state, f, dict(getattr(old.state, f)))
-                rows = _table_rows(new._path(name), data[loaded:], header, line_no)
-            getattr(new, loader)(rows)
+            new._load_dimension(table, data, loaded, line_no)
             # only whole lines can be extended by a later rewrite
             loaded = len(data) if data.endswith(b"\n") else None
-            dims[name] = (keys[name], loaded, _digest(data), data.count(b"\n") + 1)
-        path = new._path(FACT_TABLE)
+            dims[table.file] = (keys[table.file], loaded, _digest(data), data.count(b"\n") + 1)
+        path = new._path(FACTS.file)
         ino, size, _ = _file_key(path)
         facts_key = (committed, size)
         fh = self._facts_fh
@@ -1040,13 +1010,11 @@ class SnapshotCache:
                 raise
         elif facts_key != self._facts_key:
             new.state.facts = dict(old.state.facts)
-            new._next_fact_id = old._next_fact_id
             resume = new._load_facts(fh, committed, *self._resume)
         elif not tables:
             return old
         else:
             new.state.facts = old.state.facts
-            new._next_fact_id = old._next_fact_id
             resume = self._resume
         if fh is not self._facts_fh and self._facts_fh is not None:
             self._facts_fh.close()

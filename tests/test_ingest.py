@@ -207,6 +207,7 @@ def test_parse_manifest_rejects_bad_header():
         (dict(gt_a="0", gt_b="0", gt_d="0", gt_e="0"), RangeError),  # singular
         (dict(date="20240305"), ParseError),  # basic ISO form
         (dict(date="2024-W10-2"), ParseError),  # ISO week date
+        (dict(name='"a\nb.jpg"'), RangeError),  # line break in a quoted file_name
     ],
 )
 def test_parse_manifest_rejects_bad_rows(kwargs, error):

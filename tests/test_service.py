@@ -9,12 +9,13 @@ import requests
 from canopydw.capacity import estimate_from_warehouse
 from canopydw.query import run_query, spec_from_strings
 from canopydw.report import render_cell
-from canopydw.storage import FACT_TABLE, open_warehouse, stats_rows
+from canopydw.storage import FACTS, open_warehouse, stats_rows
 
 from conftest import running_server
 from helpers import checksum_for
 
 MIB = 2**20
+FACT_TABLE = FACTS.file
 
 
 def manifest_row(name: str, **overrides) -> dict:
@@ -476,10 +477,12 @@ def test_cached_reads_ignore_uncommitted_and_torn_facts(root):
             fh.write("3,20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,\n")
         reads = served_reads(base)
         assert reads == fresh_reads(root)
-        assert reads[1:-1] == committed[1:-1]  # stats and estimate also read file sizes
+        assert reads == committed
         with open(root / FACT_TABLE, "a") as fh:  # torn mid-row
             fh.write("4,20240115,1,1,0.5")
-        assert served_reads(base) == fresh_reads(root)
+        reads = served_reads(base)
+        assert reads == fresh_reads(root)
+        assert reads == committed
         # the next write recovers the file; both readers see the new facts
         assert post_image(base, "cam_021.jpg", ["1 0.25 0.25 0.1 0.1 0.8"]).status_code == 200
         assert served_reads(base) == fresh_reads(root)

@@ -17,10 +17,10 @@ from canopydw.errors import (
     UnknownFactError,
     WarehouseError,
 )
+from canopydw.ingest import REGISTRY_HEADER, SURVEY_HEADER, ingest_species_registry, ingest_survey
 from canopydw.model import ValidationUpdate, encode_date_key
 from canopydw.storage import (
-    FACT_HEADER,
-    FACT_TABLE,
+    FACTS,
     Warehouse,
     SnapshotCache,
     open_warehouse,
@@ -36,6 +36,8 @@ from helpers import (
     populate_random,
 )
 
+FACT_TABLE, FACT_HEADER = FACTS.file, FACTS.header
+
 
 @pytest.fixture
 def root(tmp_path):
@@ -48,7 +50,7 @@ def test_init_creates_layout(root):
     for name in ("dim_date.tbl", "dim_image.tbl", "dim_species.tbl", "fact_tree_metrics.tbl", "COMMIT"):
         assert (root / name).exists()
     assert (root / "COMMIT").read_text() == "0\n"
-    assert not (root / "LOCK").exists()
+    open_warehouse(root, lock_timeout=0.05).close()  # the lock is free
 
 
 def test_open_ro_requires_existing_warehouse(root):
@@ -548,7 +550,7 @@ def test_snapshot_writer_matches_full_open(root):
         with open(root / FACT_TABLE, "a") as fh:  # appended but never committed
             fh.write("4,20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,\n")
         assert snap.open_writer() is None  # the full open repairs the tail
-        assert not (root / "LOCK").exists()
+        open_warehouse(root, lock_timeout=0.05).close()  # the lock is free
         with open_warehouse(root) as wh:
             assert wh.append_facts([make_draft(wh.state.images[1])]) == [4]
         with snap.open_writer() as wh:
@@ -573,22 +575,66 @@ def test_writer_lock_excludes_second_writer(root):
         pass
 
 
-def test_stale_lock_is_reclaimed(root):
-    with open_warehouse(root):
-        pass
-    # pid far beyond any kernel pid_max, so the liveness probe must fail
-    (root / "LOCK").write_text(str(2**30) + "\n")
+def _die_holding_lock(root, held):
+    open_warehouse(root)
+    held.set()
+    os._exit(0)  # no close, no cleanup: only the kernel releases the lock
+
+
+def _hold_lock_until(root, held, release, released, finish):
+    wh = open_warehouse(root)
+    held.set()
+    release.wait(60)
+    wh.close()
+    released.set()
+    finish.wait(60)  # stay alive, so that only close() can have freed the lock
+
+
+def test_lock_of_a_dead_holder_does_not_block(root):
+    ctx = multiprocessing.get_context("spawn")
+    held = ctx.Event()
+    p = ctx.Process(target=_die_holding_lock, args=(root, held))
+    p.start()
+    p.join(60)
+    assert not p.is_alive() and held.is_set()
     with open_warehouse(root, lock_timeout=0.5) as wh:
-        wh.upsert_species("PSME")
-    assert not (root / "LOCK").exists()
+        assert wh.upsert_species("PSME") == 1
 
 
-def test_unreadable_lock_is_not_stolen(root):
+@pytest.mark.parametrize("content", ["", "not-a-pid\n", "dead pid"], ids=["empty", "not-a-pid", "dead-pid"])
+def test_lock_file_content_does_not_block(root, content):
     with open_warehouse(root):
         pass
-    (root / "LOCK").write_text("not-a-pid\n")
-    with pytest.raises(LockHeldError):
-        open_warehouse(root, lock_timeout=0.05)
+    if content == "dead pid":
+        p = multiprocessing.get_context("spawn").Process(target=os.getpid)
+        p.start()
+        p.join(60)
+        assert not p.is_alive()
+        content = f"{p.pid}\n"
+    (root / "LOCK").write_text(content)
+    with open_warehouse(root, lock_timeout=0.5) as wh:
+        assert wh.upsert_species("PSME") == 1
+
+
+def test_live_holder_in_another_process_blocks_until_it_releases(root):
+    ctx = multiprocessing.get_context("spawn")
+    held, release, released, finish = (ctx.Event() for _ in range(4))
+    p = ctx.Process(target=_hold_lock_until, args=(root, held, release, released, finish))
+    p.start()
+    try:
+        assert held.wait(60)
+        with pytest.raises(LockHeldError):
+            open_warehouse(root, lock_timeout=0.05)
+        release.set()
+        assert released.wait(60)
+        assert p.is_alive()
+        with open_warehouse(root, lock_timeout=0.5) as wh:
+            assert wh.upsert_species("PSME") == 1
+    finally:
+        release.set()
+        finish.set()
+        p.join(60)
+    assert not p.is_alive()
 
 
 # -- surveys ------------------------------------------------------------------------
@@ -621,6 +667,32 @@ def test_merged_surveys_reject_duplicate_record_ids(root):
             wh.load_all_survey_records()
 
 
+def _registry_name(wh, brk):
+    ingest_species_registry(wh, [REGISTRY_HEADER, f'TSHE,"Tsuga{brk}heterophylla",western hemlock,least_concern'])
+
+
+def _survey_record_id(wh, brk):
+    ingest_survey(wh, "s1", [SURVEY_HEADER, f'"R{brk}1",1.0,2.0,PSME,,,2024-01-10'])
+
+
+def _image_file_name(wh, brk):
+    wh.insert_image(make_image(file_name=f"img{brk}2.jpg").meta)
+
+
+# Table files are split into lines before CSV parsing, so a stored line
+# break made every later open fail.
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize("store", [_registry_name, _survey_record_id, _image_file_name])
+def test_text_with_line_break_is_refused(root, store, brk):
+    with _base(root) as wh:
+        before = logical_state(wh)
+        with pytest.raises(InvalidMetadataError, match="line break"):
+            store(wh, brk)
+        assert logical_state(wh) == before
+    with open_warehouse(root, "ro") as wh:
+        assert logical_state(wh) == before
+
+
 # -- stats -------------------------------------------------------------------------
 
 
@@ -634,6 +706,8 @@ def test_stats_counts_and_bytes(root):
     assert stats.image_payload_bytes == 4_000_000
     for table in stats.tables:
         assert table.file_bytes == os.path.getsize(root / f"{table.name}.tbl")
+    with open_warehouse(root, "ro") as wh:
+        assert wh.stats() == stats  # a load counts the bytes the writes wrote
     columns, rows = stats_rows(stats)
     assert columns == ("name", "row_count", "file_bytes", "mib")
     assert [r[0] for r in rows] == [
