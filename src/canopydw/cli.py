@@ -22,7 +22,7 @@ from .ingest import (
     ingest_survey,
     parse_image_manifest,
 )
-from .query import image_usage_report, run_query, spec_from_strings, species_trend
+from .query import QUERY_OPTIONS, TIME_KEYS, image_usage_report, run_query, spec_from_strings, species_trend
 from .reconcile import metrics_csv, metrics_rows, reconcile_warehouse
 from .report import text_table
 from .storage import open_warehouse, stats_rows
@@ -76,24 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="run a star-join aggregation")
     _add_common(p)
-    p.add_argument("--group-by", default="", help="comma-separated group keys")
-    p.add_argument("--measures", default="", help="comma-separated measures (default: tree_count)")
-    p.add_argument("--date-from", default=None, help="first date key (YYYYMMDD)")
-    p.add_argument("--date-to", default=None, help="last date key (YYYYMMDD)")
-    p.add_argument("--species-codes", default=None, help="comma-separated species filter")
-    p.add_argument("--platforms", default=None, help="comma-separated platform filter")
-    p.add_argument("--min-width-px", default=None, help="minimum image width")
-    p.add_argument("--min-height-px", default=None, help="minimum image height")
-    p.add_argument("--validation-states", default=None, help="comma-separated validation filter")
+    for name, option in QUERY_OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), help=option.help)
 
     p = sub.add_parser("trend", help="detection counts over time for one species")
     _add_common(p)
     p.add_argument("--species-code", required=True)
-    p.add_argument(
-        "--granularity",
-        choices=("year", "quarter", "month", "date"),
-        default="month",
-    )
+    p.add_argument("--granularity", choices=TIME_KEYS, default="month")
 
     p = sub.add_parser("image-usage", help="image and detection counts by resolution and platform")
     _add_common(p)
@@ -194,22 +183,7 @@ def _cmd_reconcile(args, root) -> int:
 
 
 def _cmd_query(args, root) -> int:
-    options = {}
-    for name in (
-        "group_by",
-        "measures",
-        "date_from",
-        "date_to",
-        "species_codes",
-        "platforms",
-        "min_width_px",
-        "min_height_px",
-        "validation_states",
-    ):
-        value = getattr(args, name)
-        if value not in (None, ""):
-            options[name] = value
-    spec = spec_from_strings(options)
+    spec = spec_from_strings({name: getattr(args, name) or "" for name in QUERY_OPTIONS})
     with open_warehouse(root, "ro") as handle:
         table = run_query(handle, spec)
     _print_result(table, args.format)
@@ -296,13 +270,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args, root)
-    except WarehouseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (WarehouseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -5,12 +5,16 @@ dimension tables; filters and groupings address dimension attributes, and
 measures aggregate fact columns. Result cells are rendered to strings once,
 in one place, so every surface (CLI table, CLI CSV, HTTP JSON) reports
 byte-identical values.
+
+The query vocabulary is described once, here: GROUP_VALUES (the group
+keys), MEASURE_VALUES (the measures) and QUERY_OPTIONS (each QuerySpec
+field as a text option). The CLI flags and HTTP parameters come from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, fields
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidSpecError
 from .model import (
@@ -25,25 +29,6 @@ from .model import (
 from .report import csv_lines, render_cell, text_table
 from .storage import Warehouse
 
-GROUP_KEYS = (
-    "year",
-    "quarter",
-    "month",
-    "date",
-    "species",
-    "platform",
-    "resolution_class",
-    "conservation_status",
-)
-MEASURES = (
-    "tree_count",
-    "mean_confidence",
-    "mean_height_m",
-    "mean_dbh_cm",
-    "image_count",
-    "confirmed_count",
-)
-
 
 def resolution_class(width_px: int, height_px: int) -> str:
     """Bucket an image by megapixels: <1 low, 1 to 12 medium, >12 high."""
@@ -53,6 +38,64 @@ def resolution_class(width_px: int, height_px: int) -> str:
     if mp <= 12.0:
         return "medium"
     return "high"
+
+
+# Group keys: each maps one joined (date, image, species) row to its text.
+# The time keys read the date row alone; species_trend groups by one of them.
+_TIME_VALUES = {
+    "year": lambda date, image, species: f"{date.year:04d}",
+    "quarter": lambda date, image, species: f"{date.year:04d}-Q{date.quarter}",
+    "month": lambda date, image, species: f"{date.year:04d}-{date.month:02d}",
+    "date": lambda date, image, species: str(date.date_key),
+}
+GROUP_VALUES: dict[str, Callable[[DimDate, DimImage, DimSpecies], str]] = {
+    **_TIME_VALUES,
+    "species": lambda date, image, species: species.code,
+    "platform": lambda date, image, species: image.platform,
+    "resolution_class": lambda date, image, species: resolution_class(image.width_px, image.height_px),
+    "conservation_status": lambda date, image, species: species.conservation_status,
+}
+GROUP_KEYS = tuple(GROUP_VALUES)
+TIME_KEYS = tuple(_TIME_VALUES)
+
+
+class _Accumulator:
+    __slots__ = ("count", "conf_sum", "height_sum", "height_n", "dbh_sum", "dbh_n", "images", "confirmed")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.conf_sum = 0.0
+        self.height_sum = 0.0
+        self.height_n = 0
+        self.dbh_sum = 0.0
+        self.dbh_n = 0
+        self.images: set[int] = set()
+        self.confirmed = 0
+
+    def add(self, fact: FactTreeMetric) -> None:
+        self.count += 1
+        self.conf_sum += fact.confidence
+        if fact.height_m is not None:
+            self.height_sum += fact.height_m
+            self.height_n += 1
+        if fact.dbh_cm is not None:
+            self.dbh_sum += fact.dbh_cm
+            self.dbh_n += 1
+        self.images.add(fact.image_key)
+        if fact.validation == "confirmed":
+            self.confirmed += 1
+
+
+# Measures: each maps one group's accumulator to its value.
+MEASURE_VALUES: dict[str, Callable[[_Accumulator], object]] = {
+    "tree_count": lambda acc: acc.count,
+    "mean_confidence": lambda acc: None if acc.count == 0 else acc.conf_sum / acc.count,
+    "mean_height_m": lambda acc: None if acc.height_n == 0 else acc.height_sum / acc.height_n,
+    "mean_dbh_cm": lambda acc: None if acc.dbh_n == 0 else acc.dbh_sum / acc.dbh_n,
+    "image_count": lambda acc: len(acc.images),
+    "confirmed_count": lambda acc: acc.confirmed,
+}
+MEASURES = tuple(MEASURE_VALUES)
 
 
 @dataclass(frozen=True)
@@ -101,67 +144,58 @@ class QuerySpec:
         for name, value in (("min_width_px", self.min_width_px), ("min_height_px", self.min_height_px)):
             if value is not None and value < 0:
                 v.append(f"{name} must be non-negative")
-        if self.species_codes is not None and not self.species_codes:
-            v.append("species_codes filter is empty")
+        for f in fields(self):
+            # a filter (None: not given) that is an empty list matches nothing
+            if f.default is None and getattr(self, f.name) == ():
+                v.append(f"{f.name} filter is empty")
         return v
 
 
-def _split_csv_option(text: str) -> tuple[str, ...]:
+class QueryOption(NamedTuple):
+    """How one QuerySpec field is given as text (a CLI flag, a URL parameter)."""
+
+    parse: Callable[[str], object]  # non-empty text to the field's value
+    help: str
+
+
+def _names(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+# One entry per QuerySpec field: the flags of `canopydw query`, the parameters of GET /v1/query.
+QUERY_OPTIONS: dict[str, QueryOption] = {
+    "group_by": QueryOption(_names, f"comma-separated group keys: {', '.join(GROUP_KEYS)}"),
+    "measures": QueryOption(
+        _names, f"comma-separated measures: {', '.join(MEASURES)} (default: {','.join(QuerySpec.measures)})"
+    ),
+    "date_from": QueryOption(int, "first date key (YYYYMMDD)"),
+    "date_to": QueryOption(int, "last date key (YYYYMMDD)"),
+    "species_codes": QueryOption(lambda text: _names(text.upper()), "comma-separated species filter"),
+    "platforms": QueryOption(lambda text: _names(text.lower()), "comma-separated platform filter"),
+    "min_width_px": QueryOption(int, "minimum image width"),
+    "min_height_px": QueryOption(int, "minimum image height"),
+    "validation_states": QueryOption(_names, "comma-separated validation filter"),
+}
 
 
 def spec_from_strings(options: Mapping[str, str]) -> QuerySpec:
     """Build a QuerySpec from string-valued options (CLI flags, URL params).
 
-    Unknown option names and malformed values raise InvalidSpecError.
+    Empty text means the option is not given. Unknown option names and
+    malformed values raise InvalidSpecError.
     """
-    known = {
-        "group_by",
-        "measures",
-        "date_from",
-        "date_to",
-        "species_codes",
-        "platforms",
-        "min_width_px",
-        "min_height_px",
-        "validation_states",
-    }
-    unknown = sorted(set(options) - known)
+    unknown = sorted(set(options) - set(QUERY_OPTIONS))
     if unknown:
         raise InvalidSpecError(f"unknown query option(s): {', '.join(unknown)}")
-
-    def intval(name: str) -> int | None:
-        raw = options.get(name)
-        if raw is None or raw == "":
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise InvalidSpecError(f"{name} {raw!r} is not an integer")
-
-    spec = QuerySpec(
-        group_by=_split_csv_option(options.get("group_by", "")),
-        measures=_split_csv_option(options.get("measures", "")) or ("tree_count",),
-        date_from=intval("date_from"),
-        date_to=intval("date_to"),
-        species_codes=(
-            tuple(c.upper() for c in _split_csv_option(options["species_codes"]))
-            if options.get("species_codes")
-            else None
-        ),
-        platforms=(
-            tuple(p.lower() for p in _split_csv_option(options["platforms"]))
-            if options.get("platforms")
-            else None
-        ),
-        min_width_px=intval("min_width_px"),
-        min_height_px=intval("min_height_px"),
-        validation_states=(
-            _split_csv_option(options["validation_states"])
-            if options.get("validation_states")
-            else None
-        ),
-    )
+    values = {}
+    for name, option in QUERY_OPTIONS.items():
+        text = options.get(name)
+        if text:
+            try:
+                values[name] = option.parse(text)
+            except ValueError:  # only the integer options' parser, int, raises it
+                raise InvalidSpecError(f"{name} {text!r} is not an integer") from None
+    spec = QuerySpec(**values)
     problems = spec.violations()
     if problems:
         raise InvalidSpecError("; ".join(problems))
@@ -183,73 +217,6 @@ class ResultTable:
 
     def rendered_rows(self) -> list[list[str]]:
         return [[render_cell(c) for c in row] for row in self.rows]
-
-
-def _group_value(
-    key: str,
-    date: DimDate,
-    image: DimImage,
-    species: DimSpecies,
-) -> str:
-    if key == "year":
-        return f"{date.year:04d}"
-    if key == "quarter":
-        return f"{date.year:04d}-Q{date.quarter}"
-    if key == "month":
-        return f"{date.year:04d}-{date.month:02d}"
-    if key == "date":
-        return str(date.date_key)
-    if key == "species":
-        return species.code
-    if key == "platform":
-        return image.platform
-    if key == "resolution_class":
-        return resolution_class(image.width_px, image.height_px)
-    if key == "conservation_status":
-        return species.conservation_status
-    raise InvalidSpecError(f"unknown group key {key!r}")
-
-
-class _Accumulator:
-    __slots__ = ("count", "conf_sum", "height_sum", "height_n", "dbh_sum", "dbh_n", "images", "confirmed")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.conf_sum = 0.0
-        self.height_sum = 0.0
-        self.height_n = 0
-        self.dbh_sum = 0.0
-        self.dbh_n = 0
-        self.images: set[int] = set()
-        self.confirmed = 0
-
-    def add(self, fact: FactTreeMetric) -> None:
-        self.count += 1
-        self.conf_sum += fact.confidence
-        if fact.height_m is not None:
-            self.height_sum += fact.height_m
-            self.height_n += 1
-        if fact.dbh_cm is not None:
-            self.dbh_sum += fact.dbh_cm
-            self.dbh_n += 1
-        self.images.add(fact.image_key)
-        if fact.validation == "confirmed":
-            self.confirmed += 1
-
-    def measure(self, name: str):
-        if name == "tree_count":
-            return self.count
-        if name == "mean_confidence":
-            return None if self.count == 0 else self.conf_sum / self.count
-        if name == "mean_height_m":
-            return None if self.height_n == 0 else self.height_sum / self.height_n
-        if name == "mean_dbh_cm":
-            return None if self.dbh_n == 0 else self.dbh_sum / self.dbh_n
-        if name == "image_count":
-            return len(self.images)
-        if name == "confirmed_count":
-            return self.confirmed
-        raise InvalidSpecError(f"unknown measure {name!r}")
 
 
 def _fact_passes(spec: QuerySpec, fact: FactTreeMetric, image: DimImage, species: DimSpecies) -> bool:
@@ -276,6 +243,8 @@ def run_query(handle: Warehouse, spec: QuerySpec) -> ResultTable:
     if problems:
         raise InvalidSpecError("; ".join(problems))
     state = handle.state
+    key_values = [GROUP_VALUES[k] for k in spec.group_by]
+    measure_values = [MEASURE_VALUES[m] for m in spec.measures]
     groups: dict[tuple[str, ...], _Accumulator] = {}
     for fact in state.facts.values():
         image = state.images[fact.image_key]
@@ -283,23 +252,22 @@ def run_query(handle: Warehouse, spec: QuerySpec) -> ResultTable:
         if not _fact_passes(spec, fact, image, species):
             continue
         date = state.dates[fact.date_key]
-        key = tuple(_group_value(k, date, image, species) for k in spec.group_by)
+        key = tuple([value(date, image, species) for value in key_values])
         acc = groups.get(key)
         if acc is None:
             acc = groups[key] = _Accumulator()
         acc.add(fact)
-    columns = spec.group_by + spec.measures
-    rows = []
-    for key in sorted(groups):
-        acc = groups[key]
-        rows.append(tuple(key) + tuple(acc.measure(m) for m in spec.measures))
-    return ResultTable(columns=columns, rows=tuple(rows))
+    rows = tuple(
+        key + tuple([value(groups[key]) for value in measure_values]) for key in sorted(groups)
+    )
+    return ResultTable(columns=spec.group_by + spec.measures, rows=rows)
 
 
 def species_trend(handle: Warehouse, species_code: str, granularity: str = "month") -> ResultTable:
     """Detection counts over time for one species."""
-    if granularity not in ("year", "quarter", "month", "date"):
-        raise InvalidSpecError(f"granularity must be year, quarter, month, or date, got {granularity!r}")
+    if granularity not in TIME_KEYS:
+        choices = f"{', '.join(TIME_KEYS[:-1])}, or {TIME_KEYS[-1]}"
+        raise InvalidSpecError(f"granularity must be {choices}, got {granularity!r}")
     code = species_code.strip().upper()
     if code not in handle.state.species_by_code:
         raise InvalidSpecError(f"unknown species code {code!r}")

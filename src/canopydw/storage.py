@@ -606,7 +606,9 @@ class Warehouse:
             self.state.add_fact(row)
         self.table_bytes[FACTS.file] = size
         if self.mode == "rw":
-            if gap is not None:
+            if gap is not None or len(lines) > terminated:
+                # drop the rows left out, and end the last row with a newline
+                # so that the next append starts a line of its own
                 self._rewrite(FACTS)
                 self._write_commit(max_id)
             elif committed is None:
@@ -772,8 +774,7 @@ class Warehouse:
             old = self.state.facts, self.table_bytes[FACTS.file]
             self.state.facts = new_facts
             try:
-                self._rewrite(FACTS)
-                self._write_commit(self._next_fact_id - 1)
+                self._rewrite(FACTS)  # same fact ids, so COMMIT stays as it is
             except OSError:
                 self.state.facts, self.table_bytes[FACTS.file] = old
                 raise

@@ -271,3 +271,12 @@ def logical_state(handle):
         sorted(handle.state.facts.items()),
         {sid: tuple(handle.load_survey(sid)) for sid in handle.list_survey_ids()},
     )
+
+
+# Query options given as an empty list (","), and the refusal each gets.
+EMPTY_LIST_REFUSALS = {
+    "species_codes": "species_codes filter is empty",
+    "platforms": "platforms filter is empty",
+    "validation_states": "validation_states filter is empty",
+    "measures": "at least one measure is required",
+}

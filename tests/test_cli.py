@@ -1,13 +1,15 @@
+from dataclasses import fields
+
 import pytest
 
 from canopydw import __version__
 from canopydw.cli import ROOT_ENV_VAR, run_cli
 from canopydw.ingest import MANIFEST_HEADER, REGISTRY_HEADER, SURVEY_HEADER, render_manifest_row
-from canopydw.query import run_query, spec_from_strings
+from canopydw.query import GROUP_KEYS, MEASURES, QUERY_OPTIONS, QuerySpec, run_query, spec_from_strings
 from canopydw.reconcile import metrics_csv, reconcile_warehouse
 from canopydw.storage import open_warehouse
 
-from helpers import make_image
+from helpers import EMPTY_LIST_REFUSALS, make_draft, make_image
 
 
 @pytest.fixture(autouse=True)
@@ -170,6 +172,74 @@ def test_full_flow(tmp_path, capsys):
     assert run_cli(["image-usage", "--root", str(root), "--format", "csv"]) == 0
     usage = capsys.readouterr().out
     assert usage.splitlines()[0] == "resolution_class,platform,image_count,fact_count"
+
+
+@pytest.fixture(scope="module")
+def query_root(tmp_path_factory):
+    """Reconciled facts of two species, three platforms and two dates; one unvalidated."""
+    tmp = tmp_path_factory.mktemp("query")
+    registry, manifest, det_dir, class_map, survey = _write_inputs(tmp)
+    root = tmp / "wh"
+    for argv in (
+        ["init"],
+        ["ingest-species", "--registry", str(registry)],
+        ["ingest-images", "--manifest", str(manifest), "--detections-dir", str(det_dir),
+         "--class-map", str(class_map)],
+        ["ingest-survey", "--file", str(survey)],
+        ["reconcile"],
+    ):
+        assert run_cli(argv + ["--root", str(root)]) == 0
+    with open_warehouse(root) as handle:
+        handle.ensure_date(20240301)
+        key = handle.insert_image(make_image(
+            file_name="plot_c.jpg", platform="aerial", capture_date_key=20240301,
+            width_px=2000, height_px=500,
+        ).meta)
+        handle.append_facts([make_draft(handle.state.images[key], species_key=2, height_m=20.0)])
+    return root
+
+
+# one value per query option, each changing the result of the default query
+QUERY_FLAG_VALUES = {
+    "group_by": "species,platform",
+    "measures": "tree_count,mean_confidence,mean_height_m,mean_dbh_cm,image_count,confirmed_count",
+    "date_from": "20240201",
+    "date_to": "20240201",
+    "species_codes": "tshe",
+    "platforms": "Satellite,aerial",
+    "min_width_px": "1000",
+    "min_height_px": "1000",
+    "validation_states": "unvalidated",
+}
+
+
+def test_every_query_option_has_a_flag_value():
+    assert set(QUERY_FLAG_VALUES) == set(QUERY_OPTIONS) == {f.name for f in fields(QuerySpec)}
+
+
+@pytest.mark.parametrize("name", list(QUERY_OPTIONS))
+def test_query_flag_matches_library(query_root, name, capsys):
+    value = QUERY_FLAG_VALUES[name]
+    flag = "--" + name.replace("_", "-")
+    assert run_cli(["query", "--root", str(query_root), flag, value, "--format", "csv"]) == 0
+    with open_warehouse(query_root, "ro") as handle:
+        expected = run_query(handle, spec_from_strings({name: value})).to_csv()
+        assert expected != run_query(handle, spec_from_strings({})).to_csv()
+    assert capsys.readouterr().out == expected
+
+
+def test_query_help_names_every_group_key_and_measure(capsys):
+    assert run_cli(["query", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"group keys: {', '.join(GROUP_KEYS)}" in help_text
+    assert f"measures: {', '.join(MEASURES)}" in help_text
+
+
+@pytest.mark.parametrize("name", list(EMPTY_LIST_REFUSALS))
+def test_query_empty_list_option_is_data_error(query_root, name, capsys):
+    flag = "--" + name.replace("_", "-")
+    assert run_cli(["query", "--root", str(query_root), flag, " , "]) == 1
+    assert capsys.readouterr().err == f"error: {EMPTY_LIST_REFUSALS[name]}\n"
 
 
 def test_reconcile_csv_matches_library(tmp_path, capsys):

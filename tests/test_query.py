@@ -15,7 +15,7 @@ from canopydw.query import (
 )
 from canopydw.storage import open_warehouse
 
-from helpers import make_draft, make_image, oracle_query, populate_random
+from helpers import EMPTY_LIST_REFUSALS, make_draft, make_image, oracle_query, populate_random
 
 # -- resolution buckets ------------------------------------------------------------
 
@@ -79,6 +79,18 @@ def test_spec_from_strings_rejects_unknown_options():
         spec_from_strings({"min_width_px": "wide"})
     with pytest.raises(InvalidSpecError):
         spec_from_strings({"group_by": "species,species"})
+
+
+@pytest.mark.parametrize("name", list(EMPTY_LIST_REFUSALS))
+def test_empty_list_option_is_refused(name):
+    message = EMPTY_LIST_REFUSALS[name]
+    for text in (",", " , ,"):
+        with pytest.raises(InvalidSpecError) as err:
+            spec_from_strings({name: text})
+        assert str(err.value) == message
+    assert QuerySpec(**{name: ()}).violations() == [message]
+    # empty text means the option is not given
+    assert spec_from_strings({name: ""}) == QuerySpec()
 
 
 # -- fixed-warehouse behavior ------------------------------------------------------------

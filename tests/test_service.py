@@ -12,7 +12,7 @@ from canopydw.report import render_cell
 from canopydw.storage import FACTS, open_warehouse, stats_rows
 
 from conftest import running_server
-from helpers import checksum_for
+from helpers import EMPTY_LIST_REFUSALS, checksum_for
 
 MIB = 2**20
 FACT_TABLE = FACTS.file
@@ -347,6 +347,14 @@ def test_query_bad_param_400(root):
     with running_server(root) as base:
         r = requests.get(f"{base}/v1/query", params={"group_by": "planet"}, timeout=10)
         assert r.status_code == 400
+
+
+@pytest.mark.parametrize("name", list(EMPTY_LIST_REFUSALS))
+def test_query_empty_list_param_400(root, name):
+    with running_server(root) as base:
+        r = requests.get(f"{base}/v1/query", params={name: ","}, timeout=10)
+        assert r.status_code == 400
+        assert r.json() == {"error": EMPTY_LIST_REFUSALS[name]}
 
 
 def test_estimate_endpoint(reference_root):

@@ -195,6 +195,26 @@ def test_rewrite_validation(root):
         assert wh.state.facts[1].height_m == 12.0
 
 
+def test_rewrite_validation_replaces_only_the_fact_file(root, monkeypatch):
+    replaced = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        replaced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    with _base(root) as wh:
+        image = wh.state.images[1]
+        wh.append_facts([make_draft(image), make_draft(image)])
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", spy)
+            wh.rewrite_validation({2: ValidationUpdate("unmatched", None)})
+    assert replaced == [FACT_TABLE]
+    assert (root / "COMMIT").read_text() == "2\n"
+    with open_warehouse(root, "ro") as wh:
+        assert wh.state.facts[2].validation == "unmatched"
+
+
 def test_rewrite_validation_unknown_fact(root):
     with _base(root) as wh:
         with pytest.raises(UnknownFactError):
@@ -331,6 +351,24 @@ def test_missing_marker_adopts_contents(root):
     with open_warehouse(root) as wh:
         assert sorted(wh.state.facts) == [1, 2]
     assert (root / "COMMIT").read_text() == "2\n"
+
+
+@pytest.mark.parametrize("marker", [True, False], ids=["committed", "no-marker"])
+def test_unterminated_last_row_is_repaired_before_appends(root, marker):
+    before = _committed_base(root)
+    path = root / FACT_TABLE
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))  # the last row loses its newline
+    if not marker:
+        (root / "COMMIT").unlink()
+    with open_warehouse(root, "ro") as wh:
+        assert logical_state(wh) == before
+    with open_warehouse(root) as wh:
+        assert logical_state(wh) == before
+        assert path.read_bytes().endswith(b"\n")
+        assert wh.append_facts([make_draft(wh.state.images[1])]) == [3]
+    with open_warehouse(root, "ro") as wh:
+        assert sorted(wh.state.facts) == [1, 2, 3]
+    assert (root / "COMMIT").read_text() == "3\n"
 
 
 # -- corrupt dimension tables ---------------------------------------------------------
