@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import NonFiniteCoordinateError
 from .model import FactTreeMetric, Geotransform, SurveyRecord, ValidationUpdate
-from .report import csv_line
+from .report import csv_lines
 from .storage import Warehouse
 
 
@@ -183,18 +183,6 @@ def compute_metrics(
     )
 
 
-def metrics_csv(metrics: ValidationMetrics) -> str:
-    """Metrics as CSV: per-species rows then a trailing overall-accuracy line."""
-    lines = ["species_code,tp,fp,fn,precision,recall"]
-    for row in metrics.per_species:
-        lines.append(
-            csv_line([row.species_code, row.tp, row.fp, row.fn, row.precision, row.recall])
-        )
-    acc = metrics.accuracy
-    lines.append(f"OVERALL,accuracy={'' if acc is None else repr(acc)}")
-    return "\n".join(lines) + "\n"
-
-
 def metrics_rows(metrics: ValidationMetrics) -> tuple[tuple[str, ...], list[tuple]]:
     columns = ("species_code", "tp", "fp", "fn", "precision", "recall")
     rows = [
@@ -202,6 +190,14 @@ def metrics_rows(metrics: ValidationMetrics) -> tuple[tuple[str, ...], list[tupl
         for r in metrics.per_species
     ]
     return columns, rows
+
+
+def metrics_csv(metrics: ValidationMetrics) -> str:
+    """Metrics as CSV: per-species rows then a trailing overall-accuracy line."""
+    lines = csv_lines(*metrics_rows(metrics))
+    acc = metrics.accuracy
+    lines.append(f"OVERALL,accuracy={'' if acc is None else repr(acc)}")
+    return "\n".join(lines) + "\n"
 
 
 # -- applying results to the warehouse ----------------------------------------

@@ -3,7 +3,8 @@
 The service is the push boundary for detector pipelines. It keeps one
 storage.SnapshotCache of its root: a GET reads the committed snapshot,
 brought up to date at the start of the request; a POST takes the writer
-lock for just its own duration and starts from the same cached rows.
+lock for just its own duration and starts from the same cached rows,
+after the cache has created or repaired the root if it needed that.
 Several service processes and CLI invocations can therefore share one
 root. A busy writer surfaces as 409 rather than queueing forever.
 
@@ -45,6 +46,7 @@ from .ingest import (
 from .query import run_query, spec_from_strings
 from .reconcile import reconcile_warehouse
 from .report import csv_line, render_cell
+# Not called here; kept because perfbench/tracing.py patches service.open_warehouse.
 from .storage import SnapshotCache, open_warehouse, stats_rows
 
 MIB = 2**20
@@ -194,9 +196,7 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.cache.current()  # type: ignore[attr-defined]
 
     def _open_rw(self):
-        timeout = self.config.lock_timeout
-        handle = self.server.cache.open_writer(timeout)  # type: ignore[attr-defined]
-        return handle or open_warehouse(self.config.warehouse_root, "rw", lock_timeout=timeout)
+        return self.server.cache.open_writer(self.config.lock_timeout)  # type: ignore[attr-defined]
 
     # -- GET endpoints ---------------------------------------------------------
 

@@ -26,9 +26,10 @@ stats and file creation all iterate these descriptions: TABLES, DIMENSIONS
 Commit protocol: dimension tables are small and rewritten whole via
 write-then-rename; fact batches are appended with fsync and become visible
 only once the COMMIT marker (also written via rename) records the batch's
-last fact_id. A crash mid-append leaves rows past the marker, which reload
-drops, restoring the pre-batch state. Dimension rows are never mutated or
-deleted; the single sanctioned fact mutation is the validation annotation.
+last fact_id. A crash mid-append leaves rows past the marker, which a load
+leaves out and the next rw open deletes, restoring the pre-batch state.
+Dimension rows are never mutated or deleted; the single sanctioned fact
+mutation is the validation annotation.
 
 Single-writer, multiple-reader: a handle opened in "rw" mode holds an
 exclusive flock on the LOCK file for its lifetime. The kernel releases it
@@ -41,8 +42,11 @@ dim_date (each table before the tables it references), then the fact rows up
 to COMMIT. Writers write in the opposite order (a date before the image
 that references it, dimension rows before the facts, COMMIT last), so
 every row a committed fact or an image references is on disk by the time
-the reader gets to its table. SnapshotCache keeps one such snapshot current
-for a long-lived process, parsing only what changed.
+the reader gets to its table.
+
+Every open is a SnapshotCache load, which alone reads this order. A
+long-lived process keeps one cache current, parsing only what changed;
+open_warehouse is the one-shot form, a cache built, used once and closed.
 """
 
 from __future__ import annotations
@@ -302,7 +306,7 @@ SURVEYS = Table(
 
 TABLES = (DATES, IMAGES, SPECIES, FACTS)
 # In load order: an image row checks its date. Readers read the files in the
-# reverse order; see Warehouse._load.
+# reverse order; see SnapshotCache._refresh.
 DIMENSIONS = (DATES, SPECIES, IMAGES)
 
 
@@ -506,21 +510,6 @@ class Warehouse:
 
     # -- loading -----------------------------------------------------------
 
-    def _load(self) -> None:
-        # The read order keeps a concurrent writer's rows consistent; see
-        # "Read order" in the module docstring.
-        committed = self._read_commit_marker()
-        data = {t.file: _read_bytes(self._path(t.file)) for t in reversed(DIMENSIONS)}
-        for table in DIMENSIONS:
-            self._load_dimension(table, data[table.file])
-        path = self._path(FACTS.file)
-        try:
-            fh = open(path, "rb")
-        except FileNotFoundError:
-            raise NotInitializedError(f"missing table file: {path}")
-        with fh:
-            self._load_facts(fh, committed)
-
     def _load_dimension(self, table: Table, data: bytes, loaded: int = 0, line_no: int = 1) -> None:
         """Add the rows of data, a dimension file's bytes, past byte loaded.
 
@@ -552,7 +541,8 @@ class Warehouse:
         row checks as a full load. Returns the point past the leading run of
         newline-terminated rows this call accepted, where a later call may
         resume; None when a row was accepted after one that was left out, so
-        that only a full load reproduces the result.
+        that only a full load reproduces the result. It writes nothing: rows
+        left out stay in the file until SnapshotCache.open_writer drops them.
         """
         path = self._path(FACTS.file)
         fh.seek(offset)
@@ -605,15 +595,6 @@ class Warehouse:
         for row in rows:
             self.state.add_fact(row)
         self.table_bytes[FACTS.file] = size
-        if self.mode == "rw":
-            if gap is not None or len(lines) > terminated:
-                # drop the rows left out, and end the last row with a newline
-                # so that the next append starts a line of its own
-                self._rewrite(FACTS)
-                self._write_commit(max_id)
-            elif committed is None:
-                # marker missing (externally assembled warehouse): adopt as-is
-                self._write_commit(max_id)
         unbroken = len(lines) if gap is None else gap
         if first + len(rows) != unbroken or unbroken > terminated:
             return None
@@ -849,31 +830,18 @@ class Warehouse:
 def open_warehouse(root, mode: str = "rw", lock_timeout: float = 10.0) -> Warehouse:
     """Open (and if needed initialize) the warehouse at root.
 
-    mode "rw" acquires the writer lock and creates missing table files;
-    mode "ro" reads the committed snapshot without locking and requires the
-    warehouse to exist.
+    mode "rw" acquires the writer lock, creates missing table files and
+    drops uncommitted rows; mode "ro" reads the committed snapshot without
+    locking and requires the warehouse to exist. Either way this is one
+    SnapshotCache load of root, after which the cache is closed.
     """
     if mode not in ("rw", "ro"):
         raise ValueError(f"mode must be 'rw' or 'ro', got {mode!r}")
-    root = Path(root)
-    lock = None
-    if mode == "rw":
-        root.mkdir(parents=True, exist_ok=True)
-        lock = FileLock(root / LOCK_FILE)
-        lock.acquire(lock_timeout)
+    cache = SnapshotCache(root)
     try:
-        wh = Warehouse(root, mode, lock)
-        if mode == "rw":
-            for table in TABLES:
-                path = root / table.file
-                if not path.exists():
-                    _atomic_write(path, table.text(()))
-        wh._load()
-        return wh
-    except BaseException:
-        if lock is not None:
-            lock.release()
-        raise
+        return cache.open_writer(lock_timeout) if mode == "rw" else cache.current()
+    finally:
+        cache.close()
 
 
 def _file_key(path: Path) -> tuple[int, int, int]:
@@ -902,9 +870,9 @@ class SnapshotCache:
     A returned Warehouse is never changed afterwards: a refresh that finds
     changes publishes a new one, built from copies of the old dicts.
 
-    open_writer() gives the read-write handle open_warehouse(root, "rw")
-    would, built on the same rows, so that a writer does not hold a second
-    copy of the fact table next to the cached one.
+    open_writer() gives a read-write handle built on the same rows, so that
+    a writer does not hold a second copy of the fact table next to the
+    cached one. open_warehouse is either call on a cache used once.
     """
 
     def __init__(self, root):
@@ -924,43 +892,40 @@ class SnapshotCache:
                 self._facts_fh.close()
             self._facts_fh = self._handle = self._resume = None
 
-    def open_writer(self, lock_timeout: float = 10.0) -> Warehouse | None:
-        """The handle open_warehouse(root, "rw") would give, built on the cached rows.
+    def open_writer(self, lock_timeout: float = 10.0) -> Warehouse:
+        """A read-write handle on the root, built on the cached rows.
 
-        Under the writer lock nothing else changes the root, so a refreshed
-        snapshot holds exactly what the full load of open_warehouse would
-        read, unless that load has something to create or repair: a missing
-        table file or COMMIT marker, or bytes past the last committed fact.
-        Those cases, and a snapshot that fails to load, return None, and the
-        caller opens the root with open_warehouse. The handle gets its own
-        dicts; the frozen rows in them are shared with the snapshot.
+        Under the writer lock it creates the root and any missing table
+        file, refreshes the snapshot, drops fact rows that are not
+        committed or not whole by rewriting the fact file, and writes the
+        COMMIT marker when it is missing. The handle gets its own dicts;
+        the frozen rows in them are shared with the snapshot.
         """
-        if not self.root.is_dir():
-            return None
+        self.root.mkdir(parents=True, exist_ok=True)
         lock = FileLock(self.root / LOCK_FILE)
         lock.acquire(lock_timeout)
         try:
-            handle = self._writer(lock)
+            for table in TABLES:
+                path = self.root / table.file
+                if not path.exists():
+                    _atomic_write(path, table.text(()))
+            with self._mutex:
+                snap = self._refresh(self._handle)
+                (committed, size), resume = self._facts_key, self._resume
+            wh = Warehouse(self.root, "rw", lock)
+            wh.state = snap.state.copy()
+            wh.table_bytes = dict(snap.table_bytes)
+            if resume is None or resume[0] != size:
+                # drop the rows left out, and end the last row with a newline
+                # so that the next append starts a line of its own
+                wh._rewrite(FACTS)
+            if committed is None:
+                # marker missing (externally assembled warehouse): adopt as-is
+                wh._write_commit(wh._next_fact_id - 1)
+            return wh
         except BaseException:
             lock.release()
             raise
-        if handle is None:
-            lock.release()
-        return handle
-
-    def _writer(self, lock: FileLock) -> Warehouse | None:
-        with self._mutex:
-            try:
-                snap = self._refresh(self._handle)
-            except WarehouseError:
-                return None
-            committed, size = self._facts_key
-            if committed is None or self._resume is None or self._resume[0] != size:
-                return None
-        wh = Warehouse(self.root, "rw", lock)
-        wh.state = snap.state.copy()
-        wh.table_bytes = dict(snap.table_bytes)
-        return wh
 
     def current(self) -> Warehouse:
         with self._mutex:
@@ -971,7 +936,7 @@ class SnapshotCache:
         new = Warehouse(self.root, "ro", None)
         committed = new._read_commit_marker()
         keys, tables = {}, {}
-        for table in reversed(DIMENSIONS):  # the read order of Warehouse._load
+        for table in reversed(DIMENSIONS):  # see "Read order" in the module docstring
             path = new._path(table.file)
             keys[table.file] = _file_key(path)
             if old is None or self._dims[table.file][0] != keys[table.file]:

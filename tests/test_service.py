@@ -191,6 +191,22 @@ def test_post_image_adds_facts(root):
         assert fact_count(base) == before + 2
 
 
+@pytest.mark.parametrize("state", ["no-commit", "no-root"])
+def test_post_image_initializes_root(tmp_path, state):
+    root = tmp_path / "wh"
+    if state == "no-commit":
+        with open_warehouse(root, "rw"):
+            pass
+        (root / "COMMIT").unlink()
+    with running_server(root) as base:
+        r = post_image(base, "cam_001.jpg", ["0 0.5 0.5 0.2 0.2 0.9", "1 0.25 0.25 0.1 0.1"])
+        assert r.status_code == 200
+        assert (root / "COMMIT").read_text() == "2\n"
+        stats = requests.get(f"{base}/v1/stats", timeout=10).json()
+    with open_warehouse(root, "ro") as handle:
+        assert stats == _rendered(*stats_rows(handle.stats()))
+
+
 def test_post_image_idempotent(root):
     with running_server(root) as base:
         assert post_image(base, "cam_001.jpg", ["0 0.5 0.5 0.2 0.2 0.9"]).status_code == 200

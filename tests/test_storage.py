@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing
 import os
 import random
@@ -21,6 +22,7 @@ from canopydw.ingest import REGISTRY_HEADER, SURVEY_HEADER, ingest_species_regis
 from canopydw.model import ValidationUpdate, encode_date_key
 from canopydw.storage import (
     FACTS,
+    TABLES,
     Warehouse,
     SnapshotCache,
     open_warehouse,
@@ -195,7 +197,9 @@ def test_rewrite_validation(root):
         assert wh.state.facts[1].height_m == 12.0
 
 
-def test_rewrite_validation_replaces_only_the_fact_file(root, monkeypatch):
+@contextlib.contextmanager
+def _replaced_files(monkeypatch):
+    """Collects the names of the files os.replace replaces inside the block."""
     replaced = []
     real_replace = os.replace
 
@@ -203,11 +207,16 @@ def test_rewrite_validation_replaces_only_the_fact_file(root, monkeypatch):
         replaced.append(os.path.basename(dst))
         real_replace(src, dst)
 
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", spy)
+        yield replaced
+
+
+def test_rewrite_validation_replaces_only_the_fact_file(root, monkeypatch):
     with _base(root) as wh:
         image = wh.state.images[1]
         wh.append_facts([make_draft(image), make_draft(image)])
-        with monkeypatch.context() as m:
-            m.setattr(os, "replace", spy)
+        with _replaced_files(monkeypatch) as replaced:
             wh.rewrite_validation({2: ValidationUpdate("unmatched", None)})
     assert replaced == [FACT_TABLE]
     assert (root / "COMMIT").read_text() == "2\n"
@@ -297,6 +306,24 @@ def test_recovery_tolerates_torn_trailing_line(root):
     text = (root / FACT_TABLE).read_text()
     assert text.endswith("\n")
     assert "3,20240115,1,1,0.5,0.5,0.2" not in text
+
+
+@pytest.mark.parametrize(
+    "tail",
+    ["3,20240115,1,1,0.5,0.5,0.2", "3,20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,\n"],
+    ids=["torn", "uncommitted"],
+)
+def test_repairing_open_replaces_only_the_fact_file(root, monkeypatch, tail):
+    before = _committed_base(root)
+    with open(root / FACT_TABLE, "a") as fh:
+        fh.write(tail)
+    with _replaced_files(monkeypatch) as replaced:
+        with open_warehouse(root) as wh:
+            assert logical_state(wh) == before
+    # the marker already holds the last committed fact_id
+    assert replaced == [FACT_TABLE]
+    assert (root / "COMMIT").read_text() == "2\n"
+    assert not (root / FACT_TABLE).read_text().endswith(tail)
 
 
 def test_recovery_rejects_marker_ahead_of_data(root):
@@ -572,7 +599,11 @@ def test_read_snapshot_matches_fresh_open(root):
 def test_snapshot_writer_matches_full_open(root):
     snap = SnapshotCache(root)
     try:
-        assert snap.open_writer() is None  # no root yet: open_warehouse creates it
+        with snap.open_writer() as wh:  # no root yet: the writer creates it
+            for name in (*(t.file for t in TABLES), "COMMIT"):
+                assert (root / name).exists()
+            with open_warehouse(root, "ro") as fresh:
+                assert logical_state(wh) == logical_state(fresh)
         _committed_base(root)
         with snap.open_writer() as wh:
             with open_warehouse(root, "ro") as fresh:
@@ -587,7 +618,12 @@ def test_snapshot_writer_matches_full_open(root):
             assert logical_state(snap.current()) == logical_state(fresh)
         with open(root / FACT_TABLE, "a") as fh:  # appended but never committed
             fh.write("4,20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,\n")
-        assert snap.open_writer() is None  # the full open repairs the tail
+        commit = os.stat(root / "COMMIT")
+        with snap.open_writer() as wh:  # the writer drops the tail
+            assert sorted(wh.state.facts) == [1, 2, 3]
+        assert "\n4,20240115," not in (root / FACT_TABLE).read_text()
+        assert os.stat(root / "COMMIT").st_ino == commit.st_ino
+        assert (root / "COMMIT").read_text() == "3\n"
         open_warehouse(root, lock_timeout=0.05).close()  # the lock is free
         with open_warehouse(root) as wh:
             assert wh.append_facts([make_draft(wh.state.images[1])]) == [4]
