@@ -297,6 +297,14 @@ def test_estimate_flag_validation(tmp_path, capsys):
     assert run_cli(["estimate", "--root", str(root), "--events-per-year", "0"]) == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--years", "-1"), ("--events-per-year", "0")])
+def test_estimate_flag_validation_on_reference_root(reference_root, flag, value, capsys):
+    assert run_cli(["estimate", "--root", str(reference_root)]) == 0
+    capsys.readouterr()
+    assert run_cli(["estimate", "--root", str(reference_root), flag, value]) == 1
+    assert flag in capsys.readouterr().err
+
+
 def test_survey_with_unknown_species_is_data_error(tmp_path, capsys):
     root = tmp_path / "wh"
     survey = tmp_path / "s.csv"

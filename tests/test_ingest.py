@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from canopydw.errors import ParseError, RangeError, SurveyImmutableError, UnknownSpeciesError
 from canopydw.ingest import (
     MANIFEST_HEADER,
+    REGISTRY_HEADER,
+    SURVEY_HEADER,
     ClassMap,
     Detection,
     detection_file_name,
@@ -313,6 +315,40 @@ def test_ingest_survey_rejects_bad_rows(wh, line, error):
     assert getattr(err.value, "line_no", 4) == 4 or "s.csv:4" in str(err.value)
     # nothing persisted
     assert wh.list_survey_ids() == []
+
+
+# -- refusals shared by every CSV source ---------------------------------------------
+
+CSV_SOURCES = {
+    "manifest": (MANIFEST_HEADER, lambda wh, lines, src: parse_image_manifest(lines, source=src)),
+    "registry": (REGISTRY_HEADER, lambda wh, lines, src: ingest_species_registry(wh, lines, source=src)),
+    "survey": (SURVEY_HEADER, lambda wh, lines, src: ingest_survey(wh, "plotx", lines, source=src)),
+}
+
+
+def _valid_row(what):
+    return {"manifest": _manifest_row(), "registry": REGISTRY[1], "survey": SURVEY_LINES[1]}[what]
+
+
+@pytest.mark.parametrize("what", sorted(CSV_SOURCES))
+def test_csv_sources_share_refusals(wh, what):
+    header, run = CSV_SOURCES[what]
+    row = _valid_row(what)
+    width = len(header.split(","))
+    cases = [
+        ([], None, f"empty {what}"),
+        (["nonsense", row], 1, f"bad {what} header, expected {header!r}"),
+        ([header, "a,b"], 2, f"expected {width} fields, got 2"),
+        ([header, row, "", row + ",extra"], 4, f"expected {width} fields, got {width + 1}"),
+    ]
+    for lines, line_no, reason in cases:
+        with pytest.raises(ParseError) as err:
+            run(wh, lines, "x.csv")
+        assert (err.value.source, err.value.line_no, err.value.reason) == ("x.csv", line_no, reason)
+        prefix = "x.csv:" if line_no is None else f"x.csv:{line_no}:"
+        assert str(err.value) == f"{prefix} {reason}"
+    # blank and whitespace-only rows are skipped
+    assert run(wh, [header, "", row, "   "], "x.csv") == run(wh, [header, row], "x.csv")
 
 
 # -- image batches ---------------------------------------------------------------------

@@ -386,6 +386,13 @@ def test_estimate_endpoint(reference_root):
         assert requests.get(f"{base}/v1/estimate", params={"horizon": 5}, timeout=10).status_code == 400
 
 
+def test_estimate_endpoint_refuses_zero_events_per_year(reference_root):
+    with running_server(reference_root) as base:
+        r = requests.get(f"{base}/v1/estimate", params={"events_per_year": 0}, timeout=10)
+        assert r.status_code == 400
+        assert "events_per_year" in r.json()["error"]
+
+
 def test_stats_payload_shape(reference_root):
     with running_server(reference_root) as base:
         payload = requests.get(f"{base}/v1/stats", timeout=10).json()
