@@ -5,19 +5,21 @@ Three source families feed the warehouse: per-image detection files
 acquisition metadata per image), and field data (species registries and
 ground-truth survey CSVs). Each parser attributes failures to the offending
 source line and classifies them as ParseError (token does not scan) or
-RangeError (token scans but the value is out of bounds).
+RangeError (token scans but the value is out of bounds); `_attributed` adds
+the source and line. The three CSVs share one reader, `_read_csv`, for the
+header, blank-row and field-count checks; each then checks only its cells.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import PurePosixPath
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import model
-from .errors import ParseError, RangeError, UnknownSpeciesError
+from .errors import DuplicateRecordError, ParseError, RangeError, UnknownSpeciesError
 from .model import (
     BBOX_EDGE_TOLERANCE,
     BoundingBox,
@@ -27,6 +29,7 @@ from .model import (
     SurveyRecord,
 )
 from .reconcile import pixel_to_geo
+from .report import csv_line
 from .storage import Warehouse
 
 MANIFEST_HEADER = (
@@ -159,58 +162,83 @@ def render_detection_line(det: Detection) -> str:
     return " ".join([str(det.class_id)] + [repr(v) for v in (b.cx, b.cy, b.w, b.h, det.confidence)])
 
 
+def _attributed(source: str, line_no: int | None, parse: Callable, *args):
+    """Return parse(*args), re-raising its row errors against source:line_no."""
+    try:
+        return parse(*args)
+    except (ParseError, RangeError) as exc:
+        raise type(exc)(exc.reason, source=source, line_no=line_no)
+    except UnknownSpeciesError as exc:
+        raise UnknownSpeciesError(f"{source}:{line_no}: {exc}")
+
+
 def parse_detection_file(lines: Iterable[str], source: str = "<detections>") -> list[Detection]:
     """Parse a whole detection file, attributing errors to source:line."""
     out = []
     for line_no, line in enumerate(lines, start=1):
-        try:
-            det = parse_detection_line(line)
-        except (ParseError, RangeError) as exc:
-            raise type(exc)(exc.reason, source=source, line_no=line_no)
+        det = _attributed(source, line_no, parse_detection_line, line)
         if det is not None:
             out.append(det)
     return out
 
 
+# -- CSV sources -------------------------------------------------------------
+
+
+def _read_csv(lines: Iterable[str], header: str, what: str, source: str, parse_row: Callable) -> list:
+    """parse_row(line_no, cells) of each non-blank row after `header` (line 1).
+
+    Refuses an empty input, a wrong header and a row of the wrong width.
+    """
+    reader = csv.reader(lines)
+    first = next(reader, None)
+    if first is None:
+        raise ParseError(f"empty {what}", source=source)
+    names = header.split(",")
+    if [h.strip() for h in first] != names:
+        raise ParseError(f"bad {what} header, expected {header!r}", source=source, line_no=1)
+    out = []
+    for line_no, cells in enumerate(reader, start=2):
+        if not cells or (len(cells) == 1 and not cells[0].strip()):
+            continue
+        if len(cells) != len(names):
+            raise ParseError(f"expected {len(names)} fields, got {len(cells)}", source=source, line_no=line_no)
+        out.append(_attributed(source, line_no, parse_row, line_no, cells))
+    return out
+
+
+def _date_key(text: str, what: str) -> int:
+    try:
+        return model.date_key_from_iso(text)
+    except Exception as exc:
+        raise ParseError(f"{what}: {exc}")
+
+
 # -- image manifests ---------------------------------------------------------
+
+_MANIFEST_NAMES = MANIFEST_HEADER.split(",")
 
 
 def build_image_meta(row: Mapping[str, object], source: str = "<manifest>", line_no: int | None = None) -> ImageMeta:
     """Validate one manifest row (string-valued mapping) into ImageMeta."""
+    return _attributed(source, line_no, _image_meta, row)
 
-    def fail(kind, msg):
-        raise kind(msg, source=source, line_no=line_no)
 
+def _image_meta(row: Mapping[str, object]) -> ImageMeta:
     row = {k: ("" if v is None else str(v)) for k, v in row.items()}
-    missing = [n for n in MANIFEST_HEADER.split(",") if row.get(n, "").strip() == ""]
+    missing = [n for n in _MANIFEST_NAMES if row.get(n, "").strip() == ""]
     if missing:
-        fail(ParseError, f"missing field(s) {', '.join(missing)}")
+        raise ParseError(f"missing field(s) {', '.join(missing)}")
     try:
-        width = int(row["width_px"])
-        height = int(row["height_px"])
-        size = int(row["size_bytes"])
-    except ValueError as exc:
-        fail(ParseError, str(exc))
-    try:
+        width, height, size = (int(row[n]) for n in ("width_px", "height_px", "size_bytes"))
         gsd = float(row["gsd_cm_per_px"])
-        gt = Geotransform(
-            origin_x=float(row["gt_origin_x"]),
-            origin_y=float(row["gt_origin_y"]),
-            a=float(row["gt_a"]),
-            b=float(row["gt_b"]),
-            d=float(row["gt_d"]),
-            e=float(row["gt_e"]),
-        )
+        gt = Geotransform(**{f.name: float(row["gt_" + f.name]) for f in fields(Geotransform)})
     except ValueError as exc:
-        fail(ParseError, str(exc))
-    try:
-        date_key = model.date_key_from_iso(row["capture_date"].strip())
-    except Exception as exc:
-        fail(ParseError, f"capture_date: {exc}")
+        raise ParseError(str(exc))
     meta = ImageMeta(
         file_name=row["file_name"],
         platform=row["platform"].strip().lower(),
-        capture_date_key=date_key,
+        capture_date_key=_date_key(row["capture_date"].strip(), "capture_date"),
         width_px=width,
         height_px=height,
         gsd_cm_per_px=gsd,
@@ -220,65 +248,32 @@ def build_image_meta(row: Mapping[str, object], source: str = "<manifest>", line
     )
     problems = model.image_meta_violations(meta)
     if problems:
-        fail(RangeError, "; ".join(problems))
+        raise RangeError("; ".join(problems))
     return meta
 
 
 def parse_image_manifest(lines: Iterable[str], source: str = "<manifest>") -> list[ImageMeta]:
     """Parse a manifest CSV (header required) into validated ImageMeta rows."""
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty manifest", source=source)
-    expected = MANIFEST_HEADER.split(",")
-    if [h.strip() for h in header] != expected:
-        raise ParseError(f"bad manifest header, expected {MANIFEST_HEADER!r}", source=source, line_no=1)
-    out = []
     seen: dict[tuple[str, str], int] = {}
-    for line_no, cells in enumerate(reader, start=2):
-        if not cells or (len(cells) == 1 and not cells[0].strip()):
-            continue
-        if len(cells) != len(expected):
-            raise ParseError(f"expected {len(expected)} fields, got {len(cells)}", source=source, line_no=line_no)
-        meta = build_image_meta(dict(zip(expected, cells)), source=source, line_no=line_no)
-        ident = (meta.file_name, meta.checksum)
-        if ident in seen:
-            raise ParseError(
-                f"duplicate image {meta.file_name!r} (also line {seen[ident]})",
-                source=source,
-                line_no=line_no,
-            )
-        seen[ident] = line_no
-        out.append(meta)
-    return out
+
+    def image(line_no, cells):
+        meta = _image_meta(dict(zip(_MANIFEST_NAMES, cells)))
+        first = seen.setdefault((meta.file_name, meta.checksum), line_no)
+        if first != line_no:
+            raise ParseError(f"duplicate image {meta.file_name!r} (also line {first})")
+        return meta
+
+    return _read_csv(lines, MANIFEST_HEADER, "manifest", source, image)
 
 
 def render_manifest_row(meta: ImageMeta) -> str:
-    from .report import csv_line
-    from .model import derive_date
-
-    d = derive_date(meta.capture_date_key)
-    iso = f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
-    gt = meta.geotransform
-    return csv_line(
-        [
-            meta.file_name,
-            iso,
-            meta.platform,
-            meta.width_px,
-            meta.height_px,
-            meta.gsd_cm_per_px,
-            gt.origin_x,
-            gt.origin_y,
-            gt.a,
-            gt.b,
-            gt.d,
-            gt.e,
-            meta.size_bytes,
-            meta.checksum,
-        ]
-    )
+    """One manifest CSV row in MANIFEST_HEADER order; it parses back to meta."""
+    d = model.derive_date(meta.capture_date_key)
+    cells = {
+        "capture_date": f"{d.year:04d}-{d.month:02d}-{d.day:02d}",
+        **{"gt_" + f.name: getattr(meta.geotransform, f.name) for f in fields(Geotransform)},
+    }
+    return csv_line([cells[n] if n in cells else getattr(meta, n) for n in _MANIFEST_NAMES])
 
 
 # -- species registry --------------------------------------------------------
@@ -288,31 +283,22 @@ def ingest_species_registry(handle: Warehouse, lines: Iterable[str], source: str
     """Load a species registry CSV; returns the number of codes processed.
 
     Existing codes keep their descriptive fields (first writer wins).
-    Unrecognized conservation statuses degrade to "unknown".
+    Unrecognized conservation statuses degrade to "unknown". Every row is
+    checked before the first is written, so a refused registry writes
+    nothing.
     """
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty registry", source=source)
-    expected = REGISTRY_HEADER.split(",")
-    if [h.strip() for h in header] != expected:
-        raise ParseError(f"bad registry header, expected {REGISTRY_HEADER!r}", source=source, line_no=1)
-    count = 0
-    for line_no, cells in enumerate(reader, start=2):
-        if not cells or (len(cells) == 1 and not cells[0].strip()):
-            continue
-        if len(cells) != 4:
-            raise ParseError(f"expected 4 fields, got {len(cells)}", source=source, line_no=line_no)
-        code, sci, common, status = (c.strip() for c in cells)
-        if not code:
-            raise ParseError("empty species code", source=source, line_no=line_no)
-        status = status.lower()
-        if status not in model.CONSERVATION_STATUSES:
-            status = "unknown"
-        handle.upsert_species(code, sci, common, status)
-        count += 1
-    return count
+    rows = _read_csv(lines, REGISTRY_HEADER, "registry", source, _registry_row)
+    for row in rows:
+        handle.upsert_species(*row)
+    return len(rows)
+
+
+def _registry_row(line_no: int, cells: Sequence[str]) -> tuple[str, str, str, str]:
+    code, sci, common, status = (c.strip() for c in cells)
+    if not code:
+        raise ParseError("empty species code")
+    status = status.lower()
+    return code, sci, common, status if status in model.CONSERVATION_STATUSES else "unknown"
 
 
 # -- ground-truth surveys ----------------------------------------------------
@@ -322,65 +308,52 @@ def ingest_survey(handle: Warehouse, survey_id: str, lines: Iterable[str], sourc
     """Parse and persist one survey CSV; returns its records.
 
     Survey species codes must already exist in the species dimension so that
-    later reconciliation can compare like with like.
+    later reconciliation can compare like with like. Record ids must be
+    unique across all surveys, since reconciliation merges them.
     """
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty survey", source=source)
-    expected = SURVEY_HEADER.split(",")
-    if [h.strip() for h in header] != expected:
-        raise ParseError(f"bad survey header, expected {SURVEY_HEADER!r}", source=source, line_no=1)
-    records = []
     seen: dict[str, int] = {}
-    for line_no, cells in enumerate(reader, start=2):
-        if not cells or (len(cells) == 1 and not cells[0].strip()):
-            continue
-        if len(cells) != 7:
-            raise ParseError(f"expected 7 fields, got {len(cells)}", source=source, line_no=line_no)
+
+    def record(line_no, cells):
         rid, gx, gy, code, dbh, height, dated = (c.strip() for c in cells)
         if not rid:
-            raise ParseError("empty record_id", source=source, line_no=line_no)
-        if rid in seen:
-            raise ParseError(f"duplicate record_id {rid!r} (also line {seen[rid]})", source=source, line_no=line_no)
-        seen[rid] = line_no
+            raise ParseError("empty record_id")
+        first = seen.setdefault(rid, line_no)
+        if first != line_no:
+            raise ParseError(f"duplicate record_id {rid!r} (also line {first})")
         code = code.upper()
         if code not in handle.state.species_by_code:
-            raise UnknownSpeciesError(f"{source}:{line_no}: unknown species code {code!r}")
+            raise UnknownSpeciesError(f"unknown species code {code!r}")
         try:
-            geo_x = float(gx)
-            geo_y = float(gy)
+            geo_x, geo_y = float(gx), float(gy)
         except ValueError:
-            raise ParseError("coordinates are not numbers", source=source, line_no=line_no)
+            raise ParseError("coordinates are not numbers")
         if not (math.isfinite(geo_x) and math.isfinite(geo_y)):
-            raise RangeError("coordinates are not finite", source=source, line_no=line_no)
-        try:
-            dbh_v = float(dbh) if dbh else None
-            height_v = float(height) if height else None
-        except ValueError:
-            raise ParseError("measurements are not numbers", source=source, line_no=line_no)
-        if dbh_v is not None and (not math.isfinite(dbh_v) or dbh_v <= 0):
-            raise RangeError(f"dbh_cm {dbh_v!r} must be positive", source=source, line_no=line_no)
-        if height_v is not None and (not math.isfinite(height_v) or height_v <= 0):
-            raise RangeError(f"height_m {height_v!r} must be positive", source=source, line_no=line_no)
-        try:
-            date_key = model.date_key_from_iso(dated)
-        except Exception as exc:
-            raise ParseError(f"surveyed_date: {exc}", source=source, line_no=line_no)
-        records.append(
-            SurveyRecord(
-                record_id=rid,
-                geo_x=geo_x,
-                geo_y=geo_y,
-                species_code=code,
-                dbh_cm=dbh_v,
-                height_m=height_v,
-                surveyed_date_key=date_key,
-            )
-        )
+            raise RangeError("coordinates are not finite")
+        dbh_v, height_v = _measurement(dbh, "dbh_cm"), _measurement(height, "height_m")
+        return SurveyRecord(rid, geo_x, geo_y, code, dbh_v, height_v, _date_key(dated, "surveyed_date"))
+
+    records = _read_csv(lines, SURVEY_HEADER, "survey", source, record)
+    for other in handle.list_survey_ids():
+        if other == survey_id:
+            continue
+        taken = seen.keys() & {rec.record_id for rec in handle.load_survey(other)}
+        if taken:
+            raise DuplicateRecordError(f"record id {min(taken)!r} appears in surveys {other!r} and {survey_id!r}")
     handle.save_survey(survey_id, records)
     return records
+
+
+def _measurement(text: str, what: str) -> float | None:
+    """An optional positive measurement; an empty cell is None."""
+    if not text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError("measurements are not numbers")
+    if not math.isfinite(value) or value <= 0:
+        raise RangeError(f"{what} {value!r} must be positive")
+    return value
 
 
 # -- full image batch --------------------------------------------------------

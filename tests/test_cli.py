@@ -7,7 +7,7 @@ from canopydw.cli import ROOT_ENV_VAR, run_cli
 from canopydw.ingest import MANIFEST_HEADER, REGISTRY_HEADER, SURVEY_HEADER, render_manifest_row
 from canopydw.query import GROUP_KEYS, MEASURES, QUERY_OPTIONS, QuerySpec, run_query, spec_from_strings
 from canopydw.reconcile import metrics_csv, reconcile_warehouse
-from canopydw.storage import open_warehouse
+from canopydw.storage import SPECIES, open_warehouse
 
 from helpers import EMPTY_LIST_REFUSALS, make_draft, make_image
 
@@ -315,6 +315,33 @@ def test_survey_with_unknown_species_is_data_error(tmp_path, capsys):
     assert run_cli(["ingest-survey", "--root", str(root), "--file", str(survey)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "ZZZZ" in err
+
+
+def test_refused_registry_writes_nothing(tmp_path, capsys):
+    root = tmp_path / "wh"
+    registry = tmp_path / "reg.csv"
+    registry.write_text(
+        REGISTRY_HEADER + "\npsme,Pseudotsuga menziesii,Douglas-fir,least_concern\n ,x,y,unknown\n",
+        encoding="utf-8",
+    )
+    assert run_cli(["init", "--root", str(root)]) == 0
+    before = (root / SPECIES.file).read_bytes()
+    assert run_cli(["ingest-species", "--root", str(root), "--registry", str(registry)]) == 1
+    assert "reg.csv:3: empty species code" in capsys.readouterr().err
+    assert (root / SPECIES.file).read_bytes() == before
+
+
+def test_survey_reusing_another_surveys_record_id_is_data_error(tmp_path, capsys):
+    registry, manifest, det_dir, class_map, survey = _write_inputs(tmp_path)
+    root = tmp_path / "wh"
+    assert run_cli(["init", "--root", str(root)]) == 0
+    assert run_cli(["ingest-species", "--root", str(root), "--registry", str(registry)]) == 0
+    assert run_cli(["ingest-survey", "--root", str(root), "--file", str(survey), "--survey-id", "s1"]) == 0
+    capsys.readouterr()
+    assert run_cli(["ingest-survey", "--root", str(root), "--file", str(survey), "--survey-id", "s2"]) == 1
+    assert "record id 't001' appears in surveys 's1' and 's2'" in capsys.readouterr().err
+    with open_warehouse(root, "ro") as handle:
+        assert handle.list_survey_ids() == ["s1"]
 
 
 def test_missing_input_file_is_data_error(tmp_path, capsys):

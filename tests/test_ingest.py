@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canopydw.errors import ParseError, RangeError, SurveyImmutableError, UnknownSpeciesError
+from canopydw.errors import (
+    DuplicateRecordError,
+    ParseError,
+    RangeError,
+    SurveyImmutableError,
+    UnknownSpeciesError,
+)
 from canopydw.ingest import (
     MANIFEST_HEADER,
     REGISTRY_HEADER,
@@ -19,7 +25,7 @@ from canopydw.ingest import (
     render_detection_line,
 )
 from canopydw.model import BoundingBox
-from canopydw.storage import open_warehouse
+from canopydw.storage import SPECIES, open_warehouse
 
 from helpers import checksum_for
 
@@ -259,6 +265,21 @@ def test_ingest_registry_empty_code(tmp_path):
         assert err.value.line_no == 4
 
 
+def test_refused_registry_writes_nothing(tmp_path):
+    root = tmp_path / "wh"
+    with open_warehouse(root):
+        pass
+    before = (root / SPECIES.file).read_bytes()
+    with open_warehouse(root) as wh:
+        with pytest.raises(ParseError) as err:
+            ingest_species_registry(wh, REGISTRY[:2] + [" ,x,y,unknown"], source="reg.csv")
+        assert str(err.value) == "reg.csv:3: empty species code"
+        assert wh.state.species_by_code == {}
+    assert (root / SPECIES.file).read_bytes() == before
+    with open_warehouse(root, "ro") as wh:
+        assert wh.state.species_by_code == {}
+
+
 # -- surveys --------------------------------------------------------------------------
 
 
@@ -291,6 +312,18 @@ def test_ingest_survey_identical_reingest_is_noop(wh):
     ingest_survey(wh, "plot1", SURVEY_LINES)
     with pytest.raises(SurveyImmutableError):
         ingest_survey(wh, "plot1", SURVEY_LINES[:2])
+
+
+def test_ingest_survey_refuses_record_id_of_another_survey(wh):
+    ingest_survey(wh, "s1", SURVEY_LINES)
+    with pytest.raises(DuplicateRecordError) as err:
+        ingest_survey(wh, "s2", [SURVEY_LINES[0], "R3,1.0,2.0,PSME,,,2024-03-01", SURVEY_LINES[2]])
+    assert str(err.value) == "record id 'R2' appears in surveys 's1' and 's2'"
+    assert wh.list_survey_ids() == ["s1"]
+    # the same survey again is still a no-op, and fresh ids are accepted
+    assert ingest_survey(wh, "s1", SURVEY_LINES) == wh.load_survey("s1")
+    ingest_survey(wh, "s2", [SURVEY_LINES[0], "R3,1.0,2.0,PSME,,,2024-03-01"])
+    assert len(wh.load_all_survey_records()) == 3
 
 
 @pytest.mark.parametrize(

@@ -311,6 +311,22 @@ def test_post_survey_immutable(root):
         assert r.status_code == 400
 
 
+def test_post_survey_reusing_another_surveys_record_id_400(root):
+    with running_server(root) as base:
+        assert post_image(base, "cam_012.jpg", ["0 0.5 0.5 0.2 0.2"]).status_code == 200
+        row = {"record_id": "t1", "geo_x": 1.0, "geo_y": 1.0, "species_code": "PSME",
+               "dbh_cm": None, "height_m": None, "surveyed_date": "2024-01-10"}
+        assert requests.post(f"{base}/v1/surveys", json={"survey_id": "s1", "rows": [row]},
+                             timeout=10).status_code == 200
+        r = requests.post(f"{base}/v1/surveys", json={"survey_id": "s2", "rows": [row]}, timeout=10)
+        assert r.status_code == 400
+        assert r.json() == {"error": "record id 't1' appears in surveys 's1' and 's2'"}
+        # reconcile still works, since the refused survey was never stored
+        assert requests.post(f"{base}/v1/reconcile", json={"radius_m": 2.0}, timeout=10).status_code == 200
+    with open_warehouse(root, "ro") as handle:
+        assert handle.list_survey_ids() == ["s1"]
+
+
 def test_post_survey_unknown_field_400(root):
     with running_server(root) as base:
         r = requests.post(
