@@ -120,7 +120,10 @@ def _print_result(table, fmt: str) -> None:
 
 
 def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    """The file's lines with their line ends, which the CSV reader needs to
+    keep a line break inside a quoted cell (and so to refuse it)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(fh)
 
 
 def _cmd_init(args, root) -> int:

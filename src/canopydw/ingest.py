@@ -19,7 +19,7 @@ from pathlib import PurePosixPath
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import model
-from .errors import DuplicateRecordError, ParseError, RangeError, UnknownSpeciesError
+from .errors import DuplicateRecordError, InvalidMetadataError, ParseError, RangeError, UnknownSpeciesError
 from .model import (
     BBOX_EDGE_TOLERANCE,
     BoundingBox,
@@ -168,8 +168,8 @@ def _attributed(source: str, line_no: int | None, parse: Callable, *args):
         return parse(*args)
     except (ParseError, RangeError) as exc:
         raise type(exc)(exc.reason, source=source, line_no=line_no)
-    except UnknownSpeciesError as exc:
-        raise UnknownSpeciesError(f"{source}:{line_no}: {exc}")
+    except (UnknownSpeciesError, InvalidMetadataError) as exc:
+        raise type(exc)(f"{source}:{line_no}: {exc}")
 
 
 def parse_detection_file(lines: Iterable[str], source: str = "<detections>") -> list[Detection]:
@@ -188,7 +188,9 @@ def parse_detection_file(lines: Iterable[str], source: str = "<detections>") -> 
 def _read_csv(lines: Iterable[str], header: str, what: str, source: str, parse_row: Callable) -> list:
     """parse_row(line_no, cells) of each non-blank row after `header` (line 1).
 
-    Refuses an empty input, a wrong header and a row of the wrong width.
+    A row's line_no is the physical line it starts on, also after a quoted
+    cell that holds a line break. Refuses an empty input, a wrong header and
+    a row of the wrong width.
     """
     reader = csv.reader(lines)
     first = next(reader, None)
@@ -198,7 +200,9 @@ def _read_csv(lines: Iterable[str], header: str, what: str, source: str, parse_r
     if [h.strip() for h in first] != names:
         raise ParseError(f"bad {what} header, expected {header!r}", source=source, line_no=1)
     out = []
-    for line_no, cells in enumerate(reader, start=2):
+    consumed = reader.line_num
+    for cells in reader:
+        line_no, consumed = consumed + 1, reader.line_num
         if not cells or (len(cells) == 1 and not cells[0].strip()):
             continue
         if len(cells) != len(names):
@@ -297,6 +301,9 @@ def _registry_row(line_no: int, cells: Sequence[str]) -> tuple[str, str, str, st
     code, sci, common, status = (c.strip() for c in cells)
     if not code:
         raise ParseError("empty species code")
+    for text in (code, sci, common):
+        if model.has_line_break(text):
+            raise InvalidMetadataError(f"species text {text!r} contains a line break")
     status = status.lower()
     return code, sci, common, status if status in model.CONSERVATION_STATUSES else "unknown"
 

@@ -65,21 +65,43 @@ def match_detections(
     each fact and each record participates in at most one pair. Distance
     ties break on (fact_id, record_id) so results do not depend on input
     order.
+
+    Candidates come from a uniform grid (Bentley, Stanat & Williams, "The
+    complexity of finding fixed-radius near neighbors", 1977): records are
+    bucketed by cell, and a fact tests only the records in its own cell and
+    the 8 around it. The cell side is radius_m widened by 2**-50 of
+    (radius_m + the largest coordinate magnitude). At exactly radius_m,
+    rounding can put a pair that passes the distance test two cells apart
+    (1.9999999999999998 and 4.0 at radius 2.0), and x / side can overflow
+    for a tiny radius; widened, the grid finds every pair that testing all
+    pairs would.
     """
     if not (math.isfinite(radius_m) and radius_m >= 0.0):
         raise ValueError(f"radius_m must be finite and non-negative, got {radius_m!r}")
+    extent = 0.0
     for fact in facts:
         if not (math.isfinite(fact.geo_x) and math.isfinite(fact.geo_y)):
             raise NonFiniteCoordinateError(f"fact {fact.fact_id} has non-finite coordinates")
+        extent = max(extent, abs(fact.geo_x), abs(fact.geo_y))
     for rec in records:
         if not (math.isfinite(rec.geo_x) and math.isfinite(rec.geo_y)):
             raise NonFiniteCoordinateError(f"record {rec.record_id!r} has non-finite coordinates")
+        extent = max(extent, abs(rec.geo_x), abs(rec.geo_y))
+    # with radius_m == 0 only coincident points match, and they share a cell
+    side = radius_m + (radius_m + extent) * 2.0**-50 or 1.0
+    grid: dict[tuple[int, int], list[SurveyRecord]] = {}
+    for rec in records:
+        grid.setdefault((math.floor(rec.geo_x / side), math.floor(rec.geo_y / side)), []).append(rec)
     candidates = []
     for fact in facts:
-        for rec in records:
-            dist = math.hypot(fact.geo_x - rec.geo_x, fact.geo_y - rec.geo_y)
-            if dist <= radius_m:
-                candidates.append((dist, fact.fact_id, rec.record_id))
+        x, y = fact.geo_x, fact.geo_y
+        cx, cy = math.floor(x / side), math.floor(y / side)
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for rec in grid.get((gx, gy), ()):
+                    dist = math.hypot(x - rec.geo_x, y - rec.geo_y)
+                    if dist <= radius_m:
+                        candidates.append((dist, fact.fact_id, rec.record_id))
     candidates.sort()
     used_facts: set[int] = set()
     used_records: set[str] = set()

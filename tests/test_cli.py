@@ -331,6 +331,20 @@ def test_refused_registry_writes_nothing(tmp_path, capsys):
     assert (root / SPECIES.file).read_bytes() == before
 
 
+def test_registry_with_line_break_is_refused(tmp_path, capsys):
+    root = tmp_path / "wh"
+    registry = tmp_path / "reg.csv"
+    registry.write_text(
+        REGISTRY_HEADER + '\npsme,Pseudotsuga menziesii,Douglas-fir,least_concern\n"TS\nHE",x,y,unknown\n',
+        encoding="utf-8",
+    )
+    assert run_cli(["init", "--root", str(root)]) == 0
+    before = (root / SPECIES.file).read_bytes()
+    assert run_cli(["ingest-species", "--root", str(root), "--registry", str(registry)]) == 1
+    assert "reg.csv:3: species text 'TS\\nHE' contains a line break" in capsys.readouterr().err
+    assert (root / SPECIES.file).read_bytes() == before
+
+
 def test_survey_reusing_another_surveys_record_id_is_data_error(tmp_path, capsys):
     registry, manifest, det_dir, class_map, survey = _write_inputs(tmp_path)
     root = tmp_path / "wh"

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from canopydw.errors import (
     DuplicateRecordError,
+    InvalidMetadataError,
     ParseError,
     RangeError,
     SurveyImmutableError,
@@ -280,6 +281,21 @@ def test_refused_registry_writes_nothing(tmp_path):
         assert wh.state.species_by_code == {}
 
 
+def test_registry_with_line_break_writes_nothing(tmp_path):
+    root = tmp_path / "wh"
+    with open_warehouse(root):
+        pass
+    before = (root / SPECIES.file).read_bytes()
+    # line 2 is a new species; the quoted code of line 3 ends on line 4
+    lines = [REGISTRY_HEADER, REGISTRY[1], '"TS', 'HE",Tsuga heterophylla,Western hemlock,unknown']
+    with open_warehouse(root) as wh:
+        with pytest.raises(InvalidMetadataError) as err:
+            ingest_species_registry(wh, [line + "\n" for line in lines], source="reg.csv")
+        assert str(err.value) == "reg.csv:3: species text 'TS\\nHE' contains a line break"
+        assert wh.state.species_by_code == {}
+    assert (root / SPECIES.file).read_bytes() == before
+
+
 # -- surveys --------------------------------------------------------------------------
 
 
@@ -348,6 +364,22 @@ def test_ingest_survey_rejects_bad_rows(wh, line, error):
     assert getattr(err.value, "line_no", 4) == 4 or "s.csv:4" in str(err.value)
     # nothing persisted
     assert wh.list_survey_ids() == []
+
+
+@pytest.mark.parametrize("newline", ["", "\n"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["R2,abc,2,PSME,,,2024-03-01"], "s.csv:4: coordinates are not numbers"),
+        (["R2,1,2,PSME,,,2024-03-01", "R2,1,2,PSME,,,2024-03-01"], "s.csv:5: duplicate record_id 'R2' (also line 4)"),
+    ],
+)
+def test_survey_rows_are_numbered_by_physical_line(wh, newline, rows, message):
+    # the quoted record_id of line 2 ends on line 3
+    lines = [SURVEY_HEADER, '"R1', 'X",1,2,PSME,,,2024-03-01', *rows]
+    with pytest.raises(ParseError) as err:
+        ingest_survey(wh, "plotx", [line + newline for line in lines], source="s.csv")
+    assert str(err.value) == message
 
 
 # -- refusals shared by every CSV source ---------------------------------------------

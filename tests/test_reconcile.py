@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canopydw.errors import NonFiniteCoordinateError
@@ -145,6 +145,83 @@ def test_matching_equals_oracle_on_random_instances():
         got = [(p.fact_id, p.record_id, p.distance_m) for p in match_detections(facts, records, radius).pairs]
         expected = oracle_match(facts, records, radius)
         assert sorted(got) == sorted(expected)
+
+
+def _ulps(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+def _pairs(facts, records, radius):
+    return [(p.fact_id, p.record_id, p.distance_m) for p in match_detections(facts, records, radius).pairs]
+
+
+# Points on cell borders (multiples of the radius from an offset, give or take
+# an ulp) and records exactly one radius away along one axis: the pairs a grid
+# of side radius_m would lose to rounding if it did not widen its cells. Such
+# pairs are rare, hence the larger example count.
+ulps = st.integers(-1, 1)
+lattice_point = st.tuples(st.integers(-2, 2), st.integers(-2, 2), ulps, ulps)
+record_spec = st.tuples(st.integers(0, 7), st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)]), ulps, ulps)
+
+
+@given(
+    radius=st.sampled_from([0.0, 1e-9, 0.7, 2.0]),
+    offset=st.sampled_from([(0.0, 0.0), (600000.0, 5200000.0), (-600000.0, -5200000.0), (-600000.0, 5200000.0)]),
+    points=st.lists(lattice_point, min_size=1, max_size=8),
+    specs=st.lists(record_spec, max_size=8),
+)
+@settings(max_examples=500)
+def test_matching_equals_oracle_on_cell_borders(radius, offset, points, specs):
+    ox, oy = offset
+    facts = [
+        _fact(i, _ulps(ox + k * radius, dx), _ulps(oy + l * radius, dy))
+        for i, (k, l, dx, dy) in enumerate(points, start=1)
+    ]
+    records = []
+    for j, (at, (sx, sy), dx, dy) in enumerate(specs):
+        near = facts[at % len(facts)]
+        records.append(make_record(f"r{j}", _ulps(near.geo_x + sx * radius, dx), _ulps(near.geo_y + sy * radius, dy)))
+    got = _pairs(facts, records, radius)
+    assert got == oracle_match(facts, records, radius)
+    if radius == 0.0:
+        by_id = {r.record_id: r for r in records}
+        for fid, rid, dist in got:
+            assert dist == 0.0
+            assert (facts[fid - 1].geo_x, facts[fid - 1].geo_y) == (by_id[rid].geo_x, by_id[rid].geo_y)
+
+
+@pytest.mark.parametrize(
+    "radius, fact_xy, record_xy",
+    [
+        # x - x' rounds to exactly the radius, and the points sit two cells of
+        # side radius_m apart (0 and 2)
+        (2.0, (1.9999999999999998, 0.0), (4.0, 0.0)),
+        # the smallest negative double and the radius: cells -1 and 1 of side radius_m
+        (0.7, (-5e-324, 0.0), (0.7, 0.0)),
+        (0.7, (0.0, 0.7), (-5e-324, -5e-324)),
+        # adjacent doubles far from the origin, 9.3e-10 apart
+        (1e-9, (5200000.0, -600000.0), (5200000.000000001, -600000.0)),
+        # x / radius_m overflows to infinity for a grid of side radius_m
+        (5e-324, (1e15, 0.0), (1e15, 0.0)),
+    ],
+)
+def test_matching_finds_pairs_across_cell_borders(radius, fact_xy, record_xy):
+    facts, records = [_fact(1, *fact_xy)], [make_record("r", *record_xy)]
+    expected = oracle_match(facts, records, radius)
+    assert len(expected) == 1
+    assert _pairs(facts, records, radius) == expected
+
+
+def test_matching_radius_zero_pairs_only_coincident_points():
+    facts = [_fact(1, 600000.0, 5200000.0), _fact(2, -0.0, 0.0)]
+    records = [
+        make_record("near", math.nextafter(600000.0, math.inf), 5200000.0),
+        make_record("same", 600000.0, 5200000.0),
+        make_record("zero", 0.0, -0.0),
+    ]
+    assert _pairs(facts, records, 0.0) == [(1, "same", 0.0), (2, "zero", 0.0)]
 
 
 # -- metrics ------------------------------------------------------------------------
