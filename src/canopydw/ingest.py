@@ -289,11 +289,12 @@ def ingest_species_registry(handle: Warehouse, lines: Iterable[str], source: str
     Existing codes keep their descriptive fields (first writer wins).
     Unrecognized conservation statuses degrade to "unknown". Every row is
     checked before the first is written, so a refused registry writes
-    nothing.
+    nothing; the rows are then written in one batch.
     """
     rows = _read_csv(lines, REGISTRY_HEADER, "registry", source, _registry_row)
-    for row in rows:
-        handle.upsert_species(*row)
+    with handle.batch():
+        for row in rows:
+            handle.upsert_species(*row)
     return len(rows)
 
 
@@ -324,10 +325,13 @@ def ingest_survey(handle: Warehouse, survey_id: str, lines: Iterable[str], sourc
         rid, gx, gy, code, dbh, height, dated = (c.strip() for c in cells)
         if not rid:
             raise ParseError("empty record_id")
+        code = code.upper()
+        for text in (rid, code):
+            if model.has_line_break(text):
+                raise InvalidMetadataError(f"survey text {text!r} contains a line break")
         first = seen.setdefault(rid, line_no)
         if first != line_no:
             raise ParseError(f"duplicate record_id {rid!r} (also line {first})")
-        code = code.upper()
         if code not in handle.state.species_by_code:
             raise UnknownSpeciesError(f"unknown species code {code!r}")
         try:
@@ -396,37 +400,42 @@ def ingest_image_batch(
     """Load manifest images and their detections into the warehouse.
 
     detection_files maps detection file names (image stem + ".txt") to their
-    lines; images without an entry simply contribute no facts. The facts of
-    one image commit atomically; a bad detection file voids that image's
-    facts (the image row stays) and is recorded in the report. Images
-    already present, byte for byte, are skipped.
+    lines; images without an entry simply contribute no facts. The whole
+    batch is one Warehouse.batch: every changed dimension is rewritten once
+    and all facts commit together, at the end. A bad detection file voids
+    that image's facts (the image row stays) and is recorded in the report.
+    Images already present, byte for byte, are skipped. An exception
+    partway still commits the images before it; a crash before the commit
+    leaves image rows without their facts, which a re-run of the same
+    manifest skips.
     """
     report = IngestReport()
-    for code in class_map.codes:
-        handle.upsert_species(code)
-    for meta in manifest:
-        handle.ensure_date(meta.capture_date_key)
-        known = handle.state.images_by_identity.get((meta.file_name, meta.checksum))
-        if known is not None:
-            report.images_skipped += 1
-            continue
-        image_key = handle.insert_image(meta)
-        report.images_added += 1
-        det_name = detection_file_name(meta.file_name)
-        lines = detection_files.get(det_name)
-        if lines is None:
-            continue
-        try:
-            detections = parse_detection_file(lines, source=det_name)
-            drafts = [
-                _draft_from_detection(meta, image_key, det, class_map, handle)
-                for det in detections
-            ]
-            ids = handle.append_facts(drafts)
-        except (ParseError, RangeError) as exc:
-            report.errors.append(str(exc))
-            continue
-        report.facts_added += len(ids)
+    with handle.batch():
+        for code in class_map.codes:
+            handle.upsert_species(code)
+        for meta in manifest:
+            handle.ensure_date(meta.capture_date_key)
+            known = handle.state.images_by_identity.get((meta.file_name, meta.checksum))
+            if known is not None:
+                report.images_skipped += 1
+                continue
+            image_key = handle.insert_image(meta)
+            report.images_added += 1
+            det_name = detection_file_name(meta.file_name)
+            lines = detection_files.get(det_name)
+            if lines is None:
+                continue
+            try:
+                detections = parse_detection_file(lines, source=det_name)
+                drafts = [
+                    _draft_from_detection(meta, image_key, det, class_map, handle)
+                    for det in detections
+                ]
+                ids = handle.append_facts(drafts)
+            except (ParseError, RangeError) as exc:
+                report.errors.append(str(exc))
+                continue
+            report.facts_added += len(ids)
     return report
 
 

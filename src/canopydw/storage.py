@@ -23,13 +23,17 @@ WarehouseState fields it fills. Parsing, rendering, loading, rewriting,
 stats and file creation all iterate these descriptions: TABLES, DIMENSIONS
 (in load order) and SURVEYS for survey files.
 
-Commit protocol: dimension tables are small and rewritten whole via
-write-then-rename; fact batches are appended with fsync and become visible
-only once the COMMIT marker (also written via rename) records the batch's
-last fact_id. A crash mid-append leaves rows past the marker, which a load
-leaves out and the next rw open deletes, restoring the pre-batch state.
-Dimension rows are never mutated or deleted; the single sanctioned fact
-mutation is the validation annotation.
+Commit protocol: dimension rows and facts are staged by a batch
+(Warehouse.batch; each method that adds them is a batch of its own) and
+committed once, when the outermost batch ends. Each dimension table the
+batch changed is rewritten whole via write-then-rename, in DIMENSIONS
+order; then all the batch's fact rows are appended with one fsync, and they
+become visible only once the COMMIT marker (also written via rename)
+records the batch's last fact_id. A crash before COMMIT moves leaves rows
+past the marker, which a load leaves out and the next rw open deletes: the
+facts are as before the batch, and the batch's dimension rows stay,
+unreferenced. Dimension rows are never mutated or deleted; the single
+sanctioned fact mutation is the validation annotation.
 
 Single-writer, multiple-reader: a handle opened in "rw" mode holds an
 exclusive flock on the LOCK file for its lifetime. The kernel releases it
@@ -59,6 +63,7 @@ import re
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
@@ -100,7 +105,7 @@ SURVEY_DIR = "surveys"
 _SURVEY_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-@dataclass
+@dataclass(eq=False)
 class Table:
     """How one table is stored.
 
@@ -463,11 +468,18 @@ class Warehouse:
         # committed rows only)
         self.table_bytes: dict[str, int] = {}
         self._lock = lock
-        self._mutex = threading.Lock()
+        # held by a batch for its whole length (see batch)
+        self._mutex = threading.RLock()
+        self._batches = 0  # batches open, nested ones included
+        # what the open batch has staged: dimension tables to write anew,
+        # and fact rows to append (not in state until they are written)
+        self._rewrites: set[Table] = set()
+        self._appends: list[FactTreeMetric] = []
         self._closed = False
 
     # Surrogate keys continue past the largest one held. Fact rows are held
-    # in fact_id order (a load refuses any other), so the last one is it.
+    # in fact_id order (a load refuses any other) and staged ones follow
+    # them, so the last one is it.
     @property
     def _next_image_key(self) -> int:
         return max(self.state.images, default=0) + 1
@@ -478,6 +490,8 @@ class Warehouse:
 
     @property
     def _next_fact_id(self) -> int:
+        if self._appends:
+            return self._appends[-1].fact_id + 1
         return next(reversed(self.state.facts), 0) + 1
 
     # -- lifecycle ---------------------------------------------------------
@@ -625,6 +639,59 @@ class Warehouse:
     def _write_commit(self, fact_id: int) -> None:
         _atomic_write(self._path(COMMIT_MARKER), f"{fact_id}\n")
 
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Stage the writes made inside the block; commit them once at its end.
+
+        upsert_species, ensure_date and insert_image put their rows in state
+        at once, and append_facts checks its drafts and assigns their ids at
+        once, but nothing reaches disk until the outermost batch ends. Then
+        each changed dimension is rewritten, in DIMENSIONS order, all fact
+        rows are appended with one fsync, and COMMIT moves once. Each of
+        those methods is a batch of its own, so outside a batch a call has
+        committed when it returns. An exception inside the block still
+        commits what was staged before it, and then propagates. Writes from
+        other threads wait until the batch has committed.
+        """
+        with self._mutex:
+            self._batches += 1
+            try:
+                yield
+            finally:
+                self._batches -= 1
+                if not self._batches:
+                    self._flush()
+
+    def _flush(self) -> None:
+        """Write what the batch staged: dimensions, then facts, then COMMIT.
+
+        A dimension whose rewrite fails stays staged. Staged fact rows are
+        dropped when they cannot all be written; the append is cut back
+        off the file, so COMMIT and the committed rows stay as they were.
+        """
+        rows, self._appends = self._appends, []
+        for table in DIMENSIONS:
+            if table in self._rewrites:
+                self._rewrite(table)
+                self._rewrites.discard(table)
+        if not rows:
+            return
+        data = "".join(FACTS.line(row) + "\n" for row in rows).encode("utf-8")
+        path = self._path(FACTS.file)
+        pre_size = path.stat().st_size
+        try:
+            with open(path, "ab") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+        except OSError:
+            os.truncate(path, pre_size)
+            raise
+        for row in rows:
+            self.state.add_fact(row)
+        self.table_bytes[FACTS.file] += len(data)
+        self._write_commit(rows[-1].fact_id)
+
     # -- mutating operations -----------------------------------------------
 
     def upsert_species(
@@ -647,7 +714,7 @@ class Warehouse:
         for text in (code, scientific_name, common_name):
             if model.has_line_break(text):
                 raise InvalidMetadataError(f"species text {text!r} contains a line break")
-        with self._mutex:
+        with self.batch():
             existing = self.state.species_by_code.get(code)
             if existing is not None:
                 return existing
@@ -660,17 +727,17 @@ class Warehouse:
                 conservation_status=conservation_status,
             )
             self.state.add_species(row)
-            self._rewrite(SPECIES)
+            self._rewrites.add(SPECIES)
             return key
 
     def ensure_date(self, date_key: int) -> int:
         """Materialize the date dimension row for date_key (idempotent)."""
         self._require_writer()
         row = model.derive_date(date_key)
-        with self._mutex:
+        with self.batch():
             if date_key not in self.state.dates:
                 self.state.add_date(row)
-                self._rewrite(DATES)
+                self._rewrites.add(DATES)
         return date_key
 
     def insert_image(self, meta: ImageMeta) -> int:
@@ -679,7 +746,7 @@ class Warehouse:
         problems = model.image_meta_violations(meta)
         if problems:
             raise InvalidMetadataError("; ".join(problems))
-        with self._mutex:
+        with self.batch():
             if meta.capture_date_key not in self.state.dates:
                 raise InvalidMetadataError(
                     f"capture_date_key {meta.capture_date_key} not materialized (call ensure_date first)"
@@ -690,16 +757,17 @@ class Warehouse:
             key = self._next_image_key
             row = DimImage(image_key=key, **meta.__dict__)
             self.state.add_image(row)
-            self._rewrite(IMAGES)
+            self._rewrites.add(IMAGES)
             return key
 
     def append_facts(self, drafts: Sequence[FactDraft]) -> list[int]:
-        """Commit a batch of facts atomically; returns assigned ids in order.
+        """Add facts; returns their assigned ids in order.
 
-        Any invalid fact fails the whole batch before anything is written.
+        Any invalid fact fails the whole call before anything is staged.
+        The rows commit together, with the batch they are staged in.
         """
         self._require_writer()
-        with self._mutex:
+        with self.batch():
             problems = []
             for i, draft in enumerate(drafts):
                 issues = model.fact_field_violations(draft) + model.validate_fact(draft, self.state)
@@ -707,25 +775,9 @@ class Warehouse:
                     problems.append(f"fact {i}: " + "; ".join(issues))
             if problems:
                 raise IntegrityError("; ".join(problems))
-            if not drafts:
-                return []
             first = self._next_fact_id
             rows = [draft.with_id(first + i) for i, draft in enumerate(drafts)]
-            data = "".join(FACTS.line(row) + "\n" for row in rows).encode("utf-8")
-            path = self._path(FACTS.file)
-            pre_size = path.stat().st_size
-            try:
-                with open(path, "ab") as fh:
-                    fh.write(data)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            except OSError:
-                os.truncate(path, pre_size)
-                raise
-            self._write_commit(rows[-1].fact_id)
-            for row in rows:
-                self.state.add_fact(row)
-            self.table_bytes[FACTS.file] += len(data)
+            self._appends += rows
             return [row.fact_id for row in rows]
 
     def rewrite_validation(self, updates: Mapping[int, ValidationUpdate]) -> int:

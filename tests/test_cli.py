@@ -345,6 +345,23 @@ def test_registry_with_line_break_is_refused(tmp_path, capsys):
     assert (root / SPECIES.file).read_bytes() == before
 
 
+def test_survey_with_line_break_is_refused(tmp_path, capsys):
+    registry, *_ = _write_inputs(tmp_path)
+    survey = tmp_path / "s2.csv"
+    survey.write_text(
+        SURVEY_HEADER + '\nt001,5.0,-5.0,PSME,,,2024-01-10\n"R1\nX",1.0,2.0,PSME,,,2024-01-10\n',
+        encoding="utf-8",
+    )
+    root = tmp_path / "wh"
+    assert run_cli(["init", "--root", str(root)]) == 0
+    assert run_cli(["ingest-species", "--root", str(root), "--registry", str(registry)]) == 0
+    capsys.readouterr()
+    assert run_cli(["ingest-survey", "--root", str(root), "--file", str(survey)]) == 1
+    assert "s2.csv:3: survey text 'R1\\nX' contains a line break" in capsys.readouterr().err
+    with open_warehouse(root, "ro") as handle:
+        assert handle.list_survey_ids() == []
+
+
 def test_survey_reusing_another_surveys_record_id_is_data_error(tmp_path, capsys):
     registry, manifest, det_dir, class_map, survey = _write_inputs(tmp_path)
     root = tmp_path / "wh"

@@ -375,11 +375,26 @@ def test_ingest_survey_rejects_bad_rows(wh, line, error):
     ],
 )
 def test_survey_rows_are_numbered_by_physical_line(wh, newline, rows, message):
-    # the quoted record_id of line 2 ends on line 3
-    lines = [SURVEY_HEADER, '"R1', 'X",1,2,PSME,,,2024-03-01', *rows]
+    # the quoted geo_x of line 2 ends on line 3 (a record_id may not hold a
+    # line break; the cells of a number are trimmed)
+    lines = [SURVEY_HEADER, 'R1,"1', '",2,PSME,,,2024-03-01', *rows]
     with pytest.raises(ParseError) as err:
         ingest_survey(wh, "plotx", [line + newline for line in lines], source="s.csv")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "row, text",
+    [(['"R1', 'X",1,2,PSME,,,2024-03-01'], "'R1\\nX'"), (['R1,1,2,"PS', 'ME",,,2024-03-01'], "'PS\\nME'")],
+    ids=["record_id", "species_code"],
+)
+def test_survey_with_line_break_writes_nothing(wh, row, text):
+    # line 2 is a good record; the quoted cell of line 3 ends on line 4
+    lines = [SURVEY_HEADER, "R0,1,2,PSME,,,2024-03-01", *row]
+    with pytest.raises(InvalidMetadataError) as err:
+        ingest_survey(wh, "s2", [line + "\n" for line in lines], source="s2.csv")
+    assert str(err.value) == f"s2.csv:3: survey text {text} contains a line break"
+    assert wh.list_survey_ids() == []
 
 
 # -- refusals shared by every CSV source ---------------------------------------------

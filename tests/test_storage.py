@@ -2,9 +2,12 @@ import contextlib
 import multiprocessing
 import os
 import random
+import sys
+import threading
 
 import pytest
 
+from canopydw import storage
 from canopydw.errors import (
     CorruptTableError,
     DuplicateRecordError,
@@ -18,10 +21,20 @@ from canopydw.errors import (
     UnknownFactError,
     WarehouseError,
 )
-from canopydw.ingest import REGISTRY_HEADER, SURVEY_HEADER, ingest_species_registry, ingest_survey
+from canopydw.ingest import (
+    REGISTRY_HEADER,
+    SURVEY_HEADER,
+    ClassMap,
+    detection_file_name,
+    ingest_image_batch,
+    ingest_species_registry,
+    ingest_survey,
+)
 from canopydw.model import ValidationUpdate, encode_date_key
 from canopydw.storage import (
     FACTS,
+    IMAGES,
+    SPECIES,
     TABLES,
     Warehouse,
     SnapshotCache,
@@ -396,6 +409,191 @@ def test_unterminated_last_row_is_repaired_before_appends(root, marker):
     with open_warehouse(root, "ro") as wh:
         assert sorted(wh.state.facts) == [1, 2, 3]
     assert (root / "COMMIT").read_text() == "3\n"
+
+
+# -- batch commit ------------------------------------------------------------------
+
+
+def _batch_inputs(n, date_key=20240115, first=2):
+    """n new images of one date, each with two detections of PSME (class 0)."""
+    metas = [
+        make_image(image_key=0, file_name=f"img_{i:04d}.jpg", capture_date_key=date_key).meta
+        for i in range(first, first + n)
+    ]
+    dets = {detection_file_name(m.file_name): ["0 0.5 0.5 0.2 0.2 0.9", "0 0.25 0.25 0.1 0.1 0.8"] for m in metas}
+    return metas, dets
+
+
+@contextlib.contextmanager
+def _counted_syncs(monkeypatch):
+    """Counts os.fsync calls and collects the names os.replace replaces."""
+    fsyncs = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        fsyncs.append(fd)
+        real_fsync(fd)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "fsync", fsync)
+        with _replaced_files(monkeypatch) as replaced:
+            yield fsyncs, replaced
+
+
+def test_batch_commits_once_whatever_its_size(tmp_path, monkeypatch):
+    counts = {}
+    for n in (1, 20):
+        root = tmp_path / f"wh{n}"
+        _committed_base(root)  # holds the batch's date and species
+        metas, dets = _batch_inputs(n)
+        with open_warehouse(root) as wh:
+            with _counted_syncs(monkeypatch) as (fsyncs, replaced):
+                report = ingest_image_batch(wh, metas, dets, ClassMap(["PSME"]))
+            assert (report.images_added, report.facts_added) == (n, 2 * n)
+            counts[n] = (len(fsyncs), replaced)
+        with open_warehouse(root, "ro") as wh:
+            assert len(wh.state.images) == 1 + n and len(wh.state.facts) == 2 + 2 * n
+    # dim_image: file and directory; the fact append; COMMIT: file and directory
+    assert counts[1] == counts[20] == (5, [IMAGES.file, "COMMIT"])
+
+
+def test_batch_writes_nothing_until_it_ends(root):
+    before = _committed_base(root)
+    with open_warehouse(root) as wh:
+        with wh.batch():
+            date_key = wh.ensure_date(20240301)
+            key = wh.insert_image(make_image(file_name="b.jpg", capture_date_key=date_key).meta)
+            assert wh.append_facts([make_draft(wh.state.images[key])] * 2) == [3, 4]
+            assert wh.append_facts([make_draft(wh.state.images[key])]) == [5]
+            assert sorted(wh.state.facts) == [1, 2]  # staged rows are not committed yet
+            with open_warehouse(root, "ro") as ro:
+                assert logical_state(ro) == before
+        assert sorted(wh.state.facts) == [1, 2, 3, 4, 5]
+        after = logical_state(wh)
+    with open_warehouse(root, "ro") as wh:
+        assert logical_state(wh) == after
+    assert (root / "COMMIT").read_text() == "5\n"
+
+
+def test_exception_partway_commits_what_was_staged(root):
+    _committed_base(root)
+    metas, dets = _batch_inputs(3)
+    metas[2] = make_image(file_name="bad.jpg", platform="blimp").meta
+    with open_warehouse(root) as wh:
+        with pytest.raises(InvalidMetadataError):
+            ingest_image_batch(wh, metas, dets, ClassMap(["PSME"]))
+        held = logical_state(wh)
+    with open_warehouse(root, "ro") as wh:
+        assert logical_state(wh) == held
+        assert sorted(img.file_name for img in wh.state.images.values()) == ["img_0001.jpg", "img_0002.jpg", "img_0003.jpg"]
+        assert sorted(wh.state.facts) == [1, 2, 3, 4, 5, 6]
+
+
+def test_threads_sharing_a_writer_lose_no_rows(root):
+    before = _committed_base(root)
+    errors = []
+
+    def work(t):
+        try:
+            metas, dets = _batch_inputs(5, first=2 + 5 * t)
+            ingest_image_batch(wh, metas, dets, ClassMap(["PSME"]))
+            for _ in range(5):
+                wh.append_facts([make_draft(wh.state.images[1])])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with open_warehouse(root) as wh:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            held = logical_state(wh)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    with open_warehouse(root, "ro") as wh:
+        assert logical_state(wh) == held
+        assert sorted(wh.state.facts) == list(range(1, len(before[3]) + 4 * 15 + 1))
+        assert len(wh.state.images) == 1 + 4 * 5
+
+
+def _ingest_and_die(root, crash_at):
+    """Ingests a batch that changes every dimension and exits at crash_at."""
+    real_write = storage._atomic_write
+
+    def atomic_write(path, text):
+        if path.name == "COMMIT":  # the facts are appended, COMMIT not yet moved
+            os._exit(0)
+        written = real_write(path, text)
+        if path.name == crash_at:  # the last dimension is rewritten, no fact appended
+            os._exit(0)
+        return written
+
+    storage._atomic_write = atomic_write
+    metas, dets = _batch_inputs(4, date_key=20240301)
+    with open_warehouse(root) as wh:
+        ingest_image_batch(wh, metas, dets, ClassMap(["PSME", "TSHE"]))
+    os._exit(1)  # not reached: the batch commits after its last rewrite
+
+
+@pytest.mark.parametrize("crash_at", [IMAGES.file, "COMMIT"], ids=["before-append", "before-commit"])
+def test_crash_between_dimension_rewrites_and_commit(root, crash_at):
+    before = _committed_base(root)
+    committed_facts = (root / FACT_TABLE).read_bytes()
+    p = multiprocessing.get_context("spawn").Process(target=_ingest_and_die, args=(root, crash_at))
+    p.start()
+    p.join(60)
+    assert p.exitcode == 0
+    # the dimension rewrites reached disk, COMMIT did not move
+    assert b"TSHE" in (root / SPECIES.file).read_bytes()
+    assert b"img_0005.jpg" in (root / IMAGES.file).read_bytes()
+    assert (root / "COMMIT").read_text() == "2\n"
+    facts_on_disk = (root / FACT_TABLE).read_bytes()
+    assert facts_on_disk.startswith(committed_facts)
+    assert (facts_on_disk != committed_facts) == (crash_at == "COMMIT")
+    for mode in ("ro", "rw"):
+        with open_warehouse(root, mode) as wh:
+            assert sorted(wh.state.facts.items()) == before[3]
+            assert len(wh.state.images) == 5  # image rows without their facts
+    # the rw open dropped the uncommitted rows
+    assert (root / FACT_TABLE).read_bytes() == committed_facts
+    # a re-run of the same manifest skips the images whose facts were lost
+    metas, dets = _batch_inputs(4, date_key=20240301)
+    with open_warehouse(root) as wh:
+        report = ingest_image_batch(wh, metas, dets, ClassMap(["PSME", "TSHE"]))
+    assert (report.images_added, report.images_skipped, report.facts_added) == (0, 4, 0)
+
+
+def test_failed_fact_append_leaves_commit_and_facts(root, monkeypatch):
+    before = _committed_base(root)
+    committed_facts = (root / FACT_TABLE).read_bytes()
+    fact_ino = (root / FACT_TABLE).stat().st_ino
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if os.fstat(fd).st_ino == fact_ino:
+            raise OSError(5, "injected fsync failure")
+        real_fsync(fd)
+
+    metas, dets = _batch_inputs(3)
+    with open_warehouse(root) as wh:
+        with monkeypatch.context() as m:
+            m.setattr(os, "fsync", fsync)
+            with pytest.raises(OSError, match="injected"):
+                ingest_image_batch(wh, metas, dets, ClassMap(["PSME"]))
+        assert (root / "COMMIT").read_text() == "2\n"
+        assert (root / FACT_TABLE).read_bytes() == committed_facts
+        assert sorted(wh.state.facts.items()) == before[3]
+        # the handle goes on from the committed facts: no fact_id was burned
+        assert wh.append_facts([make_draft(wh.state.images[2])]) == [3]
+    with open_warehouse(root, "ro") as wh:
+        assert sorted(wh.state.facts) == [1, 2, 3]
+        assert len(wh.state.images) == 4
 
 
 # -- corrupt dimension tables ---------------------------------------------------------
