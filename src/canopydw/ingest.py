@@ -63,9 +63,6 @@ class ClassMap:
             cleaned.append(code)
         self.codes = tuple(cleaned)
 
-    def __len__(self) -> int:
-        return len(self.codes)
-
     def code_for(self, class_id: int) -> str:
         if not 0 <= class_id < len(self.codes):
             raise RangeError(f"class_id {class_id} outside class map of size {len(self.codes)}")

@@ -30,10 +30,11 @@ batch changed is rewritten whole via write-then-rename, in DIMENSIONS
 order; then all the batch's fact rows are appended with one fsync, and they
 become visible only once the COMMIT marker (also written via rename)
 records the batch's last fact_id. A crash before COMMIT moves leaves rows
-past the marker, which a load leaves out and the next rw open deletes: the
-facts are as before the batch, and the batch's dimension rows stay,
-unreferenced. Dimension rows are never mutated or deleted; the single
-sanctioned fact mutation is the validation annotation.
+past the marker. A load reads the committed rows up to the first row past
+the marker or a torn last line, and nothing after them; the next rw open
+cuts the rest off. The facts are as before the batch, and the batch's
+dimension rows stay, unreferenced. Dimension rows are never mutated or
+deleted; the single sanctioned fact mutation is the validation annotation.
 
 Single-writer, multiple-reader: a handle opened in "rw" mode holds an
 exclusive flock on the LOCK file for its lifetime. The kernel releases it
@@ -51,13 +52,14 @@ the reader gets to its table.
 Every open is a SnapshotCache load, which alone reads this order. A
 long-lived process keeps one cache current, parsing only what changed;
 open_warehouse is the one-shot form, a cache built, used once and closed.
+A load continues each table from Warehouse.table_bytes, the bytes of the
+rows already held: from byte 0 and the header on a first load.
 """
 
 from __future__ import annotations
 
 import csv
 import fcntl
-import hashlib
 import os
 import re
 import sys
@@ -112,8 +114,8 @@ class Table:
     header names the columns; the first is the key. cells gives a row's
     cells in header order (default: the row's attributes named by the
     header); row builds a row from the cells of a line and raises
-    ValueError on a bad cell. fields are the WarehouseState fields the
-    table fills, its rows by key first. A dimension also has check, which
+    ValueError on a bad cell. state_field names the WarehouseState dict
+    that holds the table's rows by key. A dimension also has check, which
     returns why a loaded row is refused given the rows loaded before it
     (None: accepted), and add, which puts an accepted row into the state.
     """
@@ -122,7 +124,7 @@ class Table:
     header: str
     row: Callable[..., Any]
     cells: Callable[[Any], Sequence[object]] | None = None
-    fields: tuple[str, ...] = ()
+    state_field: str = ""
     check: Callable[[WarehouseState, Any], str | None] | None = None
     add: Callable[[WarehouseState, Any], None] | None = None
     key: str = field(init=False)
@@ -142,7 +144,7 @@ class Table:
 
     def rows(self, state: WarehouseState) -> dict:
         """The table's rows in state, by key."""
-        return getattr(state, self.fields[0])
+        return getattr(state, self.state_field)
 
     def line(self, row) -> str:
         return csv_line(self.cells(row))
@@ -272,7 +274,7 @@ DATES = Table(
     "dim_date.tbl",
     "date_key,year,quarter,month,day,day_of_year",
     row=lambda cells: DimDate(*map(int, cells)),
-    fields=("dates",),
+    state_field="dates",
     check=_date_problem,
     add=WarehouseState.add_date,
 )
@@ -282,7 +284,7 @@ IMAGES = Table(
     "gsd_cm_per_px,gt_origin_x,gt_origin_y,gt_a,gt_b,gt_d,gt_e,size_bytes,checksum",
     row=_image_row,
     cells=_image_cells,
-    fields=("images", "images_by_identity"),
+    state_field="images",
     check=_image_problem,
     add=WarehouseState.add_image,
 )
@@ -290,7 +292,7 @@ SPECIES = Table(
     "dim_species.tbl",
     "species_key,code,scientific_name,common_name,conservation_status",
     row=lambda cells: DimSpecies(int(cells[0]), *cells[1:]),
-    fields=("species", "species_by_code"),
+    state_field="species",
     check=_species_problem,
     add=WarehouseState.add_species,
 )
@@ -300,7 +302,7 @@ FACTS = Table(
     "confidence,geo_x,geo_y,height_m,dbh_cm,validation,matched_record_id",
     row=_fact_row,
     cells=_fact_cells,
-    fields=("facts",),
+    state_field="facts",
 )
 # one file per survey, under SURVEY_DIR
 SURVEYS = Table(
@@ -406,10 +408,6 @@ def _table_rows(path: Path, data: bytes, table: Table, line_no: int = 1) -> Iter
         yield i, row
 
 
-def _digest(data: bytes | memoryview) -> bytes:
-    return hashlib.blake2b(data, digest_size=16).digest()
-
-
 @dataclass(frozen=True)
 class TableStats:
     name: str
@@ -464,8 +462,9 @@ class Warehouse:
         self.mode = mode
         self.state = WarehouseState()
         # per table file: the bytes of the rows this handle holds, as the
-        # load read them or the last write wrote them (facts: header and
-        # committed rows only)
+        # load read them or the last write wrote them (facts: the header
+        # and the committed rows, each with its newline); loads continue
+        # from here
         self.table_bytes: dict[str, int] = {}
         self._lock = lock
         # held by a batch for its whole length (see batch)
@@ -524,16 +523,18 @@ class Warehouse:
 
     # -- loading -----------------------------------------------------------
 
-    def _load_dimension(self, table: Table, data: bytes, loaded: int = 0, line_no: int = 1) -> None:
-        """Add the rows of data, a dimension file's bytes, past byte loaded.
+    def _load_dimension(self, table: Table, data: bytes) -> None:
+        """Add the rows of data, a dimension file's bytes, past the bytes held.
 
-        Line line_no starts at byte loaded; line 1 is the header. Every row
-        before it is already in self.state, so a tail refresh runs the same
+        With none held this starts at the header line. Otherwise every row
+        in the held bytes is already in self.state, one line each (a load
+        refuses blank and duplicate lines), so a tail refresh runs the same
         row checks as a full load.
         """
         path = self._path(table.file)
         rows = table.rows(self.state)
-        for line_no, row in _table_rows(path, data[loaded:], table, line_no):
+        held = self.table_bytes.get(table.file, 0)
+        for line_no, row in _table_rows(path, data[held:], table, len(rows) + 2 if held else 1):
             key = getattr(row, table.key)
             try:
                 problem = f"duplicate {table.key} {key}" if key in rows else table.check(self.state, row)
@@ -544,75 +545,56 @@ class Warehouse:
             table.add(self.state, row)
         self.table_bytes[table.file] = len(data)
 
-    def _load_facts(
-        self, fh: BinaryIO, committed: int | None, offset: int = 0, line_no: int = 1
-    ) -> tuple[int, int] | None:
-        """Add the fact rows stored in fh from byte offset on, up to committed.
+    def _load_facts(self, fh: BinaryIO, committed: int | None) -> None:
+        """Add the committed fact rows stored in fh past the bytes held.
 
-        Offset 0 is a full load and starts at the header line. Otherwise
-        (offset, line_no) is a point an earlier call returned, and every row
-        before it is already in self.state, so a tail refresh runs the same
-        row checks as a full load. Returns the point past the leading run of
-        newline-terminated rows this call accepted, where a later call may
-        resume; None when a row was accepted after one that was left out, so
-        that only a full load reproduces the result. It writes nothing: rows
-        left out stay in the file until SnapshotCache.open_writer drops them.
+        With none held this starts at the header line; otherwise, as for a
+        dimension, every held row is one line already in self.state. The
+        committed rows end at the first row past committed, or at a torn
+        last line; nothing after that point is read. Each row counts its
+        bytes and a newline, so the bytes held differ from the file's size
+        exactly when the file holds more than the committed rows or its last
+        row has no newline. It writes nothing: SnapshotCache.open_writer cuts
+        such a file back to the rows held.
         """
         path = self._path(FACTS.file)
-        fh.seek(offset)
+        held = self.table_bytes.get(FACTS.file, 0)
+        fh.seek(held)
         lines = fh.read().split(b"\n")
-        terminated = len(lines) - 1  # lines that end in a newline
         if lines[-1] == b"":
             lines.pop()
-        if offset == 0:
+        if not held:
             if not lines or lines[0] != FACTS.header.encode():
                 raise CorruptTableError(path, 1, f"bad header, expected {FACTS.header!r}")
-            first, size = 1, len(lines[0]) + 1
-        else:
-            first, size = 0, self.table_bytes[FACTS.file]
+            self.table_bytes[FACTS.file] = len(lines.pop(0)) + 1
+        line_no = len(self.state.facts) + 2
         last_line_no = line_no + len(lines) - 1
         prev_id = next(reversed(self.state.facts), None)
-        rows: list[FactTreeMetric] = []
         keys: dict[str, int] = {}
         parse = FACTS.parse
-        gap = None  # index of the first line left out
-        for i in range(first, len(lines)):
+        for i, line in enumerate(lines, start=line_no):
             try:
-                cells = next(csv.reader([lines[i].decode("utf-8")]))
-                row = parse(cells, keys)
+                row = parse(next(csv.reader([line.decode("utf-8")])), keys)
             except (csv.Error, StopIteration, ValueError) as exc:
-                if line_no + i == last_line_no:
-                    # torn trailing write from an interrupted append
-                    if gap is None:
-                        gap = i
-                    break
-                raise CorruptTableError(path, line_no + i, f"unparseable fact row: {exc}")
+                if i == last_line_no:
+                    break  # torn trailing write from an interrupted append
+                raise CorruptTableError(path, i, f"unparseable fact row: {exc}")
             if committed is not None and row.fact_id > committed:
-                # appended but never committed
-                if gap is None:
-                    gap = i
-                continue
+                break  # appended but never committed
             if prev_id is not None and row.fact_id <= prev_id:
-                raise CorruptTableError(path, line_no + i, f"fact_id {row.fact_id} out of order")
+                raise CorruptTableError(path, i, f"fact_id {row.fact_id} out of order")
             problems = model.fact_field_violations(row)
             if problems:
-                raise CorruptTableError(path, line_no + i, "; ".join(problems))
+                raise CorruptTableError(path, i, "; ".join(problems))
             fk = model.validate_fact(row, self.state)
             if fk:
-                raise IntegrityError(f"{path}:{line_no + i}: fact {row.fact_id}: " + "; ".join(fk))
-            rows.append(row)
-            size += len(lines[i]) + 1
+                raise IntegrityError(f"{path}:{i}: fact {row.fact_id}: " + "; ".join(fk))
+            self.state.add_fact(row)
+            self.table_bytes[FACTS.file] += len(line) + 1
             prev_id = row.fact_id
         max_id = prev_id or 0
         if committed is not None and max_id < committed:
             raise CorruptTableError(path, last_line_no, f"commit marker {committed} exceeds last stored fact_id {max_id}")
-        for row in rows:
-            self.state.add_fact(row)
-        self.table_bytes[FACTS.file] = size
-        unbroken = len(lines) if gap is None else gap
-        if first + len(rows) != unbroken or unbroken > terminated:
-            return None
-        return offset + sum(map(len, lines[:unbroken])) + unbroken, line_no + unbroken
 
     def _read_commit_marker(self) -> int | None:
         path = self._path(COMMIT_MARKER)
@@ -912,15 +894,16 @@ class SnapshotCache:
     same order and through the same row checks, but parses only what is new
     since the last call:
     - a dimension file is re-read when its (inode, size, mtime) changed. A
-      writer rewrites it whole, sorted by key; when the bytes loaded before
-      are still its first bytes (checked by digest), only the lines after
+      writer rewrites it whole, sorted by key; when the bytes held before
+      end in a newline and are still its first bytes, only the lines after
       them are parsed. Otherwise everything is reloaded.
     - the fact file is held open, so that its inode number cannot be
-      reused, and parsed only past the last committed row already loaded.
+      reused, and parsed only past the bytes of the committed rows held.
       A fact file with a new inode (rewritten by rewrite_validation or by
-      crash recovery) is reloaded whole.
+      crash recovery), or whose last row held has no newline, is reloaded
+      whole.
     A returned Warehouse is never changed afterwards: a refresh that finds
-    changes publishes a new one, built from copies of the old dicts.
+    changes publishes a new one, built from a copy of the old state.
 
     open_writer() gives a read-write handle built on the same rows, so that
     a writer does not hold a second copy of the fact table next to the
@@ -931,27 +914,25 @@ class SnapshotCache:
         self.root = Path(root)
         self._mutex = threading.Lock()
         self._handle: Warehouse | None = None
-        # per dimension file: (inode, size, mtime), bytes loaded (None: not
-        # a whole number of lines), digest of those bytes, next line number
-        self._dims: dict[str, tuple[tuple[int, int, int], int | None, bytes, int]] = {}
+        # per dimension file: (inode, size, mtime) and the bytes held
+        self._dims: dict[str, tuple[tuple[int, int, int], bytes]] = {}
         self._facts_fh: BinaryIO | None = None
         self._facts_key: tuple[int | None, int] | None = None  # (COMMIT, file size)
-        self._resume: tuple[int, int] | None = None
 
     def close(self) -> None:
         with self._mutex:
             if self._facts_fh is not None:
                 self._facts_fh.close()
-            self._facts_fh = self._handle = self._resume = None
+            self._facts_fh = self._handle = None
 
     def open_writer(self, lock_timeout: float = 10.0) -> Warehouse:
         """A read-write handle on the root, built on the cached rows.
 
         Under the writer lock it creates the root and any missing table
-        file, refreshes the snapshot, drops fact rows that are not
-        committed or not whole by rewriting the fact file, and writes the
-        COMMIT marker when it is missing. The handle gets its own dicts;
-        the frozen rows in them are shared with the snapshot.
+        file, refreshes the snapshot, cuts the fact file back to the
+        committed rows by rewriting it when it holds more bytes than those,
+        and writes the COMMIT marker when it is missing. The handle gets
+        its own dicts; the frozen rows in them are shared with the snapshot.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         lock = FileLock(self.root / LOCK_FILE)
@@ -963,13 +944,13 @@ class SnapshotCache:
                     _atomic_write(path, table.text(()))
             with self._mutex:
                 snap = self._refresh(self._handle)
-                (committed, size), resume = self._facts_key, self._resume
+                committed, size = self._facts_key
             wh = Warehouse(self.root, "rw", lock)
             wh.state = snap.state.copy()
             wh.table_bytes = dict(snap.table_bytes)
-            if resume is None or resume[0] != size:
-                # drop the rows left out, and end the last row with a newline
-                # so that the next append starts a line of its own
+            if wh.table_bytes[FACTS.file] != size:
+                # drop the rows past the committed ones, and end the last row
+                # with a newline so that the next append starts a line of its own
                 wh._rewrite(FACTS)
             if committed is None:
                 # marker missing (externally assembled warehouse): adopt as-is
@@ -987,55 +968,49 @@ class SnapshotCache:
         """Bring the snapshot up to date from old (None: load everything)."""
         new = Warehouse(self.root, "ro", None)
         committed = new._read_commit_marker()
-        keys, tables = {}, {}
+        dims, tables = dict(self._dims), {}
         for table in reversed(DIMENSIONS):  # see "Read order" in the module docstring
             path = new._path(table.file)
-            keys[table.file] = _file_key(path)
-            if old is None or self._dims[table.file][0] != keys[table.file]:
+            key = _file_key(path)
+            if old is None or dims[table.file][0] != key:
                 tables[table.file] = _read_bytes(path)
-        if old is not None:
-            new.table_bytes = dict(old.table_bytes)
-        dims = {}
-        for table in DIMENSIONS:
-            data = tables.get(table.file)
-            if data is None:
-                for f in table.fields:
-                    setattr(new.state, f, getattr(old.state, f))
-                dims[table.file] = self._dims[table.file]
-                continue
-            loaded, line_no = 0, 1
-            if old is not None:
-                _, loaded, digest, line_no = self._dims[table.file]
-                if loaded is None or len(data) < loaded or _digest(memoryview(data)[:loaded]) != digest:
-                    # rows loaded before have changed: check everything again
-                    return self._refresh(None)
-                for f in table.fields:
-                    setattr(new.state, f, dict(getattr(old.state, f)))
-            new._load_dimension(table, data, loaded, line_no)
-            # only whole lines can be extended by a later rewrite
-            loaded = len(data) if data.endswith(b"\n") else None
-            dims[table.file] = (keys[table.file], loaded, _digest(data), data.count(b"\n") + 1)
+                dims[table.file] = key, tables[table.file]
         path = new._path(FACTS.file)
         ino, size, _ = _file_key(path)
         facts_key = (committed, size)
         fh = self._facts_fh
-        if old is None or self._resume is None or os.fstat(fh.fileno()).st_ino != ino:
+        reload = (
+            old is None
+            or os.fstat(fh.fileno()).st_ino != ino
+            # as for a dimension, only held bytes that end in a newline are
+            # continued: a held last row without one ends past the file's end
+            or old.table_bytes[FACTS.file] > self._facts_key[1]
+        )
+        if not (reload or tables or facts_key != self._facts_key):
+            return old
+        if old is not None:
+            new.state, new.table_bytes = old.state.copy(), dict(old.table_bytes)
+        for table in DIMENSIONS:
+            data = tables.get(table.file)
+            if data is None:
+                continue
+            if old is not None:
+                held = self._dims[table.file][1]
+                if not (held.endswith(b"\n") and data.startswith(held)):
+                    # rows loaded before have changed: check everything again
+                    return self._refresh(None)
+            new._load_dimension(table, data)
+        if reload:
+            new.state.facts, new.table_bytes[FACTS.file] = {}, 0
             fh = open(path, "rb")
             try:
-                resume = new._load_facts(fh, committed)
+                new._load_facts(fh, committed)
             except BaseException:
                 fh.close()
                 raise
         elif facts_key != self._facts_key:
-            new.state.facts = dict(old.state.facts)
-            resume = new._load_facts(fh, committed, *self._resume)
-        elif not tables:
-            return old
-        else:
-            new.state.facts = old.state.facts
-            resume = self._resume
+            new._load_facts(fh, committed)
         if fh is not self._facts_fh and self._facts_fh is not None:
             self._facts_fh.close()
-        self._handle, self._dims, self._facts_fh = new, dims, fh
-        self._facts_key, self._resume = facts_key, resume
+        self._handle, self._dims, self._facts_fh, self._facts_key = new, dims, fh, facts_key
         return new

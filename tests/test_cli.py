@@ -5,8 +5,18 @@ import pytest
 from canopydw import __version__
 from canopydw.cli import ROOT_ENV_VAR, run_cli
 from canopydw.ingest import MANIFEST_HEADER, REGISTRY_HEADER, SURVEY_HEADER, render_manifest_row
-from canopydw.query import GROUP_KEYS, MEASURES, QUERY_OPTIONS, QuerySpec, run_query, spec_from_strings
+from canopydw.query import (
+    GROUP_KEYS,
+    MEASURES,
+    QUERY_OPTIONS,
+    QuerySpec,
+    image_usage_report,
+    run_query,
+    spec_from_strings,
+    species_trend,
+)
 from canopydw.reconcile import metrics_csv, reconcile_warehouse
+from canopydw.report import text_table
 from canopydw.storage import SPECIES, open_warehouse
 
 from helpers import EMPTY_LIST_REFUSALS, make_draft, make_image
@@ -226,6 +236,24 @@ def test_query_flag_matches_library(query_root, name, capsys):
         expected = run_query(handle, spec_from_strings({name: value})).to_csv()
         assert expected != run_query(handle, spec_from_strings({})).to_csv()
     assert capsys.readouterr().out == expected
+
+
+# each table command with the default --format table, and the library call it prints
+TABLE_COMMANDS = {
+    "query": ([], lambda handle: run_query(handle, spec_from_strings({}))),
+    "trend": (["--species-code", "PSME"], lambda handle: species_trend(handle, "PSME", "month")),
+    "image-usage": ([], image_usage_report),
+}
+
+
+@pytest.mark.parametrize("command", list(TABLE_COMMANDS))
+def test_table_format_prints_the_aligned_table(query_root, command, capsys):
+    args, library = TABLE_COMMANDS[command]
+    assert run_cli([command, "--root", str(query_root), *args]) == 0
+    with open_warehouse(query_root, "ro") as handle:
+        table = library(handle)
+    assert table.rows
+    assert capsys.readouterr().out == text_table(table.columns, table.rows) + "\n"
 
 
 def test_query_help_names_every_group_key_and_measure(capsys):

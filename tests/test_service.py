@@ -1,4 +1,6 @@
 import http.client
+import json
+import re
 import sys
 import threading
 import time
@@ -6,6 +8,7 @@ import time
 import pytest
 import requests
 
+from canopydw import service
 from canopydw.capacity import estimate_from_warehouse
 from canopydw.query import run_query, spec_from_strings
 from canopydw.report import render_cell
@@ -151,6 +154,22 @@ def test_missing_content_length_400(root):
             conn.putrequest("POST", "/v1/reconcile")
             conn.endheaders()
             assert conn.getresponse().status == 400
+        finally:
+            conn.close()
+
+
+@pytest.mark.parametrize("length", ["ten", "-1"])
+def test_bad_content_length_400(root, length):
+    with running_server(root) as base:
+        host, port = base.removeprefix("http://").rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/reconcile")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read()) == {"error": "bad Content-Length"}
         finally:
             conn.close()
 
@@ -338,6 +357,23 @@ def test_post_survey_unknown_field_400(root):
         assert "elevation" in r.json()["error"]
 
 
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ({"rows": []}, "survey_id is required"),
+        ({"survey_id": "s1", "rows": {"record_id": "t1"}}, "rows must be a list of record objects"),
+        ({"survey_id": "s1", "rows": [["t1", 1.0, 1.0]]}, "row 0 is not an object"),
+    ],
+    ids=["no-survey-id", "rows-not-a-list", "row-not-an-object"],
+)
+def test_post_survey_shape_400(root, body, error):
+    with running_server(root) as base:
+        r = requests.post(f"{base}/v1/surveys", json=body, timeout=10)
+        assert (r.status_code, r.json()) == (400, {"error": error})
+    with open_warehouse(root, "ro") as handle:
+        assert handle.list_survey_ids() == []
+
+
 def test_post_reconcile_bad_radius_400(root):
     with running_server(root) as base:
         r = requests.post(f"{base}/v1/reconcile", json={"radius_m": "wide"}, timeout=10)
@@ -400,6 +436,27 @@ def test_estimate_endpoint(reference_root):
 
         assert requests.get(f"{base}/v1/estimate", params={"years": -2}, timeout=10).status_code == 400
         assert requests.get(f"{base}/v1/estimate", params={"horizon": 5}, timeout=10).status_code == 400
+
+
+def test_estimate_endpoint_refuses_non_integer_years(root):
+    with running_server(root) as base:
+        r = requests.get(f"{base}/v1/estimate", params={"years": "ten"}, timeout=10)
+        assert (r.status_code, r.json()) == (400, {"error": "years and events_per_year must be integers"})
+
+
+def test_unhandled_error_is_500_with_the_id_it_logs(root, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected query failure")
+
+    monkeypatch.setattr(service, "run_query", fail)
+    with running_server(root) as base:
+        r = requests.get(f"{base}/v1/query", timeout=10)
+    assert r.status_code == 500
+    match = re.fullmatch(r"internal error \(id ([0-9a-f]{12})\)", r.json()["error"])
+    assert match
+    err = capsys.readouterr().err
+    assert f"[canopydw:{match.group(1)}] unhandled error:" in err
+    assert "RuntimeError: injected query failure" in err
 
 
 def test_estimate_endpoint_refuses_zero_events_per_year(reference_root):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import multiprocessing
 import os
 import random
@@ -225,6 +226,10 @@ def _replaced_files(monkeypatch):
         yield replaced
 
 
+def _failing_atomic_write(path, text):
+    raise OSError(28, "injected write failure")
+
+
 def test_rewrite_validation_replaces_only_the_fact_file(root, monkeypatch):
     with _base(root) as wh:
         image = wh.state.images[1]
@@ -242,6 +247,35 @@ def test_rewrite_validation_unknown_fact(root):
         with pytest.raises(UnknownFactError):
             wh.rewrite_validation({7: ValidationUpdate("unmatched", None)})
         assert wh.rewrite_validation({}) == 0
+
+
+def test_rewrite_validation_refuses_bad_state_before_writing(root, monkeypatch):
+    with _base(root) as wh:
+        wh.append_facts([make_draft(wh.state.images[1])])
+        stored = (root / FACT_TABLE).read_bytes()
+        with _replaced_files(monkeypatch) as replaced:
+            with pytest.raises(UnknownFactError, match="fact 1: bad validation state 'bogus'"):
+                wh.rewrite_validation({1: ValidationUpdate("bogus", None)})
+        assert replaced == []
+        assert wh.state.facts[1].validation == "unvalidated"
+    assert (root / FACT_TABLE).read_bytes() == stored
+
+
+def test_failed_rewrite_validation_leaves_facts_and_file(root, monkeypatch):
+    with _base(root) as wh:
+        wh.append_facts([make_draft(wh.state.images[1])] * 2)
+        facts, table_bytes = dict(wh.state.facts), dict(wh.table_bytes)
+        stored = (root / FACT_TABLE).read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(storage, "_atomic_write", _failing_atomic_write)
+            with pytest.raises(OSError, match="injected"):
+                wh.rewrite_validation({2: ValidationUpdate("unmatched", None)})
+        assert (wh.state.facts, wh.table_bytes) == (facts, table_bytes)
+        assert (root / FACT_TABLE).read_bytes() == stored
+        # the handle goes on from the rows it held
+        assert wh.rewrite_validation({2: ValidationUpdate("unmatched", None)}) == 1
+    with open_warehouse(root, "ro") as wh:
+        assert wh.state.facts[2].validation == "unmatched"
 
 
 def test_rewrite_validation_keeps_measures_when_update_omits_them(root):
@@ -337,6 +371,45 @@ def test_repairing_open_replaces_only_the_fact_file(root, monkeypatch, tail):
     assert replaced == [FACT_TABLE]
     assert (root / "COMMIT").read_text() == "2\n"
     assert not (root / FACT_TABLE).read_text().endswith(tail)
+
+
+def _uncommitted_row(fact_id):
+    return f"{fact_id},20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,\n"
+
+
+def test_failed_repair_releases_the_lock(root, monkeypatch):
+    _committed_base(root)
+    with open(root / FACT_TABLE, "a") as fh:
+        fh.write(_uncommitted_row(3))
+    with monkeypatch.context() as m:
+        m.setattr(storage, "_atomic_write", _failing_atomic_write)
+        with pytest.raises(OSError, match="injected"):
+            open_warehouse(root)
+    with open_warehouse(root, lock_timeout=0.05) as wh:  # the lock is free
+        assert sorted(wh.state.facts) == [1, 2]
+    assert "\n3,20240115," not in (root / FACT_TABLE).read_text()
+
+
+def test_recovery_reads_nothing_past_the_first_uncommitted_row(root):
+    before = _committed_base(root)
+    committed_facts = (root / FACT_TABLE).read_bytes()
+    with open(root / FACT_TABLE, "a") as fh:  # garbage that only a load past row 3 would see
+        fh.write(_uncommitted_row(3) + "not,a,fact,row\n" + _uncommitted_row(4))
+    with open_warehouse(root, "ro") as wh:
+        assert logical_state(wh) == before
+    with open_warehouse(root) as wh:
+        assert logical_state(wh) == before
+    assert (root / FACT_TABLE).read_bytes() == committed_facts
+
+
+@pytest.mark.parametrize("mode", ["ro", "rw"])
+def test_recovery_rejects_committed_row_after_uncommitted_one(root, mode):
+    _committed_base(root)
+    with open(root / FACT_TABLE, "a") as fh:  # fact ids 1, 2, 9, 3
+        fh.write(_uncommitted_row(9) + _uncommitted_row(3))
+    (root / "COMMIT").write_text("3\n")
+    with pytest.raises(CorruptTableError, match="commit marker 3 exceeds last stored fact_id 2"):
+        open_warehouse(root, mode)
 
 
 def test_recovery_rejects_marker_ahead_of_data(root):
@@ -596,7 +669,7 @@ def test_failed_fact_append_leaves_commit_and_facts(root, monkeypatch):
         assert len(wh.state.images) == 4
 
 
-# -- corrupt dimension tables ---------------------------------------------------------
+# -- corrupt tables -------------------------------------------------------------------
 
 
 def _cell(i, value):
@@ -651,6 +724,12 @@ CORRUPT_TABLE_CASES = {
     "image-missing-date": (
         "dim_image.tbl", 3, _cell(3, "20240117"), IntegrityError, "image 2 references missing date 20240117"
     ),
+    "fact-order": ("fact_tree_metrics.tbl", 3, _cell(0, "1"), CorruptTableError, "fact_id 1 out of order"),
+    "fact-confidence": (
+        "fact_tree_metrics.tbl", 2, _cell(8, "1.5"), CorruptTableError, "confidence outside [0, 1]"
+    ),
+    "commit-text": ("COMMIT", 1, _cell(0, "x"), CorruptTableError, "bad commit marker 'x'"),
+    "commit-negative": ("COMMIT", 1, _cell(0, "-1"), CorruptTableError, "negative commit marker -1"),
 }
 
 
@@ -790,6 +869,25 @@ def test_read_snapshot_matches_fresh_open(root):
         # a handle once returned is never changed by later refreshes
         for handle, state in seen:
             assert logical_state(handle) == state
+    finally:
+        snap.close()
+
+
+def test_snapshot_rereads_an_extended_unterminated_row(root):
+    _committed_base(root)
+    with open_warehouse(root) as wh:
+        wh.rewrite_validation({2: ValidationUpdate("confirmed", "R1")})
+    path = root / FACT_TABLE
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))  # the last row loses its newline
+    snap = SnapshotCache(root)
+    try:
+        assert snap.current().state.facts[2].matched_record_id == "R1"
+        with open(path, "ab") as fh:  # the last row's record id grows, then the newline comes
+            fh.write(b"0\n")
+        handle = snap.current()
+        assert handle.state.facts[2].matched_record_id == "R10"
+        with open_warehouse(root, "ro") as fresh:
+            assert logical_state(handle) == logical_state(fresh)
     finally:
         snap.close()
 
@@ -999,3 +1097,31 @@ def test_fact_header_exact(root):
         "fact_id,date_key,image_key,species_key,bbox_cx,bbox_cy,bbox_w,bbox_h,"
         "confidence,geo_x,geo_y,height_m,dbh_cm,validation,matched_record_id"
     )
+
+
+# -- stored bytes ----------------------------------------------------------------------
+
+STORED_FILES = (*(t.file for t in TABLES), "COMMIT")
+REFERENCE_DIGESTS = {
+    "dim_date.tbl": "236a072468aedb9bb783a97bae6e49411923c3d64d63312467a4cf6955088e5a",
+    "dim_image.tbl": "3139c4cac1683cedbc6caa68a2a828d757acfd85b3de525890f2e8d29f91acad",
+    "dim_species.tbl": "b1ef2327b3324df70990f2a4fa6478d8e137e76636d8d390664aa476c6a413eb",
+    "fact_tree_metrics.tbl": "0753e823e15ed742790407e95e12834fc30fc8021f973d33466e67d12067cc62",
+    "COMMIT": "e4150f95f4c8ee60d27c7e7fbf59f1f3eebe130e1262cb9ea4788a1a20c109e6",
+}
+REWRITTEN_FACTS_DIGEST = "c30c8b70e5c4209a0dabf1951e46a14f9d31509e1a4a0c7964b96388b5b0ce40"
+
+
+def _digests(root):
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in STORED_FILES}
+
+
+def test_stored_bytes_are_pinned(reference_root, reference_copy):
+    assert _digests(reference_root) == REFERENCE_DIGESTS
+    with open_warehouse(reference_copy) as wh:
+        wh.rewrite_validation({
+            1: ValidationUpdate("confirmed", "R1", height_m=12.5, dbh_cm=30.25),
+            2: ValidationUpdate("species_mismatch", "R2"),
+            3: ValidationUpdate("unmatched", None),
+        })
+    assert _digests(reference_copy) == {**REFERENCE_DIGESTS, FACT_TABLE: REWRITTEN_FACTS_DIGEST}
