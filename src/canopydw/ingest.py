@@ -248,6 +248,11 @@ def _image_meta(row: Mapping[str, object]) -> ImageMeta:
         checksum=row["checksum"].strip().lower(),
     )
     problems = model.image_meta_violations(meta)
+    # Facts lie inside the frame and the map is affine, so finite corners
+    # keep every fact's coordinates finite.
+    corners = [pixel_to_geo(gt, col, row) for col in (0, width) for row in (0, height)]
+    if not problems and not all(math.isfinite(v) for xy in corners for v in xy):
+        problems.append("geotransform maps a frame corner to non-finite coordinates")
     if problems:
         raise RangeError("; ".join(problems))
     return meta

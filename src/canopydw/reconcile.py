@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .errors import NonFiniteCoordinateError
 from .model import FactTreeMetric, Geotransform, SurveyRecord, ValidationUpdate
@@ -55,7 +55,7 @@ class MatchResult:
 
 
 def match_detections(
-    facts: Sequence[FactTreeMetric],
+    facts: Collection[FactTreeMetric],
     records: Sequence[SurveyRecord],
     radius_m: float = 2.0,
 ) -> MatchResult:
@@ -265,7 +265,7 @@ def validate_facts(handle: Warehouse, match: MatchResult, records: Sequence[Surv
 def reconcile_warehouse(handle: Warehouse, radius_m: float = 2.0) -> ReconcileOutcome:
     """Match all facts against all survey records and annotate the fact table."""
     records = handle.load_all_survey_records()
-    facts = sorted(handle.state.facts.values(), key=lambda f: f.fact_id)
+    facts = handle.state.facts.values()  # held in fact_id order
     match = match_detections(facts, records, radius_m)
     fact_species = {f.fact_id: handle.state.species_code_of(f.species_key) for f in facts}
     metrics = compute_metrics(fact_species, records, match)

@@ -44,7 +44,7 @@ from .ingest import (
     parse_detection_file,
 )
 from .query import run_query, spec_from_strings
-from .reconcile import reconcile_warehouse
+from .reconcile import metrics_rows, reconcile_warehouse
 from .report import csv_line, render_cell
 # Not called here; kept because perfbench/tracing.py patches service.open_warehouse.
 from .storage import SnapshotCache, open_warehouse, stats_rows
@@ -289,22 +289,13 @@ class _Handler(BaseHTTPRequestHandler):
         with self._open_rw() as handle:
             outcome = reconcile_warehouse(handle, float(radius))
         metrics = outcome.metrics
+        columns, rows = metrics_rows(metrics)
         return 200, {
             "matched_pairs": metrics.matched_pairs,
             "agreeing_pairs": metrics.agreeing_pairs,
             "accuracy": metrics.accuracy,
             "facts_updated": outcome.facts_updated,
-            "per_species": [
-                {
-                    "species_code": row.species_code,
-                    "tp": row.tp,
-                    "fp": row.fp,
-                    "fn": row.fn,
-                    "precision": row.precision,
-                    "recall": row.recall,
-                }
-                for row in metrics.per_species
-            ],
+            "per_species": [dict(zip(columns, row)) for row in rows],
         }
 
 

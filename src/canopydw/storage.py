@@ -12,9 +12,10 @@ On-disk layout under the warehouse root:
 
 Table files are newline-delimited CSV with a fixed header line; text fields
 containing commas or quotes are double-quoted with doubled inner quotes.
-Files are split on line breaks before CSV parsing, so text containing a line
-break is refused before it is stored. Reals use the shortest round-trip
-decimal form.
+Reals use the shortest round-trip decimal form. Every stored file is read as
+bytes split on "\n", and each line is decoded and parsed alone: a line that
+is not UTF-8, does not parse or fails its row checks is refused with its file
+and line. So text holding a line break is refused before it is stored.
 
 Each table is described once, by a Table: its file, its header (the column
 names, the first of them the key), how a row becomes the cells of a line and
@@ -215,7 +216,7 @@ def _image_row(cells: list[str]) -> DimImage:
 
 
 def _image_problem(state: WarehouseState, row: DimImage) -> str | None:
-    problems = model.image_meta_violations(row.meta)
+    problems = model.image_meta_violations(row)
     if problems:
         return "; ".join(problems)
     if (row.file_name, row.checksum) in state.images_by_identity:
@@ -382,30 +383,29 @@ def _read_bytes(path: Path) -> bytes:
         raise NotInitializedError(f"missing table file: {path}")
 
 
-def _table_rows(path: Path, data: bytes, table: Table, line_no: int = 1) -> Iterator[tuple[int, Any]]:
-    """The (line_no, row) rows of data, a table file's bytes from line line_no on.
-
-    Line 1 is the header and is checked first; each later line is parsed
-    only when its row is taken.
-    """
-    lines = data.decode("utf-8").split("\n")
-    if lines[-1] == "":
+def _table_lines(path: Path, data: bytes, table: Table, line_no: int) -> tuple[list[bytes], int]:
+    """The lines of data, a table file's bytes from line line_no on, and the
+    number of the first of them. Line 1 is the header: it is checked and
+    left out."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
         lines.pop()
     if line_no == 1:
-        if not lines or lines[0] != table.header:
+        if not lines or lines[0] != table.header.encode():
             raise CorruptTableError(path, 1, f"bad header, expected {table.header!r}")
         del lines[0]
         line_no = 2
-    for i, line in enumerate(lines, start=line_no):
-        try:
-            cells = next(csv.reader([line]))
-        except (csv.Error, StopIteration):
-            raise CorruptTableError(path, i, "unparseable CSV line")
-        try:
-            row = table.parse(cells)
-        except ValueError as exc:
-            raise CorruptTableError(path, i, str(exc))
-        yield i, row
+    return lines, line_no
+
+
+def _parse_line(path: Path, line_no: int, line: bytes, table: Table, *args) -> Any:
+    """The row of one stored line (args go on to table.parse)."""
+    try:
+        return table.parse(next(csv.reader([line.decode("utf-8")])), *args)
+    except (csv.Error, StopIteration):
+        raise CorruptTableError(path, line_no, "unparseable CSV line")
+    except ValueError as exc:  # UnicodeDecodeError among them
+        raise CorruptTableError(path, line_no, str(exc))
 
 
 @dataclass(frozen=True)
@@ -534,7 +534,9 @@ class Warehouse:
         path = self._path(table.file)
         rows = table.rows(self.state)
         held = self.table_bytes.get(table.file, 0)
-        for line_no, row in _table_rows(path, data[held:], table, len(rows) + 2 if held else 1):
+        lines, first = _table_lines(path, data[held:], table, len(rows) + 2 if held else 1)
+        for line_no, line in enumerate(lines, start=first):
+            row = _parse_line(path, line_no, line, table)
             key = getattr(row, table.key)
             try:
                 problem = f"duplicate {table.key} {key}" if key in rows else table.check(self.state, row)
@@ -548,37 +550,30 @@ class Warehouse:
     def _load_facts(self, fh: BinaryIO, committed: int | None) -> None:
         """Add the committed fact rows stored in fh past the bytes held.
 
-        With none held this starts at the header line; otherwise, as for a
-        dimension, every held row is one line already in self.state. The
-        committed rows end at the first row past committed, or at a torn
-        last line; nothing after that point is read. Each row counts its
-        bytes and a newline, so the bytes held differ from the file's size
-        exactly when the file holds more than the committed rows or its last
-        row has no newline. It writes nothing: SnapshotCache.open_writer cuts
-        such a file back to the rows held.
+        Lines are read and parsed as for a dimension, each held row being
+        one line already in self.state. The committed rows end at the first
+        row past committed, or at a refused last line (a torn write);
+        nothing after that point is read. Each row counts its bytes and a
+        newline, so the bytes held differ from the file's size exactly when
+        the file holds more than the committed rows or its last row has no
+        newline. It writes nothing: SnapshotCache.open_writer cuts such a
+        file back to the rows held.
         """
         path = self._path(FACTS.file)
         held = self.table_bytes.get(FACTS.file, 0)
         fh.seek(held)
-        lines = fh.read().split(b"\n")
-        if lines[-1] == b"":
-            lines.pop()
-        if not held:
-            if not lines or lines[0] != FACTS.header.encode():
-                raise CorruptTableError(path, 1, f"bad header, expected {FACTS.header!r}")
-            self.table_bytes[FACTS.file] = len(lines.pop(0)) + 1
-        line_no = len(self.state.facts) + 2
+        lines, line_no = _table_lines(path, fh.read(), FACTS, len(self.state.facts) + 2 if held else 1)
+        self.table_bytes[FACTS.file] = held or len(FACTS.header) + 1
         last_line_no = line_no + len(lines) - 1
         prev_id = next(reversed(self.state.facts), None)
         keys: dict[str, int] = {}
-        parse = FACTS.parse
         for i, line in enumerate(lines, start=line_no):
             try:
-                row = parse(next(csv.reader([line.decode("utf-8")])), keys)
-            except (csv.Error, StopIteration, ValueError) as exc:
+                row = _parse_line(path, i, line, FACTS, keys)
+            except CorruptTableError:
                 if i == last_line_no:
                     break  # torn trailing write from an interrupted append
-                raise CorruptTableError(path, i, f"unparseable fact row: {exc}")
+                raise
             if committed is not None and row.fact_id > committed:
                 break  # appended but never committed
             if prev_id is not None and row.fact_id <= prev_id:
@@ -599,7 +594,7 @@ class Warehouse:
     def _read_commit_marker(self) -> int | None:
         path = self._path(COMMIT_MARKER)
         try:
-            text = path.read_text(encoding="utf-8").strip()
+            text = path.read_bytes().decode("utf-8", "backslashreplace").strip()
         except FileNotFoundError:
             return None
         try:
@@ -814,7 +809,7 @@ class Warehouse:
         text = SURVEYS.text(records)
         with self._mutex:
             if path.exists():
-                if path.read_text(encoding="utf-8") == text:
+                if path.read_bytes() == text.encode():
                     return False
                 raise SurveyImmutableError(f"survey {survey_id!r} already ingested with different content")
             path.parent.mkdir(exist_ok=True)
@@ -829,7 +824,8 @@ class Warehouse:
 
     def load_survey(self, survey_id: str) -> list[SurveyRecord]:
         path = self.survey_path(survey_id)
-        return [row for _, row in _table_rows(path, _read_bytes(path), SURVEYS)]
+        lines, first = _table_lines(path, _read_bytes(path), SURVEYS, 1)
+        return [_parse_line(path, i, line, SURVEYS) for i, line in enumerate(lines, start=first)]
 
     def load_all_survey_records(self) -> list[SurveyRecord]:
         """All survey records merged; record ids must be globally unique."""
@@ -893,15 +889,15 @@ class SnapshotCache:
     Warehouse. It reads what a fresh open_warehouse(root, "ro") would, in the
     same order and through the same row checks, but parses only what is new
     since the last call:
-    - a dimension file is re-read when its (inode, size, mtime) changed. A
-      writer rewrites it whole, sorted by key; when the bytes held before
-      end in a newline and are still its first bytes, only the lines after
-      them are parsed. Otherwise everything is reloaded.
+    - a dimension file is re-read when its (inode, size, mtime) changed, and
+      parsed past the bytes held: a writer rewrites it whole, sorted by key.
     - the fact file is held open, so that its inode number cannot be
       reused, and parsed only past the bytes of the committed rows held.
-      A fact file with a new inode (rewritten by rewrite_validation or by
-      crash recovery), or whose last row held has no newline, is reloaded
-      whole.
+    The held rows go on only while each re-read dimension starts with its
+    held bytes and they end in a newline, the fact file keeps the held
+    inode, and the last fact row held has its newline. Otherwise (as after
+    rewrite_validation or crash recovery renames a fact file in) the whole
+    root is reloaded.
     A returned Warehouse is never changed afterwards: a refresh that finds
     changes publishes a new one, built from a copy of the old state.
 
@@ -978,38 +974,31 @@ class SnapshotCache:
         path = new._path(FACTS.file)
         ino, size, _ = _file_key(path)
         facts_key = (committed, size)
-        fh = self._facts_fh
-        reload = (
-            old is None
-            or os.fstat(fh.fileno()).st_ino != ino
-            # as for a dimension, only held bytes that end in a newline are
-            # continued: a held last row without one ends past the file's end
-            or old.table_bytes[FACTS.file] > self._facts_key[1]
-        )
-        if not (reload or tables or facts_key != self._facts_key):
-            return old
-        if old is not None:
-            new.state, new.table_bytes = old.state.copy(), dict(old.table_bytes)
-        for table in DIMENSIONS:
-            data = tables.get(table.file)
-            if data is None:
-                continue
-            if old is not None:
-                held = self._dims[table.file][1]
-                if not (held.endswith(b"\n") and data.startswith(held)):
-                    # rows loaded before have changed: check everything again
-                    return self._refresh(None)
-            new._load_dimension(table, data)
-        if reload:
-            new.state.facts, new.table_bytes[FACTS.file] = {}, 0
+        if old is None:
             fh = open(path, "rb")
-            try:
-                new._load_facts(fh, committed)
-            except BaseException:
-                fh.close()
-                raise
-        elif facts_key != self._facts_key:
+        else:
+            fh = self._facts_fh
+            held = {file: self._dims[file][1] for file in tables}
+            # Only held bytes that end in a newline are continued: a held
+            # last fact row without one ends past the file's end.
+            if not (
+                os.fstat(fh.fileno()).st_ino == ino
+                and old.table_bytes[FACTS.file] <= self._facts_key[1]
+                and all(held[f].endswith(b"\n") and data.startswith(held[f]) for f, data in tables.items())
+            ):
+                return self._refresh(None)  # rows loaded before may have changed
+            if not tables and facts_key == self._facts_key:
+                return old
+            new.state, new.table_bytes = old.state.copy(), dict(old.table_bytes)
+        try:
+            for table in DIMENSIONS:
+                if table.file in tables:
+                    new._load_dimension(table, tables[table.file])
             new._load_facts(fh, committed)
+        except BaseException:
+            if fh is not self._facts_fh:
+                fh.close()
+            raise
         if fh is not self._facts_fh and self._facts_fh is not None:
             self._facts_fh.close()
         self._handle, self._dims, self._facts_fh, self._facts_key = new, dims, fh, facts_key

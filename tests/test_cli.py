@@ -5,6 +5,7 @@ import pytest
 from canopydw import __version__
 from canopydw.cli import ROOT_ENV_VAR, run_cli
 from canopydw.ingest import MANIFEST_HEADER, REGISTRY_HEADER, SURVEY_HEADER, render_manifest_row
+from canopydw.model import Geotransform
 from canopydw.query import (
     GROUP_KEYS,
     MEASURES,
@@ -17,7 +18,7 @@ from canopydw.query import (
 )
 from canopydw.reconcile import metrics_csv, reconcile_warehouse
 from canopydw.report import text_table
-from canopydw.storage import SPECIES, open_warehouse
+from canopydw.storage import IMAGES, SPECIES, open_warehouse
 
 from helpers import EMPTY_LIST_REFUSALS, make_draft, make_image
 
@@ -302,6 +303,38 @@ def test_ingest_images_warns_but_succeeds_on_bad_lines(tmp_path, capsys):
     assert "warning:" in captured.err
     assert "plot_a.txt:1" in captured.err
     assert "images_added=2" in captured.out
+
+
+def test_ingest_images_refuses_a_geotransform_that_overflows(tmp_path, capsys):
+    registry, manifest, det_dir, class_map, survey = _write_inputs(tmp_path)
+    gt = Geotransform(0.0, 0.0, 1e308, 0.0, 0.0, -1e308)  # finite, but 100 px wide overflows
+    meta = make_image(file_name="plot_a.jpg", checksum=None, geotransform=gt).meta
+    manifest.write_text(MANIFEST_HEADER + "\n" + render_manifest_row(meta) + "\n", encoding="utf-8")
+    root = tmp_path / "wh"
+    assert run_cli(["init", "--root", str(root)]) == 0
+    assert run_cli(["ingest-species", "--root", str(root), "--registry", str(registry)]) == 0
+    before = (root / IMAGES.file).read_bytes()
+    capsys.readouterr()
+    assert run_cli([
+        "ingest-images", "--root", str(root), "--manifest", str(manifest),
+        "--detections-dir", str(det_dir), "--class-map", str(class_map),
+    ]) == 1
+    assert "manifest.csv:2: geotransform maps a frame corner to non-finite" in capsys.readouterr().err
+    assert (root / IMAGES.file).read_bytes() == before
+
+
+def test_stats_names_the_line_of_a_non_utf8_byte(tmp_path, capsys):
+    registry, *_ = _write_inputs(tmp_path)
+    root = tmp_path / "wh"
+    assert run_cli(["init", "--root", str(root)]) == 0
+    assert run_cli(["ingest-species", "--root", str(root), "--registry", str(registry)]) == 0
+    path = root / SPECIES.file
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"Western", b"W\xffstern")
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_cli(["stats", "--root", str(root)]) == 1
+    assert "dim_species.tbl:3: " in capsys.readouterr().err
 
 
 def test_estimate_on_empty_warehouse_is_data_error(tmp_path, capsys):

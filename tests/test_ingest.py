@@ -226,6 +226,14 @@ def test_parse_manifest_rejects_bad_rows(kwargs, error):
     assert err.value.line_no == 2
 
 
+def test_parse_manifest_refuses_a_geotransform_that_overflows():
+    # each parameter is finite, but the frame's far corners map to infinity
+    row = _manifest_row(gt_a="1e308", gt_e="-1e308")
+    with pytest.raises(RangeError) as err:
+        parse_image_manifest([MANIFEST_HEADER, row], source="m.csv")
+    assert str(err.value) == "m.csv:2: geotransform maps a frame corner to non-finite coordinates"
+
+
 def test_parse_manifest_rejects_duplicates():
     with pytest.raises(ParseError) as err:
         parse_image_manifest([MANIFEST_HEADER, _manifest_row(), _manifest_row()])

@@ -267,6 +267,23 @@ def test_post_image_bad_manifest_400(root):
         assert r.status_code == 400
 
 
+def test_post_image_with_overflowing_geotransform_400(root):
+    with running_server(root) as base:
+        before = requests.get(f"{base}/v1/stats", timeout=10).json()
+        r = requests.post(
+            f"{base}/v1/images",
+            json={
+                "manifest": manifest_row("cam_009.jpg", gt_a="1e308", gt_e="-1e308"),
+                "detections": ["0 0.5 0.5 0.2 0.2 0.9"],
+                "class_map": ["PSME"],
+            },
+            timeout=10,
+        )
+        assert r.status_code == 400
+        assert "non-finite" in r.json()["error"]
+        assert requests.get(f"{base}/v1/stats", timeout=10).json() == before
+
+
 def test_post_image_shape_validation(root):
     with running_server(root) as base:
         bad_bodies = [

@@ -32,6 +32,7 @@ from canopydw.ingest import (
     ingest_survey,
 )
 from canopydw.model import ValidationUpdate, encode_date_key
+from canopydw.reconcile import reconcile_warehouse
 from canopydw.storage import (
     FACTS,
     IMAGES,
@@ -766,6 +767,40 @@ def test_corrupt_table_is_refused_with_its_line(root, case, cached):
         assert f"{table}:{line_no}: " in str(err.value)
 
 
+def _append_byte(path, line_no, byte=b"\xff"):
+    """Add byte at the end of line line_no of path, which is replaced as a
+    writer would replace it, so that its inode changes."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] += byte
+    tmp = path.with_name("edited.tmp")
+    tmp.write_bytes(b"\n".join(lines))
+    os.replace(tmp, path)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["open", "cache"])
+@pytest.mark.parametrize("table", ["dim_date.tbl", "dim_image.tbl", "dim_species.tbl", FACT_TABLE, "COMMIT"])
+def test_non_utf8_byte_is_refused_with_its_line(root, table, cached):
+    # three rows in each table, so that line 3 is a middle row
+    with open_warehouse(root) as wh:
+        for day, code in enumerate(("PSME", "TSHE", "THPL"), start=15):
+            wh.upsert_species(code)
+            date_key = wh.ensure_date(encode_date_key(2024, 1, day))
+            wh.insert_image(make_image(file_name=f"{day}.jpg", capture_date_key=date_key).meta)
+        wh.append_facts([make_draft(wh.state.images[1])] * 3)
+    line_no = 1 if table == "COMMIT" else 3
+    snap = SnapshotCache(root)
+    try:
+        snap.current()  # a good first load
+        _append_byte(root / table, line_no)
+        with pytest.raises(CorruptTableError) as err:
+            snap.current() if cached else open_warehouse(root, "ro")
+    finally:
+        snap.close()
+    assert (err.value.path.name, err.value.line_no) == (table, line_no)
+    reason = "bad commit marker" if table == "COMMIT" else "can't decode byte 0xff"
+    assert f"{table}:{line_no}: " in str(err.value) and reason in str(err.value)
+
+
 # -- read snapshots under a live writer -----------------------------------------------
 
 
@@ -888,6 +923,42 @@ def test_snapshot_rereads_an_extended_unterminated_row(root):
         assert handle.state.facts[2].matched_record_id == "R10"
         with open_warehouse(root, "ro") as fresh:
             assert logical_state(handle) == logical_state(fresh)
+    finally:
+        snap.close()
+
+
+def test_snapshot_reloads_when_facts_and_dimensions_change_together(root):
+    def assert_fresh(handle):
+        with open_warehouse(root, "ro") as fresh:
+            assert (logical_state(handle), handle.stats()) == (logical_state(fresh), fresh.stats())
+        seen.append((handle, logical_state(handle)))
+
+    _committed_base(root)
+    snap = SnapshotCache(root)
+    try:
+        seen = []
+        assert_fresh(snap.current())
+        # new date, image and facts, then a fact file renamed in
+        with open_warehouse(root) as wh:
+            date_key = wh.ensure_date(20240301)
+            key = wh.insert_image(make_image(file_name="b.jpg", capture_date_key=date_key).meta)
+            wh.append_facts([make_draft(wh.state.images[key])] * 3)
+            wh.rewrite_validation({3: ValidationUpdate("confirmed", "R1")})
+        assert_fresh(snap.current())
+        assert seen[-1][0].state.facts[3].validation == "confirmed"
+        # a fact file renamed in and an edited dimension row
+        with open_warehouse(root) as wh:
+            wh.rewrite_validation({4: ValidationUpdate("species_mismatch", "R2")})
+        path = root / "dim_species.tbl"
+        text = path.read_text()
+        assert ",unknown\n" in text
+        path.write_text(text.replace(",unknown\n", ",vulnerable\n"))
+        assert_fresh(snap.current())
+        state = seen[-1][0].state
+        assert (state.facts[4].validation, state.species[1].conservation_status) == ("species_mismatch", "vulnerable")
+        # a handle once returned is never changed by later refreshes
+        for handle, held in seen:
+            assert logical_state(handle) == held
     finally:
         snap.close()
 
@@ -1020,6 +1091,21 @@ def test_survey_round_trip_and_immutability(root):
             wh.save_survey("plot-7", records[:1])
         assert wh.list_survey_ids() == ["plot-7"]
         assert wh.load_survey("plot-7") == records
+
+
+def test_non_utf8_survey_is_refused_with_its_line(root):
+    records = [make_record(f"R{i}", float(i), 0.0) for i in range(3)]
+    with open_warehouse(root) as wh:
+        wh.upsert_species("PSME")
+        wh.save_survey("plot-7", records)
+        _append_byte(wh.survey_path("plot-7"), 3)
+        for load in (lambda: wh.load_survey("plot-7"), lambda: reconcile_warehouse(wh)):
+            with pytest.raises(CorruptTableError) as err:
+                load()
+            assert (err.value.path.name, err.value.line_no) == ("plot-7.tbl", 3)
+            assert "can't decode byte 0xff" in str(err.value)
+        with pytest.raises(SurveyImmutableError):
+            wh.save_survey("plot-7", records)
 
 
 def test_survey_id_charset(root):
