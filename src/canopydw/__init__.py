@@ -67,7 +67,6 @@ from .model import (
 )
 from .query import (
     QuerySpec,
-    ResultTable,
     image_usage_report,
     resolution_class,
     run_query,
@@ -84,6 +83,7 @@ from .reconcile import (
     pixel_to_geo,
     reconcile_warehouse,
 )
+from .report import ResultTable
 from .service import ServiceConfig, make_server, serve
 from .storage import Warehouse, WarehouseStats, open_warehouse
 

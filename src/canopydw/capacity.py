@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyWarehouseError
-from .report import choose_binary_unit, csv_lines, format_binary_size, text_table
+from .report import ResultTable, choose_binary_unit, format_binary_size
 from .storage import Warehouse
 
 # Reference calibration figures (238 images over three observation days in
@@ -148,7 +148,7 @@ class EstimateReport:
     def size_unit(self) -> str:
         return choose_binary_unit(max(self.image_dim_bytes, self.fact_table_bytes))
 
-    def table_rows(self) -> tuple[tuple[str, ...], list[tuple]]:
+    def table_rows(self) -> ResultTable:
         """Two-row size table: image dimension and fact table."""
         unit = self.size_unit
         columns = ("table", "records", f"estimated_{unit.lower()}")
@@ -156,7 +156,7 @@ class EstimateReport:
             ("image_dimension", self.projected_records, format_binary_size(self.image_dim_bytes, unit)),
             ("fact_table", self.projected_records, format_binary_size(self.fact_table_bytes, unit)),
         ]
-        return columns, rows
+        return ResultTable(columns, rows)
 
     def parameter_rows(self) -> list[tuple[str, object]]:
         return [
@@ -169,20 +169,13 @@ class EstimateReport:
         ]
 
     def to_csv(self) -> str:
-        lines = list(csv_lines(("field", "value"), self.parameter_rows()))
-        columns, rows = self.table_rows()
-        lines.extend(csv_lines(columns, rows))
-        lines.extend(csv_lines(("note",), [(self.note,)]))
-        return "\n".join(lines) + "\n"
+        parameters = ResultTable(("field", "value"), self.parameter_rows())
+        note = ResultTable(("note",), [(self.note,)])
+        return parameters.to_csv() + self.table_rows().to_csv() + note.to_csv()
 
     def to_text(self) -> str:
-        columns, rows = self.table_rows()
-        parts = [
-            "\n".join(f"{name}: {value}" for name, value in self.parameter_rows()),
-            text_table(columns, rows),
-            f"note: {self.note}",
-        ]
-        return "\n".join(parts) + "\n"
+        parameters = "".join(f"{name}: {value}\n" for name, value in self.parameter_rows())
+        return parameters + self.table_rows().to_text() + f"\nnote: {self.note}\n"
 
 
 def build_report(model: GrowthModel, years: int, events_per_year: int) -> EstimateReport:

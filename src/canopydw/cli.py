@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -24,7 +25,7 @@ from .ingest import (
 )
 from .query import QUERY_OPTIONS, TIME_KEYS, image_usage_report, run_query, spec_from_strings, species_trend
 from .reconcile import metrics_csv, metrics_rows, reconcile_warehouse
-from .report import text_table
+from .report import render_cell
 from .storage import open_warehouse, stats_rows
 
 ROOT_ENV_VAR = "CANOPYDW_ROOT"
@@ -112,16 +113,10 @@ def _resolve_root(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return Path(root)
 
 
-def _print_result(table, fmt: str) -> None:
-    if fmt == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        print(table.to_text())
-
-
-def _read_lines(path: str) -> list[str]:
-    """The file's lines with their line ends, which the CSV reader needs to
-    keep a line break inside a quoted cell (and so to refuse it)."""
+def _read_lines(path: str | Path) -> list[str]:
+    """The file's lines, split only at \\n, \\r and \\r\\n (not at the other
+    breaks str.splitlines knows), each with its line end, which the CSV reader
+    needs to keep a line break inside a quoted cell (and so to refuse it)."""
     with open(path, encoding="utf-8", newline="") as fh:
         return list(fh)
 
@@ -147,10 +142,7 @@ def _cmd_ingest_images(args, root) -> int:
     det_dir = Path(args.detections_dir)
     if not det_dir.is_dir():
         raise WarehouseError(f"detections dir not found: {det_dir}")
-    detection_files = {
-        p.name: p.read_text(encoding="utf-8").splitlines()
-        for p in sorted(det_dir.glob("*.txt"))
-    }
+    detection_files = {p.name: _read_lines(p) for p in sorted(det_dir.glob("*.txt"))}
     with open_warehouse(root, "rw") as handle:
         report = ingest_image_batch(handle, manifest, detection_files, class_map)
     for err in report.errors:
@@ -174,10 +166,8 @@ def _cmd_reconcile(args, root) -> int:
     if args.format == "csv":
         sys.stdout.write(metrics_csv(outcome.metrics))
     else:
-        columns, rows = metrics_rows(outcome.metrics)
-        print(text_table(columns, rows))
-        acc = outcome.metrics.accuracy
-        print(f"OVERALL accuracy={'' if acc is None else repr(acc)}")
+        print(metrics_rows(outcome.metrics).to_text())
+        print(f"OVERALL accuracy={render_cell(outcome.metrics.accuracy)}")
     print(
         f"pairs={outcome.metrics.matched_pairs} facts_updated={outcome.facts_updated}",
         file=sys.stderr,
@@ -185,37 +175,27 @@ def _cmd_reconcile(args, root) -> int:
     return 0
 
 
-def _cmd_query(args, root) -> int:
-    spec = spec_from_strings({name: getattr(args, name) or "" for name in QUERY_OPTIONS})
+# Commands that print one report: each maps its arguments to a function
+# from a read-only handle to the report. The query spec is parsed here,
+# before the root is opened.
+_REPORTS = {
+    "query": lambda args: partial(
+        run_query, spec=spec_from_strings({name: getattr(args, name) or "" for name in QUERY_OPTIONS})
+    ),
+    "trend": lambda args: partial(species_trend, species_code=args.species_code, granularity=args.granularity),
+    "image-usage": lambda args: image_usage_report,
+    "stats": lambda args: lambda handle: stats_rows(handle.stats()),
+}
+
+
+def _cmd_report(args, root) -> int:
+    build = _REPORTS[args.command](args)
     with open_warehouse(root, "ro") as handle:
-        table = run_query(handle, spec)
-    _print_result(table, args.format)
-    return 0
-
-
-def _cmd_trend(args, root) -> int:
-    with open_warehouse(root, "ro") as handle:
-        table = species_trend(handle, args.species_code, args.granularity)
-    _print_result(table, args.format)
-    return 0
-
-
-def _cmd_image_usage(args, root) -> int:
-    with open_warehouse(root, "ro") as handle:
-        table = image_usage_report(handle)
-    _print_result(table, args.format)
-    return 0
-
-
-def _cmd_stats(args, root) -> int:
-    with open_warehouse(root, "ro") as handle:
-        columns, rows = stats_rows(handle.stats())
+        table = build(handle)
     if args.format == "csv":
-        from .report import csv_lines
-
-        sys.stdout.write("\n".join(csv_lines(columns, rows)) + "\n")
+        sys.stdout.write(table.to_csv())
     else:
-        print(text_table(columns, rows))
+        print(table.to_text())
     return 0
 
 
@@ -226,10 +206,7 @@ def _cmd_estimate(args, root) -> int:
         raise WarehouseError("--events-per-year must be positive")
     with open_warehouse(root, "ro") as handle:
         report = estimate_from_warehouse(handle, args.events_per_year, args.years)
-    if args.format == "csv":
-        sys.stdout.write(report.to_csv())
-    else:
-        sys.stdout.write(report.to_text())
+    sys.stdout.write(report.to_csv() if args.format == "csv" else report.to_text())
     return 0
 
 
@@ -252,10 +229,7 @@ _COMMANDS = {
     "ingest-images": _cmd_ingest_images,
     "ingest-survey": _cmd_ingest_survey,
     "reconcile": _cmd_reconcile,
-    "query": _cmd_query,
-    "trend": _cmd_trend,
-    "image-usage": _cmd_image_usage,
-    "stats": _cmd_stats,
+    **dict.fromkeys(_REPORTS, _cmd_report),
     "estimate": _cmd_estimate,
     "serve": _cmd_serve,
 }

@@ -27,8 +27,8 @@ from .model import (
     Geotransform,
     ImageMeta,
     SurveyRecord,
+    pixel_to_geo,
 )
-from .reconcile import pixel_to_geo
 from .report import csv_line
 from .storage import Warehouse
 
@@ -247,12 +247,7 @@ def _image_meta(row: Mapping[str, object]) -> ImageMeta:
         size_bytes=size,
         checksum=row["checksum"].strip().lower(),
     )
-    problems = model.image_meta_violations(meta)
-    # Facts lie inside the frame and the map is affine, so finite corners
-    # keep every fact's coordinates finite.
-    corners = [pixel_to_geo(gt, col, row) for col in (0, width) for row in (0, height)]
-    if not problems and not all(math.isfinite(v) for xy in corners for v in xy):
-        problems.append("geotransform maps a frame corner to non-finite coordinates")
+    problems = model.image_meta_violations(meta) or model.frame_corner_violations(meta)
     if problems:
         raise RangeError("; ".join(problems))
     return meta

@@ -217,6 +217,29 @@ def has_line_break(text: str) -> bool:
     return "\n" in text or "\r" in text
 
 
+def pixel_to_geo(gt: Geotransform, col: float, row: float) -> tuple[float, float]:
+    """Map pixel coordinates to ground coordinates via the affine transform."""
+    x = gt.origin_x + col * gt.a + row * gt.b
+    y = gt.origin_y + col * gt.d + row * gt.e
+    return x, y
+
+
+def frame_corner_violations(meta: ImageMeta) -> list[str]:
+    """The refusal of a geotransform that maps a frame corner to non-finite
+    coordinates, if it does.
+
+    Facts lie inside the frame and the map is affine, so finite corners keep
+    every fact's coordinates finite. Call it on a meta that passes
+    image_meta_violations. Loads do not run it: a stored row that fails it
+    still opens.
+    """
+    gt = meta.geotransform
+    corners = [pixel_to_geo(gt, col, row) for col in (0, meta.width_px) for row in (0, meta.height_px)]
+    if all(math.isfinite(v) for xy in corners for v in xy):
+        return []
+    return ["geotransform maps a frame corner to non-finite coordinates"]
+
+
 def image_meta_violations(meta: ImageMeta) -> list[str]:
     v = []
     if not meta.file_name:

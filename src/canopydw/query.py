@@ -2,9 +2,7 @@
 
 Queries run as a single scan of the fact table with hash lookups into the
 dimension tables; filters and groupings address dimension attributes, and
-measures aggregate fact columns. Result cells are rendered to strings once,
-in one place, so every surface (CLI table, CLI CSV, HTTP JSON) reports
-byte-identical values.
+measures aggregate fact columns. Each query returns a report.ResultTable.
 
 The query vocabulary is described once, here: GROUP_VALUES (the group
 keys), MEASURE_VALUES (the measures) and QUERY_OPTIONS (each QuerySpec
@@ -26,7 +24,7 @@ from .model import (
     FactTreeMetric,
     is_valid_date_key,
 )
-from .report import csv_lines, render_cell, text_table
+from .report import ResultTable
 from .storage import Warehouse
 
 
@@ -200,23 +198,6 @@ def spec_from_strings(options: Mapping[str, str]) -> QuerySpec:
     if problems:
         raise InvalidSpecError("; ".join(problems))
     return spec
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    """Query output: column names plus rows of raw Python values."""
-
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-
-    def to_csv(self) -> str:
-        return "\n".join(csv_lines(self.columns, self.rows)) + "\n"
-
-    def to_text(self) -> str:
-        return text_table(self.columns, self.rows)
-
-    def rendered_rows(self) -> list[list[str]]:
-        return [[render_cell(c) for c in row] for row in self.rows]
 
 
 def _fact_passes(spec: QuerySpec, fact: FactTreeMetric, image: DimImage, species: DimSpecies) -> bool:

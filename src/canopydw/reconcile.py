@@ -14,16 +14,9 @@ from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
 from .errors import NonFiniteCoordinateError
-from .model import FactTreeMetric, Geotransform, SurveyRecord, ValidationUpdate
-from .report import csv_lines
+from .model import FactTreeMetric, Geotransform, SurveyRecord, ValidationUpdate, pixel_to_geo
+from .report import ResultTable, render_cell
 from .storage import Warehouse
-
-
-def pixel_to_geo(gt: Geotransform, col: float, row: float) -> tuple[float, float]:
-    """Map pixel coordinates to ground coordinates via the affine transform."""
-    x = gt.origin_x + col * gt.a + row * gt.b
-    y = gt.origin_y + col * gt.d + row * gt.e
-    return x, y
 
 
 def geo_to_pixel(gt: Geotransform, x: float, y: float) -> tuple[float, float]:
@@ -205,21 +198,18 @@ def compute_metrics(
     )
 
 
-def metrics_rows(metrics: ValidationMetrics) -> tuple[tuple[str, ...], list[tuple]]:
+def metrics_rows(metrics: ValidationMetrics) -> ResultTable:
     columns = ("species_code", "tp", "fp", "fn", "precision", "recall")
     rows = [
         (r.species_code, r.tp, r.fp, r.fn, r.precision, r.recall)
         for r in metrics.per_species
     ]
-    return columns, rows
+    return ResultTable(columns, rows)
 
 
 def metrics_csv(metrics: ValidationMetrics) -> str:
     """Metrics as CSV: per-species rows then a trailing overall-accuracy line."""
-    lines = csv_lines(*metrics_rows(metrics))
-    acc = metrics.accuracy
-    lines.append(f"OVERALL,accuracy={'' if acc is None else repr(acc)}")
-    return "\n".join(lines) + "\n"
+    return metrics_rows(metrics).to_csv() + f"OVERALL,accuracy={render_cell(metrics.accuracy)}\n"
 
 
 # -- applying results to the warehouse ----------------------------------------

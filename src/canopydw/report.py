@@ -1,11 +1,16 @@
-"""Cell rendering and tabular output shared by reports, storage, CLI, and service."""
+"""Cell rendering and tabular output shared by reports, storage, CLI, and service.
+
+Every report (stats, estimate, query, reconcile metrics) is one ResultTable,
+rendered here for the CLI table, the CLI CSV and the HTTP JSON, so each
+surface reports byte-identical cell values.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 MIB = 2**20
 GIB = 2**30
@@ -25,8 +30,9 @@ def render_cell(value) -> str:
 
 
 def csv_line(cells: Sequence[object]) -> str:
+    """One CSV line; the writer renders each cell as render_cell does."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([render_cell(c) for c in cells])
+    csv.writer(buf, lineterminator="\n").writerow(cells)
     return buf.getvalue()[:-1]
 
 
@@ -48,6 +54,26 @@ def text_table(columns: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     lines = [fmt(list(columns)), fmt(["-" * w for w in widths])]
     lines.extend(fmt(row) for row in rendered)
     return "\n".join(lines)
+
+
+class ResultTable(NamedTuple):
+    """A report: column names plus rows of raw Python values."""
+
+    columns: tuple[str, ...]
+    rows: Sequence[Sequence[object]]
+
+    def to_csv(self) -> str:
+        return "\n".join(csv_lines(self.columns, self.rows)) + "\n"
+
+    def to_text(self) -> str:
+        return text_table(self.columns, self.rows)
+
+    def rendered_rows(self) -> list[list[str]]:
+        return [[render_cell(c) for c in row] for row in self.rows]
+
+    def to_json(self) -> dict:
+        """The HTTP payload: the columns and the rendered rows."""
+        return {"columns": list(self.columns), "rows": self.rendered_rows()}
 
 
 def choose_binary_unit(max_bytes: float) -> str:

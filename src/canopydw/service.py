@@ -45,7 +45,7 @@ from .ingest import (
 )
 from .query import run_query, spec_from_strings
 from .reconcile import metrics_rows, reconcile_warehouse
-from .report import csv_line, render_cell
+from .report import csv_line
 # Not called here; kept because perfbench/tracing.py patches service.open_warehouse.
 from .storage import SnapshotCache, open_warehouse, stats_rows
 
@@ -82,13 +82,6 @@ class _RequestProblem(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
-
-
-def _table_payload(columns, rows) -> dict:
-    return {
-        "columns": list(columns),
-        "rows": [[render_cell(c) for c in row] for row in rows],
-    }
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -204,13 +197,11 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, {"status": "ok"}
 
     def _get_stats(self, params):
-        columns, rows = stats_rows(self._open_ro().stats())
-        return 200, _table_payload(columns, rows)
+        return 200, stats_rows(self._open_ro().stats()).to_json()
 
     def _get_query(self, params):
         spec = spec_from_strings(params)
-        table = run_query(self._open_ro(), spec)
-        return 200, _table_payload(table.columns, table.rows)
+        return 200, run_query(self._open_ro(), spec).to_json()
 
     def _get_estimate(self, params):
         known = {"years", "events_per_year"}
@@ -225,8 +216,7 @@ class _Handler(BaseHTTPRequestHandler):
         if years < 0 or events <= 0:
             raise _RequestProblem(400, "years must be >= 0 and events_per_year >= 1")
         report = estimate_from_warehouse(self._open_ro(), events, years)
-        columns, rows = report.table_rows()
-        payload = _table_payload(columns, rows)
+        payload = report.table_rows().to_json()
         payload["parameters"] = {name: value for name, value in report.parameter_rows()}
         payload["note"] = report.note
         return 200, payload

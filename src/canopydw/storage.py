@@ -78,6 +78,7 @@ from .errors import (
     DuplicateRecordError,
     EmptyCodeError,
     IntegrityError,
+    InvalidDateError,
     InvalidMetadataError,
     LockHeldError,
     NotInitializedError,
@@ -99,7 +100,7 @@ from .model import (
     ValidationUpdate,
     WarehouseState,
 )
-from .report import csv_line
+from .report import ResultTable, csv_line, format_binary_size
 
 COMMIT_MARKER = "COMMIT"
 LOCK_FILE = "LOCK"
@@ -164,7 +165,11 @@ def _opt_str(cell: str) -> str | None:
 
 
 def _date_problem(state: WarehouseState, row: DimDate) -> str | None:
-    if row != model.derive_date(row.date_key):
+    try:
+        derived = model.derive_date(row.date_key)
+    except InvalidDateError as exc:
+        return str(exc)
+    if row != derived:
         return "derived date fields disagree with date_key"
     return None
 
@@ -435,10 +440,8 @@ class WarehouseStats:
         return self.table("fact_tree_metrics").row_count
 
 
-def stats_rows(stats: WarehouseStats) -> tuple[tuple[str, ...], list[tuple]]:
-    """Report rows for the stats table: per-table counts/bytes plus image payload."""
-    from .report import format_binary_size
-
+def stats_rows(stats: WarehouseStats) -> ResultTable:
+    """The stats report: per-table counts/bytes plus image payload."""
     columns = ("name", "row_count", "file_bytes", "mib")
     rows: list[tuple] = []
     for t in stats.tables:
@@ -451,7 +454,7 @@ def stats_rows(stats: WarehouseStats) -> tuple[tuple[str, ...], list[tuple]]:
             format_binary_size(stats.image_payload_bytes, "MiB"),
         )
     )
-    return columns, rows
+    return ResultTable(columns, rows)
 
 
 class Warehouse:
@@ -720,7 +723,7 @@ class Warehouse:
     def insert_image(self, meta: ImageMeta) -> int:
         """Insert an image row; identical (file_name, checksum) is a no-op."""
         self._require_writer()
-        problems = model.image_meta_violations(meta)
+        problems = model.image_meta_violations(meta) or model.frame_corner_violations(meta)
         if problems:
             raise InvalidMetadataError("; ".join(problems))
         with self.batch():

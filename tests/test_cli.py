@@ -18,7 +18,7 @@ from canopydw.query import (
 )
 from canopydw.reconcile import metrics_csv, reconcile_warehouse
 from canopydw.report import text_table
-from canopydw.storage import IMAGES, SPECIES, open_warehouse
+from canopydw.storage import IMAGES, SPECIES, open_warehouse, stats_rows
 
 from helpers import EMPTY_LIST_REFUSALS, make_draft, make_image
 
@@ -244,6 +244,7 @@ TABLE_COMMANDS = {
     "query": ([], lambda handle: run_query(handle, spec_from_strings({}))),
     "trend": (["--species-code", "PSME"], lambda handle: species_trend(handle, "PSME", "month")),
     "image-usage": ([], image_usage_report),
+    "stats": ([], lambda handle: stats_rows(handle.stats())),
 }
 
 
@@ -321,6 +322,23 @@ def test_ingest_images_refuses_a_geotransform_that_overflows(tmp_path, capsys):
     ]) == 1
     assert "manifest.csv:2: geotransform maps a frame corner to non-finite" in capsys.readouterr().err
     assert (root / IMAGES.file).read_bytes() == before
+
+
+def test_ingest_images_splits_detection_files_at_line_ends_only(tmp_path, capsys):
+    registry, manifest, det_dir, class_map, survey = _write_inputs(tmp_path)
+    # a form feed is whitespace within the line, not a line break
+    (det_dir / "plot_a.txt").write_text("0 0.5 0.5 0.1 0.1\x0c0.9", encoding="utf-8")
+    (det_dir / "plot_b.txt").unlink()
+    root = tmp_path / "wh"
+    assert run_cli(["ingest-species", "--root", str(root), "--registry", str(registry)]) == 0
+    capsys.readouterr()
+    assert run_cli([
+        "ingest-images", "--root", str(root), "--manifest", str(manifest),
+        "--detections-dir", str(det_dir), "--class-map", str(class_map),
+    ]) == 0
+    assert "facts_added=1 errors=0" in capsys.readouterr().out
+    with open_warehouse(root, "ro") as handle:
+        assert [f.confidence for f in handle.state.facts.values()] == [0.9]
 
 
 def test_stats_names_the_line_of_a_non_utf8_byte(tmp_path, capsys):

@@ -25,10 +25,10 @@ from canopydw.ingest import (
     parse_image_manifest,
     render_detection_line,
 )
-from canopydw.model import BoundingBox
+from canopydw.model import BoundingBox, Geotransform
 from canopydw.storage import SPECIES, open_warehouse
 
-from helpers import checksum_for
+from helpers import checksum_for, make_image
 
 # -- detection line grammar ------------------------------------------------------
 
@@ -480,6 +480,18 @@ def test_ingest_image_batch_bad_detection_file_keeps_image(wh):
     assert report.facts_added == 0
     assert len(report.errors) == 1 and "a.txt:2" in report.errors[0]
     assert len(wh.state.facts) == 0  # the good line did not sneak in
+
+
+def test_ingest_image_batch_refuses_an_image_meta_whose_geotransform_overflows(tmp_path):
+    # built in code, not parsed from a manifest; the frame's far corners map to infinity
+    gt = Geotransform(0.0, 0.0, 1e308, 0.0, 0.0, -1e308)
+    meta = make_image(file_name="a.jpg", geotransform=gt).meta
+    root = tmp_path / "wh"
+    with open_warehouse(root) as handle:
+        with pytest.raises(InvalidMetadataError, match="frame corner to non-finite"):
+            ingest_image_batch(handle, [meta], {"a.txt": ["0 0.5 0.5 0.1 0.1"]}, ClassMap(["PSME"]))
+    with open_warehouse(root, "ro") as handle:
+        assert (len(handle.state.images), len(handle.state.facts)) == (0, 0)
 
 
 def test_ingest_image_batch_class_id_out_of_range(wh):

@@ -28,6 +28,9 @@ def test_render_cell():
 
 def test_csv_line_plain():
     assert csv_line(("a", 1, None)) == "a,1,"
+    floats = (0.59, 1 / 3, -0.0, 1e16, float("inf"), float("nan"))
+    assert csv_line((None, *floats, None)) == ",".join(["", *map(repr, floats), ""])
+    assert csv_line((None,)) == csv_line(("",)) == '""'
 
 
 def test_csv_line_escapes():

@@ -705,6 +705,13 @@ CORRUPT_TABLE_CASES = {
     "date-derived": (
         "dim_date.tbl", 2, _cell(5, "16"), CorruptTableError, "derived date fields disagree with date_key"
     ),
+    "date-impossible": (
+        "dim_date.tbl",
+        3,
+        lambda lines, line_no: "20241399,2024,4,13,99,400",
+        CorruptTableError,
+        "20241399 does not decode to a valid date",
+    ),
     "species-duplicate-key": ("dim_species.tbl", 3, _cell(0, "1"), CorruptTableError, "duplicate species_key 1"),
     "species-empty-code": ("dim_species.tbl", 3, _cell(1, ""), CorruptTableError, "empty species code"),
     "species-duplicate-code": (
