@@ -55,6 +55,17 @@ long-lived process keeps one cache current, parsing only what changed;
 open_warehouse is the one-shot form, a cache built, used once and closed.
 A load continues each table from Warehouse.table_bytes, the bytes of the
 rows already held: from byte 0 and the header on a first load.
+
+A read-write open on a cache that holds no snapshot (every
+open_warehouse(root, "rw")) reads COMMIT and the dimensions, and of the
+fact file only its tail. When the file ends with the whole row whose id is
+COMMIT, it reads no fact row until the handle's state.facts is first
+accessed (by reconcile, rewrite_validation or stats), and then reads them
+all, through the checks of any load. So such a writer does not refuse
+damage in the committed rows before the last two lines; a read-only open
+still does. Any other tail (rows past COMMIT, a torn or unterminated last
+line, no COMMIT) is loaded whole and repaired as before: the fact file is
+cut back to the committed rows by rewriting it and renaming it in.
 """
 
 from __future__ import annotations
@@ -319,8 +330,12 @@ SURVEYS = Table(
 
 TABLES = (DATES, IMAGES, SPECIES, FACTS)
 # In load order: an image row checks its date. Readers read the files in the
-# reverse order; see SnapshotCache._refresh.
+# reverse order; see SnapshotCache._read_changes.
 DIMENSIONS = (DATES, SPECIES, IMAGES)
+
+# The bytes a read-write open reads back from the end of the fact file to
+# find its last two lines (see SnapshotCache._open_clean_tail).
+_TAIL_BYTES = 4096
 
 
 def _atomic_write(path: Path, text: str) -> int:
@@ -457,6 +472,41 @@ def stats_rows(stats: WarehouseStats) -> ResultTable:
     return ResultTable(columns, rows)
 
 
+class _FactsOnFirstRead(WarehouseState):
+    """The state of a writer opened without reading its fact rows.
+
+    The first access of facts reads the rows of the fact file from byte 0
+    up to last_fact_id, through the checks of any load, under the writer's
+    mutex, and stores them as the plain dict attribute facts, which later
+    accesses find. Until then a fact row the writer adds is not held: it is
+    on disk, and the read goes on up to it. The state holds no reference to
+    its writer, so that a closed writer is freed at once.
+    """
+
+    def __init__(self, state: WarehouseState, root: Path, mutex: threading.RLock, last_fact_id: int):
+        vars(self).update(vars(state))
+        del self.facts
+        self._root, self._mutex, self._last_fact_id = root, mutex, last_fact_id
+
+    def __getattr__(self, name: str):
+        if name != "facts":
+            raise AttributeError(name)
+        with self._mutex:
+            if "facts" not in vars(self):  # not read by another thread meanwhile
+                reader = Warehouse(self._root, "ro", None)
+                reader.state = WarehouseState(self.dates, self.images, self.species)
+                with open(reader._path(FACTS.file), "rb") as fh:
+                    reader._load_facts(fh, self._last_fact_id)
+                self.facts = reader.state.facts
+            return self.facts
+
+    def add_fact(self, row: FactTreeMetric) -> None:
+        if "facts" in vars(self):
+            self.facts[row.fact_id] = row
+        else:
+            self._last_fact_id = row.fact_id
+
+
 class Warehouse:
     """Handle over one warehouse root; use open_warehouse() to construct."""
 
@@ -477,11 +527,12 @@ class Warehouse:
         # and fact rows to append (not in state until they are written)
         self._rewrites: set[Table] = set()
         self._appends: list[FactTreeMetric] = []
+        # the fact_id of the last row on disk that this handle read or wrote
+        self._last_fact_id = 0
         self._closed = False
 
-    # Surrogate keys continue past the largest one held. Fact rows are held
-    # in fact_id order (a load refuses any other) and staged ones follow
-    # them, so the last one is it.
+    # Surrogate keys continue past the largest one held. Fact ids continue
+    # past the last row written, or the last one staged after it.
     @property
     def _next_image_key(self) -> int:
         return max(self.state.images, default=0) + 1
@@ -494,7 +545,7 @@ class Warehouse:
     def _next_fact_id(self) -> int:
         if self._appends:
             return self._appends[-1].fact_id + 1
-        return next(reversed(self.state.facts), 0) + 1
+        return self._last_fact_id + 1
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -550,7 +601,13 @@ class Warehouse:
             table.add(self.state, row)
         self.table_bytes[table.file] = len(data)
 
-    def _load_facts(self, fh: BinaryIO, committed: int | None) -> None:
+    def _load_dimensions(self, tables: Mapping[str, bytes]) -> None:
+        """Load each dimension file's bytes in tables, in DIMENSIONS order."""
+        for table in DIMENSIONS:
+            if table.file in tables:
+                self._load_dimension(table, tables[table.file])
+
+    def _load_facts(self, fh: BinaryIO, committed: int | None) -> bytes | None:
         """Add the committed fact rows stored in fh past the bytes held.
 
         Lines are read and parsed as for a dimension, each held row being
@@ -561,6 +618,9 @@ class Warehouse:
         the file holds more than the committed rows or its last row has no
         newline. It writes nothing: SnapshotCache.open_writer cuts such a
         file back to the rows held.
+
+        Returns the last line held, with its newline (the header's when no
+        row is held), or None when no row was added to rows held before.
         """
         path = self._path(FACTS.file)
         held = self.table_bytes.get(FACTS.file, 0)
@@ -569,6 +629,7 @@ class Warehouse:
         self.table_bytes[FACTS.file] = held or len(FACTS.header) + 1
         last_line_no = line_no + len(lines) - 1
         prev_id = next(reversed(self.state.facts), None)
+        last = None if held else FACTS.header.encode() + b"\n"
         keys: dict[str, int] = {}
         for i, line in enumerate(lines, start=line_no):
             try:
@@ -581,18 +642,51 @@ class Warehouse:
                 break  # appended but never committed
             if prev_id is not None and row.fact_id <= prev_id:
                 raise CorruptTableError(path, i, f"fact_id {row.fact_id} out of order")
-            problems = model.fact_field_violations(row)
-            if problems:
-                raise CorruptTableError(path, i, "; ".join(problems))
-            fk = model.validate_fact(row, self.state)
-            if fk:
-                raise IntegrityError(f"{path}:{i}: fact {row.fact_id}: " + "; ".join(fk))
+            self._check_fact(path, i, row)
             self.state.add_fact(row)
             self.table_bytes[FACTS.file] += len(line) + 1
-            prev_id = row.fact_id
-        max_id = prev_id or 0
+            prev_id, last = row.fact_id, line + b"\n"
+        max_id = self._last_fact_id = prev_id or 0
         if committed is not None and max_id < committed:
             raise CorruptTableError(path, last_line_no, f"commit marker {committed} exceeds last stored fact_id {max_id}")
+        return last
+
+    def _check_fact(self, path: Path, line_no: int, row: FactTreeMetric) -> None:
+        """Refuse a stored fact row whose fields or foreign keys are bad."""
+        problems = model.fact_field_violations(row)
+        if problems:
+            raise CorruptTableError(path, line_no, "; ".join(problems))
+        fk = model.validate_fact(row, self.state)
+        if fk:
+            raise IntegrityError(f"{path}:{line_no}: fact {row.fact_id}: " + "; ".join(fk))
+
+    def _ends_at(self, tail: bytes, start: int, committed: int) -> bool:
+        """Whether tail, the fact file's bytes from offset start to its end,
+        ends with the row whose id is committed: a whole line with its
+        newline that passes the row checks, after the header or a row of a
+        lower id that passes them too."""
+        path = self._path(FACTS.file)
+
+        def row(line: bytes) -> FactTreeMetric | None:
+            try:
+                fact = _parse_line(path, 0, line, FACTS, {})
+                self._check_fact(path, 0, fact)
+            except WarehouseError:
+                return None
+            return fact
+
+        lines = tail.split(b"\n")
+        # the last item follows the final newline; the first one is cut
+        # short unless tail starts the file
+        if lines.pop() != b"" or len(lines) < (2 if start == 0 else 3):
+            return False
+        last = row(lines[-1])
+        if last is None or last.fact_id != committed:
+            return False
+        if start == 0 and len(lines) == 2:
+            return lines[0] == FACTS.header.encode()
+        before = row(lines[-2])
+        return before is not None and before.fact_id < committed
 
     def _read_commit_marker(self) -> int | None:
         path = self._path(COMMIT_MARKER)
@@ -669,8 +763,9 @@ class Warehouse:
             raise
         for row in rows:
             self.state.add_fact(row)
+        self._last_fact_id = rows[-1].fact_id
         self.table_bytes[FACTS.file] += len(data)
-        self._write_commit(rows[-1].fact_id)
+        self._write_commit(self._last_fact_id)
 
     # -- mutating operations -----------------------------------------------
 
@@ -898,15 +993,19 @@ class SnapshotCache:
       reused, and parsed only past the bytes of the committed rows held.
     The held rows go on only while each re-read dimension starts with its
     held bytes and they end in a newline, the fact file keeps the held
-    inode, and the last fact row held has its newline. Otherwise (as after
+    inode, the last fact row held has its newline, and that row's line is
+    still where it was read (one pread, on a refresh that found a change;
+    a file rewritten in place fails it). Otherwise (as after
     rewrite_validation or crash recovery renames a fact file in) the whole
     root is reloaded.
     A returned Warehouse is never changed afterwards: a refresh that finds
     changes publishes a new one, built from a copy of the old state.
 
-    open_writer() gives a read-write handle built on the same rows, so that
-    a writer does not hold a second copy of the fact table next to the
-    cached one. open_warehouse is either call on a cache used once.
+    open_writer() gives a read-write handle. On a cache holding a snapshot
+    it is built on the same rows, so that a writer does not hold a second
+    copy of the fact table next to the cached one. On a cache holding none
+    it reads no fact row while the fact file's tail is clean (see
+    open_writer). open_warehouse is either call on a cache used once.
     """
 
     def __init__(self, root):
@@ -917,6 +1016,7 @@ class SnapshotCache:
         self._dims: dict[str, tuple[tuple[int, int, int], bytes]] = {}
         self._facts_fh: BinaryIO | None = None
         self._facts_key: tuple[int | None, int] | None = None  # (COMMIT, file size)
+        self._facts_last = b""  # the last fact line held, with its newline
 
     def close(self) -> None:
         with self._mutex:
@@ -925,13 +1025,19 @@ class SnapshotCache:
             self._facts_fh = self._handle = None
 
     def open_writer(self, lock_timeout: float = 10.0) -> Warehouse:
-        """A read-write handle on the root, built on the cached rows.
+        """A read-write handle on the root.
 
         Under the writer lock it creates the root and any missing table
-        file, refreshes the snapshot, cuts the fact file back to the
-        committed rows by rewriting it when it holds more bytes than those,
-        and writes the COMMIT marker when it is missing. The handle gets
-        its own dicts; the frozen rows in them are shared with the snapshot.
+        file. With no snapshot held, it then reads COMMIT and the
+        dimensions, and reads back from the end of the fact file. When the
+        file ends with the whole row whose id is COMMIT (after the header
+        or a lower id), the handle reads no fact row until its state.facts
+        is first accessed; see _FactsOnFirstRead. Otherwise, or with a
+        snapshot held, it refreshes the snapshot, cuts the fact file back
+        to the committed rows by rewriting it when it holds more bytes than
+        those, and writes the COMMIT marker when it is missing. That handle
+        gets its own dicts; the frozen rows in them are shared with the
+        snapshot.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         lock = FileLock(self.root / LOCK_FILE)
@@ -941,39 +1047,73 @@ class SnapshotCache:
                 path = self.root / table.file
                 if not path.exists():
                     _atomic_write(path, table.text(()))
+            wh = Warehouse(self.root, "rw", lock)
             with self._mutex:
+                if self._handle is None and self._open_clean_tail(wh):
+                    return wh
                 snap = self._refresh(self._handle)
                 committed, size = self._facts_key
-            wh = Warehouse(self.root, "rw", lock)
             wh.state = snap.state.copy()
             wh.table_bytes = dict(snap.table_bytes)
+            wh._last_fact_id = snap._last_fact_id
             if wh.table_bytes[FACTS.file] != size:
                 # drop the rows past the committed ones, and end the last row
                 # with a newline so that the next append starts a line of its own
                 wh._rewrite(FACTS)
             if committed is None:
                 # marker missing (externally assembled warehouse): adopt as-is
-                wh._write_commit(wh._next_fact_id - 1)
+                wh._write_commit(wh._last_fact_id)
             return wh
         except BaseException:
             lock.release()
             raise
 
+    def _open_clean_tail(self, wh: Warehouse) -> bool:
+        """Load COMMIT and the dimensions into wh, a new writer, and leave
+        its fact rows unread, if the fact file's tail is clean.
+
+        The tail is one pread of the file's last _TAIL_BYTES. It is clean
+        when it ends with the row whose id is COMMIT (see Warehouse._ends_at).
+        Returns whether it was; if not, wh is to be loaded anew.
+        """
+        committed, _, tables = self._read_changes(wh, None)
+        if committed is None:
+            return False
+        wh._load_dimensions(tables)
+        with open(wh._path(FACTS.file), "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            start = max(0, size - _TAIL_BYTES)
+            tail = os.pread(fh.fileno(), size - start, start)
+        if not wh._ends_at(tail, start, committed):
+            return False
+        wh.table_bytes[FACTS.file] = size
+        wh._last_fact_id = committed
+        wh.state = _FactsOnFirstRead(wh.state, self.root, wh._mutex, committed)
+        return True
+
     def current(self) -> Warehouse:
         with self._mutex:
             return self._refresh(self._handle)
 
-    def _refresh(self, old: Warehouse | None) -> Warehouse:
-        """Bring the snapshot up to date from old (None: load everything)."""
-        new = Warehouse(self.root, "ro", None)
+    def _read_changes(self, new: Warehouse, old: Warehouse | None) -> tuple[int | None, dict, dict]:
+        """Read COMMIT, then the bytes of each dimension file that changed
+        since old was loaded (all of them with old None), in read order (see
+        "Read order" in the module docstring). Returns COMMIT, the
+        dimensions to hold once they are loaded, and the bytes read."""
         committed = new._read_commit_marker()
         dims, tables = dict(self._dims), {}
-        for table in reversed(DIMENSIONS):  # see "Read order" in the module docstring
+        for table in reversed(DIMENSIONS):
             path = new._path(table.file)
             key = _file_key(path)
             if old is None or dims[table.file][0] != key:
                 tables[table.file] = _read_bytes(path)
                 dims[table.file] = key, tables[table.file]
+        return committed, dims, tables
+
+    def _refresh(self, old: Warehouse | None) -> Warehouse:
+        """Bring the snapshot up to date from old (None: load everything)."""
+        new = Warehouse(self.root, "ro", None)
+        committed, dims, tables = self._read_changes(new, old)
         path = new._path(FACTS.file)
         ino, size, _ = _file_key(path)
         facts_key = (committed, size)
@@ -992,12 +1132,13 @@ class SnapshotCache:
                 return self._refresh(None)  # rows loaded before may have changed
             if not tables and facts_key == self._facts_key:
                 return old
+            last = self._facts_last
+            if os.pread(fh.fileno(), len(last), old.table_bytes[FACTS.file] - len(last)) != last:
+                return self._refresh(None)  # the fact file was rewritten in place
             new.state, new.table_bytes = old.state.copy(), dict(old.table_bytes)
         try:
-            for table in DIMENSIONS:
-                if table.file in tables:
-                    new._load_dimension(table, tables[table.file])
-            new._load_facts(fh, committed)
+            new._load_dimensions(tables)
+            last = new._load_facts(fh, committed)
         except BaseException:
             if fh is not self._facts_fh:
                 fh.close()
@@ -1005,4 +1146,6 @@ class SnapshotCache:
         if fh is not self._facts_fh and self._facts_fh is not None:
             self._facts_fh.close()
         self._handle, self._dims, self._facts_fh, self._facts_key = new, dims, fh, facts_key
+        if last is not None:
+            self._facts_last = last
         return new

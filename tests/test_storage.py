@@ -3,8 +3,10 @@ import hashlib
 import multiprocessing
 import os
 import random
+import re
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -1005,6 +1007,150 @@ def test_snapshot_writer_matches_full_open(root):
             assert sorted(wh.state.facts) == [1, 2, 3, 4]
     finally:
         snap.close()
+
+
+def test_snapshot_refuses_a_fact_file_rewritten_in_place(root, monkeypatch):
+    with open_warehouse(root) as wh:
+        wh.upsert_species("PSME")
+        wh.ensure_date(20240115)
+        wh.insert_image(make_image().meta)
+        wh.append_facts([make_draft(wh.state.images[1])] * 3)
+    path = root / FACT_TABLE
+    lines = path.read_bytes().split(b"\n")
+    preads = []
+    real_pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda *args: preads.append(args) or real_pread(*args))
+    snap = SnapshotCache(root)
+    try:
+        assert sorted(snap.current().state.facts) == [1, 2, 3]
+        snap.current()
+        assert preads == []  # a refresh that finds no change reads nothing
+        with open(path, "r+b") as fh:  # same inode: header and rows 1-2; COMMIT stays 3
+            fh.truncate(0)
+            fh.write(b"\n".join(lines[:3]) + b"\n")
+        message = "fact_tree_metrics.tbl:3: commit marker 3 exceeds last stored fact_id 2"
+        with pytest.raises(CorruptTableError, match=message):
+            open_warehouse(root, "ro")
+        with pytest.raises(CorruptTableError, match=message):
+            snap.current()
+        assert len(preads) == 1
+    finally:
+        snap.close()
+
+
+def _facts_root(root, n):
+    """A root of n committed facts on one image."""
+    with open_warehouse(root) as wh:
+        wh.upsert_species("PSME")
+        wh.ensure_date(20240115)
+        wh.insert_image(make_image().meta)
+        wh.append_facts([make_draft(wh.state.images[1])] * n)
+
+
+@contextlib.contextmanager
+def _counted_fact_parses(monkeypatch):
+    parses = []
+    real_row = FACTS.row
+    with monkeypatch.context() as m:
+        m.setattr(FACTS, "row", lambda *args: parses.append(args) or real_row(*args))
+        yield parses
+
+
+@pytest.mark.parametrize("n", [1, 200, 2000])
+def test_clean_writer_open_parses_at_most_two_fact_lines(tmp_path, monkeypatch, n):
+    root = tmp_path / "wh"
+    _facts_root(root, n)
+    with _counted_fact_parses(monkeypatch) as parses:
+        open_warehouse(root).close()
+        assert len(parses) <= 2
+        open_warehouse(root, "ro").close()
+        assert len(parses) <= 2 + n
+
+
+def test_writer_reads_all_rows_when_the_tail_is_longer_than_it_reads(root, monkeypatch):
+    _facts_root(root, 3)
+    with open_warehouse(root) as wh:
+        wh.rewrite_validation({3: ValidationUpdate("confirmed", "R" * 5000)})
+    with _counted_fact_parses(monkeypatch) as parses:
+        with open_warehouse(root) as wh:
+            assert len(parses) == 3
+            assert wh.append_facts([make_draft(wh.state.images[1])]) == [4]
+    with open_warehouse(root, "ro") as wh:
+        assert wh.state.facts[3].matched_record_id == "R" * 5000
+        assert sorted(wh.state.facts) == [1, 2, 3, 4]
+
+
+def test_lazily_read_facts_match_a_fresh_open(root, monkeypatch):
+    _facts_root(root, 5)
+    metas, dets = _batch_inputs(3)
+    with _counted_fact_parses(monkeypatch) as parses:
+        with open_warehouse(root) as wh:
+            report = ingest_image_batch(wh, metas, dets, ClassMap(["PSME"]))
+            assert report.facts_added == 6 and (root / "COMMIT").read_text() == "11\n"
+            tail = len(parses)
+            assert tail <= 2  # no row read but the last two
+            facts = wh.state.facts
+            assert len(parses) == tail + 11
+            with open_warehouse(root, "ro") as fresh:
+                assert facts == fresh.state.facts
+                assert wh.table_bytes == fresh.table_bytes
+            assert list(facts) == list(range(1, 12))  # each appended row held once
+            assert wh.append_facts([make_draft(wh.state.images[2])]) == [12]
+            assert wh.state.facts is facts and list(facts) == list(range(1, 13))
+        with open_warehouse(root, "ro") as fresh:
+            assert logical_state(fresh)[3] == sorted(facts.items())
+
+
+def test_closed_lazy_writer_is_freed_and_still_reads_its_rows(root):
+    _facts_root(root, 3)
+    wh = open_warehouse(root)
+    wh.append_facts([make_draft(wh.state.images[1])])
+    state, handle = wh.state, weakref.ref(wh)
+    wh.close()
+    del wh
+    assert handle() is None  # no reference cycle keeps a closed writer alive
+    with open_warehouse(root) as other:  # a later writer moves COMMIT on
+        other.append_facts([make_draft(other.state.images[1])])
+    assert list(state.facts) == [1, 2, 3, 4]
+
+
+def _bad_confidence(root, line_no):
+    """Confidence 1.5 on line line_no of the fact file; returns the refusal's
+    message as a pattern."""
+    path = root / FACT_TABLE
+    lines = path.read_text().splitlines()
+    lines[line_no - 1] = _cell(8, "1.5")(lines, line_no)
+    path.write_text("\n".join(lines) + "\n")
+    return re.escape(f"{FACT_TABLE}:{line_no}: confidence outside [0, 1]")
+
+
+@pytest.mark.parametrize("line_no", [10, 11])
+def test_writer_refuses_damage_in_the_last_two_lines(root, line_no):
+    _facts_root(root, 10)
+    message = _bad_confidence(root, line_no)
+    for mode in ("ro", "rw"):
+        with pytest.raises(CorruptTableError, match=message):
+            open_warehouse(root, mode)
+
+
+def test_writer_does_not_refuse_damage_before_the_tail(root):
+    _facts_root(root, 10)
+    path = root / FACT_TABLE
+    message = _bad_confidence(root, 3)  # fact 2, line 3 of 11
+    with pytest.raises(CorruptTableError, match=message):
+        open_warehouse(root, "ro")
+    metas, dets = _batch_inputs(2)
+    with open_warehouse(root) as wh:
+        assert ingest_image_batch(wh, metas, dets, ClassMap(["PSME"])).facts_added == 4
+    assert (root / "COMMIT").read_text() == "14\n"
+    assert path.read_text().splitlines()[-4].startswith("11,")
+    with pytest.raises(CorruptTableError, match=message):
+        open_warehouse(root, "ro")
+    with open_warehouse(root) as wh:
+        wh.save_survey("s1", [make_record("R1", 5.0, -5.0)])
+        for _ in range(2):  # refused at every access, not only the first
+            with pytest.raises(CorruptTableError, match=message):
+                reconcile_warehouse(wh)
 
 
 # -- locking -----------------------------------------------------------------------
