@@ -11,6 +11,7 @@ import datetime
 import math
 import re
 from dataclasses import dataclass, field, fields
+from typing import Container
 
 from .errors import InvalidDateError
 
@@ -295,10 +296,14 @@ class FactTreeMetric(FactDraft):
     fact_id: int = 0
 
 
-def fact_field_violations(fact: FactDraft) -> list[str]:
-    """Value-level checks on one fact row, independent of other tables."""
+def fact_field_violations(fact: FactDraft, dates: Container[int] = ()) -> list[str]:
+    """Value-level checks on one fact row, independent of other tables.
+
+    dates holds date keys already checked (the keys of loaded date rows):
+    such a date_key is valid without being derived again.
+    """
     v = []
-    if not is_valid_date_key(fact.date_key):
+    if fact.date_key not in dates and not is_valid_date_key(fact.date_key):
         v.append(f"date_key {fact.date_key} invalid")
     v.extend("bbox " + item for item in fact.bbox.violations())
     if not (math.isfinite(fact.confidence) and 0.0 <= fact.confidence <= 1.0):

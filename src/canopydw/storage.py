@@ -262,9 +262,11 @@ def _fact_cells(row: FactTreeMetric) -> list:
     ]
 
 
-def _fact_row(cells: list[str], keys: dict[str, int]) -> FactTreeMetric:
+def _fact_row(cells: list[str], keys: dict[str, int] | None = None) -> FactTreeMetric:
     """keys maps the text of a date or image key to one int, which the rows
     of a load then share (a fact table repeats a few keys many times)."""
+    if keys is None:
+        keys = {}
     date_key = keys.get(cells[1])
     if date_key is None:
         date_key = keys[cells[1]] = int(cells[1])
@@ -418,10 +420,19 @@ def _table_lines(path: Path, data: bytes, table: Table, line_no: int) -> tuple[l
     return lines, line_no
 
 
+def _cells(text: str) -> list[str]:
+    """The CSV cells of one line. A non-empty line with no quote, carriage
+    return or NUL is split on commas, which is what csv.reader gives for it;
+    any other line goes through csv.reader."""
+    if text and '"' not in text and "\r" not in text and "\0" not in text:
+        return text.split(",")
+    return next(csv.reader([text]))
+
+
 def _parse_line(path: Path, line_no: int, line: bytes, table: Table, *args) -> Any:
     """The row of one stored line (args go on to table.parse)."""
     try:
-        return table.parse(next(csv.reader([line.decode("utf-8")])), *args)
+        return table.parse(_cells(line.decode("utf-8")), *args)
     except (csv.Error, StopIteration):
         raise CorruptTableError(path, line_no, "unparseable CSV line")
     except ValueError as exc:  # UnicodeDecodeError among them
@@ -653,7 +664,7 @@ class Warehouse:
 
     def _check_fact(self, path: Path, line_no: int, row: FactTreeMetric) -> None:
         """Refuse a stored fact row whose fields or foreign keys are bad."""
-        problems = model.fact_field_violations(row)
+        problems = model.fact_field_violations(row, self.state.dates)
         if problems:
             raise CorruptTableError(path, line_no, "; ".join(problems))
         fk = model.validate_fact(row, self.state)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import multiprocessing
 import os
@@ -7,6 +8,7 @@ import re
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -774,6 +776,54 @@ def test_corrupt_table_is_refused_with_its_line(root, case, cached):
         assert (err.value.path.name, err.value.line_no) == (table, line_no)
     else:
         assert f"{table}:{line_no}: " in str(err.value)
+
+
+_FACT_LINE = "1,20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,"
+
+
+def _csv_reader_parse(line: bytes, table):
+    """The row of a line parsed with csv.reader alone, or the refusal's reason."""
+    try:
+        return table.parse(next(csv.reader([line.decode("utf-8")])))
+    except (csv.Error, StopIteration):
+        return "unparseable CSV line"
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "table, text",
+    [
+        (FACTS, _FACT_LINE + "unvalidated,"),
+        (FACTS, _FACT_LINE + 'confirmed,"R,1"'),
+        (FACTS, _FACT_LINE + 'confirmed,"R""1"'),
+        (FACTS, _FACT_LINE + 'confirmed,"R1'),
+        (FACTS, _FACT_LINE + 'confirmed,R"1'),
+        (FACTS, '"1",20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,'),
+        (FACTS, ""),
+        (FACTS, ","),
+        (FACTS, '""'),
+        (FACTS, _FACT_LINE + "unvalidated,R\0" + "1"),
+        (FACTS, "\0"),
+        (FACTS, _FACT_LINE + "unvalidated,\r"),
+        (FACTS, "1,2024\r0115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,"),
+        (FACTS, '"\r",' + _FACT_LINE[2:] + "unvalidated,"),
+        (FACTS, " 1,20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,"),
+        (FACTS, _FACT_LINE + "unvalidated"),
+        (SPECIES, '3,PSME,"Pseudotsuga menziesii, var. glauca",Douglas-fir,least_concern'),
+        (SPECIES, "3,PSME,Pseudotsuga,\r,least_concern"),
+        (SPECIES, ""),
+    ],
+)
+def test_comma_split_and_csv_reader_parse_a_line_alike(table, text):
+    line = text.encode()
+    expected = _csv_reader_parse(line, table)
+    try:
+        got = storage._parse_line(Path("t.tbl"), 7, line, table)
+    except CorruptTableError as exc:
+        assert (exc.path, exc.line_no) == (Path("t.tbl"), 7)
+        got = exc.reason
+    assert got == expected
 
 
 def _append_byte(path, line_no, byte=b"\xff"):
