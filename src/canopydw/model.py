@@ -10,8 +10,11 @@ from __future__ import annotations
 import datetime
 import math
 import re
+from array import array
+from bisect import bisect_left
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field, fields
-from typing import Container
+from typing import Container, NamedTuple
 
 from .errors import InvalidDateError
 
@@ -149,29 +152,34 @@ class BoundingBox:
     h: float
 
     def violations(self) -> list[str]:
-        v = []
-        for name in ("cx", "cy", "w", "h"):
-            if not math.isfinite(getattr(self, name)):
-                v.append(f"{name} not finite")
-        if v:
-            return v
-        if not 0.0 <= self.cx <= 1.0:
-            v.append("cx outside [0, 1]")
-        if not 0.0 <= self.cy <= 1.0:
-            v.append("cy outside [0, 1]")
-        if not 0.0 < self.w <= 1.0:
-            v.append("w outside (0, 1]")
-        if not 0.0 < self.h <= 1.0:
-            v.append("h outside (0, 1]")
-        if v:
-            return v
-        lo = -BBOX_EDGE_TOLERANCE
-        hi = 1.0 + BBOX_EDGE_TOLERANCE
-        if not (lo <= self.cx - self.w / 2 and self.cx + self.w / 2 <= hi):
-            v.append("box extends outside frame on x")
-        if not (lo <= self.cy - self.h / 2 and self.cy + self.h / 2 <= hi):
-            v.append("box extends outside frame on y")
+        return box_violations(self)
+
+
+def box_violations(box: BoundingBox | FactRow) -> list[str]:
+    """Checks on a box's cx, cy, w and h: a BoundingBox, or a FactRow's."""
+    v = []
+    for name in ("cx", "cy", "w", "h"):
+        if not math.isfinite(getattr(box, name)):
+            v.append(f"{name} not finite")
+    if v:
         return v
+    if not 0.0 <= box.cx <= 1.0:
+        v.append("cx outside [0, 1]")
+    if not 0.0 <= box.cy <= 1.0:
+        v.append("cy outside [0, 1]")
+    if not 0.0 < box.w <= 1.0:
+        v.append("w outside (0, 1]")
+    if not 0.0 < box.h <= 1.0:
+        v.append("h outside (0, 1]")
+    if v:
+        return v
+    lo = -BBOX_EDGE_TOLERANCE
+    hi = 1.0 + BBOX_EDGE_TOLERANCE
+    if not (lo <= box.cx - box.w / 2 and box.cx + box.w / 2 <= hi):
+        v.append("box extends outside frame on x")
+    if not (lo <= box.cy - box.h / 2 and box.cy + box.h / 2 <= hi):
+        v.append("box extends outside frame on y")
+    return v
 
 
 @dataclass(frozen=True)
@@ -265,8 +273,8 @@ def image_meta_violations(meta: ImageMeta) -> list[str]:
     return v
 
 
-# Fact rows and their boxes are the bulk of a loaded warehouse; slots spare
-# each of them a per-instance __dict__.
+# A loaded warehouse holds its facts as FactColumns, not as these objects;
+# slots keep the ones a caller builds small.
 @dataclass(frozen=True, slots=True)
 class FactDraft:
     """Fact row attributes before a surrogate fact_id is assigned."""
@@ -296,7 +304,31 @@ class FactTreeMetric(FactDraft):
     fact_id: int = 0
 
 
-def fact_field_violations(fact: FactDraft, dates: Container[int] = ()) -> list[str]:
+class FactRow(NamedTuple):
+    """The typed cells of one stored fact line, in the fact table's column order."""
+
+    fact_id: int
+    date_key: int
+    image_key: int
+    species_key: int
+    cx: float
+    cy: float
+    w: float
+    h: float
+    confidence: float
+    geo_x: float
+    geo_y: float
+    height_m: float | None
+    dbh_cm: float | None
+    validation: str
+    matched_record_id: str | None
+
+
+# The range of a key column (array typecode "i") in FactColumns.
+KEY_MIN, KEY_MAX = -(2**31), 2**31 - 1
+
+
+def fact_field_violations(fact: FactDraft | FactRow, dates: Container[int] = ()) -> list[str]:
     """Value-level checks on one fact row, independent of other tables.
 
     dates holds date keys already checked (the keys of loaded date rows):
@@ -305,7 +337,11 @@ def fact_field_violations(fact: FactDraft, dates: Container[int] = ()) -> list[s
     v = []
     if fact.date_key not in dates and not is_valid_date_key(fact.date_key):
         v.append(f"date_key {fact.date_key} invalid")
-    v.extend("bbox " + item for item in fact.bbox.violations())
+    for name in ("image_key", "species_key"):
+        if not KEY_MIN <= getattr(fact, name) <= KEY_MAX:
+            v.append(f"{name} outside [{KEY_MIN}, {KEY_MAX}]")
+    box = fact if isinstance(fact, FactRow) else fact.bbox
+    v.extend("bbox " + item for item in box_violations(box))
     if not (math.isfinite(fact.confidence) and 0.0 <= fact.confidence <= 1.0):
         v.append("confidence outside [0, 1]")
     if not (math.isfinite(fact.geo_x) and math.isfinite(fact.geo_y)):
@@ -351,6 +387,167 @@ class ValidationUpdate:
     dbh_cm: float | None = None
 
 
+_VALIDATION_CODES = {state: code for code, state in enumerate(VALIDATION_STATES)}
+CONFIRMED = _VALIDATION_CODES["confirmed"]
+_NAN = float("nan")
+
+# FactColumns' arrays: attribute (a FactRow field) and array typecode.
+_ARRAY_COLUMNS = (
+    ("fact_id", "q"),
+    ("date_key", "i"),
+    ("image_key", "i"),
+    ("species_key", "i"),
+    ("validation", "b"),  # index in VALIDATION_STATES
+    ("cx", "d"),
+    ("cy", "d"),
+    ("w", "d"),
+    ("h", "d"),
+    ("confidence", "d"),
+    ("geo_x", "d"),
+    ("geo_y", "d"),
+    ("height_m", "d"),  # NaN: missing
+    ("dbh_cm", "d"),  # NaN: missing
+)
+
+
+class FactColumns(Mapping[int, FactTreeMetric]):
+    """The fact table held as one typed column per field, in fact_id order.
+
+    Each column holds one entry per fact: the arrays of _ARRAY_COLUMNS
+    (about 93 bytes per fact) and the list matched_record_id. NaN stands
+    for a missing height_m or dbh_cm; the row checks refuse a stored NaN.
+
+    As a Mapping it is read-only: fact_id to a FactTreeMetric built on
+    access (lookup bisects fact_id). Only append, add and annotate change
+    it, and copy gives columns of their own.
+    """
+
+    __slots__ = tuple(name for name, _ in _ARRAY_COLUMNS) + ("matched_record_id",)
+
+    def __init__(self) -> None:
+        for name, typecode in _ARRAY_COLUMNS:
+            setattr(self, name, array(typecode))
+        self.matched_record_id: list[str | None] = []
+
+    def copy(self) -> FactColumns:
+        new = FactColumns.__new__(FactColumns)
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name)[:])
+        return new
+
+    def append(self, row: FactRow) -> None:
+        """Add a row after the last one; its fact_id must be the highest and
+        its keys within [KEY_MIN, KEY_MAX] (fact_field_violations checks them)."""
+        fact_id, date_key, image_key, species_key, cx, cy, w, h, conf, geo_x, geo_y, height, dbh, state, record = row
+        self.fact_id.append(fact_id)  # the only append that can fail: nothing is added then
+        self.date_key.append(date_key)
+        self.image_key.append(image_key)
+        self.species_key.append(species_key)
+        self.validation.append(_VALIDATION_CODES[state])
+        self.cx.append(cx)
+        self.cy.append(cy)
+        self.w.append(w)
+        self.h.append(h)
+        self.confidence.append(conf)
+        self.geo_x.append(geo_x)
+        self.geo_y.append(geo_y)
+        self.height_m.append(_NAN if height is None else height)
+        self.dbh_cm.append(_NAN if dbh is None else dbh)
+        self.matched_record_id.append(record)
+
+    def add(self, fact: FactTreeMetric) -> None:
+        b = fact.bbox
+        self.append(
+            FactRow(
+                fact.fact_id, fact.date_key, fact.image_key, fact.species_key, b.cx, b.cy, b.w, b.h,
+                fact.confidence, fact.geo_x, fact.geo_y, fact.height_m, fact.dbh_cm,
+                fact.validation, fact.matched_record_id,
+            )
+        )
+
+    def index(self, fact_id: int) -> int:
+        """The position of fact_id in the columns; KeyError if it is not held."""
+        i = bisect_left(self.fact_id, fact_id)
+        if i == len(self.fact_id) or self.fact_id[i] != fact_id:
+            raise KeyError(fact_id)
+        return i
+
+    def annotate(self, fact_id: int, update: ValidationUpdate) -> None:
+        """Apply one validation annotation to the held fact fact_id."""
+        i = self.index(fact_id)
+        if update.height_m is not None:
+            self.height_m[i] = update.height_m
+        if update.dbh_cm is not None:
+            self.dbh_cm[i] = update.dbh_cm
+        self.validation[i] = _VALIDATION_CODES[update.validation]
+        self.matched_record_id[i] = update.matched_record_id
+
+    def fact(self, i: int) -> FactTreeMetric:
+        """The fact at position i."""
+        height, dbh = self.height_m[i], self.dbh_cm[i]
+        return FactTreeMetric(
+            self.date_key[i],
+            self.image_key[i],
+            self.species_key[i],
+            BoundingBox(self.cx[i], self.cy[i], self.w[i], self.h[i]),
+            self.confidence[i],
+            self.geo_x[i],
+            self.geo_y[i],
+            None if height != height else height,
+            None if dbh != dbh else dbh,
+            VALIDATION_STATES[self.validation[i]],
+            self.matched_record_id[i],
+            fact_id=self.fact_id[i],
+        )
+
+    def cells(self) -> Iterator[list]:
+        """Each fact's stored cells, in fact order (None: an empty cell)."""
+        for values in zip(*(getattr(self, name) for name in self.__slots__)):
+            fact_id, date_key, image_key, species_key, code, *floats, height, dbh, record = values
+            yield [
+                fact_id, date_key, image_key, species_key, *floats,
+                None if height != height else height,
+                None if dbh != dbh else dbh,
+                VALIDATION_STATES[code],
+                record,
+            ]
+
+    def __getitem__(self, fact_id: int) -> FactTreeMetric:
+        return self.fact(self.index(fact_id))
+
+    def __contains__(self, fact_id: object) -> bool:
+        try:
+            self.index(fact_id)  # type: ignore[arg-type]
+        except (KeyError, TypeError):
+            return False
+        return True
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.fact_id)
+
+    def __len__(self) -> int:
+        return len(self.fact_id)
+
+    def values(self) -> ValuesView[FactTreeMetric]:
+        return _FactValues(self)
+
+    def items(self) -> ItemsView[int, FactTreeMetric]:
+        return _FactItems(self)
+
+    def __repr__(self) -> str:
+        return f"FactColumns({dict(self.items())!r})"
+
+
+class _FactValues(ValuesView):
+    def __iter__(self) -> Iterator[FactTreeMetric]:
+        return map(self._mapping.fact, range(len(self._mapping)))
+
+
+class _FactItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[int, FactTreeMetric]]:
+        return zip(self._mapping.fact_id, _FactValues(self._mapping))
+
+
 @dataclass
 class WarehouseState:
     """In-memory image of the committed tables plus the dedup indexes."""
@@ -358,7 +555,7 @@ class WarehouseState:
     dates: dict[int, DimDate] = field(default_factory=dict)
     images: dict[int, DimImage] = field(default_factory=dict)
     species: dict[int, DimSpecies] = field(default_factory=dict)
-    facts: dict[int, FactTreeMetric] = field(default_factory=dict)
+    facts: FactColumns = field(default_factory=FactColumns)
     images_by_identity: dict[tuple[str, str], int] = field(default_factory=dict)
     species_by_code: dict[str, int] = field(default_factory=dict)
 
@@ -374,11 +571,12 @@ class WarehouseState:
         self.species_by_code[row.code] = row.species_key
 
     def add_fact(self, row: FactTreeMetric) -> None:
-        self.facts[row.fact_id] = row
+        self.facts.add(row)
 
     def copy(self) -> WarehouseState:
-        """A state with its own dicts; the (immutable) rows in them are shared."""
-        return WarehouseState(*(dict(getattr(self, f.name)) for f in fields(self)))
+        """A state with its own dicts and fact columns; the (immutable)
+        dimension rows in the dicts are shared."""
+        return WarehouseState(*(getattr(self, f.name).copy() for f in fields(self)))
 
     def species_code_of(self, species_key: int) -> str:
         return self.species[species_key].code

@@ -1,8 +1,10 @@
 """Analytical queries over the star schema.
 
-Queries run as a single scan of the fact table with hash lookups into the
-dimension tables; filters and groupings address dimension attributes, and
-measures aggregate fact columns. Each query returns a report.ResultTable.
+Filters and groupings address dimension attributes, and measures aggregate
+fact columns. A query decides each image's and each species' part of the
+group key, or that a filter drops it, once; then it scans the fact columns
+(model.FactColumns) in fact order, so that each mean adds its values left
+to right in fact order. Each query returns a report.ResultTable.
 
 The query vocabulary is described once, here: GROUP_VALUES (the group
 keys), MEASURE_VALUES (the measures) and QUERY_OPTIONS (each QuerySpec
@@ -11,17 +13,21 @@ field as a text option). The CLI flags and HTTP parameters come from them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping, NamedTuple
+from itertools import compress
+from operator import getitem, itemgetter
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import InvalidSpecError
 from .model import (
+    CONFIRMED,
     PLATFORMS,
     VALIDATION_STATES,
     DimDate,
     DimImage,
     DimSpecies,
-    FactTreeMetric,
+    FactColumns,
     is_valid_date_key,
 )
 from .report import ResultTable
@@ -55,43 +61,45 @@ GROUP_VALUES: dict[str, Callable[[DimDate, DimImage, DimSpecies], str]] = {
 }
 GROUP_KEYS = tuple(GROUP_VALUES)
 TIME_KEYS = tuple(_TIME_VALUES)
+# The group keys that read the species row; the others read the image and
+# its date row.
+_SPECIES_KEYS = frozenset({"species", "conservation_status"})
 
 
-class _Accumulator:
-    __slots__ = ("count", "conf_sum", "height_sum", "height_n", "dbh_sum", "dbh_n", "images", "confirmed")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.conf_sum = 0.0
-        self.height_sum = 0.0
-        self.height_n = 0
-        self.dbh_sum = 0.0
-        self.dbh_n = 0
-        self.images: set[int] = set()
-        self.confirmed = 0
-
-    def add(self, fact: FactTreeMetric) -> None:
-        self.count += 1
-        self.conf_sum += fact.confidence
-        if fact.height_m is not None:
-            self.height_sum += fact.height_m
-            self.height_n += 1
-        if fact.dbh_cm is not None:
-            self.dbh_sum += fact.dbh_cm
-            self.dbh_n += 1
-        self.images.add(fact.image_key)
-        if fact.validation == "confirmed":
-            self.confirmed += 1
+def _per_group(counts: Counter, size: int) -> list[int]:
+    out = [0] * size
+    for g, n in counts.items():
+        out[g] = n
+    return out
 
 
-# Measures: each maps one group's accumulator to its value.
-MEASURE_VALUES: dict[str, Callable[[_Accumulator], object]] = {
-    "tree_count": lambda acc: acc.count,
-    "mean_confidence": lambda acc: None if acc.count == 0 else acc.conf_sum / acc.count,
-    "mean_height_m": lambda acc: None if acc.height_n == 0 else acc.height_sum / acc.height_n,
-    "mean_dbh_cm": lambda acc: None if acc.dbh_n == 0 else acc.dbh_sum / acc.dbh_n,
-    "image_count": lambda acc: len(acc.images),
-    "confirmed_count": lambda acc: acc.confirmed,
+def _mean(column: str) -> Callable[[FactColumns, list[int], int], list]:
+    """The measure averaging a float column over the values present (not NaN)."""
+
+    def mean(facts: FactColumns, groups: list[int], size: int) -> list:
+        sums, counts = [0.0] * size, [0] * size
+        for g, x in zip(groups, getattr(facts, column)):
+            if x == x:
+                sums[g] += x
+                counts[g] += 1
+        return [s / n if n else None for s, n in zip(sums, counts)]
+
+    return mean
+
+
+# Measures: each maps the fact columns and every fact's group number (each
+# below size) to the measure's value for each group number.
+MEASURE_VALUES: dict[str, Callable[[FactColumns, list[int], int], list]] = {
+    "tree_count": lambda facts, groups, size: _per_group(Counter(groups), size),
+    "mean_confidence": _mean("confidence"),
+    "mean_height_m": _mean("height_m"),
+    "mean_dbh_cm": _mean("dbh_cm"),
+    "image_count": lambda facts, groups, size: _per_group(
+        Counter(map(itemgetter(0), set(zip(groups, facts.image_key)))), size
+    ),
+    "confirmed_count": lambda facts, groups, size: _per_group(
+        Counter(compress(groups, map(CONFIRMED.__eq__, facts.validation))), size
+    ),
 }
 MEASURES = tuple(MEASURE_VALUES)
 
@@ -200,12 +208,13 @@ def spec_from_strings(options: Mapping[str, str]) -> QuerySpec:
     return spec
 
 
-def _fact_passes(spec: QuerySpec, fact: FactTreeMetric, image: DimImage, species: DimSpecies) -> bool:
-    if spec.date_from is not None and fact.date_key < spec.date_from:
+def _image_passes(spec: QuerySpec, image: DimImage) -> bool:
+    # a fact's date_key is its image's capture date: a fact whose date
+    # differs is refused when it is stored or loaded
+    date_key = image.capture_date_key
+    if spec.date_from is not None and date_key < spec.date_from:
         return False
-    if spec.date_to is not None and fact.date_key > spec.date_to:
-        return False
-    if spec.species_codes is not None and species.code not in spec.species_codes:
+    if spec.date_to is not None and date_key > spec.date_to:
         return False
     if spec.platforms is not None and image.platform not in spec.platforms:
         return False
@@ -213,34 +222,73 @@ def _fact_passes(spec: QuerySpec, fact: FactTreeMetric, image: DimImage, species
         return False
     if spec.min_height_px is not None and image.height_px < spec.min_height_px:
         return False
-    if spec.validation_states is not None and fact.validation not in spec.validation_states:
-        return False
     return True
 
 
+def _parts(rows: Mapping[int, Any], keep: Callable[[Any], bool], value: Callable[[Any], tuple]) -> tuple[dict, list]:
+    """Number the distinct values of the kept rows. Returns each kept row's
+    key with the number of its value, and for each number the first row
+    that has it."""
+    number: dict[tuple, int] = {}
+    first: list = []
+    part_of = {}
+    for key, row in rows.items():
+        if keep(row):
+            v = value(row)
+            if v not in number:
+                number[v] = len(first)
+                first.append(row)
+            part_of[key] = number[v]
+    return part_of, first
+
+
 def run_query(handle: Warehouse, spec: QuerySpec) -> ResultTable:
-    """Execute one aggregation: scan facts once, join dims by key, group, sort."""
+    """Execute one aggregation: resolve the dimensions, scan the fact columns once, group, sort.
+
+    A fact's group is the pair of its image's part and its species' part:
+    the distinct values of the group keys each of them decides. Every fact
+    a filter drops gets the group number dropped, past the last group.
+    """
     problems = spec.violations()
     if problems:
         raise InvalidSpecError("; ".join(problems))
     state = handle.state
-    key_values = [GROUP_VALUES[k] for k in spec.group_by]
-    measure_values = [MEASURE_VALUES[m] for m in spec.measures]
-    groups: dict[tuple[str, ...], _Accumulator] = {}
-    for fact in state.facts.values():
-        image = state.images[fact.image_key]
-        species = state.species[fact.species_key]
-        if not _fact_passes(spec, fact, image, species):
-            continue
-        date = state.dates[fact.date_key]
-        key = tuple([value(date, image, species) for value in key_values])
-        acc = groups.get(key)
-        if acc is None:
-            acc = groups[key] = _Accumulator()
-        acc.add(fact)
-    rows = tuple(
-        key + tuple([value(groups[key]) for value in measure_values]) for key in sorted(groups)
+    facts = state.facts
+    image_keys = [GROUP_VALUES[k] for k in spec.group_by if k not in _SPECIES_KEYS]
+    species_keys = [GROUP_VALUES[k] for k in spec.group_by if k in _SPECIES_KEYS]
+    image_part, image_first = _parts(
+        state.images,
+        lambda image: _image_passes(spec, image),
+        lambda image: tuple([v(state.dates[image.capture_date_key], image, None) for v in image_keys]),
     )
+    species_part, species_first = _parts(
+        state.species,
+        lambda species: spec.species_codes is None or species.code in spec.species_codes,
+        lambda species: tuple([v(None, None, species) for v in species_keys]),
+    )
+    per_image = len(species_first)
+    dropped = len(image_first) * per_image
+    # For each image, the group number of a fact by its species key: shared
+    # by the images of one part, and all dropped for a dropped image.
+    by_part = [
+        {key: p * per_image + species_part[key] if key in species_part else dropped for key in state.species}
+        for p in range(len(image_first))
+    ]
+    none_kept = dict.fromkeys(state.species, dropped)
+    by_image = {key: by_part[image_part[key]] if key in image_part else none_kept for key in state.images}
+    groups = list(map(getitem, map(by_image.__getitem__, facts.image_key), facts.species_key))
+    if spec.validation_states is not None:
+        kept_state = [s in spec.validation_states for s in VALIDATION_STATES]
+        groups = [g if kept_state[v] else dropped for g, v in zip(groups, facts.validation)]
+
+    def group_key(g: int) -> tuple[str, ...]:
+        image = image_first[g // per_image]
+        date, species = state.dates[image.capture_date_key], species_first[g % per_image]
+        return tuple([GROUP_VALUES[k](date, image, species) for k in spec.group_by])
+
+    kept = sorted((group_key(g), g) for g in set(groups) if g != dropped)
+    columns = [MEASURE_VALUES[m](facts, groups, dropped + 1) for m in spec.measures]
+    rows = tuple(key + tuple([column[g] for column in columns]) for key, g in kept)
     return ResultTable(columns=spec.group_by + spec.measures, rows=rows)
 
 
@@ -267,19 +315,14 @@ def image_usage_report(handle: Warehouse) -> ResultTable:
     the image dimension and folds facts in on top.
     """
     state = handle.state
+    facts_per_image = Counter(state.facts.image_key)
     image_counts: dict[tuple[str, str], int] = {}
     fact_counts: dict[tuple[str, str], int] = {}
-    for image in state.images.values():
+    for image_key, image in state.images.items():
         key = (resolution_class(image.width_px, image.height_px), image.platform)
         image_counts[key] = image_counts.get(key, 0) + 1
-    for fact in state.facts.values():
-        image = state.images[fact.image_key]
-        key = (resolution_class(image.width_px, image.height_px), image.platform)
-        fact_counts[key] = fact_counts.get(key, 0) + 1
-    rows = [
-        key + (image_counts[key], fact_counts.get(key, 0))
-        for key in sorted(image_counts)
-    ]
+        fact_counts[key] = fact_counts.get(key, 0) + facts_per_image[image_key]
+    rows = [key + (image_counts[key], fact_counts[key]) for key in sorted(image_counts)]
     return ResultTable(
         columns=("resolution_class", "platform", "image_count", "fact_count"),
         rows=tuple(rows),

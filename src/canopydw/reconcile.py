@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .errors import NonFiniteCoordinateError
 from .model import FactTreeMetric, Geotransform, SurveyRecord, ValidationUpdate, pixel_to_geo
@@ -31,6 +31,14 @@ def geo_to_pixel(gt: Geotransform, x: float, y: float) -> tuple[float, float]:
     return col, row
 
 
+class FactPoint(NamedTuple):
+    """What matching reads of a fact (a FactTreeMetric has the same fields)."""
+
+    fact_id: int
+    geo_x: float
+    geo_y: float
+
+
 @dataclass(frozen=True)
 class MatchPair:
     """One detection/ground-truth correspondence."""
@@ -48,7 +56,7 @@ class MatchResult:
 
 
 def match_detections(
-    facts: Collection[FactTreeMetric],
+    facts: Collection[FactPoint | FactTreeMetric],
     records: Sequence[SurveyRecord],
     radius_m: float = 2.0,
 ) -> MatchResult:
@@ -253,11 +261,17 @@ def validate_facts(handle: Warehouse, match: MatchResult, records: Sequence[Surv
 
 
 def reconcile_warehouse(handle: Warehouse, radius_m: float = 2.0) -> ReconcileOutcome:
-    """Match all facts against all survey records and annotate the fact table."""
+    """Match all facts against all survey records and annotate the fact table.
+
+    It reads the fact columns; only validate_facts builds fact objects, one
+    for each matched fact.
+    """
     records = handle.load_all_survey_records()
-    facts = handle.state.facts.values()  # held in fact_id order
-    match = match_detections(facts, records, radius_m)
-    fact_species = {f.fact_id: handle.state.species_code_of(f.species_key) for f in facts}
+    facts = handle.state.facts  # held in fact_id order
+    points = list(map(FactPoint, facts.fact_id, facts.geo_x, facts.geo_y))
+    match = match_detections(points, records, radius_m)
+    codes = {key: species.code for key, species in handle.state.species.items()}
+    fact_species = dict(zip(facts.fact_id, map(codes.__getitem__, facts.species_key)))
     metrics = compute_metrics(fact_species, records, match)
     updated = validate_facts(handle, match, records)
     return ReconcileOutcome(match=match, metrics=metrics, facts_updated=updated)

@@ -56,6 +56,11 @@ open_warehouse is the one-shot form, a cache built, used once and closed.
 A load continues each table from Warehouse.table_bytes, the bytes of the
 rows already held: from byte 0 and the header on a first load.
 
+A load holds the dimension rows as frozen objects in dicts, and the fact
+rows as model.FactColumns: one typed column per field, in fact_id order,
+about 100 bytes per fact. No object is held per fact: state.facts builds a
+FactTreeMetric when a fact is looked up, and queries scan the columns.
+
 A read-write open on a cache that holds no snapshot (every
 open_warehouse(root, "rw")) reads COMMIT and the dimensions, and of the
 fact file only its tail. When the file ends with the whole row whose id is
@@ -74,11 +79,10 @@ import csv
 import fcntl
 import os
 import re
-import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -99,11 +103,11 @@ from .errors import (
     WarehouseError,
 )
 from .model import (
-    BoundingBox,
     DimDate,
     DimImage,
     DimSpecies,
     FactDraft,
+    FactRow,
     FactTreeMetric,
     Geotransform,
     ImageMeta,
@@ -127,15 +131,16 @@ class Table:
     header names the columns; the first is the key. cells gives a row's
     cells in header order (default: the row's attributes named by the
     header); row builds a row from the cells of a line and raises
-    ValueError on a bad cell. state_field names the WarehouseState dict
-    that holds the table's rows by key. A dimension also has check, which
-    returns why a loaded row is refused given the rows loaded before it
-    (None: accepted), and add, which puts an accepted row into the state.
+    ValueError on a bad cell. state_field names the WarehouseState field
+    that holds the table's rows by key: a dict, or FactColumns for the
+    facts. A dimension also has check, which returns why a loaded row is
+    refused given the rows loaded before it (None: accepted), and add,
+    which puts an accepted row into the state.
     """
 
     file: str
     header: str
-    row: Callable[..., Any]
+    row: Callable[[list[str]], Any]
     cells: Callable[[Any], Sequence[object]] | None = None
     state_field: str = ""
     check: Callable[[WarehouseState, Any], str | None] | None = None
@@ -149,22 +154,22 @@ class Table:
         if self.cells is None:
             self.cells = attrgetter(*columns)
 
-    def parse(self, cells: list[str], *args) -> Any:
-        """The row of one line's cells (args go on to row)."""
+    def parse(self, cells: list[str]) -> Any:
+        """The row of one line's cells."""
         if len(cells) != self.width:
             raise ValueError(f"expected {self.width} fields, got {len(cells)}")
-        return self.row(cells, *args)
+        return self.row(cells)
 
-    def rows(self, state: WarehouseState) -> dict:
+    def rows(self, state: WarehouseState) -> Mapping:
         """The table's rows in state, by key."""
         return getattr(state, self.state_field)
 
     def line(self, row) -> str:
         return csv_line(self.cells(row))
 
-    def text(self, rows: Iterable) -> str:
-        """A whole file of this table holding rows."""
-        return self.header + "\n" + "".join(self.line(r) + "\n" for r in rows)
+    def text(self, lines: Iterable[Sequence[object]]) -> str:
+        """A whole file of this table whose rows have the cells in lines."""
+        return self.header + "\n" + "".join(csv_line(cells) + "\n" for cells in lines)
 
 
 def _opt_float(cell: str) -> float | None:
@@ -262,30 +267,28 @@ def _fact_cells(row: FactTreeMetric) -> list:
     ]
 
 
-def _fact_row(cells: list[str], keys: dict[str, int] | None = None) -> FactTreeMetric:
-    """keys maps the text of a date or image key to one int, which the rows
-    of a load then share (a fact table repeats a few keys many times)."""
-    if keys is None:
-        keys = {}
-    date_key = keys.get(cells[1])
-    if date_key is None:
-        date_key = keys[cells[1]] = int(cells[1])
-    image_key = keys.get(cells[2])
-    if image_key is None:
-        image_key = keys[cells[2]] = int(cells[2])
-    return FactTreeMetric(
-        fact_id=int(cells[0]),
-        date_key=date_key,
-        image_key=image_key,
-        species_key=int(cells[3]),
-        bbox=BoundingBox(cx=float(cells[4]), cy=float(cells[5]), w=float(cells[6]), h=float(cells[7])),
-        confidence=float(cells[8]),
-        geo_x=float(cells[9]),
-        geo_y=float(cells[10]),
-        height_m=_opt_float(cells[11]),
-        dbh_cm=_opt_float(cells[12]),
-        validation=sys.intern(cells[13]),
-        matched_record_id=_opt_str(cells[14]),
+def _fact_row(cells: list[str]) -> FactRow:
+    fact_id = int(cells[0])
+    if not -(2**63) <= fact_id < 2**63:  # the range of FactColumns.fact_id
+        raise ValueError(f"fact_id {fact_id} out of range")
+    return FactRow._make(
+        (
+            fact_id,
+            int(cells[1]),
+            int(cells[2]),
+            int(cells[3]),
+            float(cells[4]),
+            float(cells[5]),
+            float(cells[6]),
+            float(cells[7]),
+            float(cells[8]),
+            float(cells[9]),
+            float(cells[10]),
+            _opt_float(cells[11]),
+            _opt_float(cells[12]),
+            cells[13],
+            _opt_str(cells[14]),
+        )
     )
 
 
@@ -429,10 +432,10 @@ def _cells(text: str) -> list[str]:
     return next(csv.reader([text]))
 
 
-def _parse_line(path: Path, line_no: int, line: bytes, table: Table, *args) -> Any:
-    """The row of one stored line (args go on to table.parse)."""
+def _parse_line(path: Path, line_no: int, line: bytes, table: Table) -> Any:
+    """The row of one stored line."""
     try:
-        return table.parse(_cells(line.decode("utf-8")), *args)
+        return table.parse(_cells(line.decode("utf-8")))
     except (csv.Error, StopIteration):
         raise CorruptTableError(path, line_no, "unparseable CSV line")
     except ValueError as exc:  # UnicodeDecodeError among them
@@ -488,7 +491,7 @@ class _FactsOnFirstRead(WarehouseState):
 
     The first access of facts reads the rows of the fact file from byte 0
     up to last_fact_id, through the checks of any load, under the writer's
-    mutex, and stores them as the plain dict attribute facts, which later
+    mutex, and stores them as the plain attribute facts, which later
     accesses find. Until then a fact row the writer adds is not held: it is
     on disk, and the read goes on up to it. The state holds no reference to
     its writer, so that a closed writer is freed at once.
@@ -513,7 +516,7 @@ class _FactsOnFirstRead(WarehouseState):
 
     def add_fact(self, row: FactTreeMetric) -> None:
         if "facts" in vars(self):
-            self.facts[row.fact_id] = row
+            self.facts.add(row)
         else:
             self._last_fact_id = row.fact_id
 
@@ -634,17 +637,17 @@ class Warehouse:
         row is held), or None when no row was added to rows held before.
         """
         path = self._path(FACTS.file)
+        facts = self.state.facts
         held = self.table_bytes.get(FACTS.file, 0)
         fh.seek(held)
-        lines, line_no = _table_lines(path, fh.read(), FACTS, len(self.state.facts) + 2 if held else 1)
+        lines, line_no = _table_lines(path, fh.read(), FACTS, len(facts) + 2 if held else 1)
         self.table_bytes[FACTS.file] = held or len(FACTS.header) + 1
         last_line_no = line_no + len(lines) - 1
-        prev_id = next(reversed(self.state.facts), None)
+        prev_id = facts.fact_id[-1] if facts else None
         last = None if held else FACTS.header.encode() + b"\n"
-        keys: dict[str, int] = {}
         for i, line in enumerate(lines, start=line_no):
             try:
-                row = _parse_line(path, i, line, FACTS, keys)
+                row = _parse_line(path, i, line, FACTS)
             except CorruptTableError:
                 if i == last_line_no:
                     break  # torn trailing write from an interrupted append
@@ -654,7 +657,7 @@ class Warehouse:
             if prev_id is not None and row.fact_id <= prev_id:
                 raise CorruptTableError(path, i, f"fact_id {row.fact_id} out of order")
             self._check_fact(path, i, row)
-            self.state.add_fact(row)
+            facts.append(row)
             self.table_bytes[FACTS.file] += len(line) + 1
             prev_id, last = row.fact_id, line + b"\n"
         max_id = self._last_fact_id = prev_id or 0
@@ -662,7 +665,7 @@ class Warehouse:
             raise CorruptTableError(path, last_line_no, f"commit marker {committed} exceeds last stored fact_id {max_id}")
         return last
 
-    def _check_fact(self, path: Path, line_no: int, row: FactTreeMetric) -> None:
+    def _check_fact(self, path: Path, line_no: int, row: FactRow) -> None:
         """Refuse a stored fact row whose fields or foreign keys are bad."""
         problems = model.fact_field_violations(row, self.state.dates)
         if problems:
@@ -678,9 +681,9 @@ class Warehouse:
         lower id that passes them too."""
         path = self._path(FACTS.file)
 
-        def row(line: bytes) -> FactTreeMetric | None:
+        def row(line: bytes) -> FactRow | None:
             try:
-                fact = _parse_line(path, 0, line, FACTS, {})
+                fact = _parse_line(path, 0, line, FACTS)
                 self._check_fact(path, 0, fact)
             except WarehouseError:
                 return None
@@ -718,8 +721,11 @@ class Warehouse:
     def _rewrite(self, table: Table) -> None:
         """Write table's file anew from the rows held, in key order."""
         rows = table.rows(self.state)
-        text = table.text(rows[key] for key in sorted(rows))
-        self.table_bytes[table.file] = _atomic_write(self._path(table.file), text)
+        if table is FACTS:
+            lines = rows.cells()  # held in key order
+        else:
+            lines = (table.cells(rows[key]) for key in sorted(rows))
+        self.table_bytes[table.file] = _atomic_write(self._path(table.file), table.text(lines))
 
     def _write_commit(self, fact_id: int) -> None:
         _atomic_write(self._path(COMMIT_MARKER), f"{fact_id}\n")
@@ -856,7 +862,7 @@ class Warehouse:
         with self.batch():
             problems = []
             for i, draft in enumerate(drafts):
-                issues = model.fact_field_violations(draft) + model.validate_fact(draft, self.state)
+                issues = model.fact_field_violations(draft, self.state.dates) + model.validate_fact(draft, self.state)
                 if issues:
                     problems.append(f"fact {i}: " + "; ".join(issues))
             if problems:
@@ -878,18 +884,9 @@ class Warehouse:
                     raise UnknownFactError(f"fact {fid}: bad validation state {upd.validation!r}")
             if not updates:
                 return 0
-            new_facts: dict[int, FactTreeMetric] = {}
-            for fid, fact in self.state.facts.items():
-                upd = updates.get(fid)
-                if upd is not None:
-                    fact = replace(
-                        fact,
-                        height_m=upd.height_m if upd.height_m is not None else fact.height_m,
-                        dbh_cm=upd.dbh_cm if upd.dbh_cm is not None else fact.dbh_cm,
-                        validation=upd.validation,
-                        matched_record_id=upd.matched_record_id,
-                    )
-                new_facts[fid] = fact
+            new_facts = self.state.facts.copy()
+            for fid, upd in updates.items():
+                new_facts.annotate(fid, upd)
             old = self.state.facts, self.table_bytes[FACTS.file]
             self.state.facts = new_facts
             try:
@@ -915,7 +912,7 @@ class Warehouse:
                 if model.has_line_break(text):
                     raise InvalidMetadataError(f"survey text {text!r} contains a line break")
         path = self.survey_path(survey_id)
-        text = SURVEYS.text(records)
+        text = SURVEYS.text(map(SURVEYS.cells, records))
         with self._mutex:
             if path.exists():
                 if path.read_bytes() == text.encode():
@@ -1010,13 +1007,14 @@ class SnapshotCache:
     rewrite_validation or crash recovery renames a fact file in) the whole
     root is reloaded.
     A returned Warehouse is never changed afterwards: a refresh that finds
-    changes publishes a new one, built from a copy of the old state.
+    changes publishes a new one, built from a copy of the old state (its
+    own dicts, and fact columns copied one memcpy each).
 
     open_writer() gives a read-write handle. On a cache holding a snapshot
-    it is built on the same rows, so that a writer does not hold a second
-    copy of the fact table next to the cached one. On a cache holding none
-    it reads no fact row while the fact file's tail is clean (see
-    open_writer). open_warehouse is either call on a cache used once.
+    it is built from a copy of the snapshot's state, so that it parses
+    nothing the cache holds. On a cache holding none it reads no fact row
+    while the fact file's tail is clean (see open_writer). open_warehouse
+    is either call on a cache used once.
     """
 
     def __init__(self, root):
@@ -1047,8 +1045,8 @@ class SnapshotCache:
         snapshot held, it refreshes the snapshot, cuts the fact file back
         to the committed rows by rewriting it when it holds more bytes than
         those, and writes the COMMIT marker when it is missing. That handle
-        gets its own dicts; the frozen rows in them are shared with the
-        snapshot.
+        gets its own dicts and fact columns; the frozen dimension rows in
+        the dicts are shared with the snapshot.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         lock = FileLock(self.root / LOCK_FILE)

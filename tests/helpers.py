@@ -215,6 +215,15 @@ def oracle_group_value(key: str, fact, state) -> str:
     raise AssertionError(key)
 
 
+def left_to_right_sum(values) -> float:
+    """0.0 plus each value in turn. From Python 3.12 on the builtin sum()
+    of floats is compensated, so it can differ in the last place."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def oracle_query(state, spec):
     """Naive full-scan aggregation used to cross-check run_query."""
     groups = {}
@@ -245,13 +254,13 @@ def oracle_query(state, spec):
             if m == "tree_count":
                 cells.append(len(facts))
             elif m == "mean_confidence":
-                cells.append(sum(f.confidence for f in facts) / len(facts))
+                cells.append(left_to_right_sum(f.confidence for f in facts) / len(facts))
             elif m == "mean_height_m":
                 vals = [f.height_m for f in facts if f.height_m is not None]
-                cells.append(sum(vals) / len(vals) if vals else None)
+                cells.append(left_to_right_sum(vals) / len(vals) if vals else None)
             elif m == "mean_dbh_cm":
                 vals = [f.dbh_cm for f in facts if f.dbh_cm is not None]
-                cells.append(sum(vals) / len(vals) if vals else None)
+                cells.append(left_to_right_sum(vals) / len(vals) if vals else None)
             elif m == "image_count":
                 cells.append(len({f.image_key for f in facts}))
             elif m == "confirmed_count":

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from canopydw.ingest import (
     ingest_survey,
 )
 from canopydw.model import ValidationUpdate, encode_date_key
+from canopydw.query import MEASURES, QuerySpec, run_query
 from canopydw.reconcile import reconcile_warehouse
 from canopydw.storage import (
     FACTS,
@@ -1086,6 +1088,105 @@ def test_snapshot_refuses_a_fact_file_rewritten_in_place(root, monkeypatch):
         assert len(preads) == 1
     finally:
         snap.close()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a refresh re-reads only the last held fact line: an in-place edit of an earlier row is served stale",
+)
+def test_snapshot_sees_an_in_place_edit_of_an_earlier_row(root):
+    with open_warehouse(root) as wh:
+        wh.upsert_species("PSME")
+        wh.ensure_date(20240115)
+        wh.insert_image(make_image().meta)
+        wh.append_facts([make_draft(wh.state.images[1])] * 3)
+    path = root / FACT_TABLE
+    snap = SnapshotCache(root)
+    try:
+        assert snap.current().state.facts[2].confidence == 0.9
+        data = path.read_bytes()
+        start = data.index(b"\n2,")
+        with open(path, "r+b") as fh:  # same inode and size: fact 2's confidence 0.9 becomes 0.8
+            fh.seek(start)
+            fh.write(data[start : data.index(b"\n", start + 1)].replace(b",0.9,", b",0.8,"))
+        with open_warehouse(root) as wh:
+            wh.append_facts([make_draft(wh.state.images[1])])
+        with open_warehouse(root, "ro") as fresh:
+            assert fresh.state.facts[2].confidence == 0.8
+        assert snap.current().state.facts[2].confidence == 0.8
+    finally:
+        snap.close()
+
+
+def test_handed_out_snapshot_never_changes(root):
+    with open_warehouse(root) as wh:
+        populate_random(wh, random.Random(14), n_images=6, max_facts_per_image=8)
+        facts = list(wh.state.facts.values())
+        wh.save_survey("s1", [make_record(f"R{f.fact_id}", f.geo_x, f.geo_y, "TSHE") for f in facts[::3]])
+    spec = QuerySpec(group_by=("species",), measures=MEASURES)
+
+    def seen(handle):
+        return len(handle.state.facts), dict(handle.table_bytes), run_query(handle, spec).rows
+
+    snap = SnapshotCache(root)
+    try:
+        first = snap.current()
+        before = seen(first)
+        metas, dets = _batch_inputs(2, date_key=20240101, first=100)
+        with snap.open_writer() as wh:
+            ingest_image_batch(wh, metas, dets, ClassMap(["PSME"]))
+        assert len(snap.current().state.facts) == before[0] + 4
+        assert seen(first) == before
+        with snap.open_writer() as wh:
+            assert reconcile_warehouse(wh).facts_updated == before[0] + 4
+        assert run_query(snap.current(), spec).rows != before[2]
+        assert seen(first) == before
+    finally:
+        snap.close()
+
+
+@pytest.mark.parametrize(
+    "cell, value, reason",
+    [
+        (0, str(2**63), f"fact_id {2**63} out of range"),
+        (2, str(2**31), f"image_key outside [{-(2**31)}, {2**31 - 1}]"),
+    ],
+)
+def test_fact_keys_outside_the_column_range_are_refused(root, cell, value, reason):
+    with open_warehouse(root) as wh:
+        wh.upsert_species("PSME")
+        wh.ensure_date(20240115)
+        wh.insert_image(make_image().meta)
+        wh.insert_image(make_image(file_name="far.jpg").meta)
+        wh.append_facts([make_draft(wh.state.images[1])] * 2)
+    # image 2 gets key 2**31, and fact 1 refers to it
+    images = root / "dim_image.tbl"
+    images.write_text(images.read_text().replace("\n2,far.jpg,", f"\n{2**31},far.jpg,"))
+    lines = (root / FACT_TABLE).read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[cell] = value
+    lines[1] = ",".join(cells)
+    (root / FACT_TABLE).write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptTableError) as err:
+        open_warehouse(root, "ro")
+    assert (err.value.line_no, err.value.reason) == (2, reason)
+
+
+def test_loaded_facts_hold_at_most_150_bytes_each(tmp_path):
+    root = tmp_path / "wh"
+    with open_warehouse(root) as wh:
+        populate_random(wh, random.Random(7), n_images=270, max_facts_per_image=80)
+        n = len(wh.state.facts)
+    assert n >= 10_000
+    tracemalloc.start()
+    try:
+        wh = open_warehouse(root, "ro")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    with wh:
+        assert len(wh.state.facts) == n
+    assert held / n <= 150, f"{held / n:.0f} B held per fact"
 
 
 def _facts_root(root, n):
