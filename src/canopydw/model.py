@@ -12,7 +12,7 @@ import math
 import re
 from array import array
 from bisect import bisect_left
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, fields
 from typing import Container, NamedTuple
 
@@ -482,8 +482,8 @@ class FactColumns(Mapping[int, FactTreeMetric]):
         self.validation[i] = _VALIDATION_CODES[update.validation]
         self.matched_record_id[i] = update.matched_record_id
 
-    def fact(self, i: int) -> FactTreeMetric:
-        """The fact at position i."""
+    def __getitem__(self, fact_id: int) -> FactTreeMetric:
+        i = self.index(fact_id)
         height, dbh = self.height_m[i], self.dbh_cm[i]
         return FactTreeMetric(
             self.date_key[i],
@@ -512,9 +512,6 @@ class FactColumns(Mapping[int, FactTreeMetric]):
                 record,
             ]
 
-    def __getitem__(self, fact_id: int) -> FactTreeMetric:
-        return self.fact(self.index(fact_id))
-
     def __contains__(self, fact_id: object) -> bool:
         try:
             self.index(fact_id)  # type: ignore[arg-type]
@@ -528,24 +525,8 @@ class FactColumns(Mapping[int, FactTreeMetric]):
     def __len__(self) -> int:
         return len(self.fact_id)
 
-    def values(self) -> ValuesView[FactTreeMetric]:
-        return _FactValues(self)
-
-    def items(self) -> ItemsView[int, FactTreeMetric]:
-        return _FactItems(self)
-
     def __repr__(self) -> str:
-        return f"FactColumns({dict(self.items())!r})"
-
-
-class _FactValues(ValuesView):
-    def __iter__(self) -> Iterator[FactTreeMetric]:
-        return map(self._mapping.fact, range(len(self._mapping)))
-
-
-class _FactItems(ItemsView):
-    def __iter__(self) -> Iterator[tuple[int, FactTreeMetric]]:
-        return zip(self._mapping.fact_id, _FactValues(self._mapping))
+        return f"FactColumns({dict(self)!r})"
 
 
 @dataclass
