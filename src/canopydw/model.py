@@ -1,8 +1,8 @@
 """Star-schema domain types and cross-table integrity rules.
 
 Three dimension tables (date, image, species) and one fact table (one row
-per detected tree). All types are immutable values; mutation happens only
-through the storage layer.
+per detected tree). The row types are immutable values. A loaded fact table
+is held as FactColumns, typed columns that only the storage layer changes.
 """
 
 from __future__ import annotations
