@@ -324,6 +324,16 @@ class FactRow(NamedTuple):
     matched_record_id: str | None
 
 
+def fact_row(fact: FactTreeMetric) -> FactRow:
+    """The cells of a fact's stored line."""
+    b = fact.bbox
+    return FactRow(
+        fact.fact_id, fact.date_key, fact.image_key, fact.species_key, b.cx, b.cy, b.w, b.h,
+        fact.confidence, fact.geo_x, fact.geo_y, fact.height_m, fact.dbh_cm,
+        fact.validation, fact.matched_record_id,
+    )
+
+
 # The range of a key column (array typecode "i") in FactColumns.
 KEY_MIN, KEY_MAX = -(2**31), 2**31 - 1
 
@@ -391,6 +401,16 @@ _VALIDATION_CODES = {state: code for code, state in enumerate(VALIDATION_STATES)
 CONFIRMED = _VALIDATION_CODES["confirmed"]
 _NAN = float("nan")
 
+
+def _same_cell(held: float, value: float) -> bool:
+    """Whether value, put in a float column that holds held, renders as held
+    does: both NaN (an empty cell), or equal with the same sign (0.0 and -0.0
+    render apart)."""
+    if held != held:
+        return value != value
+    return held == value and math.copysign(1.0, held) == math.copysign(1.0, value)
+
+
 # FactColumns' arrays: attribute (a FactRow field) and array typecode.
 _ARRAY_COLUMNS = (
     ("fact_id", "q"),
@@ -418,8 +438,11 @@ class FactColumns(Mapping[int, FactTreeMetric]):
     for a missing height_m or dbh_cm; the row checks refuse a stored NaN.
 
     As a Mapping it is read-only: fact_id to a FactTreeMetric built on
-    access (lookup bisects fact_id). Only append, add and annotate change
-    it, and copy gives columns of their own.
+    access (lookup bisects fact_id). index gives a fact's position, at
+    which the columns can be read without building an object. Only append,
+    add and annotate (at a position) change it; copy gives columns of
+    their own, and changes tells whether an annotation would change a
+    stored cell, so that a writer copies and rewrites nothing otherwise.
     """
 
     __slots__ = tuple(name for name, _ in _ARRAY_COLUMNS) + ("matched_record_id",)
@@ -456,14 +479,7 @@ class FactColumns(Mapping[int, FactTreeMetric]):
         self.matched_record_id.append(record)
 
     def add(self, fact: FactTreeMetric) -> None:
-        b = fact.bbox
-        self.append(
-            FactRow(
-                fact.fact_id, fact.date_key, fact.image_key, fact.species_key, b.cx, b.cy, b.w, b.h,
-                fact.confidence, fact.geo_x, fact.geo_y, fact.height_m, fact.dbh_cm,
-                fact.validation, fact.matched_record_id,
-            )
-        )
+        self.append(fact_row(fact))
 
     def index(self, fact_id: int) -> int:
         """The position of fact_id in the columns; KeyError if it is not held."""
@@ -472,9 +488,18 @@ class FactColumns(Mapping[int, FactTreeMetric]):
             raise KeyError(fact_id)
         return i
 
-    def annotate(self, fact_id: int, update: ValidationUpdate) -> None:
-        """Apply one validation annotation to the held fact fact_id."""
-        i = self.index(fact_id)
+    def changes(self, i: int, update: ValidationUpdate) -> bool:
+        """Whether annotating the fact at position i with update would change
+        a stored cell of it."""
+        return (
+            self.validation[i] != _VALIDATION_CODES[update.validation]
+            or self.matched_record_id[i] != update.matched_record_id
+            or (update.height_m is not None and not _same_cell(self.height_m[i], update.height_m))
+            or (update.dbh_cm is not None and not _same_cell(self.dbh_cm[i], update.dbh_cm))
+        )
+
+    def annotate(self, i: int, update: ValidationUpdate) -> None:
+        """Apply one validation annotation to the fact at position i."""
         if update.height_m is not None:
             self.height_m[i] = update.height_m
         if update.dbh_cm is not None:
@@ -500,17 +525,17 @@ class FactColumns(Mapping[int, FactTreeMetric]):
             fact_id=self.fact_id[i],
         )
 
-    def cells(self) -> Iterator[list]:
-        """Each fact's stored cells, in fact order (None: an empty cell)."""
+    def cells(self) -> Iterator[tuple]:
+        """Each fact's stored cells, in fact order: the fields of its FactRow."""
         for values in zip(*(getattr(self, name) for name in self.__slots__)):
             fact_id, date_key, image_key, species_key, code, *floats, height, dbh, record = values
-            yield [
+            yield (
                 fact_id, date_key, image_key, species_key, *floats,
                 None if height != height else height,
                 None if dbh != dbh else dbh,
                 VALIDATION_STATES[code],
                 record,
-            ]
+            )
 
     def __contains__(self, fact_id: object) -> bool:
         try:

@@ -236,19 +236,23 @@ def validate_facts(handle: Warehouse, match: MatchResult, records: Sequence[Surv
     Matched facts become "confirmed" when species agree (inheriting the
     record's DBH and height where the fact lacks them) or
     "species_mismatch" otherwise; unmatched facts become "unmatched".
+    It reads each matched fact's species, height and DBH from the fact
+    columns at the fact's position.
     """
     record_by_id = {r.record_id: r for r in records}
+    facts = handle.state.facts
     updates: dict[int, ValidationUpdate] = {}
     for pair in match.pairs:
-        fact = handle.state.facts[pair.fact_id]
+        i = facts.index(pair.fact_id)
         rec = record_by_id[pair.record_id]
-        detected = handle.state.species_code_of(fact.species_key)
+        detected = handle.state.species_code_of(facts.species_key[i])
         if detected == rec.species_code:
+            height, dbh = facts.height_m[i], facts.dbh_cm[i]  # NaN: missing
             updates[pair.fact_id] = ValidationUpdate(
                 validation="confirmed",
                 matched_record_id=pair.record_id,
-                height_m=rec.height_m if fact.height_m is None else None,
-                dbh_cm=rec.dbh_cm if fact.dbh_cm is None else None,
+                height_m=rec.height_m if height != height else None,
+                dbh_cm=rec.dbh_cm if dbh != dbh else None,
             )
         else:
             updates[pair.fact_id] = ValidationUpdate(
@@ -263,8 +267,9 @@ def validate_facts(handle: Warehouse, match: MatchResult, records: Sequence[Surv
 def reconcile_warehouse(handle: Warehouse, radius_m: float = 2.0) -> ReconcileOutcome:
     """Match all facts against all survey records and annotate the fact table.
 
-    It reads the fact columns; only validate_facts builds fact objects, one
-    for each matched fact.
+    It reads the fact columns and builds no fact object. facts_updated
+    counts the facts annotated (every fact, matched or not), whether or not
+    their annotation changed; a reconcile that changes none writes nothing.
     """
     records = handle.load_all_survey_records()
     facts = handle.state.facts  # held in fact_id order

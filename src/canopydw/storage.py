@@ -164,9 +164,6 @@ class Table:
         """The table's rows in state, by key."""
         return getattr(state, self.state_field)
 
-    def line(self, row) -> str:
-        return csv_line(self.cells(row))
-
     def text(self, lines: Iterable[Sequence[object]]) -> str:
         """A whole file of this table whose rows have the cells in lines."""
         return self.header + "\n" + "".join(csv_line(cells) + "\n" for cells in lines)
@@ -247,24 +244,24 @@ def _image_problem(state: WarehouseState, row: DimImage) -> str | None:
     return None
 
 
-def _fact_cells(row: FactTreeMetric) -> list:
-    return [
-        row.fact_id,
-        row.date_key,
-        row.image_key,
-        row.species_key,
-        row.bbox.cx,
-        row.bbox.cy,
-        row.bbox.w,
-        row.bbox.h,
-        row.confidence,
-        row.geo_x,
-        row.geo_y,
-        row.height_m,
-        row.dbh_cm,
-        row.validation,
-        row.matched_record_id,
-    ]
+_SPECIAL_CELL = re.compile('[,"\r\n\0]').search
+
+
+def _fact_line(row: Sequence) -> str:
+    """csv_line(row) for a fact line's cells (a FactRow), built in one
+    f-string instead of a csv.writer: str() of an int, repr() of a float,
+    None empty and the validation state as it is. A matched_record_id
+    holding a comma, quote, line break or NUL, which csv.writer quotes (or
+    refuses, NUL on Python 3.10), goes through csv_line."""
+    fact_id, date_key, image_key, species_key, cx, cy, w, h, confidence, geo_x, geo_y, height, dbh, state, record = row
+    if record is None:
+        record = ""
+    elif _SPECIAL_CELL(record):
+        return csv_line(row)
+    return (
+        f"{fact_id},{date_key},{image_key},{species_key},{cx!r},{cy!r},{w!r},{h!r},{confidence!r},{geo_x!r},"
+        f"{geo_y!r},{'' if height is None else repr(height)},{'' if dbh is None else repr(dbh)},{state},{record}"
+    )
 
 
 def _fact_row(cells: list[str]) -> FactRow:
@@ -323,7 +320,7 @@ FACTS = Table(
     "fact_id,date_key,image_key,species_key,bbox_cx,bbox_cy,bbox_w,bbox_h,"
     "confidence,geo_x,geo_y,height_m,dbh_cm,validation,matched_record_id",
     row=_fact_row,
-    cells=_fact_cells,
+    cells=model.fact_row,
     state_field="facts",
 )
 # one file per survey, under SURVEY_DIR
@@ -721,11 +718,11 @@ class Warehouse:
     def _rewrite(self, table: Table) -> None:
         """Write table's file anew from the rows held, in key order."""
         rows = table.rows(self.state)
-        if table is FACTS:
-            lines = rows.cells()  # held in key order
+        if table is FACTS:  # held in key order
+            text = "\n".join([FACTS.header, *map(_fact_line, rows.cells()), ""])
         else:
-            lines = (table.cells(rows[key]) for key in sorted(rows))
-        self.table_bytes[table.file] = _atomic_write(self._path(table.file), table.text(lines))
+            text = table.text(table.cells(rows[key]) for key in sorted(rows))
+        self.table_bytes[table.file] = _atomic_write(self._path(table.file), text)
 
     def _write_commit(self, fact_id: int) -> None:
         _atomic_write(self._path(COMMIT_MARKER), f"{fact_id}\n")
@@ -767,7 +764,7 @@ class Warehouse:
                 self._rewrites.discard(table)
         if not rows:
             return
-        data = "".join(FACTS.line(row) + "\n" for row in rows).encode("utf-8")
+        data = "".join([_fact_line(FACTS.cells(row)) + "\n" for row in rows]).encode("utf-8")
         path = self._path(FACTS.file)
         pre_size = path.stat().st_size
         try:
@@ -873,21 +870,36 @@ class Warehouse:
             return [row.fact_id for row in rows]
 
     def rewrite_validation(self, updates: Mapping[int, ValidationUpdate]) -> int:
-        """Apply validation annotations; all other fact fields stay unchanged."""
+        """Apply validation annotations; all other fact fields stay unchanged.
+
+        Returns the number of facts annotated, whether their annotation
+        changed or not. When no update changes a stored cell, nothing is
+        copied or written: the fact file keeps its bytes and its inode.
+        """
         self._require_writer()
         with self._mutex:
-            unknown = [fid for fid in updates if fid not in self.state.facts]
+            facts = self.state.facts
+            unknown, bad, changed = [], None, []
+            for fid, upd in updates.items():
+                try:
+                    i = facts.index(fid)
+                except (KeyError, TypeError):
+                    unknown.append(fid)
+                    continue
+                if upd.validation not in model.VALIDATION_STATES:
+                    bad = bad or f"fact {fid}: bad validation state {upd.validation!r}"
+                elif facts.changes(i, upd):
+                    changed.append((i, upd))
             if unknown:
                 raise UnknownFactError(f"unknown fact ids: {sorted(unknown)}")
-            for fid, upd in updates.items():
-                if upd.validation not in model.VALIDATION_STATES:
-                    raise UnknownFactError(f"fact {fid}: bad validation state {upd.validation!r}")
-            if not updates:
-                return 0
-            new_facts = self.state.facts.copy()
-            for fid, upd in updates.items():
-                new_facts.annotate(fid, upd)
-            old = self.state.facts, self.table_bytes[FACTS.file]
+            if bad:
+                raise UnknownFactError(bad)
+            if not changed:
+                return len(updates)
+            new_facts = facts.copy()
+            for i, upd in changed:
+                new_facts.annotate(i, upd)
+            old = facts, self.table_bytes[FACTS.file]
             self.state.facts = new_facts
             try:
                 self._rewrite(FACTS)  # same fact ids, so COMMIT stays as it is

@@ -34,15 +34,22 @@ def reference_copy(reference_root, tmp_path) -> Path:
 
 
 @contextmanager
-def running_server(root: Path, **config_kwargs):
-    """A live service bound to an ephemeral port; yields its base URL."""
+def serving(root: Path, **config_kwargs):
+    """A live service bound to an ephemeral port; yields the server."""
     config = ServiceConfig(bind_address="127.0.0.1:0", warehouse_root=root, **config_kwargs)
     server = make_server(config)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"http://{server.bound_address}"
+        yield server
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@contextmanager
+def running_server(root: Path, **config_kwargs):
+    """A live service bound to an ephemeral port; yields its base URL."""
+    with serving(root, **config_kwargs) as server:
+        yield f"http://{server.bound_address}"

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from canopydw.reconcile import (
     reconcile_warehouse,
     validate_facts,
 )
-from canopydw.storage import open_warehouse
+from canopydw import storage
+from canopydw.storage import FACTS, TABLES, open_warehouse
 
 from helpers import make_draft, make_image, make_record, oracle_match
 
@@ -387,3 +389,78 @@ def test_reconcile_inherited_measures_round_trip(tmp_path):
     with open_warehouse(tmp_path / "wh", "ro") as wh:
         assert wh.state.facts[1].dbh_cm == 33.0
         assert wh.state.facts[1].height_m is None
+
+
+# -- a reconcile that changes no annotation writes nothing -------------------------
+
+STORED_FILES = (*(t.file for t in TABLES), "COMMIT")
+
+
+def _file_keys(root):
+    keys = {}
+    for name in STORED_FILES:
+        st = os.stat(root / name)
+        keys[name] = (st.st_ino, st.st_size, st.st_mtime_ns)
+    return keys
+
+
+def _spy_writes(monkeypatch):
+    """Records each _atomic_write and os.replace call made from here on."""
+    calls = []
+    real_write, real_replace = storage._atomic_write, os.replace
+
+    def atomic_write(path, text):
+        calls.append(("_atomic_write", path.name))
+        return real_write(path, text)
+
+    def replace(src, dst):
+        calls.append(("os.replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(storage, "_atomic_write", atomic_write)
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
+
+
+def _reconciled(tmp_path):
+    """A root of three facts reconciled once against one survey."""
+    with _populated(tmp_path) as wh:
+        wh.save_survey("s", [make_record("r1", 0.1, 0.0, "PSME", dbh_cm=41.5), make_record("r2", 5.1, 0.0, "PSME")])
+        return reconcile_warehouse(wh, 2.0)
+
+
+def test_repeated_reconcile_writes_nothing(tmp_path, monkeypatch):
+    root = tmp_path / "wh"
+    first = _reconciled(tmp_path)
+    keys = _file_keys(root)
+    calls = _spy_writes(monkeypatch)
+    with open_warehouse(root) as wh:
+        second = reconcile_warehouse(wh, 2.0)
+    # still every fact annotated, not the changed ones
+    assert second.facts_updated == first.facts_updated == 3
+    assert second.metrics == first.metrics
+    assert calls == []
+    assert _file_keys(root) == keys
+
+
+def test_reconcile_after_a_new_survey_rewrites_the_fact_file(tmp_path, monkeypatch):
+    root = tmp_path / "wh"
+    _reconciled(tmp_path)
+    with open_warehouse(root) as wh:
+        # fact 3 (at x=90) was unmatched; only its annotation changes
+        wh.save_survey("s2", [make_record("r3", 90.2, 0.0, "PSME")])
+        before = {fid: wh.state.facts[fid] for fid in (1, 2)}
+        keys = _file_keys(root)
+        calls = _spy_writes(monkeypatch)
+        outcome = reconcile_warehouse(wh, 2.0)
+    assert outcome.facts_updated == 3
+    assert calls == [("_atomic_write", FACTS.file), ("os.replace", FACTS.file)]
+    after = _file_keys(root)
+    assert after[FACTS.file][0] != keys[FACTS.file][0]
+    assert {name: key for name, key in after.items() if name != FACTS.file} == {
+        name: key for name, key in keys.items() if name != FACTS.file
+    }
+    with open_warehouse(root, "ro") as wh:
+        assert {fid: wh.state.facts[fid] for fid in (1, 2)} == before
+        fact = wh.state.facts[3]
+        assert (fact.validation, fact.matched_record_id) == ("confirmed", "r3")

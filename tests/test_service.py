@@ -1,5 +1,6 @@
 import http.client
 import json
+import os
 import re
 import sys
 import threading
@@ -14,7 +15,7 @@ from canopydw.query import run_query, spec_from_strings
 from canopydw.report import render_cell
 from canopydw.storage import FACTS, open_warehouse, stats_rows
 
-from conftest import running_server
+from conftest import running_server, serving
 from helpers import EMPTY_LIST_REFUSALS, checksum_for
 
 MIB = 2**20
@@ -588,6 +589,24 @@ def test_cached_reads_match_fresh_open_after_reconcile(root):
         assert reads == fresh_reads(root)
         confirmed = reads[2]["rows"][0][reads[2]["columns"].index("confirmed_count")]
         assert confirmed == "1"
+
+
+def test_repeated_post_reconcile_keeps_the_cached_snapshot(root):
+    with serving(root) as server:
+        base = f"http://{server.bound_address}"
+        assert post_image(base, "cam_010.jpg", ["0 0.5 0.5 0.2 0.2 0.9", "0 0.2 0.2 0.1 0.1 0.8"]).status_code == 200
+        row = {"record_id": "t1", "geo_x": 5.0, "geo_y": -5.0, "species_code": "PSME",
+               "dbh_cm": 40.0, "height_m": 25.0, "surveyed_date": "2024-01-10"}
+        assert requests.post(f"{base}/v1/surveys", json={"survey_id": "s1", "rows": [row]}, timeout=10).status_code == 200
+        first = requests.post(f"{base}/v1/reconcile", json={"radius_m": 2.0}, timeout=10).json()
+        snapshot = server.cache.current()
+        fact_file = os.stat(root / FACT_TABLE)
+        second = requests.post(f"{base}/v1/reconcile", json={"radius_m": 2.0}, timeout=10).json()
+        assert second == first
+        assert second["facts_updated"] == 2
+        # nothing was written, so nothing is reloaded
+        assert server.cache.current() is snapshot
+        assert os.stat(root / FACT_TABLE).st_ino == fact_file.st_ino
 
 
 def test_cached_reads_ignore_uncommitted_and_torn_facts(root):

@@ -12,6 +12,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from canopydw import storage
 from canopydw.errors import (
@@ -36,7 +38,8 @@ from canopydw.ingest import (
     ingest_species_registry,
     ingest_survey,
 )
-from canopydw.model import ValidationUpdate, encode_date_key
+from canopydw.model import VALIDATION_STATES, BoundingBox, FactRow, FactTreeMetric, ValidationUpdate, encode_date_key
+from canopydw.report import csv_line
 from canopydw.query import MEASURES, QuerySpec, run_query
 from canopydw.reconcile import reconcile_warehouse
 from canopydw.storage import (
@@ -1515,3 +1518,45 @@ def test_stored_bytes_are_pinned(reference_root, reference_copy):
             3: ValidationUpdate("unmatched", None),
         })
     assert _digests(reference_copy) == {**REFERENCE_DIGESTS, FACT_TABLE: REWRITTEN_FACTS_DIGEST}
+
+
+_CELL_FLOATS = st.one_of(
+    st.floats(),  # NaN and the infinities among them
+    st.sampled_from([5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16, 0.0, -0.0, 0.1, 600012.345678901]),
+)
+_OPTIONAL_FLOATS = st.none() | _CELL_FLOATS
+_RECORD_IDS = st.none() | st.text(st.sampled_from(',"\0 \r\néß樹aZ9') | st.characters(), max_size=12)
+
+
+def _rendered(render, cells):
+    """render(cells) as UTF-8 bytes, or the csv.Error it raises (csv.writer
+    refuses a NUL on Python 3.10)."""
+    try:
+        return render(cells).encode("utf-8", "surrogatepass")
+    except csv.Error as exc:
+        return repr(exc)
+
+
+@given(
+    st.builds(
+        FactRow,
+        st.integers(-(2**63), 2**63 - 1),
+        *[st.integers(-(2**31), 2**31 - 1)] * 3,
+        *[_CELL_FLOATS] * 7,
+        _OPTIONAL_FLOATS,
+        _OPTIONAL_FLOATS,
+        st.sampled_from(VALIDATION_STATES),
+        _RECORD_IDS,
+    )
+)
+@example(FactRow(1, 20240115, 1, 1, 0.5, 0.5, 0.2, 0.2, 0.9, 5.0, -5.0, None, 1e16, "confirmed", "r,1"))
+@example(FactRow(2, 20240115, 1, 1, 5e-324, -0.0, 0.2, 0.2, 0.9, 5.0, -5.0, 12.5, None, "species_mismatch", 'r"2'))
+@example(FactRow(3, 20240115, 1, 1, 0.5, 0.5, 0.2, 0.2, 0.9, 5.0, -5.0, None, None, "confirmed", " r\0樹 "))
+def test_fact_line_renders_as_csv_line(row):
+    fact = FactTreeMetric(
+        row.date_key, row.image_key, row.species_key, BoundingBox(row.cx, row.cy, row.w, row.h),
+        row.confidence, row.geo_x, row.geo_y, row.height_m, row.dbh_cm, row.validation, row.matched_record_id,
+        fact_id=row.fact_id,
+    )
+    assert FACTS.cells(fact) == row
+    assert _rendered(storage._fact_line, row) == _rendered(csv_line, FACTS.cells(fact))
