@@ -12,7 +12,8 @@ On-disk layout under the warehouse root:
 
 Table files are newline-delimited CSV with a fixed header line; text fields
 containing commas or quotes are double-quoted with doubled inner quotes.
-Reals use the shortest round-trip decimal form. Every stored file is read as
+Reals use the shortest round-trip decimal form; a fact line is rendered by
+_fact_line, which gives the bytes csv_line would. Every stored file is read as
 bytes split on "\n", and each line is decoded and parsed alone: a line that
 is not UTF-8, does not parse or fails its row checks is refused with its file
 and line. So text holding a line break is refused before it is stored.
@@ -35,7 +36,11 @@ past the marker. A load reads the committed rows up to the first row past
 the marker or a torn last line, and nothing after them; the next rw open
 cuts the rest off. The facts are as before the batch, and the batch's
 dimension rows stay, unreferenced. Dimension rows are never mutated or
-deleted; the single sanctioned fact mutation is the validation annotation.
+deleted; the single sanctioned fact mutation is the validation annotation
+(Warehouse.rewrite_validation). It writes the fact file anew and renames it
+in, but only when some update changes a stored cell: an annotation equal to
+the stored one writes nothing, so the file keeps its inode and no reader's
+cache reloads.
 
 Single-writer, multiple-reader: a handle opened in "rw" mode holds an
 exclusive flock on the LOCK file for its lifetime. The kernel releases it
@@ -1015,9 +1020,10 @@ class SnapshotCache:
     held bytes and they end in a newline, the fact file keeps the held
     inode, the last fact row held has its newline, and that row's line is
     still where it was read (one pread, on a refresh that found a change;
-    a file rewritten in place fails it). Otherwise (as after
-    rewrite_validation or crash recovery renames a fact file in) the whole
-    root is reloaded.
+    a file rewritten in place fails it). Otherwise (as after a
+    rewrite_validation that changed an annotation, or crash recovery,
+    renames a fact file in) the whole root is reloaded; a reconcile that
+    changes no annotation writes nothing, so the next refresh reads nothing.
     A returned Warehouse is never changed afterwards: a refresh that finds
     changes publishes a new one, built from a copy of the old state (its
     own dicts, and fact columns copied one memcpy each).
