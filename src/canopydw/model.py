@@ -249,7 +249,12 @@ def frame_corner_violations(meta: ImageMeta) -> list[str]:
     return ["geotransform maps a frame corner to non-finite coordinates"]
 
 
-def image_meta_violations(meta: ImageMeta) -> list[str]:
+def image_meta_violations(meta: ImageMeta, dates: Container[int] = ()) -> list[str]:
+    """Value-level checks on one image's attributes.
+
+    dates holds date keys already checked (the keys of loaded date rows):
+    such a capture_date_key is valid without being derived again.
+    """
     v = []
     if not meta.file_name:
         v.append("file_name empty")
@@ -257,7 +262,7 @@ def image_meta_violations(meta: ImageMeta) -> list[str]:
         v.append("file_name contains a line break")
     if meta.platform not in PLATFORMS:
         v.append(f"platform {meta.platform!r} not one of {PLATFORMS}")
-    if not is_valid_date_key(meta.capture_date_key):
+    if meta.capture_date_key not in dates and not is_valid_date_key(meta.capture_date_key):
         v.append(f"capture_date_key {meta.capture_date_key} invalid")
     if not (isinstance(meta.width_px, int) and meta.width_px >= 1):
         v.append("width_px must be >= 1")
@@ -396,6 +401,22 @@ class ValidationUpdate:
     height_m: float | None = None
     dbh_cm: float | None = None
 
+    def violations(self) -> list[str]:
+        """Why the stored row of a fact annotated with this update, whose
+        validation is one of VALIDATION_STATES, would be refused by
+        fact_field_violations when loaded. An empty record id is stored as
+        an empty cell, which loads as None."""
+        v = []
+        if bool(self.matched_record_id) != (self.validation in ("confirmed", "species_mismatch")):
+            v.append("matched_record_id inconsistent with validation state")
+        elif self.matched_record_id and has_line_break(self.matched_record_id):
+            v.append("matched_record_id contains a line break")
+        for name in ("height_m", "dbh_cm"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                v.append(f"{name} must be positive when present")
+        return v
+
 
 _VALIDATION_CODES = {state: code for code, state in enumerate(VALIDATION_STATES)}
 CONFIRMED = _VALIDATION_CODES["confirmed"]
@@ -411,8 +432,9 @@ def _same_cell(held: float, value: float) -> bool:
     return held == value and math.copysign(1.0, held) == math.copysign(1.0, value)
 
 
-# FactColumns' arrays: attribute (a FactRow field) and array typecode.
-_ARRAY_COLUMNS = (
+# FactColumns' arrays: attribute (a FactRow field) and array typecode, in
+# the order the fact checkpoint stores them (storage.CHECKPOINT).
+ARRAY_COLUMNS = (
     ("fact_id", "q"),
     ("date_key", "i"),
     ("image_key", "i"),
@@ -433,7 +455,7 @@ _ARRAY_COLUMNS = (
 class FactColumns(Mapping[int, FactTreeMetric]):
     """The fact table held as one typed column per field, in fact_id order.
 
-    Each column holds one entry per fact: the arrays of _ARRAY_COLUMNS
+    Each column holds one entry per fact: the arrays of ARRAY_COLUMNS
     (about 93 bytes per fact) and the list matched_record_id. NaN stands
     for a missing height_m or dbh_cm; the row checks refuse a stored NaN.
 
@@ -445,10 +467,10 @@ class FactColumns(Mapping[int, FactTreeMetric]):
     stored cell, so that a writer copies and rewrites nothing otherwise.
     """
 
-    __slots__ = tuple(name for name, _ in _ARRAY_COLUMNS) + ("matched_record_id",)
+    __slots__ = tuple(name for name, _ in ARRAY_COLUMNS) + ("matched_record_id",)
 
     def __init__(self) -> None:
-        for name, typecode in _ARRAY_COLUMNS:
+        for name, typecode in ARRAY_COLUMNS:
             setattr(self, name, array(typecode))
         self.matched_record_id: list[str | None] = []
 

@@ -6,6 +6,8 @@ On-disk layout under the warehouse root:
     dim_image.tbl           image dimension
     dim_species.tbl         species dimension
     fact_tree_metrics.tbl   fact table (one detected tree per row)
+    fact_tree_metrics.cols  fact checkpoint: the columns of a prefix of the
+                            fact table (derived; safe to delete)
     COMMIT                  last committed fact_id, decimal text
     LOCK                    writer lock (flock; the file is empty and stays)
     surveys/<id>.tbl        immutable ground-truth survey files
@@ -55,6 +57,22 @@ that references it, dimension rows before the facts, COMMIT last), so
 every row a committed fact or an image references is on disk by the time
 the reader gets to its table.
 
+A load of the fact rows from byte 0 (a read-only open, a writer's first
+read of its facts, a server start, a cache reload after a rename) first
+reads the fact checkpoint, CHECKPOINT. It holds the fact columns of the
+first B bytes of the fact file, with a blake2b of those bytes and one of
+its own contents. The load copies the columns instead of parsing those
+lines when both digests match, the last fact_id in it is at most COMMIT,
+every date, image and species key in it is a loaded dimension row, and
+each fact's date is its image's capture date; it parses the lines past B
+as any load does. Otherwise it logs why, ignores the checkpoint and parses
+every line, which gives the same rows or the same refusal. Only
+rewrite_validation writes it, under the writer lock, after the new fact
+file is renamed in; loading never writes it. A crash before that write, a
+failed write or a hand edit leaves a checkpoint that is torn or stale,
+which the next load refuses: the .tbl text stays the only truth. stats
+does not count the file.
+
 Every open is a SnapshotCache load, which alone reads this order. A
 long-lived process keeps one cache current, parsing only what changed;
 open_warehouse is the one-shot form, a cache built, used once and closed.
@@ -82,10 +100,14 @@ from __future__ import annotations
 
 import csv
 import fcntl
+import hashlib
+import logging
 import os
 import re
+import sys
 import threading
 import time
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -111,6 +133,7 @@ from .model import (
     DimDate,
     DimImage,
     DimSpecies,
+    FactColumns,
     FactDraft,
     FactRow,
     FactTreeMetric,
@@ -125,6 +148,9 @@ from .report import ResultTable, csv_line, format_binary_size
 COMMIT_MARKER = "COMMIT"
 LOCK_FILE = "LOCK"
 SURVEY_DIR = "surveys"
+CHECKPOINT = "fact_tree_metrics.cols"
+
+log = logging.getLogger(__name__)
 
 _SURVEY_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -239,7 +265,7 @@ def _image_row(cells: list[str]) -> DimImage:
 
 
 def _image_problem(state: WarehouseState, row: DimImage) -> str | None:
-    problems = model.image_meta_violations(row)
+    problems = model.image_meta_violations(row, state.dates)
     if problems:
         return "; ".join(problems)
     if (row.file_name, row.checksum) in state.images_by_identity:
@@ -345,9 +371,63 @@ DIMENSIONS = (DATES, SPECIES, IMAGES)
 _TAIL_BYTES = 4096
 
 
-def _atomic_write(path: Path, text: str) -> int:
+# The fact checkpoint (CHECKPOINT) holds the fact columns of a prefix of the
+# fact file, so that a load from byte 0 copies them instead of parsing those
+# lines. Line 1 is _CHECKPOINT_FORMAT and the blake2b of the rest of the
+# file. Line 2 is the fact count n, the length of the prefix and the
+# blake2b of the prefix. Then come the bytes of each ARRAY_COLUMNS array (n
+# items each), then the matched record ids in UTF-8 joined by "\n", empty
+# for None.
+_CHECKPOINT_FORMAT = "canopydw-cols 1 {} {}".format(
+    sys.byteorder, ",".join(typecode + str(array(typecode).itemsize) for _, typecode in model.ARRAY_COLUMNS)
+)
+
+
+def _digest(data: bytes | memoryview) -> str:
+    return hashlib.blake2b(data).hexdigest()
+
+
+def _checkpoint(facts: FactColumns, text: bytes) -> bytes:
+    """The checkpoint of facts, the rows that text (a whole fact file) holds."""
+    body = [
+        f"{len(facts)} {len(text)} {_digest(text)}\n".encode(),
+        *(memoryview(getattr(facts, name)) for name, _ in model.ARRAY_COLUMNS),
+        "\n".join([record or "" for record in facts.matched_record_id]).encode("utf-8"),
+    ]
+    digest = hashlib.blake2b()
+    for part in body:
+        digest.update(part)
+    return b"".join([f"{_CHECKPOINT_FORMAT} {digest.hexdigest()}\n".encode(), *body])
+
+
+def _checkpoint_columns(blob: bytes, text: bytes) -> tuple[FactColumns, int]:
+    """The fact columns that blob, a checkpoint, holds, and the length of the
+    prefix of text (the fact file's bytes) whose rows they are. Raises
+    ValueError naming why blob does not describe text."""
+    head = blob.find(b"\n")
+    fmt, _, digest = blob[:head].decode("latin-1").rpartition(" ")
+    if fmt != _CHECKPOINT_FORMAT:
+        raise ValueError("format version or byte order differs")
+    if _digest(memoryview(blob)[head + 1 :]) != digest:
+        raise ValueError("payload digest differs")
+    counts = blob.index(b"\n", head + 1)
+    n, covered, prefix = blob[head + 1 : counts].decode().split(" ")
+    n, covered = int(n), int(covered)
+    if covered > len(text) or _digest(memoryview(text)[:covered]) != prefix:
+        raise ValueError(f"prefix digest differs: the fact file's first {covered} bytes changed")
+    facts, view, at = FactColumns(), memoryview(blob), counts + 1
+    for name, _ in model.ARRAY_COLUMNS:
+        column = getattr(facts, name)
+        column.frombytes(view[at : at + n * column.itemsize])
+        at += n * column.itemsize
+    if n:
+        facts.matched_record_id = [record or None for record in blob[at:].decode("utf-8").split("\n")]
+    return facts, covered
+
+
+def _atomic_write(path: Path, text: str | bytes) -> int:
     """Replace path's content with text; returns the bytes written."""
-    data = text.encode("utf-8")
+    data = text.encode("utf-8") if isinstance(text, str) else text
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(data)
@@ -627,26 +707,34 @@ class Warehouse:
         """Add the committed fact rows stored in fh past the bytes held.
 
         Lines are read and parsed as for a dimension, each held row being
-        one line already in self.state. The committed rows end at the first
-        row past committed, or at a refused last line (a torn write);
-        nothing after that point is read. Each row counts its bytes and a
-        newline, so the bytes held differ from the file's size exactly when
-        the file holds more than the committed rows or its last row has no
-        newline. It writes nothing: SnapshotCache.open_writer cuts such a
-        file back to the rows held.
+        one line already in self.state. With no rows held, the rows of the
+        checkpoint's prefix are copied from it when it holds (see
+        _load_checkpoint), and the lines past that prefix are parsed. The
+        committed rows end at the first row past committed, or at a refused
+        last line (a torn write); nothing after that point is read. Each row
+        counts its bytes and a newline, so the bytes held differ from the
+        file's size exactly when the file holds more than the committed rows
+        or its last row has no newline. It writes nothing:
+        SnapshotCache.open_writer cuts such a file back to the rows held.
 
         Returns the last line held, with its newline (the header's when no
         row is held), or None when no row was added to rows held before.
         """
         path = self._path(FACTS.file)
-        facts = self.state.facts
         held = self.table_bytes.get(FACTS.file, 0)
         fh.seek(held)
-        lines, line_no = _table_lines(path, fh.read(), FACTS, len(facts) + 2 if held else 1)
+        data = fh.read()
+        last = None
+        if not held:
+            held = self._load_checkpoint(data, committed)
+            last = data[data.rfind(b"\n", 0, held - 1) + 1 : held] if held else FACTS.header.encode() + b"\n"
+            data = data[held:]
+        facts = self.state.facts
+        lines, line_no = _table_lines(path, data, FACTS, len(facts) + 2 if held else 1)
+        del data  # the lines are copies: free the file's bytes before the rows are parsed
         self.table_bytes[FACTS.file] = held or len(FACTS.header) + 1
         last_line_no = line_no + len(lines) - 1
         prev_id = facts.fact_id[-1] if facts else None
-        last = None if held else FACTS.header.encode() + b"\n"
         for i, line in enumerate(lines, start=line_no):
             try:
                 row = _parse_line(path, i, line, FACTS)
@@ -666,6 +754,37 @@ class Warehouse:
         if committed is not None and max_id < committed:
             raise CorruptTableError(path, last_line_no, f"commit marker {committed} exceeds last stored fact_id {max_id}")
         return last
+
+    def _load_checkpoint(self, data: bytes, committed: int | None) -> int:
+        """Load the fact columns of the checkpoint into self.state, when it
+        describes data (the fact file's bytes) and its rows are committed
+        and pass the foreign key checks against the dimensions loaded.
+        Returns the length of the prefix of data whose rows it loaded: 0
+        when none, which it logs when a checkpoint is present.
+
+        The row checks are not run again: only rewrite_validation writes a
+        checkpoint, of rows a load accepted and annotations it checked.
+        """
+        path = self._path(CHECKPOINT)
+        state = self.state
+        try:
+            facts, covered = _checkpoint_columns(path.read_bytes(), data)
+            if committed is not None and facts and facts.fact_id[-1] > committed:
+                raise ValueError(f"its last fact_id {facts.fact_id[-1]} is past COMMIT {committed}")
+            for name, rows in (("date_key", state.dates), ("image_key", state.images), ("species_key", state.species)):
+                missing = set(getattr(facts, name)).difference(rows)
+                if missing:
+                    raise ValueError(f"foreign key {name} {min(missing)} unresolved")
+            for image_key, date_key in set(zip(facts.image_key, facts.date_key)):
+                if state.images[image_key].capture_date_key != date_key:
+                    raise ValueError(f"date mismatch: a fact of image {image_key} is dated {date_key}")
+        except FileNotFoundError:
+            return 0
+        except (OSError, ValueError) as exc:
+            log.warning("%s ignored, the fact rows are read from the text: %s", path, exc)
+            return 0
+        state.facts = facts
+        return covered
 
     def _check_fact(self, path: Path, line_no: int, row: FactRow) -> None:
         """Refuse a stored fact row whose fields or foreign keys are bad."""
@@ -720,14 +839,28 @@ class Warehouse:
 
     # -- writing -----------------------------------------------------------
 
-    def _rewrite(self, table: Table) -> None:
-        """Write table's file anew from the rows held, in key order."""
+    def _rewrite(self, table: Table) -> bytes:
+        """Write table's file anew from the rows held, in key order; returns
+        the bytes written."""
         rows = table.rows(self.state)
         if table is FACTS:  # held in key order
             text = "\n".join([FACTS.header, *map(_fact_line, rows.cells()), ""])
         else:
             text = table.text(table.cells(rows[key]) for key in sorted(rows))
-        self.table_bytes[table.file] = _atomic_write(self._path(table.file), text)
+        data = text.encode("utf-8")
+        self.table_bytes[table.file] = _atomic_write(self._path(table.file), data)
+        return data
+
+    def _write_checkpoint(self, text: bytes) -> None:
+        """Write the checkpoint of the fact rows held, which text, the fact
+        file's bytes, stores. A failed write is logged, not raised: the
+        checkpoint is derived from the fact file, and a load that finds it
+        missing or stale reads the text."""
+        path = self._path(CHECKPOINT)
+        try:
+            _atomic_write(path, _checkpoint(self.state.facts, text))
+        except OSError as exc:
+            log.warning("%s not written: %s", path, exc)
 
     def _write_commit(self, fact_id: int) -> None:
         _atomic_write(self._path(COMMIT_MARKER), f"{fact_id}\n")
@@ -878,8 +1011,12 @@ class Warehouse:
         """Apply validation annotations; all other fact fields stay unchanged.
 
         Returns the number of facts annotated, whether their annotation
-        changed or not. When no update changes a stored cell, nothing is
-        copied or written: the fact file keeps its bytes and its inode.
+        changed or not. An update that would give a row no load accepts
+        (ValidationUpdate.violations) is refused before anything is written.
+        When no update changes a stored cell, nothing is copied or written:
+        the fact file and its checkpoint keep their bytes and inodes.
+        Otherwise the fact file is written anew and renamed in, and then
+        its checkpoint.
         """
         self._require_writer()
         with self._mutex:
@@ -893,7 +1030,10 @@ class Warehouse:
                     continue
                 if upd.validation not in model.VALIDATION_STATES:
                     bad = bad or f"fact {fid}: bad validation state {upd.validation!r}"
-                elif facts.changes(i, upd):
+                elif facts.changes(i, upd):  # an unchanged row is one a load accepted
+                    problems = upd.violations()
+                    if problems:
+                        bad = bad or f"fact {fid}: " + "; ".join(problems)
                     changed.append((i, upd))
             if unknown:
                 raise UnknownFactError(f"unknown fact ids: {sorted(unknown)}")
@@ -907,10 +1047,11 @@ class Warehouse:
             old = facts, self.table_bytes[FACTS.file]
             self.state.facts = new_facts
             try:
-                self._rewrite(FACTS)  # same fact ids, so COMMIT stays as it is
+                text = self._rewrite(FACTS)  # same fact ids, so COMMIT stays as it is
             except OSError:
                 self.state.facts, self.table_bytes[FACTS.file] = old
                 raise
+            self._write_checkpoint(text)
             return len(updates)
 
     # -- surveys -----------------------------------------------------------
@@ -1022,8 +1163,9 @@ class SnapshotCache:
     still where it was read (one pread, on a refresh that found a change;
     a file rewritten in place fails it). Otherwise (as after a
     rewrite_validation that changed an annotation, or crash recovery,
-    renames a fact file in) the whole root is reloaded; a reconcile that
-    changes no annotation writes nothing, so the next refresh reads nothing.
+    renames a fact file in) the whole root is reloaded, the fact rows from
+    the checkpoint when it holds; a reconcile that changes no annotation
+    writes nothing, so the next refresh reads nothing.
     A returned Warehouse is never changed afterwards: a refresh that finds
     changes publishes a new one, built from a copy of the old state (its
     own dicts, and fact columns copied one memcpy each).

@@ -8,6 +8,7 @@ than against itself.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import random
@@ -22,6 +23,7 @@ from canopydw.model import (
     SurveyRecord,
     encode_date_key,
 )
+from canopydw.storage import FACTS
 
 # -- row builders ---------------------------------------------------------------
 
@@ -289,3 +291,13 @@ EMPTY_LIST_REFUSALS = {
     "validation_states": "validation_states filter is empty",
     "measures": "at least one measure is required",
 }
+
+
+@contextlib.contextmanager
+def counted_fact_parses(monkeypatch):
+    """Collects the cells of each fact line parsed inside the block."""
+    parses = []
+    real_row = FACTS.row
+    with monkeypatch.context() as m:
+        m.setattr(FACTS, "row", lambda *args: parses.append(args) or real_row(*args))
+        yield parses

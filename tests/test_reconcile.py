@@ -19,7 +19,7 @@ from canopydw.reconcile import (
     validate_facts,
 )
 from canopydw import storage
-from canopydw.storage import FACTS, TABLES, open_warehouse
+from canopydw.storage import CHECKPOINT, FACTS, TABLES, open_warehouse
 
 from helpers import make_draft, make_image, make_record, oracle_match
 
@@ -454,7 +454,13 @@ def test_reconcile_after_a_new_survey_rewrites_the_fact_file(tmp_path, monkeypat
         calls = _spy_writes(monkeypatch)
         outcome = reconcile_warehouse(wh, 2.0)
     assert outcome.facts_updated == 3
-    assert calls == [("_atomic_write", FACTS.file), ("os.replace", FACTS.file)]
+    # the fact file is renamed in before its checkpoint is written
+    assert calls == [
+        ("_atomic_write", FACTS.file),
+        ("os.replace", FACTS.file),
+        ("_atomic_write", CHECKPOINT),
+        ("os.replace", CHECKPOINT),
+    ]
     after = _file_keys(root)
     assert after.pop(FACTS.file)[0] != keys.pop(FACTS.file)[0]  # a new inode
     assert after == keys

@@ -43,6 +43,7 @@ from canopydw.report import csv_line
 from canopydw.query import MEASURES, QuerySpec, run_query
 from canopydw.reconcile import reconcile_warehouse
 from canopydw.storage import (
+    CHECKPOINT,
     FACTS,
     IMAGES,
     SPECIES,
@@ -55,6 +56,7 @@ from canopydw.storage import (
 
 from helpers import (
     checksum_for,
+    counted_fact_parses,
     logical_state,
     make_draft,
     make_image,
@@ -246,7 +248,7 @@ def test_rewrite_validation_replaces_only_the_fact_file(root, monkeypatch):
         wh.append_facts([make_draft(image), make_draft(image)])
         with _replaced_files(monkeypatch) as replaced:
             wh.rewrite_validation({2: ValidationUpdate("unmatched", None)})
-    assert replaced == [FACT_TABLE]
+    assert replaced == [FACT_TABLE, CHECKPOINT]
     assert (root / "COMMIT").read_text() == "2\n"
     with open_warehouse(root, "ro") as wh:
         assert wh.state.facts[2].validation == "unmatched"
@@ -738,6 +740,10 @@ CORRUPT_TABLE_CASES = {
         CorruptTableError,
         "duplicate (file_name, checksum)",
     ),
+    # a capture date that is not a loaded date row is still derived and refused
+    "image-invalid-date": (
+        "dim_image.tbl", 3, _cell(3, "20241399"), CorruptTableError, "capture_date_key 20241399 invalid"
+    ),
     "image-missing-date": (
         "dim_image.tbl", 3, _cell(3, "20240117"), IntegrityError, "image 2 references missing date 20240117"
     ),
@@ -1201,20 +1207,11 @@ def _facts_root(root, n):
         wh.append_facts([make_draft(wh.state.images[1])] * n)
 
 
-@contextlib.contextmanager
-def _counted_fact_parses(monkeypatch):
-    parses = []
-    real_row = FACTS.row
-    with monkeypatch.context() as m:
-        m.setattr(FACTS, "row", lambda *args: parses.append(args) or real_row(*args))
-        yield parses
-
-
 @pytest.mark.parametrize("n", [1, 200, 2000])
 def test_clean_writer_open_parses_at_most_two_fact_lines(tmp_path, monkeypatch, n):
     root = tmp_path / "wh"
     _facts_root(root, n)
-    with _counted_fact_parses(monkeypatch) as parses:
+    with counted_fact_parses(monkeypatch) as parses:
         open_warehouse(root).close()
         assert len(parses) <= 2
         open_warehouse(root, "ro").close()
@@ -1225,7 +1222,8 @@ def test_writer_reads_all_rows_when_the_tail_is_longer_than_it_reads(root, monke
     _facts_root(root, 3)
     with open_warehouse(root) as wh:
         wh.rewrite_validation({3: ValidationUpdate("confirmed", "R" * 5000)})
-    with _counted_fact_parses(monkeypatch) as parses:
+    (root / CHECKPOINT).unlink()  # so that the full load parses the rows from the text
+    with counted_fact_parses(monkeypatch) as parses:
         with open_warehouse(root) as wh:
             assert len(parses) == 3
             assert wh.append_facts([make_draft(wh.state.images[1])]) == [4]
@@ -1237,7 +1235,7 @@ def test_writer_reads_all_rows_when_the_tail_is_longer_than_it_reads(root, monke
 def test_lazily_read_facts_match_a_fresh_open(root, monkeypatch):
     _facts_root(root, 5)
     metas, dets = _batch_inputs(3)
-    with _counted_fact_parses(monkeypatch) as parses:
+    with counted_fact_parses(monkeypatch) as parses:
         with open_warehouse(root) as wh:
             report = ingest_image_batch(wh, metas, dets, ClassMap(["PSME"]))
             assert report.facts_added == 6 and (root / "COMMIT").read_text() == "11\n"
