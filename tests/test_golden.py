@@ -3,7 +3,9 @@
 A seeded root, reconciled so that every validation state occurs, answers
 the query specs of the HTTP benchmark client, a few filtered specs, a
 species trend and the image usage report. The CLI's CSV and the JSON body
-(from GET /v1/query for queries) must equal the files in golden/.
+(from GET /v1/query for queries) must equal the files in golden/. A copy
+of the root is then reconciled again: the CLI's metrics CSV and the pairs
+matched, with the exact distances, are golden too.
 
 Regenerate the goldens (only when a report is meant to change):
     PYTHONPATH=src python tests/test_golden.py
@@ -15,6 +17,7 @@ import contextlib
 import io
 import json
 import random
+import shutil
 import sys
 from pathlib import Path
 from urllib.parse import urlencode
@@ -118,6 +121,13 @@ def render_goldens(root: Path) -> dict[str, bytes]:
     with open_warehouse(root, "ro") as wh:
         out["trend.json"] = json.dumps(species_trend(wh, "PSME").to_json()).encode()
         out["image_usage.json"] = json.dumps(image_usage_report(wh).to_json()).encode()
+    copy = root.parent / "reconciled"  # the reports above read root as built
+    shutil.copytree(root, copy)
+    out["reconcile.csv"] = _cli_csv(["reconcile", "--root", str(copy), "--format", "csv"])
+    with open_warehouse(copy) as wh:
+        pairs = reconcile_warehouse(wh).match.pairs
+    lines = ["fact_id,record_id,distance_m", *(f"{p.fact_id},{p.record_id},{p.distance_m!r}" for p in pairs)]
+    out["reconcile_pairs.csv"] = "\n".join([*lines, ""]).encode()
     return out
 
 
@@ -131,7 +141,13 @@ def rendered(tmp_path_factory):
     return render_goldens(root)
 
 
-@pytest.mark.parametrize("name", sorted(f"{case}.{ext}" for case in [*QUERY_CASES, "trend", "image_usage"] for ext in ("csv", "json")))
+GOLDEN_NAMES = sorted(
+    [f"{case}.{ext}" for case in [*QUERY_CASES, "trend", "image_usage"] for ext in ("csv", "json")]
+    + ["reconcile.csv", "reconcile_pairs.csv"]
+)
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_report_matches_golden(rendered, name):
     assert rendered[name] == (GOLDEN_DIR / name).read_bytes()
 
