@@ -14,6 +14,8 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, fields
+from itertools import compress, count
+from operator import ne
 from typing import Container, NamedTuple
 
 from .errors import InvalidDateError
@@ -401,26 +403,14 @@ class ValidationUpdate:
     height_m: float | None = None
     dbh_cm: float | None = None
 
-    def violations(self) -> list[str]:
-        """Why the stored row of a fact annotated with this update, whose
-        validation is one of VALIDATION_STATES, would be refused by
-        fact_field_violations when loaded. An empty record id is stored as
-        an empty cell, which loads as None."""
-        v = []
-        if bool(self.matched_record_id) != (self.validation in ("confirmed", "species_mismatch")):
-            v.append("matched_record_id inconsistent with validation state")
-        elif self.matched_record_id and has_line_break(self.matched_record_id):
-            v.append("matched_record_id contains a line break")
-        for name in ("height_m", "dbh_cm"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                v.append(f"{name} must be positive when present")
-        return v
-
 
 _VALIDATION_CODES = {state: code for code, state in enumerate(VALIDATION_STATES)}
 CONFIRMED = _VALIDATION_CODES["confirmed"]
+SPECIES_MISMATCH = _VALIDATION_CODES["species_mismatch"]
+UNMATCHED = _VALIDATION_CODES["unmatched"]
 _NAN = float("nan")
+# str.encode("utf-8") refuses exactly the lone surrogates
+_SURROGATE = re.compile("[\ud800-\udfff]").search
 
 
 def _same_cell(held: float, value: float) -> bool:
@@ -430,6 +420,11 @@ def _same_cell(held: float, value: float) -> bool:
     if held != held:
         return value != value
     return held == value and math.copysign(1.0, held) == math.copysign(1.0, value)
+
+
+def _bits(column: array) -> memoryview:
+    """A float column's items as the 64-bit integers of their bits."""
+    return memoryview(column).cast("B").cast("q")
 
 
 # FactColumns' arrays: attribute (a FactRow field) and array typecode, in
@@ -461,10 +456,11 @@ class FactColumns(Mapping[int, FactTreeMetric]):
 
     As a Mapping it is read-only: fact_id to a FactTreeMetric built on
     access (lookup bisects fact_id). index gives a fact's position, at
-    which the columns can be read without building an object. Only append,
-    add and annotate (at a position) change it; copy gives columns of
-    their own, and changes tells whether an annotation would change a
-    stored cell, so that a writer copies and rewrites nothing otherwise.
+    which the columns can be read without building an object. Only append
+    and add change it. An annotation is given as four whole columns
+    (validation codes, record ids, heights, DBHs): annotation_changes
+    tells where it would change a stored cell, so that a writer copies and
+    rewrites nothing otherwise, and annotated gives a copy that holds it.
     """
 
     __slots__ = tuple(name for name, _ in ARRAY_COLUMNS) + ("matched_record_id",)
@@ -510,24 +506,56 @@ class FactColumns(Mapping[int, FactTreeMetric]):
             raise KeyError(fact_id)
         return i
 
-    def changes(self, i: int, update: ValidationUpdate) -> bool:
-        """Whether annotating the fact at position i with update would change
-        a stored cell of it."""
-        return (
-            self.validation[i] != _VALIDATION_CODES[update.validation]
-            or self.matched_record_id[i] != update.matched_record_id
-            or (update.height_m is not None and not _same_cell(self.height_m[i], update.height_m))
-            or (update.dbh_cm is not None and not _same_cell(self.dbh_cm[i], update.dbh_cm))
-        )
+    def annotation_changes(
+        self, validation: array, matched_record_id: list[str | None], height_m: array, dbh_cm: array
+    ) -> list[int]:
+        """The positions, in order, at which the annotation these columns hold
+        (one entry per fact, typed as the held columns) would change a stored
+        cell. A column equal to the held one as a whole is not looked into:
+        the codes and record ids compare with ==, the floats by their bytes,
+        so -0.0 differs from 0.0 and the NaN of a missing value (always _NAN
+        here) equals itself. Where bytes differ, _same_cell decides."""
+        changed: set[int] = set()
+        for new, old in ((validation, self.validation), (matched_record_id, self.matched_record_id)):
+            if new != old:
+                changed.update(compress(count(), map(ne, new, old)))
+        for new, old in ((height_m, self.height_m), (dbh_cm, self.dbh_cm)):
+            if new.tobytes() != old.tobytes():
+                differ = compress(count(), map(ne, _bits(new), _bits(old)))
+                changed.update(i for i in differ if not _same_cell(old[i], new[i]))
+        return sorted(changed)
 
-    def annotate(self, i: int, update: ValidationUpdate) -> None:
-        """Apply one validation annotation to the fact at position i."""
-        if update.height_m is not None:
-            self.height_m[i] = update.height_m
-        if update.dbh_cm is not None:
-            self.dbh_cm[i] = update.dbh_cm
-        self.validation[i] = _VALIDATION_CODES[update.validation]
-        self.matched_record_id[i] = update.matched_record_id
+    def annotation_violations(
+        self, i: int, validation: array, matched_record_id: list[str | None], height_m: array, dbh_cm: array
+    ) -> list[str]:
+        """Why the fact at position i, given the annotation at i of these
+        columns, would be refused by fact_field_violations when loaded, or
+        could not be written. An empty record id is stored as an empty cell,
+        which loads as None. A height or dbh that changes must be positive."""
+        code, record = validation[i], matched_record_id[i]
+        if not 0 <= code < len(VALIDATION_STATES):
+            return [f"bad validation code {code}"]
+        v = []
+        if bool(record) != (code in (CONFIRMED, SPECIES_MISMATCH)):
+            v.append("matched_record_id inconsistent with validation state")
+        elif record and has_line_break(record):
+            v.append("matched_record_id contains a line break")
+        elif record and _SURROGATE(record):
+            v.append("matched_record_id does not encode as UTF-8")
+        for name, new in (("height_m", height_m), ("dbh_cm", dbh_cm)):
+            value = new[i]
+            if not _same_cell(getattr(self, name)[i], value) and not (math.isfinite(value) and value > 0):
+                v.append(f"{name} must be positive when present")
+        return v
+
+    def annotated(
+        self, validation: array, matched_record_id: list[str | None], height_m: array, dbh_cm: array
+    ) -> FactColumns:
+        """A copy that holds these annotation columns (not copied) in place of
+        its own."""
+        new = self.copy()
+        new.validation, new.matched_record_id, new.height_m, new.dbh_cm = validation, matched_record_id, height_m, dbh_cm
+        return new
 
     def __getitem__(self, fact_id: int) -> FactTreeMetric:
         i = self.index(fact_id)

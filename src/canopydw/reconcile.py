@@ -10,11 +10,21 @@ per-species precision/recall.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Collection, Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .errors import NonFiniteCoordinateError
-from .model import FactTreeMetric, Geotransform, SurveyRecord, ValidationUpdate, pixel_to_geo
+from .model import (
+    CONFIRMED,
+    SPECIES_MISMATCH,
+    UNMATCHED,
+    FactColumns,
+    FactTreeMetric,
+    Geotransform,
+    SurveyRecord,
+    pixel_to_geo,
+)
 from .report import ResultTable, render_cell
 from .storage import Warehouse
 
@@ -29,14 +39,6 @@ def geo_to_pixel(gt: Geotransform, x: float, y: float) -> tuple[float, float]:
     col = (gt.e * dx - gt.b * dy) / det
     row = (gt.a * dy - gt.d * dx) / det
     return col, row
-
-
-class FactPoint(NamedTuple):
-    """What matching reads of a fact (a FactTreeMetric has the same fields)."""
-
-    fact_id: int
-    geo_x: float
-    geo_y: float
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,36 @@ class MatchResult:
     unmatched_record_ids: tuple[str, ...]
 
 
+def _check_finite(ids: Sequence, xs: Sequence[float], ys: Sequence[float], what: str) -> None:
+    """Refuse the first point, what formatted with its id, whose x or y is not finite."""
+    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+        bad = next(key for key, x, y in zip(ids, xs, ys) if not (math.isfinite(x) and math.isfinite(y)))
+        raise NonFiniteCoordinateError(f"{what.format(bad)} has non-finite coordinates")
+
+
+def _near(bucketed: tuple, probes: tuple, side: float, radius_m: float) -> list[tuple[float, object, object]]:
+    """(distance, bucketed id, probe id) for every pair within radius_m of
+    two sets of points, each given as (ids, xs, ys): the bucketed points go
+    in a grid of cells of the given side, and each probe tests the points of
+    its own cell and the 8 around it."""
+    floor, hypot = math.floor, math.hypot
+    grid: dict[tuple[int, int], list] = {}
+    for point in zip(*bucketed):
+        grid.setdefault((floor(point[1] / side), floor(point[2] / side)), []).append(point)
+    near = []
+    for pid, x, y in zip(*probes):
+        cx, cy = floor(x / side), floor(y / side)
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for bid, bx, by in grid.get((gx, gy), ()):
+                    dist = hypot(bx - x, by - y)
+                    if dist <= radius_m:
+                        near.append((dist, bid, pid))
+    return near
+
+
 def match_detections(
-    facts: Collection[FactPoint | FactTreeMetric],
+    facts: FactColumns | Collection[FactTreeMetric],
     records: Sequence[SurveyRecord],
     radius_m: float = 2.0,
 ) -> MatchResult:
@@ -65,44 +95,40 @@ def match_detections(
     Candidate pairs within the radius are taken smallest distance first;
     each fact and each record participates in at most one pair. Distance
     ties break on (fact_id, record_id) so results do not depend on input
-    order.
+    order. facts is either FactColumns, whose fact_id, geo_x and geo_y
+    columns are read as they are, or a collection of objects with those
+    attributes.
 
     Candidates come from a uniform grid (Bentley, Stanat & Williams, "The
-    complexity of finding fixed-radius near neighbors", 1977): records are
-    bucketed by cell, and a fact tests only the records in its own cell and
-    the 8 around it. The cell side is radius_m widened by 2**-50 of
-    (radius_m + the largest coordinate magnitude). At exactly radius_m,
-    rounding can put a pair that passes the distance test two cells apart
-    (1.9999999999999998 and 4.0 at radius 2.0), and x / side can overflow
-    for a tiny radius; widened, the grid finds every pair that testing all
-    pairs would.
+    complexity of finding fixed-radius near neighbors", 1977): the larger
+    side (facts or records) is bucketed by cell, and each point of the
+    smaller side tests only the points in its own cell and the 8 around
+    it, since a bucketed point costs one cell lookup and a probe nine. Which
+    side is bucketed changes nothing in the result: the candidates are the
+    same pairs with the same distances (x - x' is exactly -(x' - x), and
+    hypot ignores signs), sorted the same way. The cell side is radius_m
+    widened by 2**-50 of (radius_m + the largest coordinate magnitude). At
+    exactly radius_m, rounding can put a pair that passes the distance test
+    two cells apart (1.9999999999999998 and 4.0 at radius 2.0), and
+    x / side can overflow for a tiny radius; widened, the grid finds every
+    pair that testing all pairs would.
     """
     if not (math.isfinite(radius_m) and radius_m >= 0.0):
         raise ValueError(f"radius_m must be finite and non-negative, got {radius_m!r}")
-    extent = 0.0
-    for fact in facts:
-        if not (math.isfinite(fact.geo_x) and math.isfinite(fact.geo_y)):
-            raise NonFiniteCoordinateError(f"fact {fact.fact_id} has non-finite coordinates")
-        extent = max(extent, abs(fact.geo_x), abs(fact.geo_y))
-    for rec in records:
-        if not (math.isfinite(rec.geo_x) and math.isfinite(rec.geo_y)):
-            raise NonFiniteCoordinateError(f"record {rec.record_id!r} has non-finite coordinates")
-        extent = max(extent, abs(rec.geo_x), abs(rec.geo_y))
+    if isinstance(facts, FactColumns):
+        fact_side = facts.fact_id, facts.geo_x, facts.geo_y
+    else:
+        fact_side = [f.fact_id for f in facts], [f.geo_x for f in facts], [f.geo_y for f in facts]
+    record_side = [r.record_id for r in records], [r.geo_x for r in records], [r.geo_y for r in records]
+    _check_finite(*fact_side, "fact {}")
+    _check_finite(*record_side, "record {!r}")
+    extent = max(0.0, *(max(map(abs, xs), default=0.0) for points in (fact_side, record_side) for xs in points[1:]))
     # with radius_m == 0 only coincident points match, and they share a cell
     side = radius_m + (radius_m + extent) * 2.0**-50 or 1.0
-    grid: dict[tuple[int, int], list[SurveyRecord]] = {}
-    for rec in records:
-        grid.setdefault((math.floor(rec.geo_x / side), math.floor(rec.geo_y / side)), []).append(rec)
-    candidates = []
-    for fact in facts:
-        x, y = fact.geo_x, fact.geo_y
-        cx, cy = math.floor(x / side), math.floor(y / side)
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for rec in grid.get((gx, gy), ()):
-                    dist = math.hypot(x - rec.geo_x, y - rec.geo_y)
-                    if dist <= radius_m:
-                        candidates.append((dist, fact.fact_id, rec.record_id))
+    if len(fact_side[0]) >= len(record_side[0]):
+        candidates = _near(fact_side, record_side, side, radius_m)
+    else:
+        candidates = [(dist, fid, rid) for dist, rid, fid in _near(record_side, fact_side, side, radius_m)]
     candidates.sort()
     used_facts: set[int] = set()
     used_records: set[str] = set()
@@ -113,8 +139,8 @@ def match_detections(
         used_facts.add(fid)
         used_records.add(rid)
         pairs.append(MatchPair(fact_id=fid, record_id=rid, distance_m=dist))
-    unmatched_f = tuple(f.fact_id for f in facts if f.fact_id not in used_facts)
-    unmatched_r = tuple(r.record_id for r in records if r.record_id not in used_records)
+    unmatched_f = tuple(fid for fid in fact_side[0] if fid not in used_facts)
+    unmatched_r = tuple(rid for rid in record_side[0] if rid not in used_records)
     return MatchResult(pairs=tuple(pairs), unmatched_fact_ids=unmatched_f, unmatched_record_ids=unmatched_r)
 
 
@@ -231,37 +257,36 @@ class ReconcileOutcome:
 
 
 def validate_facts(handle: Warehouse, match: MatchResult, records: Sequence[SurveyRecord]) -> int:
-    """Annotate facts with their match outcome.
+    """Annotate every held fact with its match outcome; returns their number.
 
     Matched facts become "confirmed" when species agree (inheriting the
     record's DBH and height where the fact lacks them) or
-    "species_mismatch" otherwise; unmatched facts become "unmatched".
-    It reads each matched fact's species, height and DBH from the fact
-    columns at the fact's position.
+    "species_mismatch" otherwise; every other fact becomes "unmatched", so
+    match is to be made over all of them. The annotation is built as
+    columns (codes starting all "unmatched", record ids all None, copies of
+    the heights and DBHs), filled in at the matched facts' positions only,
+    and given whole to Warehouse.annotate_facts.
     """
     record_by_id = {r.record_id: r for r in records}
     facts = handle.state.facts
-    updates: dict[int, ValidationUpdate] = {}
+    n = len(facts)
+    validation = array("b", [UNMATCHED]) * n
+    record_ids: list[str | None] = [None] * n
+    height_m, dbh_cm = facts.height_m[:], facts.dbh_cm[:]
     for pair in match.pairs:
         i = facts.index(pair.fact_id)
         rec = record_by_id[pair.record_id]
-        detected = handle.state.species_code_of(facts.species_key[i])
-        if detected == rec.species_code:
-            height, dbh = facts.height_m[i], facts.dbh_cm[i]  # NaN: missing
-            updates[pair.fact_id] = ValidationUpdate(
-                validation="confirmed",
-                matched_record_id=pair.record_id,
-                height_m=rec.height_m if height != height else None,
-                dbh_cm=rec.dbh_cm if dbh != dbh else None,
-            )
-        else:
-            updates[pair.fact_id] = ValidationUpdate(
-                validation="species_mismatch",
-                matched_record_id=pair.record_id,
-            )
-    for fid in match.unmatched_fact_ids:
-        updates[fid] = ValidationUpdate(validation="unmatched", matched_record_id=None)
-    return handle.rewrite_validation(updates)
+        record_ids[i] = pair.record_id
+        if handle.state.species_code_of(facts.species_key[i]) != rec.species_code:
+            validation[i] = SPECIES_MISMATCH
+            continue
+        validation[i] = CONFIRMED
+        if height_m[i] != height_m[i] and rec.height_m is not None:  # NaN: missing
+            height_m[i] = rec.height_m
+        if dbh_cm[i] != dbh_cm[i] and rec.dbh_cm is not None:
+            dbh_cm[i] = rec.dbh_cm
+    handle.annotate_facts(validation, record_ids, height_m, dbh_cm)
+    return n
 
 
 def reconcile_warehouse(handle: Warehouse, radius_m: float = 2.0) -> ReconcileOutcome:
@@ -269,12 +294,12 @@ def reconcile_warehouse(handle: Warehouse, radius_m: float = 2.0) -> ReconcileOu
 
     It reads the fact columns and builds no fact object. facts_updated
     counts the facts annotated (every fact, matched or not), whether or not
-    their annotation changed; a reconcile that changes none writes nothing.
+    their annotation changed; a reconcile that changes none writes nothing
+    but a missing or stale checkpoint (see Warehouse.annotate_facts).
     """
     records = handle.load_all_survey_records()
     facts = handle.state.facts  # held in fact_id order
-    points = list(map(FactPoint, facts.fact_id, facts.geo_x, facts.geo_y))
-    match = match_detections(points, records, radius_m)
+    match = match_detections(facts, records, radius_m)
     codes = {key: species.code for key, species in handle.state.species.items()}
     fact_species = dict(zip(facts.fact_id, map(codes.__getitem__, facts.species_key)))
     metrics = compute_metrics(fact_species, records, match)

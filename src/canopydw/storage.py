@@ -39,9 +39,10 @@ the marker or a torn last line, and nothing after them; the next rw open
 cuts the rest off. The facts are as before the batch, and the batch's
 dimension rows stay, unreferenced. Dimension rows are never mutated or
 deleted; the single sanctioned fact mutation is the validation annotation
-(Warehouse.rewrite_validation). It writes the fact file anew and renames it
-in, but only when some update changes a stored cell: an annotation equal to
-the stored one writes nothing, so the file keeps its inode and no reader's
+(Warehouse.annotate_facts, given as columns; rewrite_validation takes it by
+fact id). It writes the fact file anew and renames it in, but only when
+some annotation changes a stored cell: an annotation equal to the stored
+one does not write the fact file, so it keeps its inode and no reader's
 cache reloads.
 
 Single-writer, multiple-reader: a handle opened in "rw" mode holds an
@@ -67,11 +68,14 @@ every date, image and species key in it is a loaded dimension row, and
 each fact's date is its image's capture date; it parses the lines past B
 as any load does. Otherwise it logs why, ignores the checkpoint and parses
 every line, which gives the same rows or the same refusal. Only
-rewrite_validation writes it, under the writer lock, after the new fact
-file is renamed in; loading never writes it. A crash before that write, a
-failed write or a hand edit leaves a checkpoint that is torn or stale,
-which the next load refuses: the .tbl text stays the only truth. stats
-does not count the file.
+annotate_facts writes it, under the writer lock: after a new fact file is
+renamed in, or, when no annotation changed, if the handle's rows were not
+all copied from a checkpoint covering the committed fact file (its load
+fell back, or rows were appended past B). Loading never writes it. A crash
+before that write, a failed write or a hand edit leaves a checkpoint that
+is torn or stale, which the next load refuses until the next reconcile
+writes it again: the .tbl text stays the only truth. stats does not count
+the file.
 
 Every open is a SnapshotCache load, which alone reads this order. A
 long-lived process keeps one cache current, parsing only what changed;
@@ -88,7 +92,7 @@ A read-write open on a cache that holds no snapshot (every
 open_warehouse(root, "rw")) reads COMMIT and the dimensions, and of the
 fact file only its tail. When the file ends with the whole row whose id is
 COMMIT, it reads no fact row until the handle's state.facts is first
-accessed (by reconcile, rewrite_validation or stats), and then reads them
+accessed (by reconcile, an annotation or stats), and then reads them
 all, through the checks of any load. So such a writer does not refuse
 damage in the committed rows before the last two lines; a read-only open
 still does. Any other tail (rows past COMMIT, a torn or unterminated last
@@ -107,6 +111,7 @@ import re
 import sys
 import threading
 import time
+import weakref
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -574,15 +579,17 @@ class _FactsOnFirstRead(WarehouseState):
     The first access of facts reads the rows of the fact file from byte 0
     up to last_fact_id, through the checks of any load, under the writer's
     mutex, and stores them as the plain attribute facts, which later
-    accesses find. Until then a fact row the writer adds is not held: it is
-    on disk, and the read goes on up to it. The state holds no reference to
-    its writer, so that a closed writer is freed at once.
+    accesses find; it tells the writer how much of the file the checkpoint
+    covered. Until then a fact row the writer adds is not held: it is on
+    disk, and the read goes on up to it. The state holds only a weak
+    reference to its writer, so that a closed writer is freed at once.
     """
 
-    def __init__(self, state: WarehouseState, root: Path, mutex: threading.RLock, last_fact_id: int):
-        vars(self).update(vars(state))
+    def __init__(self, writer: Warehouse, last_fact_id: int):
+        vars(self).update(vars(writer.state))
         del self.facts
-        self._root, self._mutex, self._last_fact_id = root, mutex, last_fact_id
+        self._root, self._mutex, self._last_fact_id = writer.root, writer._mutex, last_fact_id
+        self._writer = weakref.ref(writer)
 
     def __getattr__(self, name: str):
         if name != "facts":
@@ -594,6 +601,9 @@ class _FactsOnFirstRead(WarehouseState):
                 with open(reader._path(FACTS.file), "rb") as fh:
                     reader._load_facts(fh, self._last_fact_id)
                 self.facts = reader.state.facts
+                writer = self._writer()
+                if writer is not None:
+                    writer._checkpoint_bytes = reader._checkpoint_bytes
             return self.facts
 
     def add_fact(self, row: FactTreeMetric) -> None:
@@ -625,6 +635,9 @@ class Warehouse:
         self._appends: list[FactTreeMetric] = []
         # the fact_id of the last row on disk that this handle read or wrote
         self._last_fact_id = 0
+        # the bytes of the fact file whose rows the checkpoint holds, as far
+        # as this handle knows (0: none); fresh when it is all of them
+        self._checkpoint_bytes = 0
         self._closed = False
 
     # Surrogate keys continue past the largest one held. Fact ids continue
@@ -726,7 +739,7 @@ class Warehouse:
         data = fh.read()
         last = None
         if not held:
-            held = self._load_checkpoint(data, committed)
+            held = self._checkpoint_bytes = self._load_checkpoint(data, committed)
             last = data[data.rfind(b"\n", 0, held - 1) + 1 : held] if held else FACTS.header.encode() + b"\n"
             data = data[held:]
         facts = self.state.facts
@@ -762,7 +775,7 @@ class Warehouse:
         Returns the length of the prefix of data whose rows it loaded: 0
         when none, which it logs when a checkpoint is present.
 
-        The row checks are not run again: only rewrite_validation writes a
+        The row checks are not run again: only annotate_facts writes a
         checkpoint, of rows a load accepted and annotations it checked.
         """
         path = self._path(CHECKPOINT)
@@ -845,6 +858,7 @@ class Warehouse:
         rows = table.rows(self.state)
         if table is FACTS:  # held in key order
             text = "\n".join([FACTS.header, *map(_fact_line, rows.cells()), ""])
+            self._checkpoint_bytes = 0  # until the checkpoint of the new file is written
         else:
             text = table.text(table.cells(rows[key]) for key in sorted(rows))
         data = text.encode("utf-8")
@@ -861,6 +875,8 @@ class Warehouse:
             _atomic_write(path, _checkpoint(self.state.facts, text))
         except OSError as exc:
             log.warning("%s not written: %s", path, exc)
+        else:
+            self._checkpoint_bytes = len(text)
 
     def _write_commit(self, fact_id: int) -> None:
         _atomic_write(self._path(COMMIT_MARKER), f"{fact_id}\n")
@@ -1007,21 +1023,64 @@ class Warehouse:
             self._appends += rows
             return [row.fact_id for row in rows]
 
+    def annotate_facts(
+        self, validation: array, matched_record_id: list[str | None], height_m: array, dbh_cm: array
+    ) -> None:
+        """Give the held facts this validation annotation: one entry per fact
+        in each column, in fact order, typed as the FactColumns ones (codes
+        index VALIDATION_STATES, NaN is a missing measure). Every other fact
+        field stays unchanged; the columns become the held ones.
+
+        The columns are compared whole with the held ones
+        (FactColumns.annotation_changes). When no stored cell changes, the
+        fact file keeps its bytes and inode, and only a checkpoint that does
+        not cover every committed fact row (a load fell back, or rows were
+        appended past it) is written, from the fact file's committed bytes.
+        Otherwise the changed facts are checked before anything is written
+        (FactColumns.annotation_violations), the fact file is written anew
+        and renamed in, and then its checkpoint. A failed write leaves the
+        held columns as they were.
+        """
+        self._require_writer()
+        columns = (validation, matched_record_id, height_m, dbh_cm)
+        with self._mutex:
+            facts = self.state.facts
+            if any(len(column) != len(facts) for column in columns):
+                raise ValueError(f"an annotation column does not hold {len(facts)} entries")
+            changed = facts.annotation_changes(*columns)
+            size = self.table_bytes[FACTS.file]
+            if not changed:
+                if facts and self._checkpoint_bytes != size:
+                    self._write_checkpoint(_read_bytes(self._path(FACTS.file))[:size])
+                return
+            for i in changed:
+                problems = facts.annotation_violations(i, *columns)
+                if problems:
+                    raise UnknownFactError(f"fact {facts.fact_id[i]}: " + "; ".join(problems))
+            self.state.facts = facts.annotated(*columns)
+            try:
+                text = self._rewrite(FACTS)  # same fact ids, so COMMIT stays as it is
+            except BaseException:
+                self.state.facts, self.table_bytes[FACTS.file] = facts, size
+                raise
+            self._write_checkpoint(text)
+
     def rewrite_validation(self, updates: Mapping[int, ValidationUpdate]) -> int:
-        """Apply validation annotations; all other fact fields stay unchanged.
+        """Apply validation annotations by fact id, through annotate_facts:
+        the held columns with each update put in at its fact's position (a
+        height or dbh of None keeps the held one).
 
         Returns the number of facts annotated, whether their annotation
-        changed or not. An update that would give a row no load accepts
-        (ValidationUpdate.violations) is refused before anything is written.
-        When no update changes a stored cell, nothing is copied or written:
-        the fact file and its checkpoint keep their bytes and inodes.
-        Otherwise the fact file is written anew and renamed in, and then
-        its checkpoint.
+        changed or not. An unknown fact id or validation state is refused
+        before anything is written, as is an update that would give a row
+        no load accepts.
         """
         self._require_writer()
         with self._mutex:
             facts = self.state.facts
-            unknown, bad, changed = [], None, []
+            columns = facts.validation[:], facts.matched_record_id[:], facts.height_m[:], facts.dbh_cm[:]
+            validation, records, height_m, dbh_cm = columns
+            unknown, bad = [], None
             for fid, upd in updates.items():
                 try:
                     i = facts.index(fid)
@@ -1030,28 +1089,18 @@ class Warehouse:
                     continue
                 if upd.validation not in model.VALIDATION_STATES:
                     bad = bad or f"fact {fid}: bad validation state {upd.validation!r}"
-                elif facts.changes(i, upd):  # an unchanged row is one a load accepted
-                    problems = upd.violations()
-                    if problems:
-                        bad = bad or f"fact {fid}: " + "; ".join(problems)
-                    changed.append((i, upd))
+                    continue
+                validation[i] = model.VALIDATION_STATES.index(upd.validation)
+                records[i] = upd.matched_record_id
+                if upd.height_m is not None:
+                    height_m[i] = upd.height_m
+                if upd.dbh_cm is not None:
+                    dbh_cm[i] = upd.dbh_cm
             if unknown:
                 raise UnknownFactError(f"unknown fact ids: {sorted(unknown)}")
             if bad:
                 raise UnknownFactError(bad)
-            if not changed:
-                return len(updates)
-            new_facts = facts.copy()
-            for i, upd in changed:
-                new_facts.annotate(i, upd)
-            old = facts, self.table_bytes[FACTS.file]
-            self.state.facts = new_facts
-            try:
-                text = self._rewrite(FACTS)  # same fact ids, so COMMIT stays as it is
-            except OSError:
-                self.state.facts, self.table_bytes[FACTS.file] = old
-                raise
-            self._write_checkpoint(text)
+            self.annotate_facts(*columns)
             return len(updates)
 
     # -- surveys -----------------------------------------------------------
@@ -1161,11 +1210,11 @@ class SnapshotCache:
     held bytes and they end in a newline, the fact file keeps the held
     inode, the last fact row held has its newline, and that row's line is
     still where it was read (one pread, on a refresh that found a change;
-    a file rewritten in place fails it). Otherwise (as after a
-    rewrite_validation that changed an annotation, or crash recovery,
-    renames a fact file in) the whole root is reloaded, the fact rows from
-    the checkpoint when it holds; a reconcile that changes no annotation
-    writes nothing, so the next refresh reads nothing.
+    a file rewritten in place fails it). Otherwise (as after an
+    annotation that changed a stored cell, or crash recovery, renames a
+    fact file in) the whole root is reloaded, the fact rows from the
+    checkpoint when it holds; a reconcile that changes no annotation
+    leaves the fact file alone, so the next refresh reads nothing.
     A returned Warehouse is never changed afterwards: a refresh that finds
     changes publishes a new one, built from a copy of the old state (its
     own dicts, and fact columns copied one memcpy each).
@@ -1224,7 +1273,7 @@ class SnapshotCache:
                 committed, size = self._facts_key
             wh.state = snap.state.copy()
             wh.table_bytes = dict(snap.table_bytes)
-            wh._last_fact_id = snap._last_fact_id
+            wh._last_fact_id, wh._checkpoint_bytes = snap._last_fact_id, snap._checkpoint_bytes
             if wh.table_bytes[FACTS.file] != size:
                 # drop the rows past the committed ones, and end the last row
                 # with a newline so that the next append starts a line of its own
@@ -1257,7 +1306,7 @@ class SnapshotCache:
             return False
         wh.table_bytes[FACTS.file] = size
         wh._last_fact_id = committed
-        wh.state = _FactsOnFirstRead(wh.state, self.root, wh._mutex, committed)
+        wh.state = _FactsOnFirstRead(wh, committed)
         return True
 
     def current(self) -> Warehouse:
@@ -1305,6 +1354,7 @@ class SnapshotCache:
             if os.pread(fh.fileno(), len(last), old.table_bytes[FACTS.file] - len(last)) != last:
                 return self._refresh(None)  # the fact file was rewritten in place
             new.state, new.table_bytes = old.state.copy(), dict(old.table_bytes)
+            new._checkpoint_bytes = old._checkpoint_bytes
         try:
             new._load_dimensions(tables)
             last = new._load_facts(fh, committed)

@@ -275,6 +275,81 @@ def test_a_failed_checkpoint_write_keeps_the_annotation_and_loads_fall_back(root
     _assert_loads_agree(root)
 
 
+def _spy_writes(monkeypatch):
+    """The name of each file _atomic_write writes from here on."""
+    written = []
+    real_write = storage._atomic_write
+
+    def atomic_write(path, text):
+        written.append(path.name)
+        return real_write(path, text)
+
+    monkeypatch.setattr(storage, "_atomic_write", atomic_write)
+    return written
+
+
+def _assert_a_no_op_reconcile_writes_only_the_checkpoint(root, monkeypatch, caplog):
+    """A reconcile that changes no annotation writes the checkpoint, and
+    leaves the fact file alone; a cold load then copies the checkpoint
+    without a warning, and the next reconcile writes nothing."""
+    stat = os.stat(root / FACTS.file)
+    text = (root / FACTS.file).read_bytes()
+    with monkeypatch.context() as m:
+        written = _spy_writes(m)
+        with open_warehouse(root) as wh:
+            reconcile_warehouse(wh, 2.0)
+        assert written == [CHECKPOINT]
+        written.clear()
+        with open_warehouse(root) as wh:
+            reconcile_warehouse(wh, 2.0)
+        assert written == []
+    after = os.stat(root / FACTS.file)
+    assert ((root / FACTS.file).read_bytes(), after.st_ino, after.st_mtime_ns) == (text, stat.st_ino, stat.st_mtime_ns)
+    caplog.clear()
+    with counted_fact_parses(monkeypatch) as parses:
+        _read(root, "ro")
+    assert (parses, _warnings(caplog)) == ([], [])
+    _assert_loads_agree(root)
+
+
+def test_a_no_op_reconcile_writes_a_stale_checkpoint_again(root, monkeypatch, caplog):
+    _build(root)
+    _change_an_annotation(root)
+    real_write = storage._atomic_write
+
+    def atomic_write(path, text):
+        if path.name == CHECKPOINT:
+            raise OSError(28, "injected write failure")
+        return real_write(path, text)
+
+    with open_warehouse(root) as wh:  # as in the test above: the new fact file is renamed in, not its checkpoint
+        with monkeypatch.context() as m:
+            m.setattr(storage, "_atomic_write", atomic_write)
+            reconcile_warehouse(wh, 2.0)
+    caplog.set_level(logging.WARNING, logger="canopydw.storage")
+    caplog.clear()
+    _read(root, "ro")
+    assert len(_warnings(caplog)) == 1 and "prefix digest differs" in _warnings(caplog)[0]
+    _assert_a_no_op_reconcile_writes_only_the_checkpoint(root, monkeypatch, caplog)
+
+
+def test_a_no_op_reconcile_writes_a_missing_checkpoint_with_the_same_bytes(root, monkeypatch, caplog):
+    _build(root)
+    written = (root / CHECKPOINT).read_bytes()
+    (root / CHECKPOINT).unlink()
+    caplog.set_level(logging.WARNING, logger="canopydw.storage")
+    _assert_a_no_op_reconcile_writes_only_the_checkpoint(root, monkeypatch, caplog)
+    assert (root / CHECKPOINT).read_bytes() == written
+
+
+def test_a_no_op_reconcile_covers_rows_appended_past_the_checkpoint(root, monkeypatch, caplog):
+    _build(root)
+    with open_warehouse(root) as wh:  # already annotated as a reconcile would
+        wh.append_facts([make_draft(wh.state.images[1], geo_x=500.0, validation="unmatched")] * 2)
+    caplog.set_level(logging.WARNING, logger="canopydw.storage")
+    _assert_a_no_op_reconcile_writes_only_the_checkpoint(root, monkeypatch, caplog)
+
+
 def _reconcile_and_die(root):
     """Reconciles root and exits when the new fact file is renamed in, before
     its checkpoint is written."""

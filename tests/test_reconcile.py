@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canopydw.errors import NonFiniteCoordinateError
-from canopydw.model import FactTreeMetric, Geotransform
+from canopydw import model
+from canopydw.model import FactColumns, FactTreeMetric, Geotransform
 from canopydw.reconcile import (
     MatchPair,
     compute_metrics,
@@ -226,6 +227,55 @@ def test_matching_radius_zero_pairs_only_coincident_points():
     assert _pairs(facts, records, 0.0) == [(1, "same", 0.0), (2, "zero", 0.0)]
 
 
+def _columns(facts):
+    """The facts as held FactColumns, in fact_id order."""
+    columns = FactColumns()
+    for fact in sorted(facts, key=lambda f: f.fact_id):
+        columns.add(fact)
+    return columns
+
+
+# Fewer facts than records, more, and as many: the grid buckets the larger
+# side and probes from the smaller one.
+@given(
+    radius=st.sampled_from([0.0, 1e-9, 0.7, 2.0]),
+    offset=st.sampled_from([(0.0, 0.0), (600000.0, 5200000.0), (-600000.0, -5200000.0)]),
+    points=st.lists(lattice_point, min_size=1, max_size=12),
+    specs=st.lists(record_spec, max_size=12),
+)
+@settings(max_examples=300)
+def test_matching_on_columns_equals_matching_on_objects_and_the_oracle(radius, offset, points, specs):
+    ox, oy = offset
+    facts = [
+        _fact(i, _ulps(ox + k * radius, dx), _ulps(oy + l * radius, dy))
+        for i, (k, l, dx, dy) in enumerate(points, start=1)
+    ]
+    records = []
+    for j, (at, (sx, sy), dx, dy) in enumerate(specs):
+        near = facts[at % len(facts)]
+        records.append(make_record(f"r{j}", _ulps(near.geo_x + sx * radius, dx), _ulps(near.geo_y + sy * radius, dy)))
+    on_columns = match_detections(_columns(facts), records, radius)
+    assert on_columns == match_detections(facts, records, radius)
+    assert [(p.fact_id, p.record_id, p.distance_m) for p in on_columns.pairs] == oracle_match(facts, records, radius)
+
+
+@pytest.mark.parametrize("n_facts, n_records", [(3, 40), (40, 3), (25, 25)])
+def test_matching_either_side_bucketed_equals_the_oracle(n_facts, n_records):
+    rng = random.Random(n_facts * 100 + n_records)
+    facts = [_fact(i, rng.uniform(-6, 6), rng.uniform(-6, 6)) for i in range(1, n_facts + 1)]
+    records = [make_record(f"r{i}", rng.uniform(-6, 6), rng.uniform(-6, 6)) for i in range(n_records)]
+    result = match_detections(_columns(facts), records, 1.5)
+    assert result == match_detections(facts, records, 1.5)
+    assert [(p.fact_id, p.record_id, p.distance_m) for p in result.pairs] == oracle_match(facts, records, 1.5)
+    assert len(result.pairs) + len(result.unmatched_fact_ids) == n_facts
+    assert len(result.pairs) + len(result.unmatched_record_ids) == n_records
+
+
+def test_matching_columns_refuses_non_finite():
+    with pytest.raises(NonFiniteCoordinateError, match="fact 2 has non-finite coordinates"):
+        match_detections(_columns([_fact(1, 0.0, 0.0), _fact(2, 0.0, float("inf"))]), [], 2.0)
+
+
 # -- metrics ------------------------------------------------------------------------
 
 
@@ -441,6 +491,21 @@ def test_repeated_reconcile_writes_nothing(tmp_path, monkeypatch):
     assert second.metrics == first.metrics
     assert calls == []
     assert _file_keys(root) == keys
+
+
+def test_reconcile_builds_no_validation_update(tmp_path, monkeypatch):
+    built = []
+    real_init = model.ValidationUpdate.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.ValidationUpdate, "__init__", init)
+    _reconciled(tmp_path)
+    with open_warehouse(tmp_path / "wh") as wh:
+        assert reconcile_warehouse(wh, 2.0).facts_updated == 3
+    assert built == []
 
 
 def test_reconcile_after_a_new_survey_rewrites_the_fact_file(tmp_path, monkeypatch):

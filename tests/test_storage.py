@@ -290,6 +290,39 @@ def test_failed_rewrite_validation_leaves_facts_and_file(root, monkeypatch):
         assert wh.state.facts[2].validation == "unmatched"
 
 
+def _held_and_fresh(root, wh):
+    """Fact 1's annotation as the writer holds it and as a fresh open reads it."""
+    with open_warehouse(root, "ro") as fresh:
+        return [(f.validation, f.matched_record_id) for f in (wh.state.facts[1], fresh.state.facts[1])]
+
+
+def test_rewrite_validation_refuses_a_record_id_that_is_not_utf8_before_writing(root, monkeypatch):
+    with _base(root) as wh:
+        wh.append_facts([make_draft(wh.state.images[1])])
+        stored = (root / FACT_TABLE).read_bytes()
+        with _replaced_files(monkeypatch) as replaced:
+            with pytest.raises(UnknownFactError, match="^fact 1: matched_record_id does not encode as UTF-8$"):
+                wh.rewrite_validation({1: ValidationUpdate("confirmed", "\ud800")})
+        assert replaced == []
+        assert _held_and_fresh(root, wh) == [("unvalidated", None)] * 2
+    assert (root / FACT_TABLE).read_bytes() == stored
+
+
+def test_any_failure_of_the_write_restores_the_held_annotation(root, monkeypatch):
+    def interrupted_write(path, text):
+        raise KeyboardInterrupt
+
+    with _base(root) as wh:
+        wh.append_facts([make_draft(wh.state.images[1])])
+        table_bytes = dict(wh.table_bytes)
+        with monkeypatch.context() as m:
+            m.setattr(storage, "_atomic_write", interrupted_write)
+            with pytest.raises(KeyboardInterrupt):
+                wh.rewrite_validation({1: ValidationUpdate("unmatched", None)})
+        assert _held_and_fresh(root, wh) == [("unvalidated", None)] * 2
+        assert wh.table_bytes == table_bytes
+
+
 def test_rewrite_validation_keeps_measures_when_update_omits_them(root):
     with _base(root) as wh:
         image = wh.state.images[1]
