@@ -104,15 +104,19 @@ class Projection:
 
 
 def project(model: GrowthModel, years: int) -> Projection:
-    """Linear projection: current records plus yearly growth times years."""
+    """Linear projection: current records plus yearly growth times years.
+
+    Raises ValueError for a negative horizon, and for one whose projected
+    bytes do not fit in a float.
+    """
     if years < 0:
         raise ValueError("years must be non-negative")
     records = model.current_records + yearly_growth(model) * years
-    return Projection(
-        records=records,
-        image_dim_bytes=model.image_bytes(records),
-        fact_table_bytes=model.fact_bytes(records),
-    )
+    try:
+        image_bytes, fact_bytes = model.image_bytes(records), model.fact_bytes(records)
+    except OverflowError:
+        raise ValueError("years is too large: the projected size does not fit in a float") from None
+    return Projection(records=records, image_dim_bytes=image_bytes, fact_table_bytes=fact_bytes)
 
 
 def discrepancy_note() -> str:

@@ -12,7 +12,7 @@ import math
 import re
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from itertools import compress, count
 from operator import ne
@@ -298,14 +298,18 @@ class FactDraft:
     validation: str = "unvalidated"
     matched_record_id: str | None = None
 
-    def with_id(self, fact_id: int) -> FactTreeMetric:
-        """The stored fact row for this draft."""
-        return FactTreeMetric(*(getattr(self, name) for name in _DRAFT_FIELDS), fact_id=fact_id)
+    def row(self, fact_id: int) -> FactRow:
+        """The stored fact row for this draft, given its fact_id."""
+        b = self.bbox
+        return FactRow(
+            fact_id, self.date_key, self.image_key, self.species_key, b.cx, b.cy, b.w, b.h,
+            self.confidence, self.geo_x, self.geo_y, self.height_m, self.dbh_cm,
+            self.validation, self.matched_record_id,
+        )
 
 
-_DRAFT_FIELDS = tuple(f.name for f in fields(FactDraft))
-
-
+# The package builds none; kept for callers that hold facts as objects, which
+# match_detections accepts.
 @dataclass(frozen=True, slots=True)
 class FactTreeMetric(FactDraft):
     fact_id: int = 0
@@ -331,21 +335,11 @@ class FactRow(NamedTuple):
     matched_record_id: str | None
 
 
-def fact_row(fact: FactTreeMetric) -> FactRow:
-    """The cells of a fact's stored line."""
-    b = fact.bbox
-    return FactRow(
-        fact.fact_id, fact.date_key, fact.image_key, fact.species_key, b.cx, b.cy, b.w, b.h,
-        fact.confidence, fact.geo_x, fact.geo_y, fact.height_m, fact.dbh_cm,
-        fact.validation, fact.matched_record_id,
-    )
-
-
 # The range of a key column (array typecode "i") in FactColumns.
 KEY_MIN, KEY_MAX = -(2**31), 2**31 - 1
 
 
-def fact_field_violations(fact: FactDraft | FactRow, dates: Container[int] = ()) -> list[str]:
+def fact_field_violations(fact: FactRow, dates: Container[int] = ()) -> list[str]:
     """Value-level checks on one fact row, independent of other tables.
 
     dates holds date keys already checked (the keys of loaded date rows):
@@ -357,8 +351,7 @@ def fact_field_violations(fact: FactDraft | FactRow, dates: Container[int] = ())
     for name in ("image_key", "species_key"):
         if not KEY_MIN <= getattr(fact, name) <= KEY_MAX:
             v.append(f"{name} outside [{KEY_MIN}, {KEY_MAX}]")
-    box = fact if isinstance(fact, FactRow) else fact.bbox
-    v.extend("bbox " + item for item in box_violations(box))
+    v.extend("bbox " + item for item in box_violations(fact))
     if not (math.isfinite(fact.confidence) and 0.0 <= fact.confidence <= 1.0):
         v.append("confidence outside [0, 1]")
     if not (math.isfinite(fact.geo_x) and math.isfinite(fact.geo_y)):
@@ -447,17 +440,16 @@ ARRAY_COLUMNS = (
 )
 
 
-class FactColumns(Mapping[int, FactTreeMetric]):
+class FactColumns:
     """The fact table held as one typed column per field, in fact_id order.
 
     Each column holds one entry per fact: the arrays of ARRAY_COLUMNS
     (about 93 bytes per fact) and the list matched_record_id. NaN stands
     for a missing height_m or dbh_cm; the row checks refuse a stored NaN.
 
-    As a Mapping it is read-only: fact_id to a FactTreeMetric built on
-    access (lookup bisects fact_id). index gives a fact's position, at
-    which the columns can be read without building an object. Only append
-    and add change it. An annotation is given as four whole columns
+    A fact is read from the columns by its position (index bisects
+    fact_id), or as the cells of its FactRow through cells. Only append
+    changes it. An annotation is given as four whole columns
     (validation codes, record ids, heights, DBHs): annotation_changes
     tells where it would change a stored cell, so that a writer copies and
     rewrites nothing otherwise, and annotated gives a copy that holds it.
@@ -495,9 +487,6 @@ class FactColumns(Mapping[int, FactTreeMetric]):
         self.height_m.append(_NAN if height is None else height)
         self.dbh_cm.append(_NAN if dbh is None else dbh)
         self.matched_record_id.append(record)
-
-    def add(self, fact: FactTreeMetric) -> None:
-        self.append(fact_row(fact))
 
     def index(self, fact_id: int) -> int:
         """The position of fact_id in the columns; KeyError if it is not held."""
@@ -557,24 +546,6 @@ class FactColumns(Mapping[int, FactTreeMetric]):
         new.validation, new.matched_record_id, new.height_m, new.dbh_cm = validation, matched_record_id, height_m, dbh_cm
         return new
 
-    def __getitem__(self, fact_id: int) -> FactTreeMetric:
-        i = self.index(fact_id)
-        height, dbh = self.height_m[i], self.dbh_cm[i]
-        return FactTreeMetric(
-            self.date_key[i],
-            self.image_key[i],
-            self.species_key[i],
-            BoundingBox(self.cx[i], self.cy[i], self.w[i], self.h[i]),
-            self.confidence[i],
-            self.geo_x[i],
-            self.geo_y[i],
-            None if height != height else height,
-            None if dbh != dbh else dbh,
-            VALIDATION_STATES[self.validation[i]],
-            self.matched_record_id[i],
-            fact_id=self.fact_id[i],
-        )
-
     def cells(self) -> Iterator[tuple]:
         """Each fact's stored cells, in fact order: the fields of its FactRow."""
         for values in zip(*(getattr(self, name) for name in self.__slots__)):
@@ -587,21 +558,8 @@ class FactColumns(Mapping[int, FactTreeMetric]):
                 record,
             )
 
-    def __contains__(self, fact_id: object) -> bool:
-        try:
-            self.index(fact_id)  # type: ignore[arg-type]
-        except (KeyError, TypeError):
-            return False
-        return True
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.fact_id)
-
     def __len__(self) -> int:
         return len(self.fact_id)
-
-    def __repr__(self) -> str:
-        return f"FactColumns({dict(self)!r})"
 
 
 @dataclass
@@ -626,8 +584,8 @@ class WarehouseState:
         self.species[row.species_key] = row
         self.species_by_code[row.code] = row.species_key
 
-    def add_fact(self, row: FactTreeMetric) -> None:
-        self.facts.add(row)
+    def add_fact(self, row: FactRow) -> None:
+        self.facts.append(row)
 
     def copy(self) -> WarehouseState:
         """A state with its own dicts and fact columns; the (immutable)
@@ -638,7 +596,7 @@ class WarehouseState:
         return self.species[species_key].code
 
 
-def validate_fact(fact: FactDraft, state: WarehouseState) -> list[str]:
+def validate_fact(fact: FactRow, state: WarehouseState) -> list[str]:
     """Check the three foreign keys and date consistency for one fact.
 
     Returns a list of violations naming the offending field; empty means ok.

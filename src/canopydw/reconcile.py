@@ -20,7 +20,7 @@ from .model import (
     SPECIES_MISMATCH,
     UNMATCHED,
     FactColumns,
-    FactTreeMetric,
+    FactRow,
     Geotransform,
     SurveyRecord,
     pixel_to_geo,
@@ -86,7 +86,7 @@ def _near(bucketed: tuple, probes: tuple, side: float, radius_m: float) -> list[
 
 
 def match_detections(
-    facts: FactColumns | Collection[FactTreeMetric],
+    facts: FactColumns | Collection[FactRow],
     records: Sequence[SurveyRecord],
     radius_m: float = 2.0,
 ) -> MatchResult:
@@ -96,8 +96,8 @@ def match_detections(
     each fact and each record participates in at most one pair. Distance
     ties break on (fact_id, record_id) so results do not depend on input
     order. facts is either FactColumns, whose fact_id, geo_x and geo_y
-    columns are read as they are, or a collection of objects with those
-    attributes.
+    columns are read as they are, or a collection of objects with fact_id,
+    geo_x and geo_y attributes, such as FactRow (or FactTreeMetric).
 
     Candidates come from a uniform grid (Bentley, Stanat & Williams, "The
     complexity of finding fixed-radius near neighbors", 1977): the larger

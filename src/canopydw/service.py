@@ -276,8 +276,12 @@ class _Handler(BaseHTTPRequestHandler):
         radius = body.get("radius_m", 2.0)
         if not isinstance(radius, (int, float)) or isinstance(radius, bool):
             raise _RequestProblem(400, "radius_m must be a number")
+        try:
+            radius = float(radius)
+        except OverflowError:
+            raise _RequestProblem(400, "radius_m is too large for a float") from None
         with self._open_rw() as handle:
-            outcome = reconcile_warehouse(handle, float(radius))
+            outcome = reconcile_warehouse(handle, radius)
         metrics = outcome.metrics
         columns, rows = metrics_rows(metrics)
         return 200, {

@@ -85,8 +85,10 @@ rows already held: from byte 0 and the header on a first load.
 
 A load holds the dimension rows as frozen objects in dicts, and the fact
 rows as model.FactColumns: one typed column per field, in fact_id order,
-about 100 bytes per fact. No object is held per fact: state.facts builds a
-FactTreeMetric when a fact is looked up, and queries scan the columns.
+about 100 bytes per fact. No object is held per fact: a fact is read from
+the columns by position, or as a FactRow's cells (FactColumns.cells), and
+queries scan the columns. A writer stages each new fact as the FactRow its
+draft gives, renders that row's line and appends it to the columns.
 
 A read-write open on a cache that holds no snapshot (every
 open_warehouse(root, "rw")) reads COMMIT and the dimensions, and of the
@@ -141,7 +143,6 @@ from .model import (
     FactColumns,
     FactDraft,
     FactRow,
-    FactTreeMetric,
     Geotransform,
     ImageMeta,
     SurveyRecord,
@@ -164,12 +165,13 @@ _SURVEY_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 class Table:
     """How one table is stored.
 
-    header names the columns; the first is the key. cells gives a row's
-    cells in header order (default: the row's attributes named by the
-    header); row builds a row from the cells of a line and raises
-    ValueError on a bad cell. state_field names the WarehouseState field
-    that holds the table's rows by key: a dict, or FactColumns for the
-    facts. A dimension also has check, which returns why a loaded row is
+    header names the columns; the first is the key. cells gives a
+    dimension row's cells in header order (default: the row's attributes
+    named by the header); a fact row is a FactRow, whose fields are its
+    cells. row builds a row from the cells of a line and raises ValueError
+    on a bad cell. state_field names the WarehouseState field that holds
+    the table's rows: a dict by key, or FactColumns for the facts. A
+    dimension also has check, which returns why a loaded row is
     refused given the rows loaded before it (None: accepted), and add,
     which puts an accepted row into the state.
     """
@@ -196,8 +198,8 @@ class Table:
             raise ValueError(f"expected {self.width} fields, got {len(cells)}")
         return self.row(cells)
 
-    def rows(self, state: WarehouseState) -> Mapping:
-        """The table's rows in state, by key."""
+    def rows(self, state: WarehouseState) -> Mapping | FactColumns:
+        """The table's rows in state."""
         return getattr(state, self.state_field)
 
     def text(self, lines: Iterable[Sequence[object]]) -> str:
@@ -356,7 +358,6 @@ FACTS = Table(
     "fact_id,date_key,image_key,species_key,bbox_cx,bbox_cy,bbox_w,bbox_h,"
     "confidence,geo_x,geo_y,height_m,dbh_cm,validation,matched_record_id",
     row=_fact_row,
-    cells=model.fact_row,
     state_field="facts",
 )
 # one file per survey, under SURVEY_DIR
@@ -606,9 +607,9 @@ class _FactsOnFirstRead(WarehouseState):
                     writer._checkpoint_bytes = reader._checkpoint_bytes
             return self.facts
 
-    def add_fact(self, row: FactTreeMetric) -> None:
+    def add_fact(self, row: FactRow) -> None:
         if "facts" in vars(self):
-            self.facts.add(row)
+            self.facts.append(row)
         else:
             self._last_fact_id = row.fact_id
 
@@ -632,7 +633,7 @@ class Warehouse:
         # what the open batch has staged: dimension tables to write anew,
         # and fact rows to append (not in state until they are written)
         self._rewrites: set[Table] = set()
-        self._appends: list[FactTreeMetric] = []
+        self._appends: list[FactRow] = []
         # the fact_id of the last row on disk that this handle read or wrote
         self._last_fact_id = 0
         # the bytes of the fact file whose rows the checkpoint holds, as far
@@ -918,7 +919,7 @@ class Warehouse:
                 self._rewrites.discard(table)
         if not rows:
             return
-        data = "".join([_fact_line(FACTS.cells(row)) + "\n" for row in rows]).encode("utf-8")
+        data = "".join([_fact_line(row) + "\n" for row in rows]).encode("utf-8")
         path = self._path(FACTS.file)
         pre_size = path.stat().st_size
         try:
@@ -1011,15 +1012,15 @@ class Warehouse:
         """
         self._require_writer()
         with self.batch():
+            first = self._next_fact_id
+            rows = [draft.row(first + i) for i, draft in enumerate(drafts)]
             problems = []
-            for i, draft in enumerate(drafts):
-                issues = model.fact_field_violations(draft, self.state.dates) + model.validate_fact(draft, self.state)
+            for i, row in enumerate(rows):
+                issues = model.fact_field_violations(row, self.state.dates) + model.validate_fact(row, self.state)
                 if issues:
                     problems.append(f"fact {i}: " + "; ".join(issues))
             if problems:
                 raise IntegrityError("; ".join(problems))
-            first = self._next_fact_id
-            rows = [draft.with_id(first + i) for i, draft in enumerate(drafts)]
             self._appends += rows
             return [row.fact_id for row in rows]
 

@@ -18,6 +18,7 @@ from canopydw.model import (
     DimImage,
     DimSpecies,
     FactDraft,
+    FactRow,
     Geotransform,
     ImageMeta,
     SurveyRecord,
@@ -95,6 +96,11 @@ def make_record(record_id: str, x: float, y: float, code: str = "PSME", **overri
     )
     base.update(overrides)
     return SurveyRecord(**base)
+
+
+def fact_rows(facts) -> dict[int, FactRow]:
+    """The stored rows of facts (a FactColumns), by fact_id."""
+    return {row[0]: FactRow._make(row) for row in facts.cells()}
 
 
 # -- randomized warehouse population ----------------------------------------------
@@ -229,7 +235,7 @@ def left_to_right_sum(values) -> float:
 def oracle_query(state, spec):
     """Naive full-scan aggregation used to cross-check run_query."""
     groups = {}
-    for fact in state.facts.values():
+    for fact in fact_rows(state.facts).values():
         image = state.images[fact.image_key]
         species = state.species[fact.species_key]
         if spec.date_from is not None and fact.date_key < spec.date_from:
@@ -279,7 +285,7 @@ def logical_state(handle):
         sorted(handle.state.dates.items()),
         sorted(handle.state.images.items()),
         sorted(handle.state.species.items()),
-        sorted(handle.state.facts.items()),
+        sorted(fact_rows(handle.state.facts).items()),
         {sid: tuple(handle.load_survey(sid)) for sid in handle.list_survey_ids()},
     )
 

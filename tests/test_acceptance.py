@@ -39,7 +39,7 @@ from canopydw.ingest import (
     render_detection_line,
     render_manifest_row,
 )
-from canopydw.model import FactTreeMetric, Geotransform, validate_fact
+from canopydw.model import FactRow, Geotransform, validate_fact
 from canopydw.cli import run_cli
 from canopydw.query import run_query
 from canopydw.reconcile import (
@@ -56,6 +56,7 @@ from canopydw.storage import open_warehouse, stats_rows
 from conftest import running_server
 from helpers import (
     checksum_for,
+    fact_rows,
     logical_state,
     make_draft,
     make_image,
@@ -175,7 +176,7 @@ def test_c04_referential_integrity_and_atomic_batches(tmp_path):
                 populate_random(
                     handle, rng, n_images=rng.randrange(1, 6), max_facts_per_image=4
                 )
-                for fact in handle.state.facts.values():
+                for fact in fact_rows(handle.state.facts).values():
                     assert validate_fact(fact, handle.state) == []
 
                 image = next(iter(handle.state.images.values()))
@@ -192,18 +193,18 @@ def test_c04_referential_integrity_and_atomic_batches(tmp_path):
                 assert (root / "fact_tree_metrics.tbl").read_bytes() == before_bytes
 
                 # ids are not burned by the rejected batch
-                next_id = max(handle.state.facts, default=0) + 1
+                next_id = max(fact_rows(handle.state.facts), default=0) + 1
                 (new_id,) = handle.append_facts([good])
                 assert new_id == next_id
-                assert validate_fact(handle.state.facts[new_id], handle.state) == []
+                assert validate_fact(fact_rows(handle.state.facts)[new_id], handle.state) == []
 
 
 # -- C5 ------------------------------------------------------------------------------
 
 
-def _bare_fact(fid: int, x: float, y: float, species_key: int = 1) -> FactTreeMetric:
+def _bare_fact(fid: int, x: float, y: float, species_key: int = 1) -> FactRow:
     image = make_image()
-    return make_draft(image, species_key=species_key, geo_x=x, geo_y=y).with_id(fid)
+    return make_draft(image, species_key=species_key, geo_x=x, geo_y=y).row(fid)
 
 
 def test_c05_matching_equals_brute_force():
@@ -565,7 +566,7 @@ def test_c09_service_matches_cli_and_concurrent_ingest(reference_root, tmp_path,
         with open_warehouse(work_root, "ro") as handle:
             assert len(handle.state.facts) == 240
             assert len(handle.state.images) == 80
-            for fact in handle.state.facts.values():
+            for fact in fact_rows(handle.state.facts).values():
                 assert validate_fact(fact, handle.state) == []
 
 

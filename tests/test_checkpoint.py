@@ -22,7 +22,7 @@ from canopydw.model import FactColumns, ValidationUpdate, encode_date_key
 from canopydw.reconcile import reconcile_warehouse
 from canopydw.storage import CHECKPOINT, FACTS, IMAGES, SPECIES, SnapshotCache, open_warehouse
 
-from helpers import counted_fact_parses, make_draft, make_image, make_record
+from helpers import counted_fact_parses, fact_rows, make_draft, make_image, make_record
 
 ASIDE = "checkpoint.aside"
 
@@ -92,7 +92,7 @@ def _change_an_annotation(root):
 
 
 def _fact_3(wh):
-    fact = wh.state.facts[3]
+    fact = fact_rows(wh.state.facts)[3]
     return fact.validation, fact.matched_record_id
 
 
@@ -113,7 +113,7 @@ def test_cold_loads_copy_the_checkpoint_and_parse_only_the_lines_past_it(root, m
             assert parses == []
             wh.append_facts([make_draft(wh.state.images[1])] * 2)  # past the checkpoint
         with open_warehouse(root, "ro") as wh:
-            assert sorted(wh.state.facts) == list(range(1, 9))
+            assert sorted(fact_rows(wh.state.facts)) == list(range(1, 9))
         assert [cells[0] for cells, in parses] == ["7", "8"]
     assert _warnings(caplog) == []
     _assert_loads_agree(root)

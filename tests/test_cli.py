@@ -20,7 +20,7 @@ from canopydw.reconcile import metrics_csv, reconcile_warehouse
 from canopydw.report import text_table
 from canopydw.storage import IMAGES, SPECIES, open_warehouse, stats_rows
 
-from helpers import EMPTY_LIST_REFUSALS, make_draft, make_image
+from helpers import EMPTY_LIST_REFUSALS, fact_rows, make_draft, make_image
 
 
 @pytest.fixture(autouse=True)
@@ -338,7 +338,7 @@ def test_ingest_images_splits_detection_files_at_line_ends_only(tmp_path, capsys
     ]) == 0
     assert "facts_added=1 errors=0" in capsys.readouterr().out
     with open_warehouse(root, "ro") as handle:
-        assert [f.confidence for f in handle.state.facts.values()] == [0.9]
+        assert [f.confidence for f in fact_rows(handle.state.facts).values()] == [0.9]
 
 
 def test_stats_names_the_line_of_a_non_utf8_byte(tmp_path, capsys):
@@ -382,6 +382,13 @@ def test_estimate_flag_validation_on_reference_root(reference_root, flag, value,
     capsys.readouterr()
     assert run_cli(["estimate", "--root", str(reference_root), flag, value]) == 1
     assert flag in capsys.readouterr().err
+
+
+def test_estimate_horizon_too_large_for_a_float_is_data_error(reference_root, capsys):
+    assert run_cli(["estimate", "--root", str(reference_root), "--years", str(10**400)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: years is too large: the projected size does not fit in a float\n"
 
 
 def test_survey_with_unknown_species_is_data_error(tmp_path, capsys):

@@ -31,7 +31,7 @@ from canopydw.reconcile import reconcile_warehouse
 from canopydw.storage import open_warehouse
 
 from conftest import running_server
-from helpers import SPECIES_POOL, make_record, populate_random
+from helpers import SPECIES_POOL, fact_rows, make_record, populate_random
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -72,7 +72,7 @@ def build_golden_root(root: Path) -> None:
     rng = random.Random(20240115)
     with open_warehouse(root) as wh:
         populate_random(wh, rng, n_images=40, max_facts_per_image=12)
-        facts = list(wh.state.facts.values())
+        facts = list(fact_rows(wh.state.facts).values())
         records = []
         for i, fact in enumerate(rng.sample(facts, len(facts) // 2)):
             code = wh.state.species_code_of(fact.species_key)
@@ -136,7 +136,7 @@ def rendered(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden") / "wh"
     build_golden_root(root)
     with open_warehouse(root, "ro") as wh:
-        states = {fact.validation for fact in wh.state.facts.values()}
+        states = {fact.validation for fact in fact_rows(wh.state.facts).values()}
     assert states == {"unvalidated", "confirmed", "species_mismatch", "unmatched"}
     return render_goldens(root)
 

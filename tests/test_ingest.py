@@ -28,7 +28,7 @@ from canopydw.ingest import (
 from canopydw.model import BoundingBox, Geotransform
 from canopydw.storage import SPECIES, open_warehouse
 
-from helpers import checksum_for, make_image
+from helpers import checksum_for, fact_rows, make_image
 
 # -- detection line grammar ------------------------------------------------------
 
@@ -455,7 +455,7 @@ def test_ingest_image_batch(wh):
     assert report.facts_added == 2
     assert report.errors == []
     assert len(wh.state.images) == 2
-    facts = sorted(wh.state.facts.values(), key=lambda f: f.fact_id)
+    facts = sorted(fact_rows(wh.state.facts).values(), key=lambda f: f.fact_id)
     # geo from the affine map: center (50, 40) -> (500 + 5, 200 - 4)
     assert (facts[0].geo_x, facts[0].geo_y) == (505.0, 196.0)
     assert wh.state.species_code_of(facts[1].species_key) == "TSHE"

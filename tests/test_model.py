@@ -179,10 +179,10 @@ def _draft(**overrides):
 
 
 def test_fact_fields_valid():
-    assert fact_field_violations(_draft()) == []
-    assert fact_field_violations(_draft(height_m=12.0, dbh_cm=30.0)) == []
+    assert fact_field_violations(_draft().row(1)) == []
+    assert fact_field_violations(_draft(height_m=12.0, dbh_cm=30.0).row(1)) == []
     assert (
-        fact_field_violations(_draft(validation="confirmed", matched_record_id="R1")) == []
+        fact_field_violations(_draft(validation="confirmed", matched_record_id="R1").row(1)) == []
     )
 
 
@@ -202,12 +202,12 @@ def test_fact_fields_valid():
     ],
 )
 def test_fact_fields_invalid(overrides):
-    assert fact_field_violations(_draft(**overrides)) != []
+    assert fact_field_violations(_draft(**overrides).row(1)) != []
 
 
 def test_validate_fact_reports_fk_violations():
     state = WarehouseState()
-    fact = _draft().with_id(1)
+    fact = _draft().row(1)
     assert set(validate_fact(fact, state)) == {
         "date_key unresolved",
         "image_key unresolved",
@@ -220,6 +220,6 @@ def test_validate_fact_reports_fk_violations():
     # date mismatch: image captured on a different day than the fact claims
     state.add_image(make_image(image_key=2, capture_date_key=20240116, file_name="other.jpg"))
     state.add_date(derive_date(20240116))
-    assert validate_fact(_draft(image_key=2).with_id(2), state) == [
+    assert validate_fact(_draft(image_key=2).row(2), state) == [
         "date mismatch"
     ]

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canopydw.errors import NonFiniteCoordinateError
+from canopydw.ingest import ClassMap, detection_file_name, ingest_image_batch
 from canopydw import model
-from canopydw.model import FactColumns, FactTreeMetric, Geotransform
+from canopydw.model import FactColumns, FactRow, Geotransform
+from canopydw.query import QuerySpec, run_query
 from canopydw.reconcile import (
     MatchPair,
     compute_metrics,
@@ -22,7 +24,7 @@ from canopydw.reconcile import (
 from canopydw import storage
 from canopydw.storage import CHECKPOINT, FACTS, TABLES, open_warehouse
 
-from helpers import make_draft, make_image, make_record, oracle_match
+from helpers import fact_rows, make_draft, make_image, make_record, oracle_match
 
 # -- affine transform ----------------------------------------------------------
 
@@ -74,9 +76,9 @@ def test_round_trip_property(ox, oy, a, e, b, d, col, row):
 # -- matching -------------------------------------------------------------------
 
 
-def _fact(fid: int, x: float, y: float, species_key: int = 1) -> FactTreeMetric:
+def _fact(fid: int, x: float, y: float, species_key: int = 1) -> FactRow:
     image = make_image()
-    return make_draft(image, species_key=species_key, geo_x=x, geo_y=y).with_id(fid)
+    return make_draft(image, species_key=species_key, geo_x=x, geo_y=y).row(fid)
 
 
 def test_matching_prefers_global_minimum():
@@ -231,7 +233,7 @@ def _columns(facts):
     """The facts as held FactColumns, in fact_id order."""
     columns = FactColumns()
     for fact in sorted(facts, key=lambda f: f.fact_id):
-        columns.add(fact)
+        columns.append(fact)
     return columns
 
 
@@ -398,10 +400,10 @@ def test_validate_facts_annotations(tmp_path):
             make_record("r2", 5.1, 0.0, "PSME"),
         ]
         wh.save_survey("s", records)
-        match = match_detections(sorted(wh.state.facts.values(), key=lambda f: f.fact_id), records, 2.0)
+        match = match_detections(sorted(fact_rows(wh.state.facts).values(), key=lambda f: f.fact_id), records, 2.0)
         updated = validate_facts(wh, match, records)
         assert updated == 3
-        f1, f2, f3 = (wh.state.facts[i] for i in (1, 2, 3))
+        f1, f2, f3 = (fact_rows(wh.state.facts)[i] for i in (1, 2, 3))
         assert (f1.validation, f1.matched_record_id) == ("confirmed", "r1")
         # confirmed facts inherit ground measurements they lacked
         assert (f1.dbh_cm, f1.height_m) == (41.5, 28.0)
@@ -424,11 +426,11 @@ def test_reconcile_warehouse_end_to_end(tmp_path):
         assert outcome.metrics.matched_pairs == 2
         assert outcome.metrics.accuracy == 0.5
         assert outcome.facts_updated == 3
-        states = sorted(f.validation for f in wh.state.facts.values())
+        states = sorted(f.validation for f in fact_rows(wh.state.facts).values())
         assert states == ["confirmed", "species_mismatch", "unmatched"]
     # annotations survive reopen
     with open_warehouse(tmp_path / "wh", "ro") as wh:
-        states = sorted(f.validation for f in wh.state.facts.values())
+        states = sorted(f.validation for f in fact_rows(wh.state.facts).values())
         assert states == ["confirmed", "species_mismatch", "unmatched"]
 
 
@@ -437,8 +439,8 @@ def test_reconcile_inherited_measures_round_trip(tmp_path):
         wh.save_survey("s", [make_record("r1", 0.1, 0.0, "PSME", dbh_cm=33.0)])
         reconcile_warehouse(wh, 2.0)
     with open_warehouse(tmp_path / "wh", "ro") as wh:
-        assert wh.state.facts[1].dbh_cm == 33.0
-        assert wh.state.facts[1].height_m is None
+        assert fact_rows(wh.state.facts)[1].dbh_cm == 33.0
+        assert fact_rows(wh.state.facts)[1].height_m is None
 
 
 # -- a reconcile that changes no annotation writes nothing -------------------------
@@ -508,13 +510,33 @@ def test_reconcile_builds_no_validation_update(tmp_path, monkeypatch):
     assert built == []
 
 
+def test_ingest_reconcile_and_query_build_no_fact_tree_metric(tmp_path, monkeypatch):
+    built = []
+    real_init = model.FactTreeMetric.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.FactTreeMetric, "__init__", init)
+    meta = make_image().meta
+    dets = {detection_file_name(meta.file_name): ["0 0.5 0.5 0.2 0.2 0.9", "0 0.25 0.25 0.1 0.1 0.8"]}
+    with open_warehouse(tmp_path / "wh") as wh:
+        assert ingest_image_batch(wh, [meta], dets, ClassMap(["PSME"])).facts_added == 2
+        wh.save_survey("s", [make_record("r1", 5.0, -5.0, "PSME")])
+        assert reconcile_warehouse(wh, 2.0).metrics.matched_pairs == 1
+        spec = QuerySpec(group_by=("species",), measures=("tree_count", "confirmed_count"))
+        assert run_query(wh, spec).rows == (("PSME", 2, 1),)
+    assert built == []
+
+
 def test_reconcile_after_a_new_survey_rewrites_the_fact_file(tmp_path, monkeypatch):
     root = tmp_path / "wh"
     _reconciled(tmp_path)
     with open_warehouse(root) as wh:
         # fact 3 (at x=90) was unmatched; only its annotation changes
         wh.save_survey("s2", [make_record("r3", 90.2, 0.0, "PSME")])
-        before = {fid: wh.state.facts[fid] for fid in (1, 2)}
+        before = {fid: fact_rows(wh.state.facts)[fid] for fid in (1, 2)}
         keys = _file_keys(root)
         calls = _spy_writes(monkeypatch)
         outcome = reconcile_warehouse(wh, 2.0)
@@ -530,6 +552,6 @@ def test_reconcile_after_a_new_survey_rewrites_the_fact_file(tmp_path, monkeypat
     assert after.pop(FACTS.file)[0] != keys.pop(FACTS.file)[0]  # a new inode
     assert after == keys
     with open_warehouse(root, "ro") as wh:
-        assert {fid: wh.state.facts[fid] for fid in (1, 2)} == before
-        fact = wh.state.facts[3]
+        assert {fid: fact_rows(wh.state.facts)[fid] for fid in (1, 2)} == before
+        fact = fact_rows(wh.state.facts)[3]
         assert (fact.validation, fact.matched_record_id) == ("confirmed", "r3")

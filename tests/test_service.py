@@ -16,7 +16,7 @@ from canopydw.report import render_cell
 from canopydw.storage import FACTS, open_warehouse, stats_rows
 
 from conftest import running_server, serving
-from helpers import EMPTY_LIST_REFUSALS, checksum_for
+from helpers import EMPTY_LIST_REFUSALS, checksum_for, fact_rows
 
 MIB = 2**20
 FACT_TABLE = FACTS.file
@@ -327,7 +327,7 @@ def test_post_survey_then_reconcile(root):
         assert body["per_species"][0]["tp"] == 1
 
         with open_warehouse(root, "ro") as handle:
-            fact = handle.state.facts[1]
+            fact = fact_rows(handle.state.facts)[1]
             assert fact.validation == "confirmed"
             assert fact.dbh_cm == 40.0
 
@@ -400,6 +400,13 @@ def test_post_reconcile_bad_radius_400(root):
         assert r.status_code == 400
 
 
+def test_post_reconcile_radius_too_large_for_a_float_400(root, capsys):
+    with running_server(root) as base:
+        r = requests.post(f"{base}/v1/reconcile", json={"radius_m": 10**400}, timeout=10)
+    assert (r.status_code, r.json()) == (400, {"error": "radius_m is too large for a float"})
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_write_blocked_by_live_writer_409(root):
     with running_server(root, lock_timeout=0.05) as base:
         with open_warehouse(root, "rw"):
@@ -460,6 +467,13 @@ def test_estimate_endpoint_refuses_non_integer_years(root):
     with running_server(root) as base:
         r = requests.get(f"{base}/v1/estimate", params={"years": "ten"}, timeout=10)
         assert (r.status_code, r.json()) == (400, {"error": "years and events_per_year must be integers"})
+
+
+def test_estimate_endpoint_refuses_a_horizon_too_large_for_a_float(reference_root, capsys):
+    with running_server(reference_root) as base:
+        r = requests.get(f"{base}/v1/estimate", params={"years": 10**400}, timeout=10)
+    assert (r.status_code, r.json()) == (400, {"error": "years is too large: the projected size does not fit in a float"})
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unhandled_error_is_500_with_the_id_it_logs(root, monkeypatch, capsys):
@@ -528,7 +542,7 @@ def test_concurrent_posts_all_land(root):
     with open_warehouse(root, "ro") as handle:
         assert len(handle.state.images) == n_threads * per_thread
         # every fact still resolves through its dimensions
-        for fact in handle.state.facts.values():
+        for fact in fact_rows(handle.state.facts).values():
             assert fact.image_key in handle.state.images
             assert fact.species_key in handle.state.species
 

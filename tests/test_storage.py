@@ -38,7 +38,7 @@ from canopydw.ingest import (
     ingest_species_registry,
     ingest_survey,
 )
-from canopydw.model import VALIDATION_STATES, BoundingBox, FactRow, FactTreeMetric, ValidationUpdate, encode_date_key
+from canopydw.model import VALIDATION_STATES, FactRow, ValidationUpdate, encode_date_key
 from canopydw.report import csv_line
 from canopydw.query import MEASURES, QuerySpec, run_query
 from canopydw.reconcile import reconcile_warehouse
@@ -57,6 +57,7 @@ from canopydw.storage import (
 from helpers import (
     checksum_for,
     counted_fact_parses,
+    fact_rows,
     logical_state,
     make_draft,
     make_image,
@@ -183,7 +184,7 @@ def test_append_facts_all_or_nothing(root):
         with pytest.raises(IntegrityError) as err:
             wh.append_facts([make_draft(image), bad])
         assert "species_key unresolved" in str(err.value)
-        assert wh.state.facts == {}
+        assert fact_rows(wh.state.facts) == {}
         assert (root / FACT_TABLE).read_bytes() == before
         # the failed batch burned no ids
         assert wh.append_facts([make_draft(image)]) == [1]
@@ -215,12 +216,12 @@ def test_rewrite_validation(root):
             {1: ValidationUpdate("confirmed", "R1", height_m=12.0)}
         )
         assert n == 1
-        fact = wh.state.facts[1]
+        fact = fact_rows(wh.state.facts)[1]
         assert (fact.validation, fact.matched_record_id, fact.height_m) == ("confirmed", "R1", 12.0)
-        assert wh.state.facts[2].validation == "unvalidated"
+        assert fact_rows(wh.state.facts)[2].validation == "unvalidated"
     with open_warehouse(root, "ro") as wh:
-        assert wh.state.facts[1].validation == "confirmed"
-        assert wh.state.facts[1].height_m == 12.0
+        assert fact_rows(wh.state.facts)[1].validation == "confirmed"
+        assert fact_rows(wh.state.facts)[1].height_m == 12.0
 
 
 @contextlib.contextmanager
@@ -251,7 +252,7 @@ def test_rewrite_validation_replaces_only_the_fact_file(root, monkeypatch):
     assert replaced == [FACT_TABLE, CHECKPOINT]
     assert (root / "COMMIT").read_text() == "2\n"
     with open_warehouse(root, "ro") as wh:
-        assert wh.state.facts[2].validation == "unmatched"
+        assert fact_rows(wh.state.facts)[2].validation == "unmatched"
 
 
 def test_rewrite_validation_unknown_fact(root):
@@ -269,31 +270,31 @@ def test_rewrite_validation_refuses_bad_state_before_writing(root, monkeypatch):
             with pytest.raises(UnknownFactError, match="fact 1: bad validation state 'bogus'"):
                 wh.rewrite_validation({1: ValidationUpdate("bogus", None)})
         assert replaced == []
-        assert wh.state.facts[1].validation == "unvalidated"
+        assert fact_rows(wh.state.facts)[1].validation == "unvalidated"
     assert (root / FACT_TABLE).read_bytes() == stored
 
 
 def test_failed_rewrite_validation_leaves_facts_and_file(root, monkeypatch):
     with _base(root) as wh:
         wh.append_facts([make_draft(wh.state.images[1])] * 2)
-        facts, table_bytes = dict(wh.state.facts), dict(wh.table_bytes)
+        facts, table_bytes = fact_rows(wh.state.facts), dict(wh.table_bytes)
         stored = (root / FACT_TABLE).read_bytes()
         with monkeypatch.context() as m:
             m.setattr(storage, "_atomic_write", _failing_atomic_write)
             with pytest.raises(OSError, match="injected"):
                 wh.rewrite_validation({2: ValidationUpdate("unmatched", None)})
-        assert (wh.state.facts, wh.table_bytes) == (facts, table_bytes)
+        assert (fact_rows(wh.state.facts), wh.table_bytes) == (facts, table_bytes)
         assert (root / FACT_TABLE).read_bytes() == stored
         # the handle goes on from the rows it held
         assert wh.rewrite_validation({2: ValidationUpdate("unmatched", None)}) == 1
     with open_warehouse(root, "ro") as wh:
-        assert wh.state.facts[2].validation == "unmatched"
+        assert fact_rows(wh.state.facts)[2].validation == "unmatched"
 
 
 def _held_and_fresh(root, wh):
     """Fact 1's annotation as the writer holds it and as a fresh open reads it."""
     with open_warehouse(root, "ro") as fresh:
-        return [(f.validation, f.matched_record_id) for f in (wh.state.facts[1], fresh.state.facts[1])]
+        return [(f.validation, f.matched_record_id) for f in (fact_rows(wh.state.facts)[1], fact_rows(fresh.state.facts)[1])]
 
 
 def test_rewrite_validation_refuses_a_record_id_that_is_not_utf8_before_writing(root, monkeypatch):
@@ -328,7 +329,7 @@ def test_rewrite_validation_keeps_measures_when_update_omits_them(root):
         image = wh.state.images[1]
         wh.append_facts([make_draft(image, height_m=30.0, dbh_cm=55.0)])
         wh.rewrite_validation({1: ValidationUpdate("species_mismatch", "R9")})
-        fact = wh.state.facts[1]
+        fact = fact_rows(wh.state.facts)[1]
         assert (fact.height_m, fact.dbh_cm) == (30.0, 55.0)
 
 
@@ -377,13 +378,13 @@ def test_recovery_drops_uncommitted_rows(root):
         fh.write("3,20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,\n")
     with open_warehouse(root, "ro") as wh:
         assert logical_state(wh) == before
-        assert sorted(wh.state.facts) == [1, 2]
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2]
     # an rw open repairs the file and reuses the id
     with open_warehouse(root) as wh:
         assert logical_state(wh) == before
         assert wh.append_facts([make_draft(wh.state.images[1])]) == [3]
     with open_warehouse(root, "ro") as wh:
-        assert sorted(wh.state.facts) == [1, 2, 3]
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2, 3]
 
 
 def test_recovery_tolerates_torn_trailing_line(root):
@@ -431,7 +432,7 @@ def test_failed_repair_releases_the_lock(root, monkeypatch):
         with pytest.raises(OSError, match="injected"):
             open_warehouse(root)
     with open_warehouse(root, lock_timeout=0.05) as wh:  # the lock is free
-        assert sorted(wh.state.facts) == [1, 2]
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2]
     assert "\n3,20240115," not in (root / FACT_TABLE).read_text()
 
 
@@ -505,9 +506,9 @@ def test_missing_marker_adopts_contents(root):
     _committed_base(root)
     (root / "COMMIT").unlink()
     with open_warehouse(root, "ro") as wh:
-        assert sorted(wh.state.facts) == [1, 2]
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2]
     with open_warehouse(root) as wh:
-        assert sorted(wh.state.facts) == [1, 2]
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2]
     assert (root / "COMMIT").read_text() == "2\n"
 
 
@@ -525,7 +526,7 @@ def test_unterminated_last_row_is_repaired_before_appends(root, marker):
         assert path.read_bytes().endswith(b"\n")
         assert wh.append_facts([make_draft(wh.state.images[1])]) == [3]
     with open_warehouse(root, "ro") as wh:
-        assert sorted(wh.state.facts) == [1, 2, 3]
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2, 3]
     assert (root / "COMMIT").read_text() == "3\n"
 
 
@@ -583,10 +584,10 @@ def test_batch_writes_nothing_until_it_ends(root):
             key = wh.insert_image(make_image(file_name="b.jpg", capture_date_key=date_key).meta)
             assert wh.append_facts([make_draft(wh.state.images[key])] * 2) == [3, 4]
             assert wh.append_facts([make_draft(wh.state.images[key])]) == [5]
-            assert sorted(wh.state.facts) == [1, 2]  # staged rows are not committed yet
+            assert sorted(fact_rows(wh.state.facts)) == [1, 2]  # staged rows are not committed yet
             with open_warehouse(root, "ro") as ro:
                 assert logical_state(ro) == before
-        assert sorted(wh.state.facts) == [1, 2, 3, 4, 5]
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2, 3, 4, 5]
         after = logical_state(wh)
     with open_warehouse(root, "ro") as wh:
         assert logical_state(wh) == after
@@ -604,7 +605,7 @@ def test_exception_partway_commits_what_was_staged(root):
     with open_warehouse(root, "ro") as wh:
         assert logical_state(wh) == held
         assert sorted(img.file_name for img in wh.state.images.values()) == ["img_0001.jpg", "img_0002.jpg", "img_0003.jpg"]
-        assert sorted(wh.state.facts) == [1, 2, 3, 4, 5, 6]
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2, 3, 4, 5, 6]
 
 
 def test_threads_sharing_a_writer_lose_no_rows(root):
@@ -636,7 +637,7 @@ def test_threads_sharing_a_writer_lose_no_rows(root):
     assert errors == []
     with open_warehouse(root, "ro") as wh:
         assert logical_state(wh) == held
-        assert sorted(wh.state.facts) == list(range(1, len(before[3]) + 4 * 15 + 1))
+        assert sorted(fact_rows(wh.state.facts)) == list(range(1, len(before[3]) + 4 * 15 + 1))
         assert len(wh.state.images) == 1 + 4 * 5
 
 
@@ -676,7 +677,7 @@ def test_crash_between_dimension_rewrites_and_commit(root, crash_at):
     assert (facts_on_disk != committed_facts) == (crash_at == "COMMIT")
     for mode in ("ro", "rw"):
         with open_warehouse(root, mode) as wh:
-            assert sorted(wh.state.facts.items()) == before[3]
+            assert sorted(fact_rows(wh.state.facts).items()) == before[3]
             assert len(wh.state.images) == 5  # image rows without their facts
     # the rw open dropped the uncommitted rows
     assert (root / FACT_TABLE).read_bytes() == committed_facts
@@ -706,11 +707,11 @@ def test_failed_fact_append_leaves_commit_and_facts(root, monkeypatch):
                 ingest_image_batch(wh, metas, dets, ClassMap(["PSME"]))
         assert (root / "COMMIT").read_text() == "2\n"
         assert (root / FACT_TABLE).read_bytes() == committed_facts
-        assert sorted(wh.state.facts.items()) == before[3]
+        assert sorted(fact_rows(wh.state.facts).items()) == before[3]
         # the handle goes on from the committed facts: no fact_id was burned
         assert wh.append_facts([make_draft(wh.state.images[2])]) == [3]
     with open_warehouse(root, "ro") as wh:
-        assert sorted(wh.state.facts) == [1, 2, 3]
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2, 3]
         assert len(wh.state.images) == 4
 
 
@@ -993,7 +994,7 @@ def test_read_snapshot_matches_fresh_open(root):
         with open_warehouse(root) as wh:
             wh.rewrite_validation({2: ValidationUpdate("confirmed", "t1", 12.0, 30.0)})
         check()
-        assert seen[-1][0].state.facts[2].validation == "confirmed"
+        assert fact_rows(seen[-1][0].state.facts)[2].validation == "confirmed"
         with open_warehouse(root) as wh:  # a date sorted before the others
             date_key = wh.ensure_date(20240101)
             key = wh.insert_image(make_image(file_name="c.jpg", capture_date_key=date_key).meta)
@@ -1019,11 +1020,11 @@ def test_snapshot_rereads_an_extended_unterminated_row(root):
     path.write_bytes(path.read_bytes().removesuffix(b"\n"))  # the last row loses its newline
     snap = SnapshotCache(root)
     try:
-        assert snap.current().state.facts[2].matched_record_id == "R1"
+        assert fact_rows(snap.current().state.facts)[2].matched_record_id == "R1"
         with open(path, "ab") as fh:  # the last row's record id grows, then the newline comes
             fh.write(b"0\n")
         handle = snap.current()
-        assert handle.state.facts[2].matched_record_id == "R10"
+        assert fact_rows(handle.state.facts)[2].matched_record_id == "R10"
         with open_warehouse(root, "ro") as fresh:
             assert logical_state(handle) == logical_state(fresh)
     finally:
@@ -1048,7 +1049,7 @@ def test_snapshot_reloads_when_facts_and_dimensions_change_together(root):
             wh.append_facts([make_draft(wh.state.images[key])] * 3)
             wh.rewrite_validation({3: ValidationUpdate("confirmed", "R1")})
         assert_fresh(snap.current())
-        assert seen[-1][0].state.facts[3].validation == "confirmed"
+        assert fact_rows(seen[-1][0].state.facts)[3].validation == "confirmed"
         # a fact file renamed in and an edited dimension row
         with open_warehouse(root) as wh:
             wh.rewrite_validation({4: ValidationUpdate("species_mismatch", "R2")})
@@ -1058,7 +1059,7 @@ def test_snapshot_reloads_when_facts_and_dimensions_change_together(root):
         path.write_text(text.replace(",unknown\n", ",vulnerable\n"))
         assert_fresh(snap.current())
         state = seen[-1][0].state
-        assert (state.facts[4].validation, state.species[1].conservation_status) == ("species_mismatch", "vulnerable")
+        assert (fact_rows(state.facts)[4].validation, state.species[1].conservation_status) == ("species_mismatch", "vulnerable")
         # a handle once returned is never changed by later refreshes
         for handle, held in seen:
             assert logical_state(handle) == held
@@ -1090,7 +1091,7 @@ def test_snapshot_writer_matches_full_open(root):
             fh.write("4,20240115,1,1,0.5,0.5,0.2,0.2,0.9,5.0,-5.0,,,unvalidated,\n")
         commit = os.stat(root / "COMMIT")
         with snap.open_writer() as wh:  # the writer drops the tail
-            assert sorted(wh.state.facts) == [1, 2, 3]
+            assert sorted(fact_rows(wh.state.facts)) == [1, 2, 3]
         assert "\n4,20240115," not in (root / FACT_TABLE).read_text()
         assert os.stat(root / "COMMIT").st_ino == commit.st_ino
         assert (root / "COMMIT").read_text() == "3\n"
@@ -1098,7 +1099,7 @@ def test_snapshot_writer_matches_full_open(root):
         with open_warehouse(root) as wh:
             assert wh.append_facts([make_draft(wh.state.images[1])]) == [4]
         with snap.open_writer() as wh:
-            assert sorted(wh.state.facts) == [1, 2, 3, 4]
+            assert sorted(fact_rows(wh.state.facts)) == [1, 2, 3, 4]
     finally:
         snap.close()
 
@@ -1116,7 +1117,7 @@ def test_snapshot_refuses_a_fact_file_rewritten_in_place(root, monkeypatch):
     monkeypatch.setattr(os, "pread", lambda *args: preads.append(args) or real_pread(*args))
     snap = SnapshotCache(root)
     try:
-        assert sorted(snap.current().state.facts) == [1, 2, 3]
+        assert sorted(fact_rows(snap.current().state.facts)) == [1, 2, 3]
         snap.current()
         assert preads == []  # a refresh that finds no change reads nothing
         with open(path, "r+b") as fh:  # same inode: header and rows 1-2; COMMIT stays 3
@@ -1145,7 +1146,7 @@ def test_snapshot_sees_an_in_place_edit_of_an_earlier_row(root):
     path = root / FACT_TABLE
     snap = SnapshotCache(root)
     try:
-        assert snap.current().state.facts[2].confidence == 0.9
+        assert fact_rows(snap.current().state.facts)[2].confidence == 0.9
         data = path.read_bytes()
         start = data.index(b"\n2,")
         with open(path, "r+b") as fh:  # same inode and size: fact 2's confidence 0.9 becomes 0.8
@@ -1154,8 +1155,8 @@ def test_snapshot_sees_an_in_place_edit_of_an_earlier_row(root):
         with open_warehouse(root) as wh:
             wh.append_facts([make_draft(wh.state.images[1])])
         with open_warehouse(root, "ro") as fresh:
-            assert fresh.state.facts[2].confidence == 0.8
-        assert snap.current().state.facts[2].confidence == 0.8
+            assert fact_rows(fresh.state.facts)[2].confidence == 0.8
+        assert fact_rows(snap.current().state.facts)[2].confidence == 0.8
     finally:
         snap.close()
 
@@ -1163,7 +1164,7 @@ def test_snapshot_sees_an_in_place_edit_of_an_earlier_row(root):
 def test_handed_out_snapshot_never_changes(root):
     with open_warehouse(root) as wh:
         populate_random(wh, random.Random(14), n_images=6, max_facts_per_image=8)
-        facts = list(wh.state.facts.values())
+        facts = list(fact_rows(wh.state.facts).values())
         wh.save_survey("s1", [make_record(f"R{f.fact_id}", f.geo_x, f.geo_y, "TSHE") for f in facts[::3]])
     spec = QuerySpec(group_by=("species",), measures=MEASURES)
 
@@ -1261,8 +1262,8 @@ def test_writer_reads_all_rows_when_the_tail_is_longer_than_it_reads(root, monke
             assert len(parses) == 3
             assert wh.append_facts([make_draft(wh.state.images[1])]) == [4]
     with open_warehouse(root, "ro") as wh:
-        assert wh.state.facts[3].matched_record_id == "R" * 5000
-        assert sorted(wh.state.facts) == [1, 2, 3, 4]
+        assert fact_rows(wh.state.facts)[3].matched_record_id == "R" * 5000
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2, 3, 4]
 
 
 def test_lazily_read_facts_match_a_fresh_open(root, monkeypatch):
@@ -1277,13 +1278,13 @@ def test_lazily_read_facts_match_a_fresh_open(root, monkeypatch):
             facts = wh.state.facts
             assert len(parses) == tail + 11
             with open_warehouse(root, "ro") as fresh:
-                assert facts == fresh.state.facts
+                assert fact_rows(facts) == fact_rows(fresh.state.facts)
                 assert wh.table_bytes == fresh.table_bytes
-            assert list(facts) == list(range(1, 12))  # each appended row held once
+            assert list(fact_rows(facts)) == list(range(1, 12))  # each appended row held once
             assert wh.append_facts([make_draft(wh.state.images[2])]) == [12]
-            assert wh.state.facts is facts and list(facts) == list(range(1, 13))
+            assert wh.state.facts is facts and list(fact_rows(facts)) == list(range(1, 13))
         with open_warehouse(root, "ro") as fresh:
-            assert logical_state(fresh)[3] == sorted(facts.items())
+            assert logical_state(fresh)[3] == sorted(fact_rows(facts).items())
 
 
 def test_closed_lazy_writer_is_freed_and_still_reads_its_rows(root):
@@ -1296,7 +1297,7 @@ def test_closed_lazy_writer_is_freed_and_still_reads_its_rows(root):
     assert handle() is None  # no reference cycle keeps a closed writer alive
     with open_warehouse(root) as other:  # a later writer moves COMMIT on
         other.append_facts([make_draft(other.state.images[1])])
-    assert list(state.facts) == [1, 2, 3, 4]
+    assert list(fact_rows(state.facts)) == [1, 2, 3, 4]
 
 
 def _bad_confidence(root, line_no):
@@ -1584,10 +1585,4 @@ def _rendered(render, cells):
 @example(FactRow(2, 20240115, 1, 1, 5e-324, -0.0, 0.2, 0.2, 0.9, 5.0, -5.0, 12.5, None, "species_mismatch", 'r"2'))
 @example(FactRow(3, 20240115, 1, 1, 0.5, 0.5, 0.2, 0.2, 0.9, 5.0, -5.0, None, None, "confirmed", " r\0樹 "))
 def test_fact_line_renders_as_csv_line(row):
-    fact = FactTreeMetric(
-        row.date_key, row.image_key, row.species_key, BoundingBox(row.cx, row.cy, row.w, row.h),
-        row.confidence, row.geo_x, row.geo_y, row.height_m, row.dbh_cm, row.validation, row.matched_record_id,
-        fact_id=row.fact_id,
-    )
-    assert FACTS.cells(fact) == row
-    assert _rendered(storage._fact_line, row) == _rendered(csv_line, FACTS.cells(fact))
+    assert _rendered(storage._fact_line, row) == _rendered(csv_line, row)
