@@ -165,12 +165,12 @@ _SURVEY_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 class Table:
     """How one table is stored.
 
-    header names the columns; the first is the key. cells gives a
-    dimension row's cells in header order (default: the row's attributes
-    named by the header); a fact row is a FactRow, whose fields are its
-    cells. row builds a row from the cells of a line and raises ValueError
-    on a bad cell. state_field names the WarehouseState field that holds
-    the table's rows: a dict by key, or FactColumns for the facts. A
+    header names the columns; the first is the key. cells gives a row's
+    cells in header order (default: the row's attributes named by the
+    header; a fact row is a FactRow, which holds its cells in that order);
+    row builds a row from the cells of a line and raises ValueError on a
+    bad cell. state_field names the WarehouseState field that holds the
+    table's rows: a dict by key, or FactColumns for the facts. A
     dimension also has check, which returns why a loaded row is
     refused given the rows loaded before it (None: accepted), and add,
     which puts an accepted row into the state.
@@ -358,6 +358,7 @@ FACTS = Table(
     "fact_id,date_key,image_key,species_key,bbox_cx,bbox_cy,bbox_w,bbox_h,"
     "confidence,geo_x,geo_y,height_m,dbh_cm,validation,matched_record_id",
     row=_fact_row,
+    cells=tuple,
     state_field="facts",
 )
 # one file per survey, under SURVEY_DIR

@@ -1585,4 +1585,4 @@ def _rendered(render, cells):
 @example(FactRow(2, 20240115, 1, 1, 5e-324, -0.0, 0.2, 0.2, 0.9, 5.0, -5.0, 12.5, None, "species_mismatch", 'r"2'))
 @example(FactRow(3, 20240115, 1, 1, 0.5, 0.5, 0.2, 0.2, 0.9, 5.0, -5.0, None, None, "confirmed", " r\0樹 "))
 def test_fact_line_renders_as_csv_line(row):
-    assert _rendered(storage._fact_line, row) == _rendered(csv_line, row)
+    assert _rendered(storage._fact_line, row) == _rendered(csv_line, FACTS.cells(row))
