@@ -29,6 +29,11 @@ def main() -> int:
     parser.add_argument("--years", type=int, default=10)
     parser.add_argument("--events-per-year", type=int, default=4)
     args = parser.parse_args()
+    # refused before anything is built, as canopydw estimate refuses them
+    if args.years < 0:
+        return _error("--years must be non-negative")
+    if args.events_per_year <= 0:
+        return _error("--events-per-year must be positive")
 
     root = Path(args.root) if args.root else Path(tempfile.mkdtemp()) / "reference_wh"
     build_reference_warehouse(root)
@@ -38,9 +43,17 @@ def main() -> int:
         columns, rows = stats_rows(handle.stats())
         print(text_table(columns, rows))
         print()
-        report = estimate_from_warehouse(handle, args.events_per_year, args.years)
+        try:
+            report = estimate_from_warehouse(handle, args.events_per_year, args.years)
+        except ValueError as exc:  # a horizon whose projected size does not fit in a float
+            return _error(str(exc))
     sys.stdout.write(report.to_text())
     return 0
+
+
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -344,7 +344,7 @@ def ingest_survey(handle: Warehouse, survey_id: str, lines: Iterable[str], sourc
     for other in handle.list_survey_ids():
         if other == survey_id:
             continue
-        taken = seen.keys() & {rec.record_id for rec in handle.load_survey(other)}
+        taken = seen.keys() & handle.survey_columns(other).record_id
         if taken:
             raise DuplicateRecordError(f"record id {min(taken)!r} appears in surveys {other!r} and {survey_id!r}")
     handle.save_survey(survey_id, records)

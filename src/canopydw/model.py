@@ -12,10 +12,10 @@ import math
 import re
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from itertools import compress, count
-from operator import ne
+from operator import attrgetter, ne
 from typing import Container, NamedTuple
 
 from .errors import InvalidDateError
@@ -381,6 +381,39 @@ class SurveyRecord:
     dbh_cm: float | None
     height_m: float | None
     surveyed_date_key: int
+
+
+class SurveyColumns:
+    """Survey records held as one list per SurveyRecord field, in record order.
+
+    A survey file is loaded into these columns, and reconciling reads them
+    as they are: it builds no SurveyRecord. records gives the SurveyRecords
+    they hold; of gives the columns of either form.
+    """
+
+    __slots__ = tuple(f.name for f in fields(SurveyRecord))
+
+    def __init__(self, *columns: list) -> None:
+        for name, column in zip(self.__slots__, columns or [[] for _ in self.__slots__], strict=True):
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, records: SurveyColumns | Iterable[SurveyRecord]) -> SurveyColumns:
+        """records as columns: SurveyColumns as they are, SurveyRecords copied."""
+        if isinstance(records, SurveyColumns):
+            return records
+        records = list(records)
+        return cls(*(list(map(attrgetter(name), records)) for name in cls.__slots__))
+
+    def __len__(self) -> int:
+        return len(self.record_id)
+
+    def records(self) -> list[SurveyRecord]:
+        return list(map(SurveyRecord, *attrgetter(*self.__slots__)(self)))
+
+    def extend(self, other: SurveyColumns) -> None:
+        for name in self.__slots__:
+            getattr(self, name).extend(getattr(other, name))
 
 
 @dataclass(frozen=True)

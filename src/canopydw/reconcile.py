@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from itertools import compress, count, filterfalse, repeat
+from math import floor, hypot
+from operator import add, attrgetter, eq, mul, ne, rshift, sub, truediv
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NonFiniteCoordinateError
 from .model import (
@@ -22,6 +26,7 @@ from .model import (
     FactColumns,
     FactRow,
     Geotransform,
+    SurveyColumns,
     SurveyRecord,
     pixel_to_geo,
 )
@@ -41,8 +46,7 @@ def geo_to_pixel(gt: Geotransform, x: float, y: float) -> tuple[float, float]:
     return col, row
 
 
-@dataclass(frozen=True)
-class MatchPair:
+class MatchPair(NamedTuple):
     """One detection/ground-truth correspondence."""
 
     fact_id: int
@@ -64,30 +68,53 @@ def _check_finite(ids: Sequence, xs: Sequence[float], ys: Sequence[float], what:
         raise NonFiniteCoordinateError(f"{what.format(bad)} has non-finite coordinates")
 
 
+# A cell key is column * _ROW + row. Columns and rows lie within
+# 2**48 + 2 of 0 (see match_detections), so no two cells share a key.
+_ROW = 1 << 50
+
+
+def _floors(values: Iterable[float], size: float) -> Iterator[int]:
+    """floor(v / size) for each value v."""
+    return map(floor, map(truediv, values, repeat(size)))
+
+
+def _lows(values: Iterable[float], half: float) -> Iterator[int]:
+    """For each value v, the lower of the two cells of side 2 * half nearest
+    to it: (floor(v / half) - 1) >> 1."""
+    return map(rshift, map(sub, _floors(values, half), repeat(1)), repeat(1))
+
+
+def _keys(columns: Iterable[int], rows: Iterable[int]) -> Iterator[int]:
+    return map(add, map(mul, columns, repeat(_ROW)), rows)
+
+
 def _near(bucketed: tuple, probes: tuple, side: float, radius_m: float) -> list[tuple[float, object, object]]:
     """(distance, bucketed id, probe id) for every pair within radius_m of
     two sets of points, each given as (ids, xs, ys): the bucketed points go
-    in a grid of cells of the given side, and each probe tests the points of
-    its own cell and the 8 around it."""
-    floor, hypot = math.floor, math.hypot
-    grid: dict[tuple[int, int], list] = {}
-    for point in zip(*bucketed):
-        grid.setdefault((floor(point[1] / side), floor(point[2] / side)), []).append(point)
+    in a grid of cells of the given side, keyed by one int each, and each
+    probe tests the points of the 2x2 block of cells nearest to it."""
+    ids, xs, ys = bucketed
+    keys = list(_keys(_floors(xs, side), _floors(ys, side)))
+    grid = dict(zip(keys, zip(count())))  # cell key -> positions of its points (here: of its last point)
+    if len(grid) < len(keys):  # some cells hold several points: add the others to them
+        for i in [*compress(count(), map(ne, map(grid.__getitem__, keys), zip(count())))]:
+            grid[keys[i]] += (i,)
+    pids, pxs, pys = probes
+    get = grid.get
     near = []
-    for pid, x, y in zip(*probes):
-        cx, cy = floor(x / side), floor(y / side)
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for bid, bx, by in grid.get((gx, gy), ()):
-                    dist = hypot(bx - x, by - y)
+    for pid, x, y, low in zip(pids, pxs, pys, _keys(_lows(pxs, side / 2), _lows(pys, side / 2))):
+        for cell in (get(low), get(low + 1), get(low + _ROW), get(low + _ROW + 1)):
+            if cell:
+                for i in cell:
+                    dist = hypot(xs[i] - x, ys[i] - y)
                     if dist <= radius_m:
-                        near.append((dist, bid, pid))
+                        near.append((dist, ids[i], pid))
     return near
 
 
 def match_detections(
     facts: FactColumns | Collection[FactRow],
-    records: Sequence[SurveyRecord],
+    records: SurveyColumns | Sequence[SurveyRecord],
     radius_m: float = 2.0,
 ) -> MatchResult:
     """One-to-one matching by ascending ground distance within radius_m.
@@ -98,20 +125,38 @@ def match_detections(
     order. facts is either FactColumns, whose fact_id, geo_x and geo_y
     columns are read as they are, or a collection of objects with fact_id,
     geo_x and geo_y attributes, such as FactRow (or FactTreeMetric).
+    records is SurveyColumns, read as they are, or SurveyRecords.
 
     Candidates come from a uniform grid (Bentley, Stanat & Williams, "The
     complexity of finding fixed-radius near neighbors", 1977): the larger
-    side (facts or records) is bucketed by cell, and each point of the
-    smaller side tests only the points in its own cell and the 8 around
-    it, since a bucketed point costs one cell lookup and a probe nine. Which
-    side is bucketed changes nothing in the result: the candidates are the
-    same pairs with the same distances (x - x' is exactly -(x' - x), and
-    hypot ignores signs), sorted the same way. The cell side is radius_m
-    widened by 2**-50 of (radius_m + the largest coordinate magnitude). At
-    exactly radius_m, rounding can put a pair that passes the distance test
-    two cells apart (1.9999999999999998 and 4.0 at radius 2.0), and
-    x / side can overflow for a tiny radius; widened, the grid finds every
-    pair that testing all pairs would.
+    side (facts or records) is bucketed by cell, one int key per point, and
+    each point of the smaller side tests only the points in the 2x2 block
+    of cells nearest to it, since a bucketed point costs one key and a
+    probe four lookups. Which side is bucketed changes nothing in the
+    result: the candidates are the same pairs with the same distances
+    (x - x' is exactly -(x' - x), and hypot ignores signs), sorted the same
+    way.
+
+    Why no pair within the radius is lost. Let E be the largest coordinate
+    magnitude, u = 2**-53 the unit roundoff and w = (radius_m + E) * 2**-48.
+    The cell side is s = 2 * radius_m + w, or 2**-960 if that is more (when
+    radius_m + E is below 2**-962, w would be subnormal and imprecise; the
+    floor alone is then wider than needed). Along one axis, in cell units:
+    a bucketed point b goes in cell floor(b / s); a probe p takes
+    h = floor(p / (s / 2)) and tests the cells a = (h - 1) >> 1 and a + 1,
+    that is the positions [a, a + 2). As 2a + 1 <= h <= 2a + 2, the probe's
+    own rounded position q_p = fl(p / s) lies in [a + 1/2, a + 3/2), since
+    dividing by s / 2 is dividing by s and doubling, exactly. So b is
+    tested whenever its rounded position q_b is within 1/2 of q_p. A pair
+    that passes the distance test has |fl(b - p)| <= hypot(...) <= radius_m,
+    so |b - p| <= radius_m * (1 + 2u), and each of q_b and q_p is off by at
+    most u * E / s. Hence |q_b - q_p| <= (radius_m * (1 + 2u) + 2u * E) / s,
+    which is below 1/2 because s - 2 * radius_m = w is eight times
+    4u * (radius_m + E), with room to spare for the rounding of s itself.
+    The widening also bounds every cell: |q| <= E / s <= E / w <= 2**48,
+    so no division overflows, for a tiny radius included, and the int keys
+    of distinct cells differ. (With no widening, a grid of side
+    2 * radius_m loses pairs at exactly radius_m to rounding.)
     """
     if not (math.isfinite(radius_m) and radius_m >= 0.0):
         raise ValueError(f"radius_m must be finite and non-negative, got {radius_m!r}")
@@ -119,12 +164,12 @@ def match_detections(
         fact_side = facts.fact_id, facts.geo_x, facts.geo_y
     else:
         fact_side = [f.fact_id for f in facts], [f.geo_x for f in facts], [f.geo_y for f in facts]
-    record_side = [r.record_id for r in records], [r.geo_x for r in records], [r.geo_y for r in records]
+    records = SurveyColumns.of(records)
+    record_side = records.record_id, records.geo_x, records.geo_y
     _check_finite(*fact_side, "fact {}")
     _check_finite(*record_side, "record {!r}")
     extent = max(0.0, *(max(map(abs, xs), default=0.0) for points in (fact_side, record_side) for xs in points[1:]))
-    # with radius_m == 0 only coincident points match, and they share a cell
-    side = radius_m + (radius_m + extent) * 2.0**-50 or 1.0
+    side = max(2.0 * radius_m + (radius_m + extent) * 2.0**-48, 2.0**-960)
     if len(fact_side[0]) >= len(record_side[0]):
         candidates = _near(fact_side, record_side, side, radius_m)
     else:
@@ -138,9 +183,9 @@ def match_detections(
             continue
         used_facts.add(fid)
         used_records.add(rid)
-        pairs.append(MatchPair(fact_id=fid, record_id=rid, distance_m=dist))
-    unmatched_f = tuple(fid for fid in fact_side[0] if fid not in used_facts)
-    unmatched_r = tuple(rid for rid in record_side[0] if rid not in used_records)
+        pairs.append(MatchPair(fid, rid, dist))
+    unmatched_f = tuple(filterfalse(used_facts.__contains__, fact_side[0]))
+    unmatched_r = tuple(filterfalse(used_records.__contains__, record_side[0]))
     return MatchResult(pairs=tuple(pairs), unmatched_fact_ids=unmatched_f, unmatched_record_ids=unmatched_r)
 
 
@@ -192,42 +237,34 @@ class ValidationMetrics:
 
 def compute_metrics(
     fact_species: Mapping[int, str],
-    records: Sequence[SurveyRecord],
+    records: SurveyColumns | Sequence[SurveyRecord],
     match: MatchResult,
 ) -> ValidationMetrics:
     """Derive accuracy and per-species counts from a match result.
 
     fact_species maps fact_id to its detected species code for every fact
-    that participated in the matching.
+    that participated in the matching; records are SurveyColumns or
+    SurveyRecords.
     """
-    record_species = {r.record_id: r.species_code for r in records}
-    tp: dict[str, int] = {}
-    agreeing = 0
-    for pair in match.pairs:
-        detected = fact_species[pair.fact_id]
-        surveyed = record_species[pair.record_id]
-        if detected == surveyed:
-            agreeing += 1
-            tp[detected] = tp.get(detected, 0) + 1
-    detected_totals: dict[str, int] = {}
-    for code in fact_species.values():
-        detected_totals[code] = detected_totals.get(code, 0) + 1
-    surveyed_totals: dict[str, int] = {}
-    for rec in records:
-        surveyed_totals[rec.species_code] = surveyed_totals.get(rec.species_code, 0) + 1
-    codes = sorted(set(detected_totals) | set(surveyed_totals))
+    records = SurveyColumns.of(records)
+    record_species = dict(zip(records.record_id, records.species_code))
+    detected = list(map(fact_species.__getitem__, map(attrgetter("fact_id"), match.pairs)))
+    surveyed = map(record_species.__getitem__, map(attrgetter("record_id"), match.pairs))
+    tp = Counter(compress(detected, map(eq, detected, surveyed)))
+    detected_totals = Counter(fact_species.values())
+    surveyed_totals = Counter(records.species_code)
     per_species = tuple(
         SpeciesCounts(
             species_code=code,
-            tp=tp.get(code, 0),
-            fp=detected_totals.get(code, 0) - tp.get(code, 0),
-            fn=surveyed_totals.get(code, 0) - tp.get(code, 0),
+            tp=tp[code],
+            fp=detected_totals[code] - tp[code],
+            fn=surveyed_totals[code] - tp[code],
         )
-        for code in codes
+        for code in sorted(detected_totals.keys() | surveyed_totals.keys())
     )
     return ValidationMetrics(
         matched_pairs=len(match.pairs),
-        agreeing_pairs=agreeing,
+        agreeing_pairs=sum(tp.values()),
         per_species=per_species,
     )
 
@@ -256,7 +293,7 @@ class ReconcileOutcome:
     facts_updated: int
 
 
-def validate_facts(handle: Warehouse, match: MatchResult, records: Sequence[SurveyRecord]) -> int:
+def validate_facts(handle: Warehouse, match: MatchResult, records: SurveyColumns | Sequence[SurveyRecord]) -> int:
     """Annotate every held fact with its match outcome; returns their number.
 
     Matched facts become "confirmed" when species agree (inheriting the
@@ -265,26 +302,28 @@ def validate_facts(handle: Warehouse, match: MatchResult, records: Sequence[Surv
     match is to be made over all of them. The annotation is built as
     columns (codes starting all "unmatched", record ids all None, copies of
     the heights and DBHs), filled in at the matched facts' positions only,
-    and given whole to Warehouse.annotate_facts.
+    and given whole to Warehouse.annotate_facts. records are SurveyColumns
+    or SurveyRecords; each is found by its position in the columns.
     """
-    record_by_id = {r.record_id: r for r in records}
+    records = SurveyColumns.of(records)
+    record_at = dict(zip(records.record_id, count()))
     facts = handle.state.facts
     n = len(facts)
     validation = array("b", [UNMATCHED]) * n
     record_ids: list[str | None] = [None] * n
     height_m, dbh_cm = facts.height_m[:], facts.dbh_cm[:]
-    for pair in match.pairs:
-        i = facts.index(pair.fact_id)
-        rec = record_by_id[pair.record_id]
-        record_ids[i] = pair.record_id
-        if handle.state.species_code_of(facts.species_key[i]) != rec.species_code:
+    for fact_id, record_id, _ in match.pairs:
+        i = facts.index(fact_id)
+        j = record_at[record_id]
+        record_ids[i] = record_id
+        if handle.state.species_code_of(facts.species_key[i]) != records.species_code[j]:
             validation[i] = SPECIES_MISMATCH
             continue
         validation[i] = CONFIRMED
-        if height_m[i] != height_m[i] and rec.height_m is not None:  # NaN: missing
-            height_m[i] = rec.height_m
-        if dbh_cm[i] != dbh_cm[i] and rec.dbh_cm is not None:
-            dbh_cm[i] = rec.dbh_cm
+        if height_m[i] != height_m[i] and records.height_m[j] is not None:  # NaN: missing
+            height_m[i] = records.height_m[j]
+        if dbh_cm[i] != dbh_cm[i] and records.dbh_cm[j] is not None:
+            dbh_cm[i] = records.dbh_cm[j]
     handle.annotate_facts(validation, record_ids, height_m, dbh_cm)
     return n
 
@@ -292,10 +331,11 @@ def validate_facts(handle: Warehouse, match: MatchResult, records: Sequence[Surv
 def reconcile_warehouse(handle: Warehouse, radius_m: float = 2.0) -> ReconcileOutcome:
     """Match all facts against all survey records and annotate the fact table.
 
-    It reads the fact columns and builds no fact object. facts_updated
-    counts the facts annotated (every fact, matched or not), whether or not
-    their annotation changed; a reconcile that changes none writes nothing
-    but a missing or stale checkpoint (see Warehouse.annotate_facts).
+    It reads the fact and survey columns and builds no object per fact or
+    per record. facts_updated counts the facts annotated (every fact,
+    matched or not), whether or not their annotation changed; a reconcile
+    that changes none writes nothing but a missing or stale checkpoint (see
+    Warehouse.annotate_facts).
     """
     records = handle.load_all_survey_records()
     facts = handle.state.facts  # held in fact_id order

@@ -145,6 +145,7 @@ from .model import (
     FactRow,
     Geotransform,
     ImageMeta,
+    SurveyColumns,
     SurveyRecord,
     ValidationUpdate,
     WarehouseState,
@@ -529,6 +530,31 @@ def _parse_line(path: Path, line_no: int, line: bytes, table: Table) -> Any:
         raise CorruptTableError(path, line_no, "unparseable CSV line")
     except ValueError as exc:  # UnicodeDecodeError among them
         raise CorruptTableError(path, line_no, str(exc))
+
+
+def _survey_columns(path: Path, data: bytes) -> SurveyColumns:
+    """The records of a survey file's bytes as columns. The lines are split
+    with _cells and each column is converted whole; should that fail, the
+    lines go through _parse_line one by one, so that the first bad line is
+    refused with its path and line number."""
+    lines, first = _table_lines(path, data, SURVEYS, 1)
+    try:
+        rows = list(map(_cells, b"\n".join(lines).decode("utf-8").split("\n")))
+        # a StopIteration out of _cells would end the list early
+        if len(rows) != len(lines) or set(map(len, rows)) != {SURVEYS.width}:
+            raise ValueError("wrong width")
+        ids, xs, ys, codes, dbh, height, dated = map(list, zip(*rows))
+        return SurveyColumns(
+            ids,
+            list(map(float, xs)),
+            list(map(float, ys)),
+            codes,
+            list(map(_opt_float, dbh)),
+            list(map(_opt_float, height)),
+            list(map(int, dated)),
+        )
+    except (ValueError, csv.Error):
+        return SurveyColumns.of(_parse_line(path, i, line, SURVEYS) for i, line in enumerate(lines, start=first))
 
 
 @dataclass(frozen=True)
@@ -1137,24 +1163,26 @@ class Warehouse:
             return []
         return sorted(p.stem for p in d.glob("*.tbl"))
 
-    def load_survey(self, survey_id: str) -> list[SurveyRecord]:
+    def survey_columns(self, survey_id: str) -> SurveyColumns:
         path = self.survey_path(survey_id)
-        lines, first = _table_lines(path, _read_bytes(path), SURVEYS, 1)
-        return [_parse_line(path, i, line, SURVEYS) for i, line in enumerate(lines, start=first)]
+        return _survey_columns(path, _read_bytes(path))
 
-    def load_all_survey_records(self) -> list[SurveyRecord]:
-        """All survey records merged; record ids must be globally unique."""
-        seen: dict[str, str] = {}
-        out = []
+    def load_survey(self, survey_id: str) -> list[SurveyRecord]:
+        return self.survey_columns(survey_id).records()
+
+    def load_all_survey_records(self) -> SurveyColumns:
+        """All survey records merged, in survey id order, as columns; record
+        ids must be globally unique."""
+        merged = SurveyColumns()
+        owner: dict[str, str] = {}  # record id -> the survey that holds it
         for sid in self.list_survey_ids():
-            for rec in self.load_survey(sid):
-                if rec.record_id in seen:
-                    raise DuplicateRecordError(
-                        f"record id {rec.record_id!r} appears in surveys {seen[rec.record_id]!r} and {sid!r}"
-                    )
-                seen[rec.record_id] = sid
-                out.append(rec)
-        return out
+            columns = self.survey_columns(sid)
+            for rid in columns.record_id:
+                if rid in owner:
+                    raise DuplicateRecordError(f"record id {rid!r} appears in surveys {owner[rid]!r} and {sid!r}")
+                owner[rid] = sid
+            merged.extend(columns)
+        return merged
 
     # -- stats ---------------------------------------------------------------
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -389,6 +393,31 @@ def test_estimate_horizon_too_large_for_a_float_is_data_error(reference_root, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: years is too large: the projected size does not fit in a float\n"
+
+
+REFERENCE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "build_reference_warehouse.py"
+
+
+def _run_reference_script(*args):
+    env = dict(os.environ, PYTHONPATH=str(REFERENCE_SCRIPT.parents[1] / "src"))
+    return subprocess.run([sys.executable, str(REFERENCE_SCRIPT), *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--years", "-1", "--years must be non-negative"), ("--events-per-year", "0", "--events-per-year must be positive")],
+)
+def test_reference_script_refuses_bad_arguments_before_building(tmp_path, flag, value, message):
+    root = tmp_path / "ref"
+    done = _run_reference_script(str(root), flag, value)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+    assert not root.exists()
+
+
+def test_reference_script_refuses_a_horizon_too_large_for_a_float(tmp_path):
+    done = _run_reference_script(str(tmp_path / "ref"), "--years", str(10**400))
+    assert done.returncode == 1
+    assert done.stderr == "error: years is too large: the projected size does not fit in a float\n"
 
 
 def test_survey_with_unknown_species_is_data_error(tmp_path, capsys):

@@ -278,6 +278,103 @@ def test_matching_columns_refuses_non_finite():
         match_detections(_columns([_fact(1, 0.0, 0.0), _fact(2, 0.0, float("inf"))]), [], 2.0)
 
 
+def _with_records_bucketed(facts, records):
+    """records and coincident copies of them, so that records outnumber facts
+    and the grid buckets the records and probes from the facts."""
+    copies = list(records)
+    while records and len(copies) <= len(facts):
+        copies += [make_record(f"{r.record_id}c{len(copies)}", r.geo_x, r.geo_y) for r in records]
+    return copies
+
+
+def _assert_grid_is_exact(facts, records, radius):
+    """The grid finds what the brute-force oracle finds, with either side bucketed."""
+    for recs in (records, _with_records_bucketed(facts, records)):
+        expected = oracle_match(facts, recs, radius)
+        assert _pairs(facts, recs, radius) == expected
+        assert [(p.fact_id, p.record_id, p.distance_m) for p in match_detections(_columns(facts), recs, radius).pairs] == expected
+
+
+# Cells have side 2 * radius (widened a little), and a probe tests the 2x2
+# block of cells nearest to it. Even multiples of the radius from the origin
+# lie on cell edges, odd ones on the half-cell offsets where the choice of
+# block flips. Records sit exactly one radius from a fact, along an axis or
+# on a diagonal (a 3-4-5 triangle), give or take an ulp.
+half_cell_point = st.tuples(st.integers(-4, 4), st.integers(-4, 4), ulps, ulps)
+one_radius_away = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (0.6, 0.8), (-0.8, 0.6), (0.8, -0.6), (-0.6, -0.8), (0, 0)])
+
+
+@given(
+    radius=st.sampled_from([0.0, 5e-324, 1e-9, 0.7, 2.0, 5.0]),
+    offset=st.sampled_from([(0.0, 0.0), (-600000.0, -5200000.0), (-0.7, -2.0), (-1e15, 3e14)]),
+    points=st.lists(half_cell_point, min_size=1, max_size=8),
+    specs=st.lists(st.tuples(st.integers(0, 7), one_radius_away, ulps, ulps), max_size=8),
+)
+@settings(max_examples=400)
+def test_grid_is_exact_on_cell_edges_half_cells_and_one_radius_away(radius, offset, points, specs):
+    ox, oy = offset
+    facts = [
+        _fact(i, _ulps(ox + k * radius, dx), _ulps(oy + l * radius, dy))
+        for i, (k, l, dx, dy) in enumerate(points, start=1)
+    ]
+    records = []
+    for j, (at, (sx, sy), dx, dy) in enumerate(specs):
+        near = facts[at % len(facts)]
+        records.append(make_record(f"r{j}", _ulps(near.geo_x + sx * radius, dx), _ulps(near.geo_y + sy * radius, dy)))
+    _assert_grid_is_exact(facts, records, radius)
+
+
+@pytest.mark.parametrize(
+    "radius, fact_xy, record_xy",
+    [
+        # exactly one radius away along each axis, and on a diagonal
+        (2.0, (0.0, 0.0), (2.0, 0.0)),
+        (2.0, (0.0, 0.0), (-2.0, 0.0)),
+        (2.0, (0.0, 0.0), (0.0, 2.0)),
+        (2.0, (0.0, 0.0), (0.0, -2.0)),
+        (5.0, (0.0, 0.0), (3.0, 4.0)),
+        (5.0, (-3.0, -4.0), (0.0, 0.0)),
+        (5.0, (600003.0, 5199996.0), (600000.0, 5200000.0)),
+        # on cell edges (multiples of 2 * radius) and an ulp below them
+        (2.0, (4.0, 4.0), (6.0, 4.0)),
+        (2.0, (3.9999999999999996, 0.0), (5.999999999999999, 0.0)),
+        (2.0, (-4.0, -8.0), (-4.0, -6.0)),
+        # on half-cell offsets, where the probe's block flips, and an ulp either side
+        (2.0, (0.0, 0.0), (1.9999999999999998, 0.0)),
+        (2.0, (4.0, 0.0), (2.0000000000000004, 0.0)),
+        (2.0, (-4.0, 0.0), (-2.0000000000000004, 0.0)),
+        (2.0, (-2.0, -2.0), (0.0, -2.0)),
+        (0.7, (-5e-324, 0.0), (0.7, 0.0)),
+        # radius 0: only coincident points, on an edge and far from the origin
+        (0.0, (0.0, -0.0), (-0.0, 0.0)),
+        (0.0, (-600000.0, -5200000.0), (-600000.0, -5200000.0)),
+        # a tiny radius and a large extent
+        (1e-9, (-5200000.0, 600000.0), (-5200000.000000001, 600000.0)),
+        (5e-324, (1e15, -1e15), (1e15, -1e15)),
+        (1e-300, (-1e300, 1e300), (-1e300, 1e300)),
+        # everything subnormal: the widening alone would underflow to 0
+        (5e-324, (5e-324, 0.0), (0.0, 0.0)),
+        (1e-320, (1e-310, -1e-310), (1e-310 + 1e-320, -1e-310)),
+    ],
+)
+def test_grid_finds_each_pair_within_the_radius(radius, fact_xy, record_xy):
+    facts, records = [_fact(1, *fact_xy)], [make_record("r", *record_xy)]
+    assert len(oracle_match(facts, records, radius)) == 1
+    _assert_grid_is_exact(facts, records, radius)
+
+
+def test_matching_on_survey_columns_equals_matching_on_records():
+    rng = random.Random(7)
+    facts = [_fact(i, rng.uniform(-6, 6), rng.uniform(-6, 6)) for i in range(1, 30)]
+    records = [make_record(f"r{i}", rng.uniform(-6, 6), rng.uniform(-6, 6), dbh_cm=float(i)) for i in range(20)]
+    columns = model.SurveyColumns.of(records)
+    assert columns.records() == records
+    result = match_detections(_columns(facts), columns, 1.5)
+    assert result == match_detections(facts, records, 1.5)
+    fact_species = {f.fact_id: "PSME" for f in facts}
+    assert compute_metrics(fact_species, columns, result) == compute_metrics(fact_species, records, result)
+
+
 # -- metrics ------------------------------------------------------------------------
 
 
@@ -507,6 +604,23 @@ def test_reconcile_builds_no_validation_update(tmp_path, monkeypatch):
     _reconciled(tmp_path)
     with open_warehouse(tmp_path / "wh") as wh:
         assert reconcile_warehouse(wh, 2.0).facts_updated == 3
+    assert built == []
+
+
+def test_reconcile_builds_no_survey_record(tmp_path, monkeypatch):
+    _reconciled(tmp_path)
+    built = []
+    real_init = model.SurveyRecord.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.SurveyRecord, "__init__", init)
+    with open_warehouse(tmp_path / "wh") as wh:
+        wh.save_survey("s2", [])
+        outcome = reconcile_warehouse(wh, 2.0)
+    assert (outcome.facts_updated, outcome.metrics.matched_pairs) == (3, 2)
     assert built == []
 
 

@@ -47,6 +47,7 @@ from canopydw.storage import (
     FACTS,
     IMAGES,
     SPECIES,
+    SURVEYS,
     TABLES,
     Warehouse,
     SnapshotCache,
@@ -1460,6 +1461,75 @@ def test_merged_surveys_reject_duplicate_record_ids(root):
         wh.save_survey("b", [make_record("R1", 9.0, 9.0)])
         with pytest.raises(DuplicateRecordError):
             wh.load_all_survey_records()
+
+
+def test_survey_with_quoted_cells_loads_through_the_csv_reader(root):
+    records = [make_record("R,1", 1.5, -2.5, dbh_cm=30.0), make_record('R"2', 3.0, 4.0, "PS,ME", height_m=12.5)]
+    with open_warehouse(root) as wh:
+        wh.save_survey("q", records)
+        assert b'"R,1"' in wh.survey_path("q").read_bytes()
+        assert wh.load_survey("q") == records
+        assert wh.load_all_survey_records().records() == records
+
+
+def test_header_only_survey_holds_no_records(root):
+    with open_warehouse(root) as wh:
+        wh.save_survey("empty", [])
+        assert wh.survey_path("empty").read_text() == SURVEYS.header + "\n"
+        assert wh.load_survey("empty") == []
+        assert len(wh.load_all_survey_records()) == 0
+        wh.save_survey("one", [make_record("R1", 0.0, 0.0)])
+        assert wh.load_all_survey_records().records() == [make_record("R1", 0.0, 0.0)]
+
+
+def test_merged_surveys_are_the_ingested_records_in_survey_order(root):
+    with open_warehouse(root) as wh:
+        ingest_species_registry(wh, [REGISTRY_HEADER, "PSME,Pseudotsuga menziesii,Douglas-fir,least_concern"])
+        second = ingest_survey(wh, "s2", [SURVEY_HEADER, "R3,-1e-7,7,psme,,2.5,2024-03-01"])
+        first = ingest_survey(wh, "s1", [SURVEY_HEADER, "R1,1.5,-2.5,PSME,30.5,,2024-01-10", "R2,600000,5200000,PSME,,,2024-01-11"])
+        assert wh.load_survey("s1") == first
+        assert wh.load_survey("s2") == second
+        assert wh.load_all_survey_records().records() == first + second
+
+
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ("R2,abc,0.0,PSME,,,20240110", "could not convert string to float: 'abc'"),
+        ("R2,1.0,0.0,PSME,,x,20240110", "could not convert string to float: 'x'"),
+        ("R2,1.0,0.0,PSME,,,2024-01-10", "invalid literal for int() with base 10: '2024-01-10'"),
+        ("R2,1.0,0.0,PSME,,,20240110,extra", "expected 7 fields, got 8"),
+        ('"R,2",1.0,0.0,PSME,,', "expected 7 fields, got 6"),
+        ("", "expected 7 fields, got 0"),
+    ],
+)
+def test_bad_survey_line_is_refused_with_its_path_and_line(root, bad_line, reason):
+    with open_warehouse(root) as wh:
+        wh.save_survey("s", [make_record("R1", 1.5, -2.5)])
+        path = wh.survey_path("s")
+        # line 3 is bad, and so is line 4: the first is named
+        path.write_bytes(path.read_bytes() + (bad_line + "\nR3,0.0,0.0,PSME,,,bad\n").encode())
+        for load in (lambda: wh.load_survey("s"), wh.load_all_survey_records, lambda: reconcile_warehouse(wh)):
+            with pytest.raises(CorruptTableError) as err:
+                load()
+            assert str(err.value) == f"{path}:3: {reason}"
+
+
+@pytest.mark.parametrize(
+    "surveys, message",
+    [
+        ({"a": ["R1", "R2", "R1"]}, "record id 'R1' appears in surveys 'a' and 'a'"),
+        ({"a": ["R1", "R2"], "b": ["R3", "R2", "R1"]}, "record id 'R2' appears in surveys 'a' and 'b'"),
+        ({"a": ["R1"], "b": ["R2", "R2", "R1"]}, "record id 'R2' appears in surveys 'b' and 'b'"),
+    ],
+)
+def test_merged_surveys_name_the_first_repeated_record_id(root, surveys, message):
+    with open_warehouse(root) as wh:
+        for sid, ids in surveys.items():
+            wh.save_survey(sid, [make_record(rid, float(i), 0.0) for i, rid in enumerate(ids)])
+        with pytest.raises(DuplicateRecordError) as err:
+            wh.load_all_survey_records()
+        assert str(err.value) == message
 
 
 def _registry_name(wh, brk):
