@@ -24,7 +24,7 @@ def main() -> int:
         "root",
         nargs="?",
         default=None,
-        help="warehouse root to create (default: a fresh temp directory)",
+        help="warehouse root to create (default: a fresh temp directory, removed at exit)",
     )
     parser.add_argument("--years", type=int, default=10)
     parser.add_argument("--events-per-year", type=int, default=4)
@@ -35,10 +35,16 @@ def main() -> int:
     if args.events_per_year <= 0:
         return _error("--events-per-year must be positive")
 
-    root = Path(args.root) if args.root else Path(tempfile.mkdtemp()) / "reference_wh"
-    build_reference_warehouse(root)
-    print(f"reference warehouse at {root}\n")
+    if not args.root:
+        with tempfile.TemporaryDirectory() as tmp:
+            return _build_and_report(Path(tmp) / "reference_wh", args)
+    code = _build_and_report(Path(args.root), args)
+    print(f"\nreference warehouse preserved at {args.root}")
+    return code
 
+
+def _build_and_report(root: Path, args: argparse.Namespace) -> int:
+    build_reference_warehouse(root)
     with open_warehouse(root, "ro") as handle:
         columns, rows = stats_rows(handle.stats())
         print(text_table(columns, rows))

@@ -70,10 +70,18 @@ SURVEY = [
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("root", nargs="?", default=None, help="warehouse root (default: temp dir)")
+    parser.add_argument("root", nargs="?", default=None, help="warehouse root (default: a temp dir, removed at exit)")
     args = parser.parse_args()
-    root = Path(args.root) if args.root else Path(tempfile.mkdtemp()) / "demo_wh"
+    if not args.root:
+        with tempfile.TemporaryDirectory() as tmp:
+            _run(Path(tmp) / "demo_wh")
+        return 0
+    _run(Path(args.root))
+    print(f"\nwarehouse preserved at {args.root}")
+    return 0
 
+
+def _run(root: Path) -> None:
     with open_warehouse(root, "rw") as handle:
         n = ingest_species_registry(handle, REGISTRY, source="registry.csv")
         print(f"== ingest: {n} species codes")
@@ -104,9 +112,6 @@ def main() -> int:
 
         print("\n== estimate: ten-year projection")
         sys.stdout.write(estimate_from_warehouse(handle, 4, 10).to_text())
-
-    print(f"\nwarehouse preserved at {root}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -87,7 +87,7 @@ class SurveyImmutableError(WarehouseError):
 
 
 class UnknownFactError(WarehouseError):
-    """A validation update references a fact id not present in the fact table."""
+    """A validation annotation would give a fact a row no load accepts."""
 
 
 class NonFiniteCoordinateError(WarehouseError):

@@ -416,20 +416,6 @@ class SurveyColumns:
             getattr(self, name).extend(getattr(other, name))
 
 
-@dataclass(frozen=True)
-class ValidationUpdate:
-    """Sanctioned post-hoc annotation of one fact row.
-
-    height_m/dbh_cm of None means "leave the stored value"; validation and
-    matched_record_id are always applied.
-    """
-
-    validation: str
-    matched_record_id: str | None
-    height_m: float | None = None
-    dbh_cm: float | None = None
-
-
 _VALIDATION_CODES = {state: code for code, state in enumerate(VALIDATION_STATES)}
 CONFIRMED = _VALIDATION_CODES["confirmed"]
 SPECIES_MISMATCH = _VALIDATION_CODES["species_mismatch"]
@@ -485,7 +471,7 @@ class FactColumns:
     changes it. An annotation is given as four whole columns
     (validation codes, record ids, heights, DBHs): annotation_changes
     tells where it would change a stored cell, so that a writer copies and
-    rewrites nothing otherwise, and annotated gives a copy that holds it.
+    rewrites nothing otherwise.
     """
 
     __slots__ = tuple(name for name, _ in ARRAY_COLUMNS) + ("matched_record_id",)
@@ -569,15 +555,6 @@ class FactColumns:
             if not _same_cell(getattr(self, name)[i], value) and not (math.isfinite(value) and value > 0):
                 v.append(f"{name} must be positive when present")
         return v
-
-    def annotated(
-        self, validation: array, matched_record_id: list[str | None], height_m: array, dbh_cm: array
-    ) -> FactColumns:
-        """A copy that holds these annotation columns (not copied) in place of
-        its own."""
-        new = self.copy()
-        new.validation, new.matched_record_id, new.height_m, new.dbh_cm = validation, matched_record_id, height_m, dbh_cm
-        return new
 
     def cells(self) -> Iterator[tuple]:
         """Each fact's stored cells, in fact order: the fields of its FactRow."""

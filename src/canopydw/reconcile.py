@@ -302,8 +302,8 @@ def validate_facts(handle: Warehouse, match: MatchResult, records: SurveyColumns
     match is to be made over all of them. The annotation is built as
     columns (codes starting all "unmatched", record ids all None, copies of
     the heights and DBHs), filled in at the matched facts' positions only,
-    and given whole to Warehouse.annotate_facts. records are SurveyColumns
-    or SurveyRecords; each is found by its position in the columns.
+    and given whole to Warehouse.rewrite_validation. records (SurveyColumns
+    or SurveyRecords) are found by their positions in the columns.
     """
     records = SurveyColumns.of(records)
     record_at = dict(zip(records.record_id, count()))
@@ -324,7 +324,7 @@ def validate_facts(handle: Warehouse, match: MatchResult, records: SurveyColumns
             height_m[i] = records.height_m[j]
         if dbh_cm[i] != dbh_cm[i] and records.dbh_cm[j] is not None:
             dbh_cm[i] = records.dbh_cm[j]
-    handle.annotate_facts(validation, record_ids, height_m, dbh_cm)
+    handle.rewrite_validation(validation, record_ids, height_m, dbh_cm)
     return n
 
 
@@ -335,7 +335,7 @@ def reconcile_warehouse(handle: Warehouse, radius_m: float = 2.0) -> ReconcileOu
     per record. facts_updated counts the facts annotated (every fact,
     matched or not), whether or not their annotation changed; a reconcile
     that changes none writes nothing but a missing or stale checkpoint (see
-    Warehouse.annotate_facts).
+    Warehouse.rewrite_validation).
     """
     records = handle.load_all_survey_records()
     facts = handle.state.facts  # held in fact_id order

@@ -39,11 +39,10 @@ the marker or a torn last line, and nothing after them; the next rw open
 cuts the rest off. The facts are as before the batch, and the batch's
 dimension rows stay, unreferenced. Dimension rows are never mutated or
 deleted; the single sanctioned fact mutation is the validation annotation
-(Warehouse.annotate_facts, given as columns; rewrite_validation takes it by
-fact id). It writes the fact file anew and renames it in, but only when
-some annotation changes a stored cell: an annotation equal to the stored
-one does not write the fact file, so it keeps its inode and no reader's
-cache reloads.
+(Warehouse.rewrite_validation, given as columns, one entry per fact). It
+writes the fact file anew and renames it in, but only when some annotation
+changes a stored cell: an annotation equal to the stored one does not write
+the fact file, so it keeps its inode and no reader's cache reloads.
 
 Single-writer, multiple-reader: a handle opened in "rw" mode holds an
 exclusive flock on the LOCK file for its lifetime. The kernel releases it
@@ -68,14 +67,15 @@ every date, image and species key in it is a loaded dimension row, and
 each fact's date is its image's capture date; it parses the lines past B
 as any load does. Otherwise it logs why, ignores the checkpoint and parses
 every line, which gives the same rows or the same refusal. Only
-annotate_facts writes it, under the writer lock: after a new fact file is
-renamed in, or, when no annotation changed, if the handle's rows were not
-all copied from a checkpoint covering the committed fact file (its load
-fell back, or rows were appended past B). Loading never writes it. A crash
-before that write, a failed write or a hand edit leaves a checkpoint that
-is torn or stale, which the next load refuses until the next reconcile
-writes it again: the .tbl text stays the only truth. stats does not count
-the file.
+rewrite_validation writes it, under the writer lock: after a new fact file
+is renamed in, or, when no annotation changed, if the handle's rows were
+not all copied from a checkpoint covering the committed fact file (its
+load fell back, or rows were appended past B; a SnapshotCache snapshot
+holding the same committed rows then counts it as fresh). Loading never
+writes it. A crash before that write, a failed write or a hand edit leaves
+a checkpoint that is torn or stale, which the next load refuses until the
+next reconcile writes it again: the .tbl text stays the only truth. stats
+does not count the file.
 
 Every open is a SnapshotCache load, which alone reads this order. A
 long-lived process keeps one cache current, parsing only what changed;
@@ -147,7 +147,6 @@ from .model import (
     ImageMeta,
     SurveyColumns,
     SurveyRecord,
-    ValidationUpdate,
     WarehouseState,
 )
 from .report import ResultTable, csv_line, format_binary_size
@@ -666,6 +665,8 @@ class Warehouse:
         # the bytes of the fact file whose rows the checkpoint holds, as far
         # as this handle knows (0: none); fresh when it is all of them
         self._checkpoint_bytes = 0
+        # the cache snapshot a writer was copied from (see rewrite_validation)
+        self._snapshot: weakref.ref[Warehouse] | None = None
         self._closed = False
 
     # Surrogate keys continue past the largest one held. Fact ids continue
@@ -803,7 +804,7 @@ class Warehouse:
         Returns the length of the prefix of data whose rows it loaded: 0
         when none, which it logs when a checkpoint is present.
 
-        The row checks are not run again: only annotate_facts writes a
+        The row checks are not run again: only rewrite_validation writes a
         checkpoint, of rows a load accepted and annotations it checked.
         """
         path = self._path(CHECKPOINT)
@@ -1051,7 +1052,7 @@ class Warehouse:
             self._appends += rows
             return [row.fact_id for row in rows]
 
-    def annotate_facts(
+    def rewrite_validation(
         self, validation: array, matched_record_id: list[str | None], height_m: array, dbh_cm: array
     ) -> None:
         """Give the held facts this validation annotation: one entry per fact
@@ -1063,8 +1064,10 @@ class Warehouse:
         (FactColumns.annotation_changes). When no stored cell changes, the
         fact file keeps its bytes and inode, and only a checkpoint that does
         not cover every committed fact row (a load fell back, or rows were
-        appended past it) is written, from the fact file's committed bytes.
-        Otherwise the changed facts are checked before anything is written
+        appended past it) is written, from the fact file's committed bytes,
+        and the cache snapshot this writer was copied from counts it as
+        fresh when it holds the same bytes. Otherwise the changed facts are
+        checked before anything is written
         (FactColumns.annotation_violations), the fact file is written anew
         and renamed in, and then its checkpoint. A failed write leaves the
         held columns as they were.
@@ -1080,56 +1083,24 @@ class Warehouse:
             if not changed:
                 if facts and self._checkpoint_bytes != size:
                     self._write_checkpoint(_read_bytes(self._path(FACTS.file))[:size])
+                    # a snapshot whose fact file this writer replaced is not
+                    # refreshed but reloaded (new inode), so its count is dropped
+                    snap = self._snapshot and self._snapshot()
+                    if snap is not None and snap.table_bytes[FACTS.file] == size:
+                        snap._checkpoint_bytes = self._checkpoint_bytes
                 return
             for i in changed:
                 problems = facts.annotation_violations(i, *columns)
                 if problems:
                     raise UnknownFactError(f"fact {facts.fact_id[i]}: " + "; ".join(problems))
-            self.state.facts = facts.annotated(*columns)
+            annotated = self.state.facts = facts.copy()
+            annotated.validation, annotated.matched_record_id, annotated.height_m, annotated.dbh_cm = columns
             try:
                 text = self._rewrite(FACTS)  # same fact ids, so COMMIT stays as it is
             except BaseException:
                 self.state.facts, self.table_bytes[FACTS.file] = facts, size
                 raise
             self._write_checkpoint(text)
-
-    def rewrite_validation(self, updates: Mapping[int, ValidationUpdate]) -> int:
-        """Apply validation annotations by fact id, through annotate_facts:
-        the held columns with each update put in at its fact's position (a
-        height or dbh of None keeps the held one).
-
-        Returns the number of facts annotated, whether their annotation
-        changed or not. An unknown fact id or validation state is refused
-        before anything is written, as is an update that would give a row
-        no load accepts.
-        """
-        self._require_writer()
-        with self._mutex:
-            facts = self.state.facts
-            columns = facts.validation[:], facts.matched_record_id[:], facts.height_m[:], facts.dbh_cm[:]
-            validation, records, height_m, dbh_cm = columns
-            unknown, bad = [], None
-            for fid, upd in updates.items():
-                try:
-                    i = facts.index(fid)
-                except (KeyError, TypeError):
-                    unknown.append(fid)
-                    continue
-                if upd.validation not in model.VALIDATION_STATES:
-                    bad = bad or f"fact {fid}: bad validation state {upd.validation!r}"
-                    continue
-                validation[i] = model.VALIDATION_STATES.index(upd.validation)
-                records[i] = upd.matched_record_id
-                if upd.height_m is not None:
-                    height_m[i] = upd.height_m
-                if upd.dbh_cm is not None:
-                    dbh_cm[i] = upd.dbh_cm
-            if unknown:
-                raise UnknownFactError(f"unknown fact ids: {sorted(unknown)}")
-            if bad:
-                raise UnknownFactError(bad)
-            self.annotate_facts(*columns)
-            return len(updates)
 
     # -- surveys -----------------------------------------------------------
 
@@ -1245,9 +1216,10 @@ class SnapshotCache:
     fact file in) the whole root is reloaded, the fact rows from the
     checkpoint when it holds; a reconcile that changes no annotation
     leaves the fact file alone, so the next refresh reads nothing.
-    A returned Warehouse is never changed afterwards: a refresh that finds
-    changes publishes a new one, built from a copy of the old state (its
-    own dicts, and fact columns copied one memcpy each).
+    A returned Warehouse is never changed afterwards (but for the checkpoint
+    a writer copied from it wrote; see Warehouse.rewrite_validation): a
+    refresh that finds changes publishes a new one, built from a copy of
+    the old state (its own dicts, and fact columns copied one memcpy each).
 
     open_writer() gives a read-write handle. On a cache holding a snapshot
     it is built from a copy of the snapshot's state, so that it parses
@@ -1304,6 +1276,7 @@ class SnapshotCache:
             wh.state = snap.state.copy()
             wh.table_bytes = dict(snap.table_bytes)
             wh._last_fact_id, wh._checkpoint_bytes = snap._last_fact_id, snap._checkpoint_bytes
+            wh._snapshot = weakref.ref(snap)
             if wh.table_bytes[FACTS.file] != size:
                 # drop the rows past the committed ones, and end the last row
                 # with a newline so that the next append starts a line of its own

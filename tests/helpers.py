@@ -14,6 +14,7 @@ import math
 import random
 
 from canopydw.model import (
+    VALIDATION_STATES,
     BoundingBox,
     DimImage,
     DimSpecies,
@@ -101,6 +102,24 @@ def make_record(record_id: str, x: float, y: float, code: str = "PSME", **overri
 def fact_rows(facts) -> dict[int, FactRow]:
     """The stored rows of facts (a FactColumns), by fact_id."""
     return {row[0]: FactRow._make(row) for row in facts.cells()}
+
+
+def annotation(facts, updates):
+    """The four annotation columns Warehouse.rewrite_validation takes: those
+    facts (a FactColumns) hold, with each update of updates, {fact_id:
+    (validation, matched_record_id, height_m, dbh_cm)}, put in at its fact's
+    position. A height or dbh of None keeps the held one."""
+    validation, records = facts.validation[:], facts.matched_record_id[:]
+    height_m, dbh_cm = facts.height_m[:], facts.dbh_cm[:]
+    for fact_id, (state, record_id, height, dbh) in updates.items():
+        i = facts.index(fact_id)
+        validation[i] = VALIDATION_STATES.index(state)
+        records[i] = record_id
+        if height is not None:
+            height_m[i] = height
+        if dbh is not None:
+            dbh_cm[i] = dbh
+    return validation, records, height_m, dbh_cm
 
 
 # -- randomized warehouse population ----------------------------------------------

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from canopydw import storage
 from canopydw.errors import WarehouseError
-from canopydw.model import FactColumns, ValidationUpdate, encode_date_key
+from canopydw.model import FactColumns, encode_date_key
 from canopydw.reconcile import reconcile_warehouse
 from canopydw.storage import CHECKPOINT, FACTS, IMAGES, SPECIES, SnapshotCache, open_warehouse
 
-from helpers import counted_fact_parses, fact_rows, make_draft, make_image, make_record
+from helpers import annotation, counted_fact_parses, fact_rows, make_draft, make_image, make_record
 
 ASIDE = "checkpoint.aside"
 
@@ -342,6 +342,30 @@ def test_a_no_op_reconcile_writes_a_missing_checkpoint_with_the_same_bytes(root,
     assert (root / CHECKPOINT).read_bytes() == written
 
 
+def _file_keys(root):
+    return [(os.stat(root / name).st_ino, os.stat(root / name).st_mtime_ns) for name in (FACTS.file, CHECKPOINT)]
+
+
+def test_no_op_reconciles_through_a_cache_write_a_missing_checkpoint_once(root):
+    """As a server does: its snapshot was loaded without a checkpoint, and
+    each POST /v1/reconcile is a writer from the cache, then a refresh."""
+    _build(root)
+    (root / CHECKPOINT).unlink()
+    cache = SnapshotCache(root)
+    try:
+        cache.current()
+        keys = []
+        for _ in range(3):
+            with cache.open_writer() as wh:
+                reconcile_warehouse(wh, 2.0)
+            cache.current()
+            keys.append(_file_keys(root))
+    finally:
+        cache.close()
+    assert keys[2] == keys[1] == keys[0]
+    _assert_loads_agree(root)
+
+
 def test_a_no_op_reconcile_covers_rows_appended_past_the_checkpoint(root, monkeypatch, caplog):
     _build(root)
     with open_warehouse(root) as wh:  # already annotated as a reconcile would
@@ -387,15 +411,15 @@ def test_rewrite_validation_refuses_an_annotation_no_load_would_accept(root):
     stored = (root / FACTS.file).read_bytes(), (root / CHECKPOINT).read_bytes()
     with open_warehouse(root) as wh:
         for update, reason in [
-            (ValidationUpdate("confirmed", None), "fact 1: matched_record_id inconsistent with validation state"),
-            (ValidationUpdate("unmatched", "r9"), "fact 1: matched_record_id inconsistent with validation state"),
-            (ValidationUpdate("confirmed", ""), "fact 1: matched_record_id inconsistent with validation state"),
-            (ValidationUpdate("confirmed", "r\n9"), "fact 1: matched_record_id contains a line break"),
-            (ValidationUpdate("confirmed", "r1", height_m=-1.0), "fact 1: height_m must be positive when present"),
-            (ValidationUpdate("confirmed", "r1", dbh_cm=float("inf")), "fact 1: dbh_cm must be positive when present"),
+            (("confirmed", None, None, None), "fact 1: matched_record_id inconsistent with validation state"),
+            (("unmatched", "r9", None, None), "fact 1: matched_record_id inconsistent with validation state"),
+            (("confirmed", "", None, None), "fact 1: matched_record_id inconsistent with validation state"),
+            (("confirmed", "r\n9", None, None), "fact 1: matched_record_id contains a line break"),
+            (("confirmed", "r1", -1.0, None), "fact 1: height_m must be positive when present"),
+            (("confirmed", "r1", None, float("inf")), "fact 1: dbh_cm must be positive when present"),
         ]:
             with pytest.raises(WarehouseError) as err:
-                wh.rewrite_validation({1: update})
+                wh.rewrite_validation(*annotation(wh.state.facts, {1: update}))
             assert str(err.value) == reason
     assert ((root / FACTS.file).read_bytes(), (root / CHECKPOINT).read_bytes()) == stored
 

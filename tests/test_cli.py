@@ -420,6 +420,18 @@ def test_reference_script_refuses_a_horizon_too_large_for_a_float(tmp_path):
     assert done.stderr == "error: years is too large: the projected size does not fit in a float\n"
 
 
+@pytest.mark.parametrize("script", ["demo_pipeline.py", "build_reference_warehouse.py"])
+def test_script_without_a_root_leaves_nothing_in_the_temp_dir(tmp_path, script):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(REFERENCE_SCRIPT.parents[1] / "src"), TMPDIR=str(tmp))
+    done = subprocess.run(
+        [sys.executable, str(REFERENCE_SCRIPT.parent / script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert list(tmp.iterdir()) == []
+
+
 def test_survey_with_unknown_species_is_data_error(tmp_path, capsys):
     root = tmp_path / "wh"
     survey = tmp_path / "s.csv"

@@ -592,21 +592,6 @@ def test_repeated_reconcile_writes_nothing(tmp_path, monkeypatch):
     assert _file_keys(root) == keys
 
 
-def test_reconcile_builds_no_validation_update(tmp_path, monkeypatch):
-    built = []
-    real_init = model.ValidationUpdate.__init__
-
-    def init(self, *args, **kwargs):
-        built.append(args)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(model.ValidationUpdate, "__init__", init)
-    _reconciled(tmp_path)
-    with open_warehouse(tmp_path / "wh") as wh:
-        assert reconcile_warehouse(wh, 2.0).facts_updated == 3
-    assert built == []
-
-
 def test_reconcile_builds_no_survey_record(tmp_path, monkeypatch):
     _reconciled(tmp_path)
     built = []

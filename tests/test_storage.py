@@ -38,7 +38,7 @@ from canopydw.ingest import (
     ingest_species_registry,
     ingest_survey,
 )
-from canopydw.model import VALIDATION_STATES, FactRow, ValidationUpdate, encode_date_key
+from canopydw.model import VALIDATION_STATES, FactRow, encode_date_key
 from canopydw.report import csv_line
 from canopydw.query import MEASURES, QuerySpec, run_query
 from canopydw.reconcile import reconcile_warehouse
@@ -56,6 +56,7 @@ from canopydw.storage import (
 )
 
 from helpers import (
+    annotation,
     checksum_for,
     counted_fact_parses,
     fact_rows,
@@ -213,10 +214,7 @@ def test_rewrite_validation(root):
     with _base(root) as wh:
         image = wh.state.images[1]
         wh.append_facts([make_draft(image), make_draft(image)])
-        n = wh.rewrite_validation(
-            {1: ValidationUpdate("confirmed", "R1", height_m=12.0)}
-        )
-        assert n == 1
+        wh.rewrite_validation(*annotation(wh.state.facts, {1: ("confirmed", "R1", 12.0, None)}))
         fact = fact_rows(wh.state.facts)[1]
         assert (fact.validation, fact.matched_record_id, fact.height_m) == ("confirmed", "R1", 12.0)
         assert fact_rows(wh.state.facts)[2].validation == "unvalidated"
@@ -249,29 +247,42 @@ def test_rewrite_validation_replaces_only_the_fact_file(root, monkeypatch):
         image = wh.state.images[1]
         wh.append_facts([make_draft(image), make_draft(image)])
         with _replaced_files(monkeypatch) as replaced:
-            wh.rewrite_validation({2: ValidationUpdate("unmatched", None)})
+            wh.rewrite_validation(*annotation(wh.state.facts, {2: ("unmatched", None, None, None)}))
     assert replaced == [FACT_TABLE, CHECKPOINT]
     assert (root / "COMMIT").read_text() == "2\n"
     with open_warehouse(root, "ro") as wh:
         assert fact_rows(wh.state.facts)[2].validation == "unmatched"
 
 
-def test_rewrite_validation_unknown_fact(root):
-    with _base(root) as wh:
-        with pytest.raises(UnknownFactError):
-            wh.rewrite_validation({7: ValidationUpdate("unmatched", None)})
-        assert wh.rewrite_validation({}) == 0
-
-
-def test_rewrite_validation_refuses_bad_state_before_writing(root, monkeypatch):
+@pytest.mark.parametrize("code", [4, -1])
+def test_rewrite_validation_refuses_a_bad_validation_code_before_writing(root, monkeypatch, code):
     with _base(root) as wh:
         wh.append_facts([make_draft(wh.state.images[1])])
         stored = (root / FACT_TABLE).read_bytes()
+        validation, records, height_m, dbh_cm = annotation(wh.state.facts, {})
+        validation[0] = code
         with _replaced_files(monkeypatch) as replaced:
-            with pytest.raises(UnknownFactError, match="fact 1: bad validation state 'bogus'"):
-                wh.rewrite_validation({1: ValidationUpdate("bogus", None)})
+            with pytest.raises(UnknownFactError, match=f"^fact 1: bad validation code {code}$"):
+                wh.rewrite_validation(validation, records, height_m, dbh_cm)
         assert replaced == []
         assert fact_rows(wh.state.facts)[1].validation == "unvalidated"
+    assert (root / FACT_TABLE).read_bytes() == stored
+
+
+def test_rewrite_validation_refuses_a_column_of_the_wrong_length_before_writing(root, monkeypatch):
+    with _base(root) as wh:
+        wh.append_facts([make_draft(wh.state.images[1])] * 2)
+        held = fact_rows(wh.state.facts)
+        stored = (root / FACT_TABLE).read_bytes()
+        for k in range(4):  # each column, one entry short and one too many
+            for wrong in (lambda column: column[:1], lambda column: column + column[:1]):
+                columns = list(annotation(wh.state.facts, {1: ("unmatched", None, None, None)}))
+                columns[k] = wrong(columns[k])
+                with _replaced_files(monkeypatch) as replaced:
+                    with pytest.raises(ValueError, match="^an annotation column does not hold 2 entries$"):
+                        wh.rewrite_validation(*columns)
+                assert replaced == []
+                assert fact_rows(wh.state.facts) == held
     assert (root / FACT_TABLE).read_bytes() == stored
 
 
@@ -283,11 +294,11 @@ def test_failed_rewrite_validation_leaves_facts_and_file(root, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(storage, "_atomic_write", _failing_atomic_write)
             with pytest.raises(OSError, match="injected"):
-                wh.rewrite_validation({2: ValidationUpdate("unmatched", None)})
+                wh.rewrite_validation(*annotation(wh.state.facts, {2: ("unmatched", None, None, None)}))
         assert (fact_rows(wh.state.facts), wh.table_bytes) == (facts, table_bytes)
         assert (root / FACT_TABLE).read_bytes() == stored
         # the handle goes on from the rows it held
-        assert wh.rewrite_validation({2: ValidationUpdate("unmatched", None)}) == 1
+        wh.rewrite_validation(*annotation(wh.state.facts, {2: ("unmatched", None, None, None)}))
     with open_warehouse(root, "ro") as wh:
         assert fact_rows(wh.state.facts)[2].validation == "unmatched"
 
@@ -304,7 +315,7 @@ def test_rewrite_validation_refuses_a_record_id_that_is_not_utf8_before_writing(
         stored = (root / FACT_TABLE).read_bytes()
         with _replaced_files(monkeypatch) as replaced:
             with pytest.raises(UnknownFactError, match="^fact 1: matched_record_id does not encode as UTF-8$"):
-                wh.rewrite_validation({1: ValidationUpdate("confirmed", "\ud800")})
+                wh.rewrite_validation(*annotation(wh.state.facts, {1: ("confirmed", "\ud800", None, None)}))
         assert replaced == []
         assert _held_and_fresh(root, wh) == [("unvalidated", None)] * 2
     assert (root / FACT_TABLE).read_bytes() == stored
@@ -320,7 +331,7 @@ def test_any_failure_of_the_write_restores_the_held_annotation(root, monkeypatch
         with monkeypatch.context() as m:
             m.setattr(storage, "_atomic_write", interrupted_write)
             with pytest.raises(KeyboardInterrupt):
-                wh.rewrite_validation({1: ValidationUpdate("unmatched", None)})
+                wh.rewrite_validation(*annotation(wh.state.facts, {1: ("unmatched", None, None, None)}))
         assert _held_and_fresh(root, wh) == [("unvalidated", None)] * 2
         assert wh.table_bytes == table_bytes
 
@@ -329,7 +340,7 @@ def test_rewrite_validation_keeps_measures_when_update_omits_them(root):
     with _base(root) as wh:
         image = wh.state.images[1]
         wh.append_facts([make_draft(image, height_m=30.0, dbh_cm=55.0)])
-        wh.rewrite_validation({1: ValidationUpdate("species_mismatch", "R9")})
+        wh.rewrite_validation(*annotation(wh.state.facts, {1: ("species_mismatch", "R9", None, None)}))
         fact = fact_rows(wh.state.facts)[1]
         assert (fact.height_m, fact.dbh_cm) == (30.0, 55.0)
 
@@ -993,7 +1004,7 @@ def test_read_snapshot_matches_fresh_open(root):
             wh.append_facts([make_draft(wh.state.images[1])])
         check()
         with open_warehouse(root) as wh:
-            wh.rewrite_validation({2: ValidationUpdate("confirmed", "t1", 12.0, 30.0)})
+            wh.rewrite_validation(*annotation(wh.state.facts, {2: ("confirmed", "t1", 12.0, 30.0)}))
         check()
         assert fact_rows(seen[-1][0].state.facts)[2].validation == "confirmed"
         with open_warehouse(root) as wh:  # a date sorted before the others
@@ -1016,7 +1027,7 @@ def test_read_snapshot_matches_fresh_open(root):
 def test_snapshot_rereads_an_extended_unterminated_row(root):
     _committed_base(root)
     with open_warehouse(root) as wh:
-        wh.rewrite_validation({2: ValidationUpdate("confirmed", "R1")})
+        wh.rewrite_validation(*annotation(wh.state.facts, {2: ("confirmed", "R1", None, None)}))
     path = root / FACT_TABLE
     path.write_bytes(path.read_bytes().removesuffix(b"\n"))  # the last row loses its newline
     snap = SnapshotCache(root)
@@ -1048,12 +1059,12 @@ def test_snapshot_reloads_when_facts_and_dimensions_change_together(root):
             date_key = wh.ensure_date(20240301)
             key = wh.insert_image(make_image(file_name="b.jpg", capture_date_key=date_key).meta)
             wh.append_facts([make_draft(wh.state.images[key])] * 3)
-            wh.rewrite_validation({3: ValidationUpdate("confirmed", "R1")})
+            wh.rewrite_validation(*annotation(wh.state.facts, {3: ("confirmed", "R1", None, None)}))
         assert_fresh(snap.current())
         assert fact_rows(seen[-1][0].state.facts)[3].validation == "confirmed"
         # a fact file renamed in and an edited dimension row
         with open_warehouse(root) as wh:
-            wh.rewrite_validation({4: ValidationUpdate("species_mismatch", "R2")})
+            wh.rewrite_validation(*annotation(wh.state.facts, {4: ("species_mismatch", "R2", None, None)}))
         path = root / "dim_species.tbl"
         text = path.read_text()
         assert ",unknown\n" in text
@@ -1256,7 +1267,7 @@ def test_clean_writer_open_parses_at_most_two_fact_lines(tmp_path, monkeypatch, 
 def test_writer_reads_all_rows_when_the_tail_is_longer_than_it_reads(root, monkeypatch):
     _facts_root(root, 3)
     with open_warehouse(root) as wh:
-        wh.rewrite_validation({3: ValidationUpdate("confirmed", "R" * 5000)})
+        wh.rewrite_validation(*annotation(wh.state.facts, {3: ("confirmed", "R" * 5000, None, None)}))
     (root / CHECKPOINT).unlink()  # so that the full load parses the rows from the text
     with counted_fact_parses(monkeypatch) as parses:
         with open_warehouse(root) as wh:
@@ -1614,11 +1625,11 @@ def _digests(root):
 def test_stored_bytes_are_pinned(reference_root, reference_copy):
     assert _digests(reference_root) == REFERENCE_DIGESTS
     with open_warehouse(reference_copy) as wh:
-        wh.rewrite_validation({
-            1: ValidationUpdate("confirmed", "R1", height_m=12.5, dbh_cm=30.25),
-            2: ValidationUpdate("species_mismatch", "R2"),
-            3: ValidationUpdate("unmatched", None),
-        })
+        wh.rewrite_validation(*annotation(wh.state.facts, {
+            1: ("confirmed", "R1", 12.5, 30.25),
+            2: ("species_mismatch", "R2", None, None),
+            3: ("unmatched", None, None, None),
+        }))
     assert _digests(reference_copy) == {**REFERENCE_DIGESTS, FACT_TABLE: REWRITTEN_FACTS_DIGEST}
 
 
