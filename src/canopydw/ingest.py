@@ -60,6 +60,7 @@ class ClassMap:
             code = code.strip().upper()
             if not code:
                 raise ParseError(f"class {i}: empty species code")
+            model.require_storable("species", [code])  # here: a batch would commit the codes before it
             cleaned.append(code)
         self.codes = tuple(cleaned)
 
@@ -190,21 +191,25 @@ def _read_csv(lines: Iterable[str], header: str, what: str, source: str, parse_r
     a row of the wrong width.
     """
     reader = csv.reader(lines)
-    first = next(reader, None)
-    if first is None:
-        raise ParseError(f"empty {what}", source=source)
     names = header.split(",")
-    if [h.strip() for h in first] != names:
-        raise ParseError(f"bad {what} header, expected {header!r}", source=source, line_no=1)
     out = []
-    consumed = reader.line_num
-    for cells in reader:
-        line_no, consumed = consumed + 1, reader.line_num
-        if not cells or (len(cells) == 1 and not cells[0].strip()):
-            continue
-        if len(cells) != len(names):
-            raise ParseError(f"expected {len(names)} fields, got {len(cells)}", source=source, line_no=line_no)
-        out.append(_attributed(source, line_no, parse_row, line_no, cells))
+    consumed = 0  # the lines of the rows read
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(f"empty {what}", source=source)
+        if [h.strip() for h in first] != names:
+            raise ParseError(f"bad {what} header, expected {header!r}", source=source, line_no=1)
+        consumed = reader.line_num
+        for cells in reader:
+            line_no, consumed = consumed + 1, reader.line_num
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
+                continue
+            if len(cells) != len(names):
+                raise ParseError(f"expected {len(names)} fields, got {len(cells)}", source=source, line_no=line_no)
+            out.append(_attributed(source, line_no, parse_row, line_no, cells))
+    except csv.Error as exc:  # a cell past csv.field_size_limit() among them
+        raise ParseError(str(exc), source=source, line_no=consumed + 1) from None
     return out
 
 
@@ -299,9 +304,7 @@ def _registry_row(line_no: int, cells: Sequence[str]) -> tuple[str, str, str, st
     code, sci, common, status = (c.strip() for c in cells)
     if not code:
         raise ParseError("empty species code")
-    for text in (code, sci, common):
-        if model.has_line_break(text):
-            raise InvalidMetadataError(f"species text {text!r} contains a line break")
+    model.require_storable("species", (code, sci, common))
     status = status.lower()
     return code, sci, common, status if status in model.CONSERVATION_STATUSES else "unknown"
 
@@ -323,9 +326,7 @@ def ingest_survey(handle: Warehouse, survey_id: str, lines: Iterable[str], sourc
         if not rid:
             raise ParseError("empty record_id")
         code = code.upper()
-        for text in (rid, code):
-            if model.has_line_break(text):
-                raise InvalidMetadataError(f"survey text {text!r} contains a line break")
+        model.require_storable("survey", (rid, code))
         first = seen.setdefault(rid, line_no)
         if first != line_no:
             raise ParseError(f"duplicate record_id {rid!r} (also line {first})")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime
 import math
 import re
+import reprlib
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
@@ -18,7 +19,7 @@ from itertools import compress, count
 from operator import attrgetter, ne
 from typing import Container, NamedTuple
 
-from .errors import InvalidDateError
+from .errors import InvalidDateError, InvalidMetadataError
 
 PLATFORMS = ("uav", "satellite", "aerial", "ground")
 
@@ -222,10 +223,39 @@ class DimImage(ImageMeta):
         return ImageMeta(*(getattr(self, name) for name in _META_FIELDS))
 
 
-def has_line_break(text: str) -> bool:
-    """Table files are split into lines before their cells are parsed, so no
-    stored text may hold a line break."""
-    return "\n" in text or "\r" in text
+# csv.reader's default field_size_limit: it refuses a longer cell, and a
+# stored line that holds a quote is parsed by it.
+MAX_TEXT_CHARS = 131_072
+# str.encode("utf-8") refuses exactly the lone surrogates
+_SURROGATE = re.compile("[\ud800-\udfff]").search
+_SHOWN = reprlib.Repr()
+_SHOWN.maxstring = 60  # a refusal shows the start and end of a longer text
+
+
+def text_problem(text: str) -> str | None:
+    """Why text cannot be stored in a table cell, or None when it can.
+
+    Table files are split into lines and decoded as UTF-8 before their cells
+    are parsed, and a cell is parsed as csv.reader would: so stored text
+    holds no line break, encodes as UTF-8 and has at most MAX_TEXT_CHARS
+    characters.
+    """
+    if "\n" in text or "\r" in text:
+        return "contains a line break"
+    if _SURROGATE(text):
+        return "does not encode as UTF-8"
+    if len(text) > MAX_TEXT_CHARS:
+        return f"is longer than {MAX_TEXT_CHARS} characters"
+    return None
+
+
+def require_storable(what: str, texts: Iterable[str]) -> None:
+    """Refuse the first of texts, the what text of a row, that text_problem
+    refuses."""
+    for text in texts:
+        problem = text_problem(text)
+        if problem:
+            raise InvalidMetadataError(f"{what} text {_SHOWN.repr(text)} {problem}")
 
 
 def pixel_to_geo(gt: Geotransform, col: float, row: float) -> tuple[float, float]:
@@ -260,8 +290,8 @@ def image_meta_violations(meta: ImageMeta, dates: Container[int] = ()) -> list[s
     v = []
     if not meta.file_name:
         v.append("file_name empty")
-    elif has_line_break(meta.file_name):
-        v.append("file_name contains a line break")
+    elif problem := text_problem(meta.file_name):
+        v.append(f"file_name {problem}")
     if meta.platform not in PLATFORMS:
         v.append(f"platform {meta.platform!r} not one of {PLATFORMS}")
     if meta.capture_date_key not in dates and not is_valid_date_key(meta.capture_date_key):
@@ -363,7 +393,7 @@ def fact_field_violations(fact: FactRow, dates: Container[int] = ()) -> list[str
     if fact.validation not in VALIDATION_STATES:
         v.append(f"validation {fact.validation!r} not one of {VALIDATION_STATES}")
     else:
-        has_record = fact.matched_record_id is not None
+        has_record = bool(fact.matched_record_id)  # "" is stored as an empty cell, which loads as None
         needs_record = fact.validation in ("confirmed", "species_mismatch")
         if has_record != needs_record:
             v.append("matched_record_id inconsistent with validation state")
@@ -421,8 +451,6 @@ CONFIRMED = _VALIDATION_CODES["confirmed"]
 SPECIES_MISMATCH = _VALIDATION_CODES["species_mismatch"]
 UNMATCHED = _VALIDATION_CODES["unmatched"]
 _NAN = float("nan")
-# str.encode("utf-8") refuses exactly the lone surrogates
-_SURROGATE = re.compile("[\ud800-\udfff]").search
 
 
 def _same_cell(held: float, value: float) -> bool:
@@ -546,10 +574,8 @@ class FactColumns:
         v = []
         if bool(record) != (code in (CONFIRMED, SPECIES_MISMATCH)):
             v.append("matched_record_id inconsistent with validation state")
-        elif record and has_line_break(record):
-            v.append("matched_record_id contains a line break")
-        elif record and _SURROGATE(record):
-            v.append("matched_record_id does not encode as UTF-8")
+        elif record and (problem := text_problem(record)):
+            v.append(f"matched_record_id {problem}")
         for name, new in (("height_m", height_m), ("dbh_cm", dbh_cm)):
             value = new[i]
             if not _same_cell(getattr(self, name)[i], value) and not (math.isfinite(value) and value > 0):

@@ -18,7 +18,9 @@ Reals use the shortest round-trip decimal form; a fact line is rendered by
 _fact_line, which gives the bytes csv_line would. Every stored file is read as
 bytes split on "\n", and each line is decoded and parsed alone: a line that
 is not UTF-8, does not parse or fails its row checks is refused with its file
-and line. So text holding a line break is refused before it is stored.
+and line. So every writer refuses, before it stages a row, text that no load
+would read back (model.text_problem): a line break, a lone surrogate, or
+more characters than csv.reader takes in a field.
 
 Each table is described once, by a Table: its file, its header (the column
 names, the first of them the key), how a row becomes the cells of a line and
@@ -92,14 +94,20 @@ draft gives, renders that row's line and appends it to the columns.
 
 A read-write open on a cache that holds no snapshot (every
 open_warehouse(root, "rw")) reads COMMIT and the dimensions, and of the
-fact file only its tail. When the file ends with the whole row whose id is
-COMMIT, it reads no fact row until the handle's state.facts is first
-accessed (by reconcile, an annotation or stats), and then reads them
-all, through the checks of any load. So such a writer does not refuse
-damage in the committed rows before the last two lines; a read-only open
-still does. Any other tail (rows past COMMIT, a torn or unterminated last
-line, no COMMIT) is loaded whole and repaired as before: the fact file is
-cut back to the committed rows by rewriting it and renaming it in.
+fact file only its last two lines, which it loads as any load loads rows
+past the bytes held (Warehouse._load_facts). When that load ends at the
+file's end with the row whose id is COMMIT, the tail is clean: the writer
+holds no fact row until its state.facts is first accessed (by reconcile,
+an annotation or stats), and then reads them all, through the checks of any
+load. So such a writer does not refuse damage in the committed rows before
+the last two lines; a read-only open still does. Any other tail (rows past
+COMMIT, a torn or unterminated last line, a last line longer than the bytes
+read back, no COMMIT) is loaded whole and repaired as before: the fact file
+is cut back to the committed rows by rewriting it and renaming it in.
+
+Every durable write goes through one of two functions: _atomic_write
+replaces a file (write, fsync, rename, fsync of the directory) and _append
+appends to one (write, fsync; a failed append is cut back off).
 """
 
 from __future__ import annotations
@@ -442,6 +450,21 @@ def _atomic_write(path: Path, text: str | bytes) -> int:
         os.fsync(fh.fileno())
     os.replace(tmp, path)
     _fsync_dir(path.parent)
+    return len(data)
+
+
+def _append(path: Path, data: bytes) -> int:
+    """Append data to path and fsync it; returns the bytes written. A failed
+    write is cut back off, so path keeps the bytes it had."""
+    size = path.stat().st_size
+    try:
+        with open(path, "ab") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except OSError:
+        os.truncate(path, size)
+        raise
     return len(data)
 
 
@@ -837,34 +860,6 @@ class Warehouse:
         if fk:
             raise IntegrityError(f"{path}:{line_no}: fact {row.fact_id}: " + "; ".join(fk))
 
-    def _ends_at(self, tail: bytes, start: int, committed: int) -> bool:
-        """Whether tail, the fact file's bytes from offset start to its end,
-        ends with the row whose id is committed: a whole line with its
-        newline that passes the row checks, after the header or a row of a
-        lower id that passes them too."""
-        path = self._path(FACTS.file)
-
-        def row(line: bytes) -> FactRow | None:
-            try:
-                fact = _parse_line(path, 0, line, FACTS)
-                self._check_fact(path, 0, fact)
-            except WarehouseError:
-                return None
-            return fact
-
-        lines = tail.split(b"\n")
-        # the last item follows the final newline; the first one is cut
-        # short unless tail starts the file
-        if lines.pop() != b"" or len(lines) < (2 if start == 0 else 3):
-            return False
-        last = row(lines[-1])
-        if last is None or last.fact_id != committed:
-            return False
-        if start == 0 and len(lines) == 2:
-            return lines[0] == FACTS.header.encode()
-        before = row(lines[-2])
-        return before is not None and before.fact_id < committed
-
     def _read_commit_marker(self) -> int | None:
         path = self._path(COMMIT_MARKER)
         try:
@@ -948,20 +943,10 @@ class Warehouse:
         if not rows:
             return
         data = "".join([_fact_line(row) + "\n" for row in rows]).encode("utf-8")
-        path = self._path(FACTS.file)
-        pre_size = path.stat().st_size
-        try:
-            with open(path, "ab") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError:
-            os.truncate(path, pre_size)
-            raise
+        self.table_bytes[FACTS.file] += _append(self._path(FACTS.file), data)
         for row in rows:
             self.state.add_fact(row)
         self._last_fact_id = rows[-1].fact_id
-        self.table_bytes[FACTS.file] += len(data)
         self._write_commit(self._last_fact_id)
 
     # -- mutating operations -----------------------------------------------
@@ -983,9 +968,7 @@ class Warehouse:
             raise EmptyCodeError("species code is empty")
         if conservation_status not in model.CONSERVATION_STATUSES:
             raise InvalidMetadataError(f"bad conservation_status {conservation_status!r}")
-        for text in (code, scientific_name, common_name):
-            if model.has_line_break(text):
-                raise InvalidMetadataError(f"species text {text!r} contains a line break")
+        model.require_storable("species", (code, scientific_name, common_name))
         with self.batch():
             existing = self.state.species_by_code.get(code)
             if existing is not None:
@@ -1045,6 +1028,8 @@ class Warehouse:
             problems = []
             for i, row in enumerate(rows):
                 issues = model.fact_field_violations(row, self.state.dates) + model.validate_fact(row, self.state)
+                if row.matched_record_id and (problem := model.text_problem(row.matched_record_id)):
+                    issues.append(f"matched_record_id {problem}")
                 if issues:
                     problems.append(f"fact {i}: " + "; ".join(issues))
             if problems:
@@ -1114,9 +1099,7 @@ class Warehouse:
         if not _SURVEY_ID_RE.match(survey_id):
             raise WarehouseError(f"bad survey id {survey_id!r} (use letters, digits, . _ -)")
         for rec in records:
-            for text in (rec.record_id, rec.species_code):
-                if model.has_line_break(text):
-                    raise InvalidMetadataError(f"survey text {text!r} contains a line break")
+            model.require_storable("survey", (rec.record_id, rec.species_code))
         path = self.survey_path(survey_id)
         text = SURVEYS.text(map(SURVEYS.cells, records))
         with self._mutex:
@@ -1249,10 +1232,10 @@ class SnapshotCache:
 
         Under the writer lock it creates the root and any missing table
         file. With no snapshot held, it then reads COMMIT and the
-        dimensions, and reads back from the end of the fact file. When the
-        file ends with the whole row whose id is COMMIT (after the header
-        or a lower id), the handle reads no fact row until its state.facts
-        is first accessed; see _FactsOnFirstRead. Otherwise, or with a
+        dimensions, and loads the last two lines of the fact file. When
+        they end the file with the row whose id is COMMIT, the handle holds
+        no fact row until its state.facts is first accessed; see
+        _open_clean_tail and _FactsOnFirstRead. Otherwise, or with a
         snapshot held, it refreshes the snapshot, cuts the fact file back
         to the committed rows by rewriting it when it holds more bytes than
         those, and writes the COMMIT marker when it is missing. That handle
@@ -1293,22 +1276,37 @@ class SnapshotCache:
         """Load COMMIT and the dimensions into wh, a new writer, and leave
         its fact rows unread, if the fact file's tail is clean.
 
-        The tail is one pread of the file's last _TAIL_BYTES. It is clean
-        when it ends with the row whose id is COMMIT (see Warehouse._ends_at).
-        Returns whether it was; if not, wh is to be loaded anew.
+        One pread of the file's last _TAIL_BYTES finds where its
+        second-to-last line starts (past the header, which must match, when
+        the tail starts the file), and wh loads the fact rows from there as
+        any load does. The tail is clean when that load ends at the file's
+        end with the row whose id is COMMIT. Returns whether it was; if
+        not, wh is to be loaded anew.
         """
         committed, _, tables = self._read_changes(wh, None)
         if committed is None:
             return False
         wh._load_dimensions(tables)
+        header = FACTS.header.encode() + b"\n"
         with open(wh._path(FACTS.file), "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             start = max(0, size - _TAIL_BYTES)
             tail = os.pread(fh.fileno(), size - start, start)
-        if not wh._ends_at(tail, start, committed):
+            # past the newline before the one that ends the second-to-last line
+            at = tail.rfind(b"\n", 0, max(0, tail.rfind(b"\n", 0, len(tail) - 1))) + 1
+            if start == 0:
+                if not tail.startswith(header):
+                    return False
+                at = max(at, len(header))
+            elif not at:  # the second-to-last line starts before the tail
+                return False
+            wh.table_bytes[FACTS.file] = start + at
+            try:
+                wh._load_facts(fh, committed)
+            except WarehouseError:
+                return False
+        if (wh.table_bytes[FACTS.file], wh._last_fact_id) != (size, committed):
             return False
-        wh.table_bytes[FACTS.file] = size
-        wh._last_fact_id = committed
         wh.state = _FactsOnFirstRead(wh, committed)
         return True
 

@@ -107,7 +107,7 @@ def test_cold_loads_copy_the_checkpoint_and_parse_only_the_lines_past_it(root, m
             assert _snapshot(wh) == text
         assert parses == []
         with open_warehouse(root) as wh:
-            assert [cells[0] for cells, in parses] == ["6", "5"]  # the tail check
+            assert [cells[0] for cells, in parses] == ["5", "6"]  # the tail check
             parses.clear()
             assert _snapshot(wh) == text  # the first read of a writer's facts
             assert parses == []
@@ -469,7 +469,7 @@ def _damage_checkpoint(root, how, at):
     elif how == "flip":
         data[at % len(data)] ^= 1 << (at % 8)
     else:
-        data[data.index(b" ") + 1] ^= 2  # the format version
+        data[data.find(b" ") + 1] ^= 2  # the format version (the first byte when cut before it)
     path.write_bytes(bytes(data))
 
 

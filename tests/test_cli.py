@@ -489,6 +489,35 @@ def test_survey_with_line_break_is_refused(tmp_path, capsys):
         assert handle.list_survey_ids() == []
 
 
+def test_class_map_code_past_the_csv_field_limit_is_refused(tmp_path, capsys):
+    # stored, the code's line would be refused by every later open
+    _, manifest, det_dir, _, _ = _write_inputs(tmp_path)
+    class_map = tmp_path / "classes.txt"
+    class_map.write_text("PSME\n" + "A," * 70_000 + "\n", encoding="utf-8")
+    root = tmp_path / "wh"
+    assert run_cli(["init", "--root", str(root)]) == 0
+    before = {path.name: path.read_bytes() for path in root.iterdir()}
+    code = run_cli(["ingest-images", "--root", str(root), "--manifest", str(manifest),
+                    "--detections-dir", str(det_dir), "--class-map", str(class_map)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: species text ") and err.endswith(" is longer than 131072 characters\n")
+    assert {path.name: path.read_bytes() for path in root.iterdir()} == before
+    assert run_cli(["stats", "--root", str(root)]) == 0
+
+
+def test_registry_cell_past_the_csv_field_limit_is_refused_with_its_line(tmp_path, capsys):
+    root = tmp_path / "wh"
+    registry = tmp_path / "reg.csv"
+    registry.write_text(REGISTRY_HEADER + "\npsme," + "x" * 200_000 + ",y,unknown\n", encoding="utf-8")
+    assert run_cli(["init", "--root", str(root)]) == 0
+    before = (root / SPECIES.file).read_bytes()
+    assert run_cli(["ingest-species", "--root", str(root), "--registry", str(registry)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {registry}:2: field larger than field limit (131072)\n"
+    assert (root / SPECIES.file).read_bytes() == before
+
+
 def test_survey_reusing_another_surveys_record_id_is_data_error(tmp_path, capsys):
     registry, manifest, det_dir, class_map, survey = _write_inputs(tmp_path)
     root = tmp_path / "wh"

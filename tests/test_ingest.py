@@ -439,6 +439,17 @@ def test_csv_sources_share_refusals(wh, what):
     assert run(wh, [header, "", row, "   "], "x.csv") == run(wh, [header, row], "x.csv")
 
 
+@pytest.mark.parametrize("what", sorted(CSV_SOURCES))
+def test_csv_sources_refuse_a_cell_past_the_field_limit_with_its_line(wh, what):
+    header, run = CSV_SOURCES[what]
+    row = _valid_row(what)
+    # the record of line 3 holds a quoted cell that ends on line 4
+    lines = [header, row, '"' + "x" * 100_000, "x" * 100_000 + '",a,b']
+    with pytest.raises(ParseError) as err:
+        run(wh, [line + "\n" for line in lines], "x.csv")
+    assert str(err.value) == "x.csv:3: field larger than field limit (131072)"
+
+
 # -- image batches ---------------------------------------------------------------------
 
 

@@ -364,6 +364,27 @@ def test_post_survey_reusing_another_surveys_record_id_400(root):
         assert handle.list_survey_ids() == ["s1"]
 
 
+def test_post_image_with_a_class_code_past_the_csv_field_limit_400(root):
+    with running_server(root) as base:
+        r = post_image(base, "cam_013.jpg", ["0 0.5 0.5 0.2 0.2"], class_map=["PSME", "A," * 70_000])
+        assert r.status_code == 400
+        assert r.json()["error"].endswith(" is longer than 131072 characters")
+        r = requests.get(f"{base}/v1/stats", timeout=10)
+        assert r.status_code == 200
+        assert [row[1] for row in r.json()["rows"]] == ["0"] * 5  # no species, image or fact stored
+
+
+def test_post_survey_with_a_record_id_past_the_csv_field_limit_400(root):
+    with running_server(root) as base:
+        assert post_image(base, "cam_014.jpg", ["0 0.5 0.5 0.2 0.2"]).status_code == 200
+        row = {"record_id": "t" * 200_000, "geo_x": 1.0, "geo_y": 1.0, "species_code": "PSME",
+               "dbh_cm": None, "height_m": None, "surveyed_date": "2024-01-10"}
+        r = requests.post(f"{base}/v1/surveys", json={"survey_id": "s1", "rows": [row]}, timeout=10)
+        assert (r.status_code, r.json()) == (400, {"error": "<request>:2: field larger than field limit (131072)"})
+    with open_warehouse(root, "ro") as handle:
+        assert handle.list_survey_ids() == []
+
+
 def test_post_survey_unknown_field_400(root):
     with running_server(root) as base:
         r = requests.post(

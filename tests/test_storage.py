@@ -1312,6 +1312,71 @@ def test_closed_lazy_writer_is_freed_and_still_reads_its_rows(root):
     assert list(fact_rows(state.facts)) == [1, 2, 3, 4]
 
 
+def _long_record(fact_id):
+    """A root whose fact fact_id has a record id longer than the bytes a
+    writer's open reads back from the end of the fact file."""
+
+    def build(root):
+        _facts_root(root, 3)
+        with open_warehouse(root) as wh:
+            wh.rewrite_validation(*annotation(wh.state.facts, {fact_id: ("confirmed", "R" * 5000, None, None)}))
+
+    return build
+
+
+def _fact_file_edit(edit):
+    def build(root):
+        _facts_root(root, 2)
+        path = root / FACT_TABLE
+        clean = path.read_bytes()
+        path.write_bytes(edit(clean))
+        return clean
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, lazy, ids",
+    [
+        (lambda root: open_warehouse(root).close(), True, []),  # header only, COMMIT 0
+        (lambda root: _facts_root(root, 1), True, [1]),
+        (lambda root: _facts_root(root, 2), True, [1, 2]),
+        (_fact_file_edit(lambda data: data.removesuffix(b"\n")), False, [1, 2]),
+        (_fact_file_edit(lambda data: data + _uncommitted_row(3).encode()), False, [1, 2]),
+        (_fact_file_edit(lambda data: data + b"3,20240115,1,1,0.5"), False, [1, 2]),
+        (_long_record(3), False, [1, 2, 3]),
+        (_long_record(2), False, [1, 2, 3]),
+    ],
+    ids=[
+        "header-only",
+        "one-row",
+        "two-rows",
+        "unterminated-last-row",
+        "row-past-commit",
+        "torn-last-line",
+        "last-line-longer-than-the-tail",
+        "line-before-last-starts-before-the-tail",
+    ],
+)
+def test_writer_open_by_tail_shape(root, build, lazy, ids):
+    """A clean tail leaves the fact rows unread; any other is loaded whole
+    and the fact file cut back to the committed rows."""
+    clean = build(root) or (root / FACT_TABLE).read_bytes()
+    with open_warehouse(root) as wh:
+        assert ("facts" not in vars(wh.state)) == lazy
+        assert list(fact_rows(wh.state.facts)) == ids
+        assert (root / FACT_TABLE).read_bytes() == clean
+        assert wh.table_bytes[FACT_TABLE] == len(clean)
+        if not ids:
+            wh.upsert_species("PSME")
+            wh.ensure_date(20240115)
+            wh.insert_image(make_image().meta)
+        assert wh.append_facts([make_draft(wh.state.images[1])]) == [len(ids) + 1]
+    with open_warehouse(root, "ro") as wh:
+        assert list(fact_rows(wh.state.facts)) == ids + [len(ids) + 1]
+    assert (root / "COMMIT").read_text() == f"{len(ids) + 1}\n"
+
+
 def _bad_confidence(root, line_no):
     """Confidence 1.5 on line line_no of the fact file; returns the refusal's
     message as a pattern."""
@@ -1567,6 +1632,70 @@ def test_text_with_line_break_is_refused(root, store, brk):
         assert logical_state(wh) == before
     with open_warehouse(root, "ro") as wh:
         assert logical_state(wh) == before
+
+
+def _species_code(wh, text):
+    wh.upsert_species(text)
+
+
+def _image_file(wh, text):
+    wh.insert_image(make_image(image_key=0, file_name=text, checksum="0" * 64).meta)
+
+
+def _survey_record(wh, text):
+    wh.save_survey("s1", [make_record(text, 1.0, 2.0)])
+
+
+def _annotated_record(wh, text):
+    wh.rewrite_validation(*annotation(wh.state.facts, {1: ("confirmed", text, None, None)}))
+
+
+def _appended_record(wh, text):
+    wh.append_facts([make_draft(wh.state.images[1], validation="confirmed", matched_record_id=text)])
+
+
+def _stored_files(root):
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+# A stored line is split on line breaks and decoded as UTF-8, and a quoted
+# cell goes through csv.reader, which refuses a field past 131,072 characters.
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("R\n1", "contains a line break"),
+        ("PS\ud800", "does not encode as UTF-8"),
+        ("A," * 70_000, "is longer than 131072 characters"),
+    ],
+    ids=["line-break", "surrogate", "long"],
+)
+@pytest.mark.parametrize("store", [_species_code, _image_file, _survey_record, _annotated_record, _appended_record])
+def test_writers_refuse_text_that_no_load_reads_back(root, store, text, problem):
+    before = _committed_base(root)
+    files = _stored_files(root)
+    with open_warehouse(root) as wh:
+        with pytest.raises(WarehouseError, match=re.escape(problem)) as err:
+            store(wh, text)
+        assert len(str(err.value)) < 200  # a long text is not echoed whole
+        assert logical_state(wh) == before
+        assert _stored_files(root) == files
+        wh.ensure_date(20240301)  # the handle still writes
+    for mode in ("ro", "rw"):
+        with open_warehouse(root, mode) as wh:
+            assert sorted(wh.state.dates) == [20240115, 20240301]
+            assert logical_state(wh)[1:] == before[1:]
+
+
+def test_a_confirmed_fact_with_an_empty_record_id_is_refused(root):
+    # an empty record id is stored as an empty cell, which loads as no record
+    before = _committed_base(root)
+    with open_warehouse(root) as wh:
+        with pytest.raises(IntegrityError, match="matched_record_id inconsistent with validation state"):
+            _appended_record(wh, "")
+        wh.append_facts([make_draft(wh.state.images[1], matched_record_id="")])
+    with open_warehouse(root, "ro") as wh:
+        assert fact_rows(wh.state.facts)[3].matched_record_id is None
+        assert logical_state(wh)[:3] == before[:3]
 
 
 # -- stats -------------------------------------------------------------------------
