@@ -41,7 +41,7 @@ BBOX_EDGE_TOLERANCE = 0.005
 MIN_YEAR = 1900
 MAX_YEAR = 2200
 
-_CHECKSUM_RE = re.compile(r"^[0-9a-f]{64}$")
+_CHECKSUM_RE = re.compile(r"[0-9a-f]{64}")
 _ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -305,7 +305,7 @@ def image_meta_violations(meta: ImageMeta, dates: Container[int] = ()) -> list[s
     v.extend(meta.geotransform.violations())
     if not (isinstance(meta.size_bytes, int) and meta.size_bytes >= 0):
         v.append("size_bytes must be >= 0")
-    if not _CHECKSUM_RE.match(meta.checksum or ""):
+    if not _CHECKSUM_RE.fullmatch(meta.checksum or ""):
         v.append("checksum must be 64 lowercase hex characters")
     return v
 

@@ -66,6 +66,8 @@ class ServiceConfig:
         host, sep, port = self.bind_address.rpartition(":")
         if not sep or not host or not port.isdigit():
             raise ValueError(f"bind_address must be host:port, got {self.bind_address!r}")
+        if int(port) > 65535:
+            raise ValueError(f"bind_address port must be in 0-65535, got {port}")
 
     @property
     def host(self) -> str:

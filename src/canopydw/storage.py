@@ -93,17 +93,18 @@ queries scan the columns. A writer stages each new fact as the FactRow its
 draft gives, renders that row's line and appends it to the columns.
 
 A read-write open on a cache that holds no snapshot (every
-open_warehouse(root, "rw")) reads COMMIT and the dimensions, and of the
+open_warehouse(root, "rw")) reads COMMIT and each dimension once, and of the
 fact file only its last two lines, which it loads as any load loads rows
 past the bytes held (Warehouse._load_facts). When that load ends at the
 file's end with the row whose id is COMMIT, the tail is clean: the writer
 holds no fact row until its state.facts is first accessed (by reconcile,
 an annotation or stats), and then reads them all, through the checks of any
 load. So such a writer does not refuse damage in the committed rows before
-the last two lines; a read-only open still does. Any other tail (rows past
-COMMIT, a torn or unterminated last line, a last line longer than the bytes
-read back, no COMMIT) is loaded whole and repaired as before: the fact file
-is cut back to the committed rows by rewriting it and renaming it in.
+the last two lines; a read-only open still does. On any other tail (rows
+past COMMIT, a torn or unterminated last line, a last line longer than the
+bytes read back, no COMMIT) the writer keeps the COMMIT and dimension rows
+it read and loads the fact rows from byte 0; the fact file is then cut back
+to the committed rows by rewriting it and renaming it in.
 
 Every durable write goes through one of two functions: _atomic_write
 replaces a file (write, fsync, rename, fsync of the directory) and _append
@@ -166,7 +167,7 @@ CHECKPOINT = "fact_tree_metrics.cols"
 
 log = logging.getLogger(__name__)
 
-_SURVEY_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_SURVEY_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
 @dataclass(eq=False)
@@ -382,7 +383,7 @@ TABLES = (DATES, IMAGES, SPECIES, FACTS)
 DIMENSIONS = (DATES, SPECIES, IMAGES)
 
 # The bytes a read-write open reads back from the end of the fact file to
-# find its last two lines (see SnapshotCache._open_clean_tail).
+# find its last two lines (see Warehouse._tail_is_clean).
 _TAIL_BYTES = 4096
 
 
@@ -648,8 +649,7 @@ class _FactsOnFirstRead(WarehouseState):
             if "facts" not in vars(self):  # not read by another thread meanwhile
                 reader = Warehouse(self._root, "ro", None)
                 reader.state = WarehouseState(self.dates, self.images, self.species)
-                with open(reader._path(FACTS.file), "rb") as fh:
-                    reader._load_facts(fh, self._last_fact_id)
+                reader._load_all_facts(self._last_fact_id)
                 self.facts = reader.state.facts
                 writer = self._writer()
                 if writer is not None:
@@ -819,6 +819,41 @@ class Warehouse:
         if committed is not None and max_id < committed:
             raise CorruptTableError(path, last_line_no, f"commit marker {committed} exceeds last stored fact_id {max_id}")
         return last
+
+    def _load_all_facts(self, committed: int | None) -> int:
+        """Load the committed fact rows from byte 0, in place of any held; returns the file's size."""
+        self.state.facts, self.table_bytes[FACTS.file] = FactColumns(), 0
+        with open(self._path(FACTS.file), "rb") as fh:
+            self._load_facts(fh, committed)
+            return os.fstat(fh.fileno()).st_size
+
+    def _tail_is_clean(self, committed: int | None) -> bool:
+        """Whether the fact file ends with the row whose id is committed, for a
+        handle holding the dimensions and no fact row: the rows from the
+        second-to-last line (one pread of the last _TAIL_BYTES finds it, past
+        the header, which must match, when the tail starts the file) load as
+        any load loads them and end at the file's end with that row."""
+        if committed is None:
+            return False
+        header = FACTS.header.encode() + b"\n"
+        with open(self._path(FACTS.file), "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            start = max(0, size - _TAIL_BYTES)
+            tail = os.pread(fh.fileno(), size - start, start)
+            # past the newline before the one that ends the second-to-last line
+            at = tail.rfind(b"\n", 0, max(0, tail.rfind(b"\n", 0, len(tail) - 1))) + 1
+            if start == 0:
+                if not tail.startswith(header):
+                    return False
+                at = max(at, len(header))
+            elif not at:  # the second-to-last line starts before the tail
+                return False
+            self.table_bytes[FACTS.file] = start + at
+            try:
+                self._load_facts(fh, committed)
+            except WarehouseError:
+                return False
+        return (self.table_bytes[FACTS.file], self._last_fact_id) == (size, committed)
 
     def _load_checkpoint(self, data: bytes, committed: int | None) -> int:
         """Load the fact columns of the checkpoint into self.state, when it
@@ -1096,7 +1131,7 @@ class Warehouse:
         existing id raises, since survey files are immutable history.
         """
         self._require_writer()
-        if not _SURVEY_ID_RE.match(survey_id):
+        if not _SURVEY_ID_RE.fullmatch(survey_id):
             raise WarehouseError(f"bad survey id {survey_id!r} (use letters, digits, . _ -)")
         for rec in records:
             model.require_storable("survey", (rec.record_id, rec.species_code))
@@ -1204,11 +1239,10 @@ class SnapshotCache:
     refresh that finds changes publishes a new one, built from a copy of
     the old state (its own dicts, and fact columns copied one memcpy each).
 
-    open_writer() gives a read-write handle. On a cache holding a snapshot
-    it is built from a copy of the snapshot's state, so that it parses
-    nothing the cache holds. On a cache holding none it reads no fact row
-    while the fact file's tail is clean (see open_writer). open_warehouse
-    is either call on a cache used once.
+    open_writer() gives a read-write handle: on a cache holding a snapshot,
+    a copy of it, so that it parses nothing the cache holds; on one holding
+    none, a load of its own, which leaves the cache as it was (see
+    open_writer). open_warehouse is either call on a cache used once.
     """
 
     def __init__(self, root):
@@ -1231,16 +1265,13 @@ class SnapshotCache:
         """A read-write handle on the root.
 
         Under the writer lock it creates the root and any missing table
-        file. With no snapshot held, it then reads COMMIT and the
-        dimensions, and loads the last two lines of the fact file. When
-        they end the file with the row whose id is COMMIT, the handle holds
-        no fact row until its state.facts is first accessed; see
-        _open_clean_tail and _FactsOnFirstRead. Otherwise, or with a
-        snapshot held, it refreshes the snapshot, cuts the fact file back
-        to the committed rows by rewriting it when it holds more bytes than
-        those, and writes the COMMIT marker when it is missing. That handle
-        gets its own dicts and fact columns; the frozen dimension rows in
-        the dicts are shared with the snapshot.
+        file. With a snapshot held, the handle gets a copy of a refresh of
+        it (its own dicts and fact columns; the frozen rows are shared).
+        With none, the handle reads COMMIT and each dimension once; a clean
+        fact tail (Warehouse._tail_is_clean) leaves its fact rows unread
+        (_FactsOnFirstRead), any other is loaded from byte 0. Either way it
+        then cuts the fact file back to the committed rows by rewriting it
+        when it holds more bytes than those, and writes a missing COMMIT.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         lock = FileLock(self.root / LOCK_FILE)
@@ -1252,14 +1283,21 @@ class SnapshotCache:
                     _atomic_write(path, table.text(()))
             wh = Warehouse(self.root, "rw", lock)
             with self._mutex:
-                if self._handle is None and self._open_clean_tail(wh):
+                snap = self._handle and self._refresh(self._handle)
+                facts_key = snap and self._facts_key
+            if snap is None:
+                committed, _, tables = self._read_changes(wh, None)
+                wh._load_dimensions(tables)
+                if wh._tail_is_clean(committed):
+                    wh.state = _FactsOnFirstRead(wh, committed)
                     return wh
-                snap = self._refresh(self._handle)
-                committed, size = self._facts_key
-            wh.state = snap.state.copy()
-            wh.table_bytes = dict(snap.table_bytes)
-            wh._last_fact_id, wh._checkpoint_bytes = snap._last_fact_id, snap._checkpoint_bytes
-            wh._snapshot = weakref.ref(snap)
+                size = wh._load_all_facts(committed)
+            else:
+                committed, size = facts_key
+                wh.state = snap.state.copy()
+                wh.table_bytes = dict(snap.table_bytes)
+                wh._last_fact_id, wh._checkpoint_bytes = snap._last_fact_id, snap._checkpoint_bytes
+                wh._snapshot = weakref.ref(snap)
             if wh.table_bytes[FACTS.file] != size:
                 # drop the rows past the committed ones, and end the last row
                 # with a newline so that the next append starts a line of its own
@@ -1271,44 +1309,6 @@ class SnapshotCache:
         except BaseException:
             lock.release()
             raise
-
-    def _open_clean_tail(self, wh: Warehouse) -> bool:
-        """Load COMMIT and the dimensions into wh, a new writer, and leave
-        its fact rows unread, if the fact file's tail is clean.
-
-        One pread of the file's last _TAIL_BYTES finds where its
-        second-to-last line starts (past the header, which must match, when
-        the tail starts the file), and wh loads the fact rows from there as
-        any load does. The tail is clean when that load ends at the file's
-        end with the row whose id is COMMIT. Returns whether it was; if
-        not, wh is to be loaded anew.
-        """
-        committed, _, tables = self._read_changes(wh, None)
-        if committed is None:
-            return False
-        wh._load_dimensions(tables)
-        header = FACTS.header.encode() + b"\n"
-        with open(wh._path(FACTS.file), "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            start = max(0, size - _TAIL_BYTES)
-            tail = os.pread(fh.fileno(), size - start, start)
-            # past the newline before the one that ends the second-to-last line
-            at = tail.rfind(b"\n", 0, max(0, tail.rfind(b"\n", 0, len(tail) - 1))) + 1
-            if start == 0:
-                if not tail.startswith(header):
-                    return False
-                at = max(at, len(header))
-            elif not at:  # the second-to-last line starts before the tail
-                return False
-            wh.table_bytes[FACTS.file] = start + at
-            try:
-                wh._load_facts(fh, committed)
-            except WarehouseError:
-                return False
-        if (wh.table_bytes[FACTS.file], wh._last_fact_id) != (size, committed):
-            return False
-        wh.state = _FactsOnFirstRead(wh, committed)
-        return True
 
     def current(self) -> Warehouse:
         with self._mutex:

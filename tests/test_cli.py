@@ -373,6 +373,13 @@ def test_bad_query_spec_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_serve_port_out_of_range_is_data_error(tmp_path, capsys):
+    root = tmp_path / "wh"
+    assert run_cli(["init", "--root", str(root)]) == 0
+    assert run_cli(["serve", "--root", str(root), "--bind", "127.0.0.1:99999"]) == 1
+    assert capsys.readouterr().err == "error: bind_address port must be in 0-65535, got 99999\n"
+
+
 def test_estimate_flag_validation(tmp_path, capsys):
     root = tmp_path / "wh"
     assert run_cli(["init", "--root", str(root)]) == 0

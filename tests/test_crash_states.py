@@ -1,17 +1,18 @@
-"""Every crash state of one ingest batch, enumerated from its durable effects.
+"""Every crash state of one writer operation, enumerated from its durable
+effects: an ingest batch, and a read-write open that repairs its root.
 
 Each durable write in storage goes through one of two helpers:
 _atomic_write (replace a file with these bytes, by rename) and _append
 (append these bytes to a file). Wrapping both records the effects of one
-batch, in order. A crash leaves a prefix of that list on disk, and a crash
+operation, in order. A crash leaves a prefix of that list on disk, and a crash
 inside an append leaves a prefix of its bytes. The model assumes that a
 file's synced bytes and a synced rename survive, in the order the code
 syncs them; unsynced writes are not reordered.
 
 For each such state, rebuilt in its own directory, a read-only open, a
-read-write open and a SnapshotCache loaded before the batch must each see
-the facts as they were before the batch or after it, never a mix, with
-dimension rows between the two and every committed fact's references
+read-write open and a SnapshotCache loaded before the operation must each
+see the facts as they were before the operation or after it, never a mix,
+with dimension rows between the two and every committed fact's references
 resolved; and the next batch must succeed.
 """
 
@@ -48,8 +49,8 @@ def _batch(root, first):
         assert ingest_image_batch(wh, metas, dets, ClassMap(["PSME", "TSHE"])).facts_added == 4
 
 
-def _recorded_batch(monkeypatch, root):
-    """The durable effects of _batch on root: ("replace" | "append", the
+def _recorded(monkeypatch, root, operation):
+    """The durable effects of operation(root): ("replace" | "append", the
     path under root, the bytes)."""
     effects = []
     real_write, real_append = storage._atomic_write, storage._append
@@ -66,7 +67,7 @@ def _recorded_batch(monkeypatch, root):
     with monkeypatch.context() as m:
         m.setattr(storage, "_atomic_write", atomic_write)
         m.setattr(storage, "_append", append)
-        _batch(root, 2)
+        operation(root)
     return effects
 
 
@@ -117,21 +118,9 @@ def _check(handle, before, after, name):
     return len(state[3])
 
 
-def test_every_crash_state_of_an_ingest_batch_opens_before_or_after_it(tmp_path, monkeypatch):
-    base = tmp_path / "base"
-    _base(base)
-    run = tmp_path / "run"
-    shutil.copytree(base, run)
-    effects = _recorded_batch(monkeypatch, run)
-    assert {DATES.file, SPECIES.file, IMAGES.file, FACTS.file} <= {str(name) for _, name, _ in effects}
-    with open_warehouse(base, "ro") as wh:
-        before = logical_state(wh)
-    with open_warehouse(run, "ro") as wh:
-        after = logical_state(wh)
-    assert before[3] != after[3]
-
-    states = list(_crash_states(effects))
-    assert len(states) == len(effects) + 1 + 4  # the append of 4 lines: 3 boundaries and 1 inside a line
+def _check_states(tmp_path, base, states, before, after):
+    """Rebuild each crash state on a copy of base and check that every open
+    holds before or after, and that the next batch succeeds."""
     for i, (name, done, cut) in enumerate(states):
         root = tmp_path / f"state{i}"
         shutil.copytree(base, root)
@@ -150,3 +139,58 @@ def test_every_crash_state_of_an_ingest_batch_opens_before_or_after_it(tmp_path,
                 assert logical_state(cache.current()) == logical_state(wh), name
         finally:
             cache.close()
+
+
+def _states_of(tmp_path, monkeypatch, base, operation):
+    """The crash states of operation on a copy of base, and the logical
+    state of base before it and of the copy after it."""
+    run = tmp_path / "run"
+    shutil.copytree(base, run)
+    effects = _recorded(monkeypatch, run, operation)
+    with open_warehouse(base, "ro") as wh:
+        before = logical_state(wh)
+    with open_warehouse(run, "ro") as wh:
+        after = logical_state(wh)
+    return effects, list(_crash_states(effects)), before, after
+
+
+def test_every_crash_state_of_an_ingest_batch_opens_before_or_after_it(tmp_path, monkeypatch):
+    base = tmp_path / "base"
+    _base(base)
+    effects, states, before, after = _states_of(tmp_path, monkeypatch, base, lambda root: _batch(root, 2))
+    assert {DATES.file, SPECIES.file, IMAGES.file, FACTS.file} <= {str(name) for _, name, _ in effects}
+    assert before[3] != after[3]
+    assert len(states) == len(effects) + 1 + 4  # the append of 4 lines: 3 boundaries and 1 inside a line
+    _check_states(tmp_path, base, states, before, after)
+
+
+def _rows_past_commit(root):
+    """Fact 3 appended but never committed, then a torn line."""
+    path = root / FACTS.file
+    last = path.read_bytes().splitlines()[-1]
+    with open(path, "ab") as fh:
+        fh.write(b"3" + last[1:] + b"\n4,2024")
+
+
+def _no_commit(root):
+    """An externally assembled root: no COMMIT marker, and a torn last line."""
+    (root / storage.COMMIT_MARKER).unlink()
+    with open(root / FACTS.file, "ab") as fh:
+        fh.write(b"3,2024")
+
+
+@pytest.mark.parametrize(
+    "damage, written",
+    [(_rows_past_commit, [FACTS.file]), (_no_commit, [FACTS.file, storage.COMMIT_MARKER])],
+    ids=["rows-past-commit", "no-commit"],
+)
+def test_every_crash_state_of_a_repairing_open_holds_the_committed_facts(tmp_path, monkeypatch, damage, written):
+    base = tmp_path / "base"
+    _base(base)
+    clean = (base / FACTS.file).read_bytes()
+    damage(base)
+    effects, states, before, after = _states_of(tmp_path, monkeypatch, base, lambda root: open_warehouse(root).close())
+    assert [(kind, str(name)) for kind, name, _ in effects] == [("replace", file) for file in written]
+    assert effects[0][2] == clean  # the fact file cut back to the committed rows
+    assert before == after and [fact_id for fact_id, _ in after[3]] == [1, 2]
+    _check_states(tmp_path, base, states, before, after)

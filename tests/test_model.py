@@ -155,6 +155,7 @@ def test_image_meta_valid():
         {"checksum": "XYZ"},
         {"checksum": "ab" * 31},
         {"geotransform": Geotransform(0, 0, 1.0, 2.0, 2.0, 4.0)},
+        {"checksum": "ab" * 32 + "\n"},
     ],
 )
 def test_image_meta_invalid(overrides):

@@ -195,6 +195,8 @@ def test_body_limit_floor():
         ServiceConfig(max_body_bytes=MIB - 1)
     with pytest.raises(ValueError):
         ServiceConfig(bind_address="nohost")
+    with pytest.raises(ValueError, match="port must be in 0-65535"):
+        ServiceConfig(bind_address="127.0.0.1:99999")
 
 
 # -- writes ------------------------------------------------------------------------
@@ -402,8 +404,9 @@ def test_post_survey_unknown_field_400(root):
         ({"rows": []}, "survey_id is required"),
         ({"survey_id": "s1", "rows": {"record_id": "t1"}}, "rows must be a list of record objects"),
         ({"survey_id": "s1", "rows": [["t1", 1.0, 1.0]]}, "row 0 is not an object"),
+        ({"survey_id": "s1\n", "rows": []}, "bad survey id 's1\\n' (use letters, digits, . _ -)"),
     ],
-    ids=["no-survey-id", "rows-not-a-list", "row-not-an-object"],
+    ids=["no-survey-id", "rows-not-a-list", "row-not-an-object", "survey-id-with-a-newline"],
 )
 def test_post_survey_shape_400(root, body, error):
     with running_server(root) as base:

@@ -44,6 +44,7 @@ from canopydw.query import MEASURES, QuerySpec, run_query
 from canopydw.reconcile import reconcile_warehouse
 from canopydw.storage import (
     CHECKPOINT,
+    DIMENSIONS,
     FACTS,
     IMAGES,
     SPECIES,
@@ -802,9 +803,9 @@ CORRUPT_TABLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("cached", [False, True], ids=["open", "cache"])
+@pytest.mark.parametrize("load", ["open", "cache", "rw"])
 @pytest.mark.parametrize("case", list(CORRUPT_TABLE_CASES))
-def test_corrupt_table_is_refused_with_its_line(root, case, cached):
+def test_corrupt_table_is_refused_with_its_line(root, case, load):
     table, line_no, edit, error, reason = CORRUPT_TABLE_CASES[case]
     with open_warehouse(root) as wh:
         wh.upsert_species("PSME")
@@ -824,8 +825,9 @@ def test_corrupt_table_is_refused_with_its_line(root, case, cached):
         tmp = root / "edited.tmp"
         tmp.write_text("\n".join(lines) + "\n")
         os.replace(tmp, path)
+        opens = {"open": lambda: open_warehouse(root, "ro"), "cache": snap.current, "rw": lambda: open_warehouse(root)}
         with pytest.raises(error) as err:
-            snap.current() if cached else open_warehouse(root, "ro")
+            opens[load]()
     finally:
         snap.close()
     assert reason in str(err.value)
@@ -1358,11 +1360,18 @@ def _fact_file_edit(edit):
         "line-before-last-starts-before-the-tail",
     ],
 )
-def test_writer_open_by_tail_shape(root, build, lazy, ids):
+def test_writer_open_by_tail_shape(root, build, lazy, ids, monkeypatch):
     """A clean tail leaves the fact rows unread; any other is loaded whole
-    and the fact file cut back to the committed rows."""
+    and the fact file cut back to the committed rows. Either way each
+    dimension file is loaded once."""
     clean = build(root) or (root / FACT_TABLE).read_bytes()
-    with open_warehouse(root) as wh:
+    loads = []
+    real_load = Warehouse._load_dimension
+    with monkeypatch.context() as m:
+        m.setattr(Warehouse, "_load_dimension", lambda wh, table, data: loads.append(table) or real_load(wh, table, data))
+        wh = open_warehouse(root)
+    assert loads == list(DIMENSIONS)
+    with wh:
         assert ("facts" not in vars(wh.state)) == lazy
         assert list(fact_rows(wh.state.facts)) == ids
         assert (root / FACT_TABLE).read_bytes() == clean
@@ -1526,9 +1535,11 @@ def test_non_utf8_survey_is_refused_with_its_line(root):
 
 def test_survey_id_charset(root):
     with open_warehouse(root) as wh:
-        with pytest.raises(Exception) as err:
-            wh.save_survey("../evil", [])
-        assert "survey id" in str(err.value)
+        for survey_id in ("../evil", "s1\n"):
+            with pytest.raises(Exception) as err:
+                wh.save_survey(survey_id, [])
+            assert "survey id" in str(err.value)
+        assert wh.list_survey_ids() == []
 
 
 def test_merged_surveys_reject_duplicate_record_ids(root):
