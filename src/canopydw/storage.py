@@ -44,7 +44,7 @@ deleted; the single sanctioned fact mutation is the validation annotation
 (Warehouse.rewrite_validation, given as columns, one entry per fact). It
 writes the fact file anew and renames it in, but only when some annotation
 changes a stored cell: an annotation equal to the stored one does not write
-the fact file, so it keeps its inode and no reader's cache reloads.
+the fact file, so it keeps its inode.
 
 Single-writer, multiple-reader: a handle opened in "rw" mode holds an
 exclusive flock on the LOCK file for its lifetime. The kernel releases it
@@ -53,11 +53,12 @@ the file itself is never removed. "ro" handles read a committed snapshot
 without locking.
 
 Read order: a load reads COMMIT first, then dim_image, dim_species and
-dim_date (each table before the tables it references), then the fact rows up
-to COMMIT. Writers write in the opposite order (a date before the image
-that references it, dimension rows before the facts, COMMIT last), so
-every row a committed fact or an image references is on disk by the time
-the reader gets to its table.
+dim_date (each table before the tables it references), then the key of
+CHECKPOINT (one replaced after that costs a cache one more reload, never a
+missed one), then the fact rows up to COMMIT. Writers write in the opposite
+order (a date before the image that references it, dimension rows before
+the facts, COMMIT last), so every row a committed fact or an image
+references is on disk by the time the reader gets to its table.
 
 A load of the fact rows from byte 0 (a read-only open, a writer's first
 read of its facts, a server start, a cache reload after a rename) first
@@ -72,12 +73,11 @@ every line, which gives the same rows or the same refusal. Only
 rewrite_validation writes it, under the writer lock: after a new fact file
 is renamed in, or, when no annotation changed, if the handle's rows were
 not all copied from a checkpoint covering the committed fact file (its
-load fell back, or rows were appended past B; a SnapshotCache snapshot
-holding the same committed rows then counts it as fresh). Loading never
-writes it. A crash before that write, a failed write or a hand edit leaves
-a checkpoint that is torn or stale, which the next load refuses until the
-next reconcile writes it again: the .tbl text stays the only truth. stats
-does not count the file.
+load fell back, or rows were appended past B). Loading never writes it. A
+crash before that write, a failed write or a hand edit leaves a checkpoint
+that is torn or stale, which the next load refuses until the next
+reconcile writes it again: the .tbl text stays the only truth. stats does
+not count the file.
 
 Every open is a SnapshotCache load, which alone reads this order. A
 long-lived process keeps one cache current, parsing only what changed;
@@ -688,8 +688,6 @@ class Warehouse:
         # the bytes of the fact file whose rows the checkpoint holds, as far
         # as this handle knows (0: none); fresh when it is all of them
         self._checkpoint_bytes = 0
-        # the cache snapshot a writer was copied from (see rewrite_validation)
-        self._snapshot: weakref.ref[Warehouse] | None = None
         self._closed = False
 
     # Surrogate keys continue past the largest one held. Fact ids continue
@@ -969,6 +967,8 @@ class Warehouse:
         A dimension whose rewrite fails stays staged. Staged fact rows are
         dropped when they cannot all be written; the append is cut back
         off the file, so COMMIT and the committed rows stay as they were.
+        When the COMMIT write fails (perhaps after COMMIT moved), the handle
+        holds none of the rows and closes; the next rw open repairs the root.
         """
         rows, self._appends = self._appends, []
         for table in DIMENSIONS:
@@ -978,11 +978,16 @@ class Warehouse:
         if not rows:
             return
         data = "".join([_fact_line(row) + "\n" for row in rows]).encode("utf-8")
-        self.table_bytes[FACTS.file] += _append(self._path(FACTS.file), data)
+        written = _append(self._path(FACTS.file), data)
+        try:
+            self._write_commit(rows[-1].fact_id)
+        except BaseException:
+            self.close()
+            raise
+        self.table_bytes[FACTS.file] += written
         for row in rows:
             self.state.add_fact(row)
         self._last_fact_id = rows[-1].fact_id
-        self._write_commit(self._last_fact_id)
 
     # -- mutating operations -----------------------------------------------
 
@@ -1084,10 +1089,8 @@ class Warehouse:
         (FactColumns.annotation_changes). When no stored cell changes, the
         fact file keeps its bytes and inode, and only a checkpoint that does
         not cover every committed fact row (a load fell back, or rows were
-        appended past it) is written, from the fact file's committed bytes,
-        and the cache snapshot this writer was copied from counts it as
-        fresh when it holds the same bytes. Otherwise the changed facts are
-        checked before anything is written
+        appended past it) is written, from the fact file's committed bytes.
+        Otherwise the changed facts are checked before anything is written
         (FactColumns.annotation_violations), the fact file is written anew
         and renamed in, and then its checkpoint. A failed write leaves the
         held columns as they were.
@@ -1103,11 +1106,6 @@ class Warehouse:
             if not changed:
                 if facts and self._checkpoint_bytes != size:
                     self._write_checkpoint(_read_bytes(self._path(FACTS.file))[:size])
-                    # a snapshot whose fact file this writer replaced is not
-                    # refreshed but reloaded (new inode), so its count is dropped
-                    snap = self._snapshot and self._snapshot()
-                    if snap is not None and snap.table_bytes[FACTS.file] == size:
-                        snap._checkpoint_bytes = self._checkpoint_bytes
                 return
             for i in changed:
                 problems = facts.annotation_violations(i, *columns)
@@ -1227,17 +1225,15 @@ class SnapshotCache:
       reused, and parsed only past the bytes of the committed rows held.
     The held rows go on only while each re-read dimension starts with its
     held bytes and they end in a newline, the fact file keeps the held
-    inode, the last fact row held has its newline, and that row's line is
-    still where it was read (one pread, on a refresh that found a change;
-    a file rewritten in place fails it). Otherwise (as after an
-    annotation that changed a stored cell, or crash recovery, renames a
-    fact file in) the whole root is reloaded, the fact rows from the
-    checkpoint when it holds; a reconcile that changes no annotation
-    leaves the fact file alone, so the next refresh reads nothing.
-    A returned Warehouse is never changed afterwards (but for the checkpoint
-    a writer copied from it wrote; see Warehouse.rewrite_validation): a
-    refresh that finds changes publishes a new one, built from a copy of
-    the old state (its own dicts, and fact columns copied one memcpy each).
+    inode, the checkpoint its (inode, size, mtime) or its absence, the last
+    fact row held has its newline, and that row's line is still where it
+    was read (one pread, on a refresh that found a change; a file rewritten
+    in place fails it). Otherwise (as after a checkpoint write, or an
+    annotation or crash recovery that renames a fact file in) the whole
+    root is reloaded, the fact rows from the checkpoint when it holds. A
+    returned Warehouse is never changed afterwards: a refresh that finds
+    changes publishes a new one, built from a copy of the old state (its
+    own dicts, and fact columns copied one memcpy each).
 
     open_writer() gives a read-write handle: on a cache holding a snapshot,
     a copy of it, so that it parses nothing the cache holds; on one holding
@@ -1252,7 +1248,7 @@ class SnapshotCache:
         # per dimension file: (inode, size, mtime) and the bytes held
         self._dims: dict[str, tuple[tuple[int, int, int], bytes]] = {}
         self._facts_fh: BinaryIO | None = None
-        self._facts_key: tuple[int | None, int] | None = None  # (COMMIT, file size)
+        self._facts_key: tuple | None = None  # (COMMIT, fact file size, CHECKPOINT's _file_key or None)
         self._facts_last = b""  # the last fact line held, with its newline
 
     def close(self) -> None:
@@ -1293,11 +1289,10 @@ class SnapshotCache:
                     return wh
                 size = wh._load_all_facts(committed)
             else:
-                committed, size = facts_key
+                committed, size, _ = facts_key
                 wh.state = snap.state.copy()
                 wh.table_bytes = dict(snap.table_bytes)
                 wh._last_fact_id, wh._checkpoint_bytes = snap._last_fact_id, snap._checkpoint_bytes
-                wh._snapshot = weakref.ref(snap)
             if wh.table_bytes[FACTS.file] != size:
                 # drop the rows past the committed ones, and end the last row
                 # with a newline so that the next append starts a line of its own
@@ -1333,9 +1328,13 @@ class SnapshotCache:
         """Bring the snapshot up to date from old (None: load everything)."""
         new = Warehouse(self.root, "ro", None)
         committed, dims, tables = self._read_changes(new, old)
+        try:
+            checkpoint = _file_key(new._path(CHECKPOINT))
+        except NotInitializedError:
+            checkpoint = None
         path = new._path(FACTS.file)
         ino, size, _ = _file_key(path)
-        facts_key = (committed, size)
+        facts_key = (committed, size, checkpoint)
         if old is None:
             fh = open(path, "rb")
         else:
@@ -1345,6 +1344,7 @@ class SnapshotCache:
             # last fact row without one ends past the file's end.
             if not (
                 os.fstat(fh.fileno()).st_ino == ino
+                and checkpoint == self._facts_key[2]
                 and old.table_bytes[FACTS.file] <= self._facts_key[1]
                 and all(held[f].endswith(b"\n") and data.startswith(held[f]) for f, data in tables.items())
             ):

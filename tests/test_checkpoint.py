@@ -366,6 +366,58 @@ def test_no_op_reconciles_through_a_cache_write_a_missing_checkpoint_once(root):
     _assert_loads_agree(root)
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [lambda root: (root / CHECKPOINT).unlink(), lambda root: os.truncate(root / CHECKPOINT, 300)],
+    ids=["deleted", "truncated"],
+)
+def test_no_op_reconciles_through_a_cache_write_a_lost_checkpoint_back_once(root, monkeypatch, caplog, damage):
+    """The cache loaded a fresh checkpoint, which is then lost: the next
+    writer from the cache sees that, as a fresh open would."""
+    _build(root)
+    written = (root / CHECKPOINT).read_bytes()
+    caplog.set_level(logging.WARNING, logger="canopydw.storage")
+    cache = SnapshotCache(root)
+
+    def no_op_reconcile():
+        with cache.open_writer() as wh:
+            reconcile_warehouse(wh, 2.0)
+
+    try:
+        cache.current()
+        damage(root)
+        no_op_reconcile()
+        assert (root / CHECKPOINT).read_bytes() == written
+        caplog.clear()
+        with counted_fact_parses(monkeypatch) as parses:
+            open_warehouse(root, "ro").close()
+        assert (parses, _warnings(caplog)) == ([], [])
+        keys = _file_keys(root)
+        for _ in range(2):
+            no_op_reconcile()
+            assert _file_keys(root) == keys
+    finally:
+        cache.close()
+    _assert_loads_agree(root)
+
+
+def test_a_checkpoint_write_through_a_cache_leaves_a_held_snapshot_as_it_was(root):
+    _build(root)
+    (root / CHECKPOINT).unlink()
+    cache = SnapshotCache(root)
+    try:
+        held = cache.current()
+        state, table_bytes, checkpoint_bytes = held.state, dict(held.table_bytes), held._checkpoint_bytes
+        with cache.open_writer() as wh:
+            reconcile_warehouse(wh, 2.0)  # changes no annotation: writes only the checkpoint
+        assert (root / CHECKPOINT).exists()
+        assert held.state is state
+        assert (held.table_bytes, held._checkpoint_bytes) == (table_bytes, checkpoint_bytes)
+        assert cache.current() is not held
+    finally:
+        cache.close()
+
+
 def test_a_no_op_reconcile_covers_rows_appended_past_the_checkpoint(root, monkeypatch, caplog):
     _build(root)
     with open_warehouse(root) as wh:  # already annotated as a reconcile would

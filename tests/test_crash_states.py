@@ -1,5 +1,7 @@
 """Every crash state of one writer operation, enumerated from its durable
-effects: an ingest batch, and a read-write open that repairs its root.
+effects: an ingest batch, a read-write open that repairs its root, a survey
+save, a reconcile that changes annotations and one that writes only a
+missing fact checkpoint.
 
 Each durable write in storage goes through one of two helpers:
 _atomic_write (replace a file with these bytes, by rename) and _append
@@ -13,7 +15,8 @@ For each such state, rebuilt in its own directory, a read-only open, a
 read-write open and a SnapshotCache loaded before the operation must each
 see the facts as they were before the operation or after it, never a mix,
 with dimension rows between the two and every committed fact's references
-resolved; and the next batch must succeed.
+resolved, and the surveys as before or after; and the next batch must
+succeed.
 """
 
 import os
@@ -23,9 +26,10 @@ import pytest
 
 from canopydw import storage
 from canopydw.ingest import ClassMap, detection_file_name, ingest_image_batch
-from canopydw.storage import DATES, FACTS, IMAGES, SPECIES, SnapshotCache, open_warehouse
+from canopydw.reconcile import reconcile_warehouse
+from canopydw.storage import CHECKPOINT, DATES, FACTS, IMAGES, SPECIES, SnapshotCache, open_warehouse
 
-from helpers import fact_rows, logical_state, make_draft, make_image
+from helpers import counted_fact_parses, fact_rows, logical_state, make_draft, make_image, make_record
 
 
 def _base(root):
@@ -91,6 +95,7 @@ def _apply(root, effects, cut):
     for kind, name, data in effects:
         path = root / name
         if kind == "replace":
+            path.parent.mkdir(exist_ok=True)  # a survey save makes surveys/
             tmp = path.with_name(path.name + ".tmp")
             tmp.write_bytes(data)
             os.replace(tmp, path)
@@ -104,10 +109,11 @@ def _apply(root, effects, cut):
 
 
 def _check(handle, before, after, name):
-    """The handle holds the facts of before or after, dimension rows between
-    the two, and every committed fact's references."""
+    """The handle holds the facts and the surveys of before or after,
+    dimension rows between the two, and every committed fact's references."""
     state = logical_state(handle)
     assert state[3] in (before[3], after[3]), name
+    assert state[4] in (before[4], after[4]), name
     for i in range(3):  # dates, images, species
         assert set(before[i]) <= set(state[i]) <= set(after[i]), name
     held = handle.state
@@ -194,3 +200,66 @@ def test_every_crash_state_of_a_repairing_open_holds_the_committed_facts(tmp_pat
     assert effects[0][2] == clean  # the fact file cut back to the committed rows
     assert before == after and [fact_id for fact_id, _ in after[3]] == [1, 2]
     _check_states(tmp_path, base, states, before, after)
+
+
+def _surveyed(root, survey_id, record_id):
+    """A survey whose one record lies on the base facts."""
+    with open_warehouse(root) as wh:
+        wh.save_survey(survey_id, [make_record(record_id, 5.0, -5.0)])
+
+
+def _reconcile(root):
+    with open_warehouse(root) as wh:
+        reconcile_warehouse(wh, 2.0)
+
+
+def test_every_crash_state_of_a_survey_save_opens_before_or_after_it(tmp_path, monkeypatch):
+    base = tmp_path / "base"
+    _base(base)
+    effects, states, before, after = _states_of(tmp_path, monkeypatch, base, lambda root: _surveyed(root, "s1", "r1"))
+    assert [(kind, str(name)) for kind, name, _ in effects] == [("replace", "surveys/s1.tbl")]
+    assert (before[4], list(after[4])) == ({}, ["s1"])
+    _check_states(tmp_path, base, states, before, after)
+
+
+def test_every_crash_state_of_a_changing_reconcile_opens_before_or_after_it(tmp_path, monkeypatch):
+    base = tmp_path / "base"
+    _base(base)
+    _surveyed(base, "s1", "r1")
+    _reconcile(base)  # fact 1 is matched, and the checkpoint covers the fact file
+    _surveyed(base, "s2", "r2")  # matches fact 2 on the next reconcile
+    effects, states, before, after = _states_of(tmp_path, monkeypatch, base, _reconcile)
+    assert [(kind, str(name)) for kind, name, _ in effects] == [("replace", FACTS.file), ("replace", CHECKPOINT)]
+    assert before[3] != after[3]
+    _check_states(tmp_path, base, states, before, after)
+
+
+def test_every_crash_state_of_a_no_op_reconcile_that_writes_the_checkpoint_opens_alike(tmp_path, monkeypatch):
+    base = tmp_path / "base"
+    _base(base)
+    _surveyed(base, "s1", "r1")
+    _reconcile(base)
+    (base / CHECKPOINT).unlink()
+    effects, states, before, after = _states_of(tmp_path, monkeypatch, base, _reconcile)
+    assert [(kind, str(name)) for kind, name, _ in effects] == [("replace", CHECKPOINT)]
+    assert before == after
+    _check_states(tmp_path, base, states, before, after)
+    # Once the checkpoint is on disk, a cold load copies it, and a cache
+    # loaded before it was written sees it: its writer writes nothing.
+    root = tmp_path / "done"
+    shutil.copytree(base, root)
+    cache = SnapshotCache(root)
+    try:
+        cache.current()
+        _apply(root, effects, None)
+        with counted_fact_parses(monkeypatch) as parses:
+            open_warehouse(root, "ro").close()
+        assert parses == []
+
+        def no_op_reconcile(root):
+            with cache.open_writer() as wh:
+                reconcile_warehouse(wh, 2.0)
+
+        assert _recorded(monkeypatch, root, no_op_reconcile) == []
+    finally:
+        cache.close()

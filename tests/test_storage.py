@@ -728,6 +728,42 @@ def test_failed_fact_append_leaves_commit_and_facts(root, monkeypatch):
         assert len(wh.state.images) == 4
 
 
+@pytest.mark.parametrize("moved", [False, True], ids=["commit-not-written", "commit-written"])
+@pytest.mark.parametrize("read_first", [False, True], ids=["lazy", "facts-read"])
+def test_failed_commit_write_closes_the_writer_holding_none_of_the_batch(root, monkeypatch, moved, read_first):
+    """A COMMIT write that raises, before its rename or after it (the
+    directory fsync): the handle holds none of the batch's rows and refuses
+    the next write, and a later open holds the batch as COMMIT says."""
+    _committed_base(root)
+    real_write = storage._atomic_write
+
+    def atomic_write(path, text):
+        if path.name == storage.COMMIT_MARKER:
+            if moved:
+                real_write(path, text)
+            raise OSError(5, "injected COMMIT failure")
+        return real_write(path, text)
+
+    with open_warehouse(root) as wh:
+        if read_first:
+            assert len(wh.state.facts) == 2
+        with monkeypatch.context() as m:
+            m.setattr(storage, "_atomic_write", atomic_write)
+            with pytest.raises(OSError, match="injected"):
+                wh.append_facts([make_draft(wh.state.images[1])] * 2)
+        assert sorted(fact_rows(wh.state.facts)) == [1, 2]
+        with pytest.raises(WarehouseError, match="closed"):
+            wh.append_facts([make_draft(wh.state.images[1])])
+    committed = [1, 2, 3, 4] if moved else [1, 2]
+    assert (root / "COMMIT").read_text() == f"{committed[-1]}\n"
+    with open_warehouse(root, "ro") as wh:
+        assert sorted(fact_rows(wh.state.facts)) == committed
+    with open_warehouse(root, lock_timeout=0.05) as wh:  # the lock is free
+        assert wh.append_facts([make_draft(wh.state.images[1])]) == [len(committed) + 1]
+    with open_warehouse(root, "ro") as wh:
+        assert sorted(fact_rows(wh.state.facts)) == committed + [len(committed) + 1]
+
+
 # -- corrupt tables -------------------------------------------------------------------
 
 
