@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -238,7 +238,7 @@ def _image_meta(row: Mapping[str, object]) -> ImageMeta:
     try:
         width, height, size = (int(row[n]) for n in ("width_px", "height_px", "size_bytes"))
         gsd = float(row["gsd_cm_per_px"])
-        gt = Geotransform(**{f.name: float(row["gt_" + f.name]) for f in fields(Geotransform)})
+        gt = Geotransform(*(float(row["gt_" + name]) for name in Geotransform._fields))
     except ValueError as exc:
         raise ParseError(str(exc))
     meta = ImageMeta(
@@ -277,7 +277,7 @@ def render_manifest_row(meta: ImageMeta) -> str:
     d = model.derive_date(meta.capture_date_key)
     cells = {
         "capture_date": f"{d.year:04d}-{d.month:02d}-{d.day:02d}",
-        **{"gt_" + f.name: getattr(meta.geotransform, f.name) for f in fields(Geotransform)},
+        **{"gt_" + name: value for name, value in zip(Geotransform._fields, meta.geotransform)},
     }
     return csv_line([cells[n] if n in cells else getattr(meta, n) for n in _MANIFEST_NAMES])
 

@@ -1,8 +1,11 @@
 """Star-schema domain types and cross-table integrity rules.
 
 Three dimension tables (date, image, species) and one fact table (one row
-per detected tree). The row types are immutable values. A loaded fact table
-is held as FactColumns, typed columns that only the storage layer changes.
+per detected tree). Every row a table stores (DimDate, DimImage, DimSpecies,
+FactRow, SurveyRecord) is a NamedTuple whose fields are its stored cells, in
+the table's column order; a DimImage holds its six geotransform cells as one
+Geotransform. A loaded fact table is held as FactColumns, typed columns that
+only the storage layer changes.
 """
 
 from __future__ import annotations
@@ -70,8 +73,7 @@ def date_key_from_iso(text: str) -> int:
     return key
 
 
-@dataclass(frozen=True)
-class DimDate:
+class DimDate(NamedTuple):
     """Date dimension row; every derived field is a function of date_key."""
 
     date_key: int
@@ -116,8 +118,7 @@ def is_valid_date_key(date_key: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Geotransform:
+class Geotransform(NamedTuple):
     """Six-parameter affine map from pixel (col, row) to geographic (x, y).
 
     x = origin_x + col*a + row*b
@@ -137,8 +138,8 @@ class Geotransform:
 
     def violations(self) -> list[str]:
         v = []
-        for name in ("origin_x", "origin_y", "a", "b", "d", "e"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
                 v.append(f"geotransform {name} not finite")
         if not v and self.determinant == 0.0:
             v.append("geotransform singular (determinant zero)")
@@ -185,8 +186,7 @@ def box_violations(box: BoundingBox | FactRow) -> list[str]:
     return v
 
 
-@dataclass(frozen=True)
-class DimSpecies:
+class DimSpecies(NamedTuple):
     """Species dimension row: taxonomy plus conservation status."""
 
     species_key: int
@@ -196,8 +196,7 @@ class DimSpecies:
     conservation_status: str
 
 
-@dataclass(frozen=True)
-class ImageMeta:
+class ImageMeta(NamedTuple):
     """Image dimension attributes before a surrogate key is assigned."""
 
     file_name: str
@@ -211,16 +210,23 @@ class ImageMeta:
     checksum: str
 
 
-_META_FIELDS = tuple(f.name for f in fields(ImageMeta))
+class DimImage(NamedTuple):
+    """Image dimension row: image_key, then the fields of its ImageMeta."""
 
-
-@dataclass(frozen=True)
-class DimImage(ImageMeta):
-    image_key: int = 0
+    image_key: int
+    file_name: str
+    platform: str
+    capture_date_key: int
+    width_px: int
+    height_px: int
+    gsd_cm_per_px: float
+    geotransform: Geotransform
+    size_bytes: int
+    checksum: str
 
     @property
     def meta(self) -> ImageMeta:
-        return ImageMeta(*(getattr(self, name) for name in _META_FIELDS))
+        return ImageMeta(*self[1:])
 
 
 # csv.reader's default field_size_limit: it refuses a longer cell, and a
@@ -281,8 +287,9 @@ def frame_corner_violations(meta: ImageMeta) -> list[str]:
     return ["geotransform maps a frame corner to non-finite coordinates"]
 
 
-def image_meta_violations(meta: ImageMeta, dates: Container[int] = ()) -> list[str]:
-    """Value-level checks on one image's attributes.
+def image_meta_violations(meta: ImageMeta | DimImage, dates: Container[int] = ()) -> list[str]:
+    """Value-level checks on one image's attributes (an ImageMeta's, or a
+    stored DimImage's).
 
     dates holds date keys already checked (the keys of loaded date rows):
     such a capture_date_key is valid without being derived again.
@@ -400,8 +407,7 @@ def fact_field_violations(fact: FactRow, dates: Container[int] = ()) -> list[str
     return v
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
     """One digitized ground-truth record: position, species, measurements."""
 
     record_id: str
@@ -421,7 +427,7 @@ class SurveyColumns:
     they hold; of gives the columns of either form.
     """
 
-    __slots__ = tuple(f.name for f in fields(SurveyRecord))
+    __slots__ = SurveyRecord._fields
 
     def __init__(self, *columns: list) -> None:
         for name, column in zip(self.__slots__, columns or [[] for _ in self.__slots__], strict=True):
@@ -432,8 +438,7 @@ class SurveyColumns:
         """records as columns: SurveyColumns as they are, SurveyRecords copied."""
         if isinstance(records, SurveyColumns):
             return records
-        records = list(records)
-        return cls(*(list(map(attrgetter(name), records)) for name in cls.__slots__))
+        return cls(*map(list, zip(*records)))
 
     def __len__(self) -> int:
         return len(self.record_id)

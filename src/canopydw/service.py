@@ -108,6 +108,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self._body_unread:
+            # a body refused unread (auth, route, size) is not the next request
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -137,7 +140,9 @@ class _Handler(BaseHTTPRequestHandler):
             raise _RequestProblem(400, "bad Content-Length")
         if length > self.config.max_body_bytes:
             raise _RequestProblem(413, f"body exceeds {self.config.max_body_bytes} bytes")
-        return self.rfile.read(length)
+        body = self.rfile.read(length)
+        self._body_unread = False
+        return body
 
     def _read_json(self) -> dict:
         try:
@@ -149,6 +154,7 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def _dispatch(self, method: str) -> None:
+        self._body_unread = "Transfer-Encoding" in self.headers or self.headers.get("Content-Length", "0") != "0"
         url = urlsplit(self.path)
         path = url.path
         if not self._check_auth(path):

@@ -23,11 +23,13 @@ would read back (model.text_problem): a line break, a lone surrogate, or
 more characters than csv.reader takes in a field.
 
 Each table is described once, by a Table: its file, its header (the column
-names, the first of them the key), how a row becomes the cells of a line and
-back, and for a dimension the checks a loaded row must pass and the
-WarehouseState fields it fills. Parsing, rendering, loading, rewriting,
-stats and file creation all iterate these descriptions: TABLES, DIMENSIONS
-(in load order) and SURVEYS for survey files.
+names, the first of them the key), how the cells of a line become a row, and
+for a dimension the checks a loaded row must pass and the WarehouseState
+fields it fills. A row is a NamedTuple of its cells in header order (model),
+so it is rendered as it is; only an image row, which holds its geotransform
+as one Geotransform, is flattened first. Parsing, rendering, loading,
+rewriting, stats and file creation all iterate these descriptions: TABLES,
+DIMENSIONS (in load order) and SURVEYS for survey files.
 
 Commit protocol: dimension rows and facts are staged by a batch
 (Warehouse.batch; each method that adds them is a batch of its own) and
@@ -85,7 +87,7 @@ open_warehouse is the one-shot form, a cache built, used once and closed.
 A load continues each table from Warehouse.table_bytes, the bytes of the
 rows already held: from byte 0 and the header on a first load.
 
-A load holds the dimension rows as frozen objects in dicts, and the fact
+A load holds the dimension rows as NamedTuples in dicts, and the fact
 rows as model.FactColumns: one typed column per field, in fact_id order,
 about 100 bytes per fact. No object is held per fact: a fact is read from
 the columns by position, or as a FactRow's cells (FactColumns.cells), and
@@ -107,8 +109,9 @@ it read and loads the fact rows from byte 0; the fact file is then cut back
 to the committed rows by rewriting it and renaming it in.
 
 Every durable write goes through one of two functions: _atomic_write
-replaces a file (write, fsync, rename, fsync of the directory) and _append
-appends to one (write, fsync; a failed append is cut back off).
+replaces a file (write, fsync, rename, fsync of the directory; a failed
+write removes its temporary file) and _append appends to one (write, fsync;
+a failed append is cut back off).
 """
 
 from __future__ import annotations
@@ -126,7 +129,6 @@ import weakref
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -174,21 +176,20 @@ _SURVEY_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 class Table:
     """How one table is stored.
 
-    header names the columns; the first is the key. cells gives a row's
-    cells in header order (default: the row's attributes named by the
-    header; a fact row is a FactRow, which holds its cells in that order);
-    row builds a row from the cells of a line and raises ValueError on a
-    bad cell. state_field names the WarehouseState field that holds the
-    table's rows: a dict by key, or FactColumns for the facts. A
-    dimension also has check, which returns why a loaded row is
-    refused given the rows loaded before it (None: accepted), and add,
-    which puts an accepted row into the state.
+    header names the columns; the first is the key. A row is a NamedTuple
+    of its cells in header order; cells gives them, which is the row itself
+    but for an image row. row builds a row from the cells of a line and
+    raises ValueError on a bad cell. state_field names the WarehouseState
+    field that holds the table's rows: a dict by key, or FactColumns for the
+    facts. A dimension also has check, which returns why a loaded row is
+    refused given the rows loaded before it (None: accepted), and add, which
+    puts an accepted row into the state.
     """
 
     file: str
     header: str
     row: Callable[[list[str]], Any]
-    cells: Callable[[Any], Sequence[object]] | None = None
+    cells: Callable[[Any], Sequence[object]] = lambda row: row
     state_field: str = ""
     check: Callable[[WarehouseState, Any], str | None] | None = None
     add: Callable[[WarehouseState, Any], None] | None = None
@@ -198,8 +199,6 @@ class Table:
     def __post_init__(self) -> None:
         columns = self.header.split(",")
         self.key, self.width = columns[0], len(columns)
-        if self.cells is None:
-            self.cells = attrgetter(*columns)
 
     def parse(self, cells: list[str]) -> Any:
         """The row of one line's cells."""
@@ -244,39 +243,10 @@ def _species_problem(state: WarehouseState, row: DimSpecies) -> str | None:
     return None
 
 
-def _image_cells(row: DimImage) -> list:
-    gt = row.geotransform
-    return [
-        row.image_key,
-        row.file_name,
-        row.platform,
-        row.capture_date_key,
-        row.width_px,
-        row.height_px,
-        row.gsd_cm_per_px,
-        gt.origin_x,
-        gt.origin_y,
-        gt.a,
-        gt.b,
-        gt.d,
-        gt.e,
-        row.size_bytes,
-        row.checksum,
-    ]
-
-
 def _image_row(cells: list[str]) -> DimImage:
     return DimImage(
-        image_key=int(cells[0]),
-        file_name=cells[1],
-        platform=cells[2],
-        capture_date_key=int(cells[3]),
-        width_px=int(cells[4]),
-        height_px=int(cells[5]),
-        gsd_cm_per_px=float(cells[6]),
-        geotransform=Geotransform(*map(float, cells[7:13])),
-        size_bytes=int(cells[13]),
-        checksum=cells[14],
+        int(cells[0]), cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5]), float(cells[6]),
+        Geotransform(*map(float, cells[7:13])), int(cells[13]), cells[14],
     )
 
 
@@ -349,7 +319,7 @@ IMAGES = Table(
     "image_key,file_name,platform,capture_date_key,width_px,height_px,"
     "gsd_cm_per_px,gt_origin_x,gt_origin_y,gt_a,gt_b,gt_d,gt_e,size_bytes,checksum",
     row=_image_row,
-    cells=_image_cells,
+    cells=lambda row: (*row[:7], *row.geotransform, *row[8:]),
     state_field="images",
     check=_image_problem,
     add=WarehouseState.add_image,
@@ -367,7 +337,6 @@ FACTS = Table(
     "fact_id,date_key,image_key,species_key,bbox_cx,bbox_cy,bbox_w,bbox_h,"
     "confidence,geo_x,geo_y,height_m,dbh_cm,validation,matched_record_id",
     row=_fact_row,
-    cells=tuple,
     state_field="facts",
 )
 # one file per survey, under SURVEY_DIR
@@ -442,14 +411,20 @@ def _checkpoint_columns(blob: bytes, text: bytes) -> tuple[FactColumns, int]:
 
 
 def _atomic_write(path: Path, text: str | bytes) -> int:
-    """Replace path's content with text; returns the bytes written."""
+    """Replace path's content with text; returns the bytes written. A write
+    that fails before the rename removes its temporary file, so path keeps
+    its bytes and no partial copy is left beside it."""
     data = text.encode("utf-8") if isinstance(text, str) else text
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     _fsync_dir(path.parent)
     return len(data)
 
@@ -1050,7 +1025,7 @@ class Warehouse:
             if existing is not None:
                 return existing
             key = self._next_image_key
-            row = DimImage(image_key=key, **meta.__dict__)
+            row = DimImage(key, *meta)
             self.state.add_image(row)
             self._rewrites.add(IMAGES)
             return key
@@ -1134,7 +1109,7 @@ class Warehouse:
         for rec in records:
             model.require_storable("survey", (rec.record_id, rec.species_code))
         path = self.survey_path(survey_id)
-        text = SURVEYS.text(map(SURVEYS.cells, records))
+        text = SURVEYS.text(records)
         with self._mutex:
             if path.exists():
                 if path.read_bytes() == text.encode():
@@ -1262,7 +1237,7 @@ class SnapshotCache:
 
         Under the writer lock it creates the root and any missing table
         file. With a snapshot held, the handle gets a copy of a refresh of
-        it (its own dicts and fact columns; the frozen rows are shared).
+        it (its own dicts and fact columns; the immutable rows are shared).
         With none, the handle reads COMMIT and each dimension once; a clean
         fact tail (Warehouse._tail_is_clean) leaves its fact rows unread
         (_FactsOnFirstRead), any other is loaded from byte 0. Either way it

@@ -8,8 +8,10 @@ from canopydw.errors import InvalidDateError
 from canopydw.model import (
     BoundingBox,
     DimDate,
+    DimImage,
     FactDraft,
     Geotransform,
+    ImageMeta,
     WarehouseState,
     date_key_from_iso,
     derive_date,
@@ -140,6 +142,14 @@ def test_geotransform_singular():
 
 def test_image_meta_valid():
     assert image_meta_violations(make_image().meta) == []
+
+
+def test_an_image_row_is_its_key_then_its_meta_and_the_key_has_no_default():
+    meta = make_image().meta
+    with pytest.raises(TypeError, match="image_key"):
+        DimImage(**meta._asdict())
+    assert DimImage._fields == ("image_key", *ImageMeta._fields)
+    assert DimImage(7, *meta).meta == meta
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import http.client
 import json
 import os
 import re
+import socket
 import sys
 import threading
 import time
@@ -186,6 +187,57 @@ def test_oversized_body_413(root):
             assert conn.getresponse().status == 413
         finally:
             conn.close()
+
+
+_SURVEY_BODY = b'{"survey_id": "s1", "rows": []}'
+_HEALTH = b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n"
+_LAST_HEALTH = b"GET /v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+
+
+def _post_bytes(path, token="t", length=len(_SURVEY_BODY)):
+    head = f"POST {path} HTTP/1.1\r\nHost: t\r\nAuthorization: Bearer {token}\r\nContent-Length: {length}\r\n\r\n"
+    return head.encode() + _SURVEY_BODY
+
+
+def _pipelined(base, *requests_bytes) -> bytes:
+    """All the server sends back, until it closes the connection, for these
+    requests written at once on one socket."""
+    host, port = base.removeprefix("http://").rsplit(":", 1)
+    reply = b""
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(b"".join(requests_bytes))
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:  # the server closed with bytes of ours unread
+            pass
+    return reply
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        (_post_bytes("/v1/surveys", token="wrong"), b"401"),
+        (_post_bytes("/v1/nope"), b"404"),
+        (_post_bytes("/v1/query"), b"405"),
+        (_post_bytes("/v1/images", length=MIB + 1), b"413"),
+    ],
+    ids=["401", "404", "405", "413"],
+)
+def test_a_refused_body_is_not_read_as_the_next_request(root, request_bytes, status):
+    with running_server(root, auth_token="t", max_body_bytes=MIB) as base:
+        reply = _pipelined(base, request_bytes, _HEALTH, _LAST_HEALTH)
+    assert re.findall(rb"HTTP/1\.1 (\d{3}) ", reply) == [status]
+    assert b"Connection: close" in reply
+    assert b"Bad request syntax" not in reply
+
+
+def test_a_served_post_keeps_its_connection_for_pipelined_requests(root):
+    with running_server(root, auth_token="t") as base:
+        reply = _pipelined(base, _post_bytes("/v1/surveys"), _HEALTH, _LAST_HEALTH)
+    assert re.findall(rb"HTTP/1\.1 (\d{3}) ", reply) == [b"200"] * 3
+    assert b'{"survey_id": "s1", "records": 0}' in reply
+    assert b"Connection: close" not in reply
 
 
 def test_body_limit_floor():

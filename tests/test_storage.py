@@ -38,7 +38,7 @@ from canopydw.ingest import (
     ingest_species_registry,
     ingest_survey,
 )
-from canopydw.model import VALIDATION_STATES, FactRow, encode_date_key
+from canopydw.model import VALIDATION_STATES, DimImage, FactRow, SurveyRecord, encode_date_key
 from canopydw.report import csv_line
 from canopydw.query import MEASURES, QuerySpec, run_query
 from canopydw.reconcile import reconcile_warehouse
@@ -63,6 +63,7 @@ from helpers import (
     fact_rows,
     logical_state,
     make_draft,
+    make_geotransform,
     make_image,
     make_record,
     populate_random,
@@ -364,14 +365,26 @@ def test_read_only_refuses_mutation(root):
 
 def test_persistence_round_trip_random(root):
     rng = random.Random(20240)
+    # cells that quote, signed zeros and a subnormal; an empty dbh_cm
+    odd_image = make_image(
+        file_name='odd, "quoted".jpg', geotransform=make_geotransform(origin_x=-0.0, origin_y=5e-324, b=-0.0)
+    ).meta
+    odd_record = make_record("R2", -0.0, 5e-324, height_m=12.5)
     with open_warehouse(root) as wh:
         populate_random(wh, rng, n_images=25, max_facts_per_image=4)
-        wh.save_survey("s1", [make_record("R1", 1.0, 2.0)])
+        wh.ensure_date(odd_image.capture_date_key)
+        odd_key = wh.insert_image(odd_image)
+        wh.save_survey("s1", [make_record("R1", 1.0, 2.0), odd_record])
         before = logical_state(wh)
         next_ids = (wh._next_image_key, wh._next_species_key, wh._next_fact_id)
     with open_warehouse(root, "ro") as wh:
         assert logical_state(wh) == before
         assert (wh._next_image_key, wh._next_species_key, wh._next_fact_id) == next_ids
+        image, record = wh.state.images[odd_key], wh.load_survey("s1")[1]
+    # == takes -0.0 for 0.0; repr tells them apart, and names every row type
+    assert (type(image), type(record)) == (DimImage, SurveyRecord)
+    assert repr(image) == repr(DimImage(odd_key, *odd_image))
+    assert repr(record) == repr(odd_record)
 
 
 # -- crash recovery ----------------------------------------------------------------
@@ -728,6 +741,22 @@ def test_failed_fact_append_leaves_commit_and_facts(root, monkeypatch):
         assert len(wh.state.images) == 4
 
 
+@pytest.mark.parametrize("call", ["fsync", "replace"])
+def test_a_failed_atomic_write_keeps_the_file_and_leaves_no_tmp(tmp_path, monkeypatch, call):
+    path = tmp_path / "COMMIT"
+    path.write_bytes(b"2\n")
+
+    def fail(*args):
+        raise OSError(28, "injected write failure")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, call, fail)
+        with pytest.raises(OSError, match="injected"):
+            storage._atomic_write(path, "3\n")
+    assert path.read_bytes() == b"2\n"
+    assert os.listdir(tmp_path) == ["COMMIT"]
+
+
 @pytest.mark.parametrize("moved", [False, True], ids=["commit-not-written", "commit-written"])
 @pytest.mark.parametrize("read_first", [False, True], ids=["lazy", "facts-read"])
 def test_failed_commit_write_closes_the_writer_holding_none_of_the_batch(root, monkeypatch, moved, read_first):
@@ -908,6 +937,8 @@ def _csv_reader_parse(line: bytes, table):
         (SPECIES, '3,PSME,"Pseudotsuga menziesii, var. glauca",Douglas-fir,least_concern'),
         (SPECIES, "3,PSME,Pseudotsuga,\r,least_concern"),
         (SPECIES, ""),
+        (IMAGES, '1,"odd, ""quoted"".jpg",uav,20240115,100,100,10.0,-0.0,5e-324,0.1,-0.0,0.0,-0.1,4000000,' + "0" * 64),
+        (SURVEYS, "R1,-0.0,5e-324,PSME,,12.5,20240110"),
     ],
 )
 def test_comma_split_and_csv_reader_parse_a_line_alike(table, text):
