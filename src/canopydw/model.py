@@ -4,8 +4,9 @@ Three dimension tables (date, image, species) and one fact table (one row
 per detected tree). Every row a table stores (DimDate, DimImage, DimSpecies,
 FactRow, SurveyRecord) is a NamedTuple whose fields are its stored cells, in
 the table's column order; a DimImage holds its six geotransform cells as one
-Geotransform. A loaded fact table is held as FactColumns, typed columns that
-only the storage layer changes.
+Geotransform. The fact table's columns are described once, by FACT_COLUMNS,
+from which FactRow comes. A loaded fact table is held as FactColumns, typed
+columns that only the storage layer changes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from itertools import compress, count
 from operator import attrgetter, ne
-from typing import Container, NamedTuple
+from typing import Any, Callable, Container, NamedTuple
 
 from .errors import InvalidDateError, InvalidMetadataError
 
@@ -352,24 +353,43 @@ class FactTreeMetric(FactDraft):
     fact_id: int = 0
 
 
-class FactRow(NamedTuple):
-    """The typed cells of one stored fact line, in the fact table's column order."""
+class FactColumn(NamedTuple):
+    """One column of the fact table."""
 
-    fact_id: int
-    date_key: int
-    image_key: int
-    species_key: int
-    cx: float
-    cy: float
-    w: float
-    h: float
-    confidence: float
-    geo_x: float
-    geo_y: float
-    height_m: float | None
-    dbh_cm: float | None
-    validation: str
-    matched_record_id: str | None
+    name: str  # the FactRow field
+    type: object  # the field's type
+    typecode: str | None  # its FactColumns array's; None: a list
+    stored: str | None = None  # its name in the stored header, when not name
+    value: Callable[[Any], Any] | None = None  # a held entry's row value, when they differ
+
+
+def _measure(held: float) -> float | None:
+    return None if held != held else held  # NaN: missing
+
+
+# The fact table's columns, in the order of a stored line. FactRow, the
+# FactColumns columns, the stored header (storage.FACTS) and the fact
+# checkpoint's layout (storage.CHECKPOINT) come from this list.
+FACT_COLUMNS = (
+    FactColumn("fact_id", int, "q"),
+    FactColumn("date_key", int, "i"),
+    FactColumn("image_key", int, "i"),
+    FactColumn("species_key", int, "i"),
+    FactColumn("cx", float, "d", "bbox_cx"),
+    FactColumn("cy", float, "d", "bbox_cy"),
+    FactColumn("w", float, "d", "bbox_w"),
+    FactColumn("h", float, "d", "bbox_h"),
+    FactColumn("confidence", float, "d"),
+    FactColumn("geo_x", float, "d"),
+    FactColumn("geo_y", float, "d"),
+    FactColumn("height_m", float | None, "d", value=_measure),
+    FactColumn("dbh_cm", float | None, "d", value=_measure),
+    FactColumn("validation", str, "b", value=VALIDATION_STATES.__getitem__),  # held as its index
+    FactColumn("matched_record_id", str | None, None),
+)
+
+FactRow = NamedTuple("FactRow", [(column.name, column.type) for column in FACT_COLUMNS])
+FactRow.__doc__ = "The typed cells of one stored fact line, in the fact table's column order."
 
 
 # The range of a key column (array typecode "i") in FactColumns.
@@ -472,32 +492,14 @@ def _bits(column: array) -> memoryview:
     return memoryview(column).cast("B").cast("q")
 
 
-# FactColumns' arrays: attribute (a FactRow field) and array typecode, in
-# the order the fact checkpoint stores them (storage.CHECKPOINT).
-ARRAY_COLUMNS = (
-    ("fact_id", "q"),
-    ("date_key", "i"),
-    ("image_key", "i"),
-    ("species_key", "i"),
-    ("validation", "b"),  # index in VALIDATION_STATES
-    ("cx", "d"),
-    ("cy", "d"),
-    ("w", "d"),
-    ("h", "d"),
-    ("confidence", "d"),
-    ("geo_x", "d"),
-    ("geo_y", "d"),
-    ("height_m", "d"),  # NaN: missing
-    ("dbh_cm", "d"),  # NaN: missing
-)
-
-
 class FactColumns:
     """The fact table held as one typed column per field, in fact_id order.
 
-    Each column holds one entry per fact: the arrays of ARRAY_COLUMNS
-    (about 93 bytes per fact) and the list matched_record_id. NaN stands
-    for a missing height_m or dbh_cm; the row checks refuse a stored NaN.
+    There is one column per FACT_COLUMNS entry, in its order, each holding
+    one entry per fact: an array of the entry's typecode (about 93 bytes
+    per fact in all), or the list matched_record_id. validation holds each
+    state's index in VALIDATION_STATES, and NaN stands for a missing
+    height_m or dbh_cm; the row checks refuse a stored NaN.
 
     A fact is read from the columns by its position (index bisects
     fact_id), or as the cells of its FactRow through cells. Only append
@@ -507,12 +509,11 @@ class FactColumns:
     rewrites nothing otherwise.
     """
 
-    __slots__ = tuple(name for name, _ in ARRAY_COLUMNS) + ("matched_record_id",)
+    __slots__ = FactRow._fields
 
     def __init__(self) -> None:
-        for name, typecode in ARRAY_COLUMNS:
-            setattr(self, name, array(typecode))
-        self.matched_record_id: list[str | None] = []
+        for column in FACT_COLUMNS:
+            setattr(self, column.name, [] if column.typecode is None else array(column.typecode))
 
     def copy(self) -> FactColumns:
         new = FactColumns.__new__(FactColumns)
@@ -522,13 +523,13 @@ class FactColumns:
 
     def append(self, row: FactRow) -> None:
         """Add a row after the last one; its fact_id must be the highest and
-        its keys within [KEY_MIN, KEY_MAX] (fact_field_violations checks them)."""
+        its keys within [KEY_MIN, KEY_MAX] (fact_field_violations checks them).
+        Unrolled for speed; a test pins it to FACT_COLUMNS."""
         fact_id, date_key, image_key, species_key, cx, cy, w, h, conf, geo_x, geo_y, height, dbh, state, record = row
         self.fact_id.append(fact_id)  # the only append that can fail: nothing is added then
         self.date_key.append(date_key)
         self.image_key.append(image_key)
         self.species_key.append(species_key)
-        self.validation.append(_VALIDATION_CODES[state])
         self.cx.append(cx)
         self.cy.append(cy)
         self.w.append(w)
@@ -538,6 +539,7 @@ class FactColumns:
         self.geo_y.append(geo_y)
         self.height_m.append(_NAN if height is None else height)
         self.dbh_cm.append(_NAN if dbh is None else dbh)
+        self.validation.append(_VALIDATION_CODES[state])
         self.matched_record_id.append(record)
 
     def index(self, fact_id: int) -> int:
@@ -589,15 +591,10 @@ class FactColumns:
 
     def cells(self) -> Iterator[tuple]:
         """Each fact's stored cells, in fact order: the fields of its FactRow."""
-        for values in zip(*(getattr(self, name) for name in self.__slots__)):
-            fact_id, date_key, image_key, species_key, code, *floats, height, dbh, record = values
-            yield (
-                fact_id, date_key, image_key, species_key, *floats,
-                None if height != height else height,
-                None if dbh != dbh else dbh,
-                VALIDATION_STATES[code],
-                record,
-            )
+        return zip(*(
+            getattr(self, column.name) if column.value is None else map(column.value, getattr(self, column.name))
+            for column in FACT_COLUMNS
+        ))
 
     def __len__(self) -> int:
         return len(self.fact_id)

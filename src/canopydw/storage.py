@@ -27,9 +27,10 @@ names, the first of them the key), how the cells of a line become a row, and
 for a dimension the checks a loaded row must pass and the WarehouseState
 fields it fills. A row is a NamedTuple of its cells in header order (model),
 so it is rendered as it is; only an image row, which holds its geotransform
-as one Geotransform, is flattened first. Parsing, rendering, loading,
-rewriting, stats and file creation all iterate these descriptions: TABLES,
-DIMENSIONS (in load order) and SURVEYS for survey files.
+as one Geotransform, is flattened first. The fact table's header comes
+from model.FACT_COLUMNS, as do FactRow and FactColumns. Parsing, rendering,
+loading, rewriting, stats and file creation all iterate these descriptions:
+TABLES, DIMENSIONS (in load order) and SURVEYS for survey files.
 
 Commit protocol: dimension rows and facts are staged by a batch
 (Warehouse.batch; each method that adds them is a batch of its own) and
@@ -65,13 +66,17 @@ references is on disk by the time the reader gets to its table.
 A load of the fact rows from byte 0 (a read-only open, a writer's first
 read of its facts, a server start, a cache reload after a rename) first
 reads the fact checkpoint, CHECKPOINT. It holds the fact columns of the
-first B bytes of the fact file, with a blake2b of those bytes and one of
-its own contents. The load copies the columns instead of parsing those
-lines when both digests match, the last fact_id in it is at most COMMIT,
-every date, image and species key in it is a loaded dimension row, and
-each fact's date is its image's capture date; it parses the lines past B
-as any load does. Otherwise it logs why, ignores the checkpoint and parses
-every line, which gives the same rows or the same refusal. Only
+first B bytes of the fact file, in model.FACT_COLUMNS order, with a
+blake2b of those bytes and one of its own contents; its format line names
+each column with its typecode and item size. The load copies the columns
+instead of parsing those lines when both digests match, the last fact_id
+in it is at most COMMIT, every date, image and species key in it is a
+loaded dimension row, and each fact's date is its image's capture date; it
+parses the lines past B as any load does. Otherwise it logs why, ignores
+the checkpoint and parses every line, which gives the same rows or the
+same refusal. So does a checkpoint of another column layout, such as one
+written before the format line named the columns: after an upgrade, loads
+parse the text until the next reconcile writes the checkpoint again. Only
 rewrite_validation writes it, under the writer lock: after a new fact file
 is renamed in, or, when no annotation changed, if the handle's rows were
 not all copied from a checkpoint covering the committed fact file (its
@@ -219,8 +224,8 @@ def _opt_float(cell: str) -> float | None:
     return None if cell == "" else float(cell)
 
 
-def _opt_str(cell: str) -> str | None:
-    return None if cell == "" else cell
+# The conversion of each survey cell, in header order; None: the text as it is.
+_SURVEY_CELLS = (None, float, float, None, _opt_float, _opt_float, int)
 
 
 def _date_problem(state: WarehouseState, row: DimDate) -> str | None:
@@ -269,7 +274,8 @@ def _fact_line(row: Sequence) -> str:
     f-string instead of a csv.writer: str() of an int, repr() of a float,
     None empty and the validation state as it is. A matched_record_id
     holding a comma, quote, line break or NUL, which csv.writer quotes (or
-    refuses, NUL on Python 3.10), goes through csv_line."""
+    refuses, NUL on Python 3.10), goes through csv_line. Unrolled, as
+    _fact_row is, for speed; a test pins both to model.FACT_COLUMNS."""
     fact_id, date_key, image_key, species_key, cx, cy, w, h, confidence, geo_x, geo_y, height, dbh, state, record = row
     if record is None:
         record = ""
@@ -285,25 +291,12 @@ def _fact_row(cells: list[str]) -> FactRow:
     fact_id = int(cells[0])
     if not -(2**63) <= fact_id < 2**63:  # the range of FactColumns.fact_id
         raise ValueError(f"fact_id {fact_id} out of range")
-    return FactRow._make(
-        (
-            fact_id,
-            int(cells[1]),
-            int(cells[2]),
-            int(cells[3]),
-            float(cells[4]),
-            float(cells[5]),
-            float(cells[6]),
-            float(cells[7]),
-            float(cells[8]),
-            float(cells[9]),
-            float(cells[10]),
-            _opt_float(cells[11]),
-            _opt_float(cells[12]),
-            cells[13],
-            _opt_str(cells[14]),
-        )
-    )
+    return FactRow._make((
+        fact_id, int(cells[1]), int(cells[2]), int(cells[3]),
+        float(cells[4]), float(cells[5]), float(cells[6]), float(cells[7]),
+        float(cells[8]), float(cells[9]), float(cells[10]), _opt_float(cells[11]), _opt_float(cells[12]),
+        cells[13], cells[14] or None,
+    ))
 
 
 DATES = Table(
@@ -334,8 +327,7 @@ SPECIES = Table(
 )
 FACTS = Table(
     "fact_tree_metrics.tbl",
-    "fact_id,date_key,image_key,species_key,bbox_cx,bbox_cy,bbox_w,bbox_h,"
-    "confidence,geo_x,geo_y,height_m,dbh_cm,validation,matched_record_id",
+    ",".join(column.stored or column.name for column in model.FACT_COLUMNS),
     row=_fact_row,
     state_field="facts",
 )
@@ -343,7 +335,9 @@ FACTS = Table(
 SURVEYS = Table(
     "",
     "record_id,geo_x,geo_y,species_code,dbh_cm,height_m,surveyed_date_key",
-    row=lambda c: SurveyRecord(c[0], float(c[1]), float(c[2]), c[3], _opt_float(c[4]), _opt_float(c[5]), int(c[6])),
+    row=lambda cells: SurveyRecord._make(
+        cell if convert is None else convert(cell) for convert, cell in zip(_SURVEY_CELLS, cells)
+    ),
 )
 
 TABLES = (DATES, IMAGES, SPECIES, FACTS)
@@ -358,13 +352,14 @@ _TAIL_BYTES = 4096
 
 # The fact checkpoint (CHECKPOINT) holds the fact columns of a prefix of the
 # fact file, so that a load from byte 0 copies them instead of parsing those
-# lines. Line 1 is _CHECKPOINT_FORMAT and the blake2b of the rest of the
-# file. Line 2 is the fact count n, the length of the prefix and the
-# blake2b of the prefix. Then come the bytes of each ARRAY_COLUMNS array (n
-# items each), then the matched record ids in UTF-8 joined by "\n", empty
-# for None.
+# lines. Line 1 is _CHECKPOINT_FORMAT, which names each array, and the
+# blake2b of the rest of the file. Line 2 is the fact count n, the length of
+# the prefix and the blake2b of the prefix. Then come the bytes of each
+# array (n items each), then the matched record ids in UTF-8 joined by "\n",
+# empty for None.
+_CHECKPOINT_ARRAYS = tuple(column for column in model.FACT_COLUMNS if column.typecode)
 _CHECKPOINT_FORMAT = "canopydw-cols 1 {} {}".format(
-    sys.byteorder, ",".join(typecode + str(array(typecode).itemsize) for _, typecode in model.ARRAY_COLUMNS)
+    sys.byteorder, ",".join(f"{c.name}:{c.typecode}{array(c.typecode).itemsize}" for c in _CHECKPOINT_ARRAYS)
 )
 
 
@@ -376,7 +371,7 @@ def _checkpoint(facts: FactColumns, text: bytes) -> bytes:
     """The checkpoint of facts, the rows that text (a whole fact file) holds."""
     body = [
         f"{len(facts)} {len(text)} {_digest(text)}\n".encode(),
-        *(memoryview(getattr(facts, name)) for name, _ in model.ARRAY_COLUMNS),
+        *(memoryview(getattr(facts, column.name)) for column in _CHECKPOINT_ARRAYS),
         "\n".join([record or "" for record in facts.matched_record_id]).encode("utf-8"),
     ]
     digest = hashlib.blake2b()
@@ -401,8 +396,8 @@ def _checkpoint_columns(blob: bytes, text: bytes) -> tuple[FactColumns, int]:
     if covered > len(text) or _digest(memoryview(text)[:covered]) != prefix:
         raise ValueError(f"prefix digest differs: the fact file's first {covered} bytes changed")
     facts, view, at = FactColumns(), memoryview(blob), counts + 1
-    for name, _ in model.ARRAY_COLUMNS:
-        column = getattr(facts, name)
+    for entry in _CHECKPOINT_ARRAYS:
+        column = getattr(facts, entry.name)
         column.frombytes(view[at : at + n * column.itemsize])
         at += n * column.itemsize
     if n:
@@ -442,6 +437,13 @@ def _append(path: Path, data: bytes) -> int:
         os.truncate(path, size)
         raise
     return len(data)
+
+
+def _inode(path: Path) -> int | None:
+    try:
+        return os.stat(path).st_ino
+    except OSError:
+        return None  # unequal to any inode
 
 
 def _fsync_dir(path: Path) -> None:
@@ -541,16 +543,9 @@ def _survey_columns(path: Path, data: bytes) -> SurveyColumns:
         # a StopIteration out of _cells would end the list early
         if len(rows) != len(lines) or set(map(len, rows)) != {SURVEYS.width}:
             raise ValueError("wrong width")
-        ids, xs, ys, codes, dbh, height, dated = map(list, zip(*rows))
-        return SurveyColumns(
-            ids,
-            list(map(float, xs)),
-            list(map(float, ys)),
-            codes,
-            list(map(_opt_float, dbh)),
-            list(map(_opt_float, height)),
-            list(map(int, dated)),
-        )
+        return SurveyColumns(*(
+            list(cells if convert is None else map(convert, cells)) for convert, cells in zip(_SURVEY_CELLS, zip(*rows))
+        ))
     except (ValueError, csv.Error):
         return SurveyColumns.of(_parse_line(path, i, line, SURVEYS) for i, line in enumerate(lines, start=first))
 
@@ -1068,7 +1063,8 @@ class Warehouse:
         Otherwise the changed facts are checked before anything is written
         (FactColumns.annotation_violations), the fact file is written anew
         and renamed in, and then its checkpoint. A failed write leaves the
-        held columns as they were.
+        held columns as they were, or closes the handle if the new fact file
+        was renamed in (as a failed COMMIT write does).
         """
         self._require_writer()
         columns = (validation, matched_record_id, height_m, dbh_cm)
@@ -1086,12 +1082,16 @@ class Warehouse:
                 problems = facts.annotation_violations(i, *columns)
                 if problems:
                     raise UnknownFactError(f"fact {facts.fact_id[i]}: " + "; ".join(problems))
+            inode = _inode(self._path(FACTS.file))
             annotated = self.state.facts = facts.copy()
             annotated.validation, annotated.matched_record_id, annotated.height_m, annotated.dbh_cm = columns
             try:
                 text = self._rewrite(FACTS)  # same fact ids, so COMMIT stays as it is
             except BaseException:
-                self.state.facts, self.table_bytes[FACTS.file] = facts, size
+                if _inode(self._path(FACTS.file)) == inode:  # not renamed in
+                    self.state.facts, self.table_bytes[FACTS.file] = facts, size
+                else:  # renamed in, perhaps not durably: a fresh open reads what holds
+                    self.close()
                 raise
             self._write_checkpoint(text)
 

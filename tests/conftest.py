@@ -38,7 +38,8 @@ def serving(root: Path, **config_kwargs):
     """A live service bound to an ephemeral port; yields the server."""
     config = ServiceConfig(bind_address="127.0.0.1:0", warehouse_root=root, **config_kwargs)
     server = make_server(config)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the serving loop's next poll: poll often
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
         yield server

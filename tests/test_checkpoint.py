@@ -5,6 +5,8 @@ root with the checkpoint moved aside, which parses every fact line.
 """
 
 import contextlib
+import errno
+import hashlib
 import logging
 import multiprocessing
 import os
@@ -559,3 +561,79 @@ def test_cold_loads_agree_with_the_text_after_any_steps(steps):
             with contextlib.suppress(WarehouseError):  # a damaged root refuses the writer
                 step(root, *args)
             _assert_loads_agree(root)
+
+
+# -- the checkpoint names its columns -------------------------------------------------
+
+# The arrays of a checkpoint written before its format line named them, in
+# the order it stored them.
+_UNNAMED_LAYOUT = (
+    "fact_id", "date_key", "image_key", "species_key", "validation",
+    "cx", "cy", "w", "h", "confidence", "geo_x", "geo_y", "height_m", "dbh_cm",
+)
+
+
+def _swap_two_names(root):
+    """Two columns of one typecode named in each other's place: the payload
+    digest still holds, only the format line tells them apart."""
+    _replace_in(CHECKPOINT, b"cx:d8,cy:d8,", b"cy:d8,cx:d8,")(root)
+
+
+def _write_unnamed_layout(root):
+    """The root's checkpoint as it was written before its format line named
+    the columns: the arrays in _UNNAMED_LAYOUT's order, and a format line of
+    their typecodes and item sizes only, digested again."""
+    path = root / CHECKPOINT
+    blob = path.read_bytes()
+    with open_warehouse(root, "ro") as wh:
+        facts = wh.state.facts
+    arrays = [getattr(facts, name) for name in _UNNAMED_LAYOUT]
+    counts = blob[blob.index(b"\n") + 1 : blob.index(b"\n", blob.index(b"\n") + 1) + 1]
+    records = "\n".join([record or "" for record in facts.matched_record_id]).encode()
+    body = b"".join([counts, *(column.tobytes() for column in arrays), records])
+    layout = ",".join(f"{column.typecode}{column.itemsize}" for column in arrays)
+    path.write_bytes(f"canopydw-cols 1 {sys.byteorder} {layout} {hashlib.blake2b(body).hexdigest()}\n".encode() + body)
+
+
+@pytest.mark.parametrize("edit", [_swap_two_names, _write_unnamed_layout])
+def test_a_checkpoint_of_another_column_layout_is_refused_and_written_again(root, edit, monkeypatch, caplog):
+    _build(root)
+    edit(root)
+    caplog.set_level(logging.WARNING, logger="canopydw.storage")
+    ro = _read(root, "ro")
+    warnings = _warnings(caplog)
+    assert len(warnings) == 1 and "format version or byte order differs" in warnings[0], warnings
+    assert _assert_loads_agree(root) == ro
+    _assert_a_no_op_reconcile_writes_only_the_checkpoint(root, monkeypatch, caplog)
+
+
+def test_a_fact_file_rewrite_that_fails_after_its_rename_closes_the_writer(root, monkeypatch):
+    """The directory fsync after a new fact file is renamed in fails: the
+    handle closes instead of going on from the columns it held before, so
+    that no later call writes a checkpoint of those over the new file."""
+    with open_warehouse(root) as wh:
+        wh.upsert_species("PSME")
+        wh.ensure_date(20240115)
+        image = wh.state.images[wh.insert_image(make_image().meta)]
+        wh.append_facts([make_draft(image, geo_x=10.0 * j, geo_y=0.0) for j in range(20)])
+        wh.save_survey("s1", [make_record(f"r{j}", 10.0 * j, 1.0) for j in range(20)])
+        reconcile_warehouse(wh, 0.3)
+        failures = [OSError(errno.EIO, "injected directory fsync failure")]
+        real_fsync_dir = storage._fsync_dir
+
+        def fsync_dir(path):
+            if failures:
+                raise failures.pop()
+            real_fsync_dir(path)
+
+        monkeypatch.setattr(storage, "_fsync_dir", fsync_dir)
+        with pytest.raises(OSError, match="injected"):
+            reconcile_warehouse(wh, 2.0)
+        assert failures == []
+        with pytest.raises(WarehouseError, match="^handle is closed$"):
+            reconcile_warehouse(wh, 0.3)
+    text = _assert_loads_agree(root)
+    with open_warehouse(root, "ro") as wh:
+        assert {fact.validation for fact in fact_rows(wh.state.facts).values()} == {"confirmed"}
+        assert _snapshot(wh) == text
+    assert list(root.glob("*.tmp")) == []
