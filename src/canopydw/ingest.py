@@ -139,15 +139,9 @@ def parse_detection_line(line: str) -> Detection | None:
 
 def _parse_size(token: str, what: str) -> float:
     value = _parse_float_token(token, what)
-    if not math.isfinite(value):
-        raise RangeError(f"{what} is not finite")
-    if value <= 0.0:
+    if -math.inf < value <= 0.0:  # _clamp_unit would snap a hair below 0 onto it
         raise RangeError(f"{what} {value!r} must be positive")
-    if value > 1.0:
-        if value <= 1.0 + _CLAMP:
-            return 1.0
-        raise RangeError(f"{what} {value!r} above 1 beyond tolerance {_CLAMP}")
-    return value
+    return _clamp_unit(value, what)
 
 
 def render_detection_line(det: Detection) -> str:

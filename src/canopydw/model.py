@@ -413,17 +413,24 @@ def fact_field_violations(fact: FactRow, dates: Container[int] = ()) -> list[str
         v.append("confidence outside [0, 1]")
     if not (math.isfinite(fact.geo_x) and math.isfinite(fact.geo_y)):
         v.append("geo coordinates not finite")
-    if fact.height_m is not None and not (math.isfinite(fact.height_m) and fact.height_m > 0):
+    return v + annotation_violations(fact.validation, fact.matched_record_id, fact.height_m, fact.dbh_cm)
+
+
+def annotation_violations(
+    validation: str, matched_record_id: str | None, height_m: float | None, dbh_cm: float | None
+) -> list[str]:
+    """The rules of a fact's annotated cells, which a load (through
+    fact_field_violations) and an annotation write (Warehouse.rewrite_validation)
+    both check. A measure of None is missing, or is not checked."""
+    v = []
+    if height_m is not None and not (math.isfinite(height_m) and height_m > 0):
         v.append("height_m must be positive when present")
-    if fact.dbh_cm is not None and not (math.isfinite(fact.dbh_cm) and fact.dbh_cm > 0):
+    if dbh_cm is not None and not (math.isfinite(dbh_cm) and dbh_cm > 0):
         v.append("dbh_cm must be positive when present")
-    if fact.validation not in VALIDATION_STATES:
-        v.append(f"validation {fact.validation!r} not one of {VALIDATION_STATES}")
-    else:
-        has_record = bool(fact.matched_record_id)  # "" is stored as an empty cell, which loads as None
-        needs_record = fact.validation in ("confirmed", "species_mismatch")
-        if has_record != needs_record:
-            v.append("matched_record_id inconsistent with validation state")
+    if validation not in VALIDATION_STATES:
+        v.append(f"validation {validation!r} not one of {VALIDATION_STATES}")
+    elif bool(matched_record_id) != (validation in ("confirmed", "species_mismatch")):
+        v.append("matched_record_id inconsistent with validation state")  # "" is stored empty, and loads as None
     return v
 
 
@@ -478,7 +485,7 @@ UNMATCHED = _VALIDATION_CODES["unmatched"]
 _NAN = float("nan")
 
 
-def _same_cell(held: float, value: float) -> bool:
+def same_cell(held: float, value: float) -> bool:
     """Whether value, put in a float column that holds held, renders as held
     does: both NaN (an empty cell), or equal with the same sign (0.0 and -0.0
     render apart)."""
@@ -505,8 +512,8 @@ class FactColumns:
     fact_id), or as the cells of its FactRow through cells. Only append
     changes it. An annotation is given as four whole columns
     (validation codes, record ids, heights, DBHs): annotation_changes
-    tells where it would change a stored cell, so that a writer copies and
-    rewrites nothing otherwise.
+    tells where it would change a stored cell, so that a writer checks
+    (annotation_violations), copies and rewrites nothing otherwise.
     """
 
     __slots__ = FactRow._fields
@@ -557,7 +564,7 @@ class FactColumns:
         cell. A column equal to the held one as a whole is not looked into:
         the codes and record ids compare with ==, the floats by their bytes,
         so -0.0 differs from 0.0 and the NaN of a missing value (always _NAN
-        here) equals itself. Where bytes differ, _same_cell decides."""
+        here) equals itself. Where bytes differ, same_cell decides."""
         changed: set[int] = set()
         for new, old in ((validation, self.validation), (matched_record_id, self.matched_record_id)):
             if new != old:
@@ -565,29 +572,8 @@ class FactColumns:
         for new, old in ((height_m, self.height_m), (dbh_cm, self.dbh_cm)):
             if new.tobytes() != old.tobytes():
                 differ = compress(count(), map(ne, _bits(new), _bits(old)))
-                changed.update(i for i in differ if not _same_cell(old[i], new[i]))
+                changed.update(i for i in differ if not same_cell(old[i], new[i]))
         return sorted(changed)
-
-    def annotation_violations(
-        self, i: int, validation: array, matched_record_id: list[str | None], height_m: array, dbh_cm: array
-    ) -> list[str]:
-        """Why the fact at position i, given the annotation at i of these
-        columns, would be refused by fact_field_violations when loaded, or
-        could not be written. An empty record id is stored as an empty cell,
-        which loads as None. A height or dbh that changes must be positive."""
-        code, record = validation[i], matched_record_id[i]
-        if not 0 <= code < len(VALIDATION_STATES):
-            return [f"bad validation code {code}"]
-        v = []
-        if bool(record) != (code in (CONFIRMED, SPECIES_MISMATCH)):
-            v.append("matched_record_id inconsistent with validation state")
-        elif record and (problem := text_problem(record)):
-            v.append(f"matched_record_id {problem}")
-        for name, new in (("height_m", height_m), ("dbh_cm", dbh_cm)):
-            value = new[i]
-            if not _same_cell(getattr(self, name)[i], value) and not (math.isfinite(value) and value > 0):
-                v.append(f"{name} must be positive when present")
-        return v
 
     def cells(self) -> Iterator[tuple]:
         """Each fact's stored cells, in fact order: the fields of its FactRow."""

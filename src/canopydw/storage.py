@@ -491,6 +491,11 @@ class FileLock:
             os.close(fd)
 
 
+def _kind(column: Sequence) -> str:
+    """A column's type as FactColumns holds it: array('d'), list, ..."""
+    return f"array({column.typecode!r})" if isinstance(column, array) else type(column).__name__
+
+
 def _read_bytes(path: Path) -> bytes:
     try:
         return path.read_bytes()
@@ -1052,7 +1057,8 @@ class Warehouse:
     ) -> None:
         """Give the held facts this validation annotation: one entry per fact
         in each column, in fact order, typed as the FactColumns ones (codes
-        index VALIDATION_STATES, NaN is a missing measure). Every other fact
+        index VALIDATION_STATES, NaN is a missing measure); a column of
+        another length or type is refused with ValueError. Every other fact
         field stays unchanged; the columns become the held ones.
 
         The columns are compared whole with the held ones
@@ -1060,18 +1066,24 @@ class Warehouse:
         fact file keeps its bytes and inode, and only a checkpoint that does
         not cover every committed fact row (a load fell back, or rows were
         appended past it) is written, from the fact file's committed bytes.
-        Otherwise the changed facts are checked before anything is written
-        (FactColumns.annotation_violations), the fact file is written anew
-        and renamed in, and then its checkpoint. A failed write leaves the
-        held columns as they were, or closes the handle if the new fact file
-        was renamed in (as a failed COMMIT write does).
+        Otherwise each changed fact is checked before anything is written,
+        by the row rule (model.annotation_violations, given the measures that
+        change: a present one may not become missing) and as storable text.
+        Then the fact file is written anew and renamed in, and then its
+        checkpoint. A failed write leaves the held columns as they were, or
+        closes the handle if the new fact file was renamed in (as a failed
+        COMMIT write does).
         """
         self._require_writer()
         columns = (validation, matched_record_id, height_m, dbh_cm)
         with self._mutex:
             facts = self.state.facts
-            if any(len(column) != len(facts) for column in columns):
-                raise ValueError(f"an annotation column does not hold {len(facts)} entries")
+            for name, column in zip(("validation", "matched_record_id", "height_m", "dbh_cm"), columns):
+                held = getattr(facts, name)
+                if len(column) != len(held):
+                    raise ValueError(f"an annotation column does not hold {len(facts)} entries")
+                if _kind(column) != _kind(held):
+                    raise ValueError(f"annotation column {name} must be {_kind(held)}, not {_kind(column)}")
             changed = facts.annotation_changes(*columns)
             size = self.table_bytes[FACTS.file]
             if not changed:
@@ -1079,7 +1091,14 @@ class Warehouse:
                     self._write_checkpoint(_read_bytes(self._path(FACTS.file))[:size])
                 return
             for i in changed:
-                problems = facts.annotation_violations(i, *columns)
+                code, record = validation[i], matched_record_id[i]
+                if not 0 <= code < len(model.VALIDATION_STATES):
+                    raise UnknownFactError(f"fact {facts.fact_id[i]}: bad validation code {code}")
+                height = None if model.same_cell(facts.height_m[i], height_m[i]) else height_m[i]
+                dbh = None if model.same_cell(facts.dbh_cm[i], dbh_cm[i]) else dbh_cm[i]
+                problems = model.annotation_violations(model.VALIDATION_STATES[code], record, height, dbh)
+                if record and (problem := model.text_problem(record)):
+                    problems.append(f"matched_record_id {problem}")
                 if problems:
                     raise UnknownFactError(f"fact {facts.fact_id[i]}: " + "; ".join(problems))
             inode = _inode(self._path(FACTS.file))

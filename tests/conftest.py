@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "default",
     deadline=None,
+    print_blob=True,  # a failing property prints its @reproduce_failure blob, in CI too
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")

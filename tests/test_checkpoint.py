@@ -8,6 +8,7 @@ import contextlib
 import errno
 import hashlib
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -15,18 +16,25 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canopydw import storage
-from canopydw.errors import WarehouseError
-from canopydw.model import FactColumns, encode_date_key
+from canopydw.errors import UnknownFactError, WarehouseError
+from canopydw.model import (
+    VALIDATION_STATES,
+    FactColumns,
+    encode_date_key,
+    fact_field_violations,
+    text_problem,
+)
 from canopydw.reconcile import reconcile_warehouse
 from canopydw.storage import CHECKPOINT, FACTS, IMAGES, SPECIES, SnapshotCache, open_warehouse
 
 from helpers import annotation, counted_fact_parses, fact_rows, make_draft, make_image, make_record
 
 ASIDE = "checkpoint.aside"
+NAN = float("nan")
 
 
 @pytest.fixture
@@ -476,6 +484,113 @@ def test_rewrite_validation_refuses_an_annotation_no_load_would_accept(root):
                 wh.rewrite_validation(*annotation(wh.state.facts, {1: update}))
             assert str(err.value) == reason
     assert ((root / FACTS.file).read_bytes(), (root / CHECKPOINT).read_bytes()) == stored
+
+
+def _reconciled(root, n):
+    """n facts on one image, each with a height or a DBH, of which a survey
+    matches the first two: reconciled once."""
+    with open_warehouse(root) as wh:
+        wh.upsert_species("PSME")
+        wh.ensure_date(20240115)
+        image = wh.state.images[wh.insert_image(make_image().meta)]
+        wh.append_facts([
+            make_draft(image, geo_x=10.0 * j, geo_y=1.0, **{("height_m", "dbh_cm")[j % 2]: 7.5}) for j in range(n)
+        ])
+        wh.save_survey("s1", [make_record("r1", 0.0, 1.0), make_record("r2", 10.0, 1.0)])
+        reconcile_warehouse(wh, 2.0)
+
+
+_KEEP = object()
+# The values each annotated cell may change to: a code, a record id, a
+# height and a DBH.
+_CELL_VALUES = (
+    (-1, 0, 1, 2, 3, 4),
+    (None, "", "r1", "a,b", "r\n1", "\ud800"),
+    (NAN, 2.5, 0.0, -0.0, -1.0, math.inf),
+    (NAN, 2.5, 0.0, -0.0, -1.0, math.inf),
+)
+# A fact's four annotated cells, each kept or changed so that a load accepts them
+_ACCEPTED_CELLS = st.builds(
+    lambda state, height, dbh: (*state, height, dbh),
+    st.sampled_from([(_KEEP, _KEEP), (0, None), (3, ""), (1, "r1"), (2, "a,b")]),
+    *[st.sampled_from([_KEEP, 2.5])] * 2,
+)
+# One cell of one fact changed to any of its values: (fact, cell, value)
+_ANY_CELL = st.tuples(
+    st.integers(0, 4), st.integers(0, 3).flatmap(lambda k: st.tuples(st.just(k), st.sampled_from(_CELL_VALUES[k])))
+)
+
+
+def _stored(value):
+    """A measure as a stored line holds it: a missing one (None, or NaN in a
+    column) is an empty cell."""
+    return "" if value is None or value != value else repr(value)
+
+
+def _refused(rows, annotated):
+    """Whether a load or the writer would refuse the annotation (four
+    columns) of these held FactRows, at a fact where a cell changes: by the
+    row rule or the text rule, or as a present measure that becomes
+    missing."""
+    for row, code, record, height, dbh in zip(rows, *annotated):
+        if (code, record, _stored(height), _stored(dbh)) == (
+            VALIDATION_STATES.index(row.validation), row.matched_record_id, _stored(row.height_m), _stored(row.dbh_cm)
+        ):
+            continue  # nothing changes
+        if not 0 <= code < len(VALIDATION_STATES):
+            return True
+        height, dbh = (None if value != value else value for value in (height, dbh))
+        cells = dict(height_m=height, dbh_cm=dbh, validation=VALIDATION_STATES[code], matched_record_id=record)
+        if fact_field_violations(row._replace(**cells)) or (record and text_problem(record)):
+            return True
+        if (row.height_m is not None and height is None) or (row.dbh_cm is not None and dbh is None):
+            return True
+    return False
+
+
+def _annotation(facts):
+    """The four annotation columns facts (a FactColumns) hold."""
+    return facts.validation, facts.matched_record_id, facts.height_m, facts.dbh_cm
+
+
+def _frozen(columns):
+    """Annotation columns as a comparable copy, floats as their bytes."""
+    validation, records, height_m, dbh_cm = columns
+    return validation.tobytes(), tuple(records), height_m.tobytes(), dbh_cm.tobytes()
+
+
+@settings(max_examples=50)
+@given(edits=st.lists(_ACCEPTED_CELLS, min_size=3, max_size=5), wild=st.lists(_ANY_CELL, max_size=3))
+@example(edits=[(_KEEP,) * 4] * 3, wild=[(0, (2, NAN))])  # fact 1's height becomes missing
+@example(edits=[(_KEEP,) * 4] * 3, wild=[(1, (1, "r\n1"))])  # confirmed fact 2 takes a record id no load reads
+def test_rewrite_validation_refuses_exactly_the_annotations_a_load_or_the_writer_would_refuse(edits, wild):
+    for i, (k, value) in wild:  # up to three cells take any value: about half the annotations are refused
+        cells = list(edits[i % len(edits)])
+        cells[k] = value
+        edits[i % len(edits)] = tuple(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "wh"
+        _reconciled(root, len(edits))
+        stored = (root / FACTS.file).read_bytes(), (root / CHECKPOINT).read_bytes()
+        with open_warehouse(root) as wh:
+            held = _frozen(_annotation(wh.state.facts))
+            columns = tuple(column[:] for column in _annotation(wh.state.facts))
+            for i, cells in enumerate(edits):
+                for column, cell in zip(columns, cells):
+                    if cell is not _KEEP:
+                        column[i] = cell
+            annotated = _frozen(columns)
+            refused = _refused(list(fact_rows(wh.state.facts).values()), columns)
+            try:
+                wh.rewrite_validation(*columns)
+            except UnknownFactError:
+                assert refused
+                assert _frozen(_annotation(wh.state.facts)) == held
+                assert ((root / FACTS.file).read_bytes(), (root / CHECKPOINT).read_bytes()) == stored
+                return
+            assert not refused
+            assert _frozen(_annotation(wh.state.facts)) == annotated
+        _assert_loads_agree(root)
 
 
 # -- the oracle: every cold load agrees with the text ---------------------------------

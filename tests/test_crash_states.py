@@ -170,6 +170,37 @@ def test_every_crash_state_of_an_ingest_batch_opens_before_or_after_it(tmp_path,
     _check_states(tmp_path, base, states, before, after)
 
 
+def _nul_states(effects):
+    """A crash inside each append whose new size persisted but not its bytes,
+    which read back as NULs (ext4 in writeback mode allows it): one and two
+    lines' worth, and one line's worth that ends in its newline."""
+    for k, (kind, path, data) in enumerate(effects):
+        if kind == "append":
+            line = data.index(b"\n") + 1
+            for tail in (b"\0" * line, b"\0" * 2 * line, b"\0" * (line - 1) + b"\n"):
+                yield f"after {k} effects and {len(tail)} NULs ending {tail[-1:]!r}", effects[:k], (path, tail)
+
+
+def test_every_crash_state_of_an_ingest_batch_whose_append_reads_back_as_nuls_holds_the_committed_facts(
+    tmp_path, monkeypatch
+):
+    base = tmp_path / "base"
+    _base(base)
+    clean = (base / FACTS.file).read_bytes()
+    effects, _, before, after = _states_of(tmp_path, monkeypatch, base, lambda root: _batch(root, 2))
+    states = list(_nul_states(effects))
+    assert len(states) == 3
+    # the torn-line rule: every open holds the committed facts, and a read-write open cuts the tail off
+    _check_states(tmp_path, base, states, before, (*after[:3], before[3], after[4]))
+    for name, done, cut in states:
+        root = tmp_path / "cut"
+        shutil.copytree(base, root)
+        _apply(root, done, cut)
+        open_warehouse(root).close()
+        assert (root / FACTS.file).read_bytes() == clean, name
+        shutil.rmtree(root)
+
+
 def _rows_past_commit(root):
     """Fact 3 appended but never committed, then a torn line."""
     path = root / FACTS.file

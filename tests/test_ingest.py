@@ -24,6 +24,7 @@ from canopydw.ingest import (
     parse_detection_line,
     parse_image_manifest,
     render_detection_line,
+    _parse_size,
 )
 from canopydw.model import BoundingBox, Geotransform
 from canopydw.storage import SPECIES, open_warehouse
@@ -89,6 +90,38 @@ def test_parse_structural_errors(line, fragment):
 def test_parse_range_errors(line):
     with pytest.raises(RangeError):
         parse_detection_line(line)
+
+
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        ("0", (RangeError, "w 0.0 must be positive")),
+        ("-0.0", (RangeError, "w -0.0 must be positive")),
+        ("-0.001", (RangeError, "w -0.001 must be positive")),
+        ("-inf", (RangeError, "w is not finite")),
+        ("inf", (RangeError, "w is not finite")),
+        ("nan", (RangeError, "w is not finite")),
+        ("-nan", (RangeError, "w is not finite")),
+        ("1e-300", 1e-300),
+        ("5e-324", 5e-324),
+        ("0.5", 0.5),
+        ("1", 1.0),
+        ("1.0049", 1.0),
+        ("1.005", 1.0),
+        ("1.0051", (RangeError, "w 1.0051 above 1 beyond tolerance 0.005")),
+        ("1.006", (RangeError, "w 1.006 above 1 beyond tolerance 0.005")),
+        ("1e308", (RangeError, "w 1e+308 above 1 beyond tolerance 0.005")),
+        ("oops", (ParseError, "w 'oops' is not a number")),
+        ("", (ParseError, "w '' is not a number")),
+    ],
+)
+def test_a_box_size_is_positive_and_at_most_1_within_tolerance(token, expected):
+    """A box's w or h: the value it parses to, or the type and text of its refusal."""
+    try:
+        got = _parse_size(token, "w")
+    except (ParseError, RangeError) as exc:
+        got = type(exc), str(exc)
+    assert got == expected
 
 
 def test_parse_clamps_boundary_noise():

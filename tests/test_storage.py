@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from array import array
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,33 @@ def test_rewrite_validation_refuses_a_column_of_the_wrong_length_before_writing(
                         wh.rewrite_validation(*columns)
                 assert replaced == []
                 assert fact_rows(wh.state.facts) == held
+    assert (root / FACT_TABLE).read_bytes() == stored
+
+
+@pytest.mark.parametrize(
+    "k, wrong, refusal",
+    [
+        (0, lambda column: array("i", column), "validation must be array('b'), not array('i')"),
+        (1, tuple, "matched_record_id must be list, not tuple"),
+        (2, lambda column: array("f", column), "height_m must be array('d'), not array('f')"),
+        (3, list, "dbh_cm must be array('d'), not list"),
+    ],
+    ids=["int-codes", "tuple-ids", "float32-heights", "list-dbhs"],
+)
+def test_rewrite_validation_refuses_a_column_of_the_wrong_type_before_writing(
+    root, monkeypatch, k, wrong, refusal
+):
+    with _base(root) as wh:
+        wh.append_facts([make_draft(wh.state.images[1])] * 2)
+        held = fact_rows(wh.state.facts)
+        stored = (root / FACT_TABLE).read_bytes()
+        columns = list(annotation(wh.state.facts, {1: ("confirmed", "r-a-longer-id", 12.5, 3.0)}))
+        columns[k] = wrong(columns[k])
+        with _replaced_files(monkeypatch) as replaced:
+            with pytest.raises(ValueError, match=f"^{re.escape('annotation column ' + refusal)}$"):
+                wh.rewrite_validation(*columns)
+        assert replaced == []
+        assert fact_rows(wh.state.facts) == held
     assert (root / FACT_TABLE).read_bytes() == stored
 
 
