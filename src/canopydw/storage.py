@@ -34,15 +34,20 @@ TABLES, DIMENSIONS (in load order) and SURVEYS for survey files.
 
 Commit protocol: dimension rows and facts are staged by a batch
 (Warehouse.batch; each method that adds them is a batch of its own) and
-committed once, when the outermost batch ends. Each dimension table the
-batch changed is rewritten whole via write-then-rename, in DIMENSIONS
-order; then all the batch's fact rows are appended with one fsync, and they
-become visible only once the COMMIT marker (also written via rename)
-records the batch's last fact_id. A crash before COMMIT moves leaves rows
-past the marker. A load reads the committed rows up to the first row past
-the marker or a torn last line, and nothing after them; the next rw open
-cuts the rest off. The facts are as before the batch, and the batch's
-dimension rows stay, unreferenced. Dimension rows are never mutated or
+committed once, when the outermost batch ends. The new rows of each
+dimension table the batch changed are appended, in key order, in
+DIMENSIONS order (dim_date is rewritten whole via write-then-rename
+instead when a new date sorts before a stored one; see
+Warehouse._write_rows); then all the batch's fact rows are appended with
+one fsync, and they become visible only once the COMMIT marker (written via
+rename) records the batch's last fact_id. A crash before COMMIT moves
+leaves rows past the marker. A load reads the committed rows up to the
+first row past the marker or a torn last line, and nothing after them. No
+COMMIT vouches for a dimension line, so a load leaves out a last dimension
+line without its newline or starting with a NUL (Warehouse._load_dimension).
+The next rw open cuts every such tail off, before it writes. The facts are
+as before the batch, and the batch's whole dimension rows stay,
+unreferenced. Dimension rows are never mutated or
 deleted; the single sanctioned fact mutation is the validation annotation
 (Warehouse.rewrite_validation, given as columns, one entry per fact). It
 writes the fact file anew and renames it in, but only when some annotation
@@ -111,7 +116,8 @@ the last two lines; a read-only open still does. On any other tail (rows
 past COMMIT, a torn or unterminated last line, a last line longer than the
 bytes read back, no COMMIT) the writer keeps the COMMIT and dimension rows
 it read and loads the fact rows from byte 0; the fact file is then cut back
-to the committed rows by rewriting it and renaming it in.
+to the committed rows by rewriting it and renaming it in, as is a dimension
+file with a torn tail (Warehouse._cut).
 
 Every durable write goes through one of two functions: _atomic_write
 replaces a file (write, fsync, rename, fsync of the directory; a failed
@@ -215,9 +221,13 @@ class Table:
         """The table's rows in state."""
         return getattr(state, self.state_field)
 
-    def text(self, lines: Iterable[Sequence[object]]) -> str:
-        """A whole file of this table whose rows have the cells in lines."""
-        return self.header + "\n" + "".join(csv_line(cells) + "\n" for cells in lines)
+    def lines(self, rows: Iterable[Any]) -> str:
+        """The stored lines of rows, each ending in its newline."""
+        return "".join([csv_line(self.cells(row)) + "\n" for row in rows])
+
+    def text(self, rows: Iterable[Any]) -> str:
+        """A whole file of this table holding rows."""
+        return self.header + "\n" + self.lines(rows)
 
 
 def _opt_float(cell: str) -> float | None:
@@ -654,9 +664,10 @@ class Warehouse:
         # held by a batch for its whole length (see batch)
         self._mutex = threading.RLock()
         self._batches = 0  # batches open, nested ones included
-        # what the open batch has staged: dimension tables to write anew,
-        # and fact rows to append (not in state until they are written)
-        self._rewrites: set[Table] = set()
+        # what the open batch has staged: new dimension rows by table (in
+        # state already), and fact rows to append (not in state until they
+        # are written)
+        self._new_rows: dict[Table, list] = {}
         self._appends: list[FactRow] = []
         # the fact_id of the last row on disk that this handle read or wrote
         self._last_fact_id = 0
@@ -718,11 +729,22 @@ class Warehouse:
         in the held bytes is already in self.state, one line each (a load
         refuses blank and duplicate lines), so a tail refresh runs the same
         row checks as a full load.
+
+        Dimension rows are appended, and no COMMIT vouches for them, so a
+        last line that an interrupted or unfinished append may have left is
+        not loaded: one without its newline, or one that starts with a NUL
+        (an append whose size persisted but not its bytes). Any other last
+        line is parsed and checked like the rest. The bytes held count the
+        header and each loaded row with its newline, so they differ from
+        the file's size exactly when such a tail is left out (or the header
+        has no newline); SnapshotCache.open_writer then cuts the file back.
         """
         path = self._path(table.file)
         rows = table.rows(self.state)
         held = self.table_bytes.get(table.file, 0)
         lines, first = _table_lines(path, data[held:], table, len(rows) + 2 if held else 1)
+        if lines and (not data.endswith(b"\n") or lines[-1].startswith(b"\0")):
+            del lines[-1]  # a torn append
         for line_no, line in enumerate(lines, start=first):
             row = _parse_line(path, line_no, line, table)
             key = getattr(row, table.key)
@@ -733,7 +755,7 @@ class Warehouse:
             if problem:
                 raise CorruptTableError(path, line_no, problem)
             table.add(self.state, row)
-        self.table_bytes[table.file] = len(data)
+        self.table_bytes[table.file] = (held or len(table.header) + 1) + sum(len(line) + 1 for line in lines)
 
     def _load_dimensions(self, tables: Mapping[str, bytes]) -> None:
         """Load each dimension file's bytes in tables, in DIMENSIONS order."""
@@ -892,10 +914,20 @@ class Warehouse:
             text = "\n".join([FACTS.header, *map(_fact_line, rows.cells()), ""])
             self._checkpoint_bytes = 0  # until the checkpoint of the new file is written
         else:
-            text = table.text(table.cells(rows[key]) for key in sorted(rows))
+            text = table.text(rows[key] for key in sorted(rows))
         data = text.encode("utf-8")
         self.table_bytes[table.file] = _atomic_write(self._path(table.file), data)
         return data
+
+    def _cut(self, table: Table, size: int) -> None:
+        """Rewrite table's file, of size bytes, from the rows held, whose
+        bytes differ: a torn or uncommitted tail is cut off (and logged),
+        and a last row without its newline gets one."""
+        kept = self.table_bytes[table.file]
+        if size > kept:
+            path = self._path(table.file)
+            log.warning("%s: kept %d bytes, cut %d bytes of a torn or uncommitted tail", path, kept, size - kept)
+        self._rewrite(table)
 
     def _write_checkpoint(self, text: bytes) -> None:
         """Write the checkpoint of the fact rows held, which text, the fact
@@ -920,12 +952,13 @@ class Warehouse:
         upsert_species, ensure_date and insert_image put their rows in state
         at once, and append_facts checks its drafts and assigns their ids at
         once, but nothing reaches disk until the outermost batch ends. Then
-        each changed dimension is rewritten, in DIMENSIONS order, all fact
-        rows are appended with one fsync, and COMMIT moves once. Each of
-        those methods is a batch of its own, so outside a batch a call has
-        committed when it returns. An exception inside the block still
-        commits what was staged before it, and then propagates. Writes from
-        other threads wait until the batch has committed.
+        the new rows of each changed dimension are appended (see
+        _write_rows), in DIMENSIONS order, all fact rows are appended with
+        one fsync, and COMMIT moves once. Each of those methods is a batch
+        of its own, so outside a batch a call has committed when it
+        returns. An exception inside the block still commits what was
+        staged before it, and then propagates. Writes from other threads
+        wait until the batch has committed.
         """
         with self._mutex:
             self._batches += 1
@@ -936,20 +969,41 @@ class Warehouse:
                 if not self._batches:
                     self._flush()
 
+    def _stage(self, table: Table, row: Any) -> None:
+        """Put a new dimension row in state, and stage it for the batch's write."""
+        table.add(self.state, row)
+        self._new_rows.setdefault(table, []).append(row)
+
+    def _write_rows(self, table: Table, new: list) -> None:
+        """Write the new rows of a dimension, which state already holds.
+
+        They are appended in key order: image and species keys continue past
+        the largest one held, so the file stays sorted by key and has the
+        bytes a rewrite of it would. dim_date is rewritten whole instead
+        when a new date sorts before one already stored.
+        """
+        keys = {getattr(row, table.key) for row in new}
+        if table is DATES and max(self.state.dates.keys() - keys, default=0) > min(keys):
+            self._rewrite(table)
+            return
+        data = table.lines(sorted(new, key=lambda row: getattr(row, table.key))).encode("utf-8")
+        self.table_bytes[table.file] += _append(self._path(table.file), data)
+
     def _flush(self) -> None:
         """Write what the batch staged: dimensions, then facts, then COMMIT.
 
-        A dimension whose rewrite fails stays staged. Staged fact rows are
-        dropped when they cannot all be written; the append is cut back
-        off the file, so COMMIT and the committed rows stay as they were.
-        When the COMMIT write fails (perhaps after COMMIT moved), the handle
-        holds none of the rows and closes; the next rw open repairs the root.
+        A dimension whose write fails stays staged (a failed append is cut
+        back off). Staged fact rows are dropped when they cannot all be
+        written; the append is cut back off the file, so COMMIT and the
+        committed rows stay as they were. When the COMMIT write fails
+        (perhaps after COMMIT moved), the handle holds none of the rows and
+        closes; the next rw open repairs the root.
         """
         rows, self._appends = self._appends, []
         for table in DIMENSIONS:
-            if table in self._rewrites:
-                self._rewrite(table)
-                self._rewrites.discard(table)
+            if table in self._new_rows:
+                self._write_rows(table, self._new_rows[table])
+                del self._new_rows[table]
         if not rows:
             return
         data = "".join([_fact_line(row) + "\n" for row in rows]).encode("utf-8")
@@ -996,8 +1050,7 @@ class Warehouse:
                 common_name=common_name,
                 conservation_status=conservation_status,
             )
-            self.state.add_species(row)
-            self._rewrites.add(SPECIES)
+            self._stage(SPECIES, row)
             return key
 
     def ensure_date(self, date_key: int) -> int:
@@ -1006,8 +1059,7 @@ class Warehouse:
         row = model.derive_date(date_key)
         with self.batch():
             if date_key not in self.state.dates:
-                self.state.add_date(row)
-                self._rewrites.add(DATES)
+                self._stage(DATES, row)
         return date_key
 
     def insert_image(self, meta: ImageMeta) -> int:
@@ -1025,9 +1077,7 @@ class Warehouse:
             if existing is not None:
                 return existing
             key = self._next_image_key
-            row = DimImage(key, *meta)
-            self.state.add_image(row)
-            self._rewrites.add(IMAGES)
+            self._stage(IMAGES, DimImage(key, *meta))
             return key
 
     def append_facts(self, drafts: Sequence[FactDraft]) -> list[int]:
@@ -1084,6 +1134,9 @@ class Warehouse:
                     raise ValueError(f"an annotation column does not hold {len(facts)} entries")
                 if _kind(column) != _kind(held):
                     raise ValueError(f"annotation column {name} must be {_kind(held)}, not {_kind(column)}")
+            if "" in matched_record_id:  # stored as an empty cell, which every load reads as None
+                matched_record_id = [record or None for record in matched_record_id]
+                columns = (validation, matched_record_id, height_m, dbh_cm)
             changed = facts.annotation_changes(*columns)
             size = self.table_bytes[FACTS.file]
             if not changed:
@@ -1214,7 +1267,9 @@ class SnapshotCache:
     same order and through the same row checks, but parses only what is new
     since the last call:
     - a dimension file is re-read when its (inode, size, mtime) changed, and
-      parsed past the bytes held: a writer rewrites it whole, sorted by key.
+      parsed past the bytes held: a writer appends to it (or rewrites
+      dim_date, sorted by key). The bytes held are those of its whole rows:
+      a torn last line is parsed once a later refresh finds it whole.
     - the fact file is held open, so that its inode number cannot be
       reused, and parsed only past the bytes of the committed rows held.
     The held rows go on only while each re-read dimension starts with its
@@ -1260,8 +1315,9 @@ class SnapshotCache:
         With none, the handle reads COMMIT and each dimension once; a clean
         fact tail (Warehouse._tail_is_clean) leaves its fact rows unread
         (_FactsOnFirstRead), any other is loaded from byte 0. Either way it
-        then cuts the fact file back to the committed rows by rewriting it
-        when it holds more bytes than those, and writes a missing COMMIT.
+        then rewrites each table file whose size differs from the bytes of
+        the rows held (Warehouse._cut: a torn dimension line, fact rows past
+        COMMIT), before anything appends to it, and writes a missing COMMIT.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         lock = FileLock(self.root / LOCK_FILE)
@@ -1274,23 +1330,24 @@ class SnapshotCache:
             wh = Warehouse(self.root, "rw", lock)
             with self._mutex:
                 snap = self._handle and self._refresh(self._handle)
-                facts_key = snap and self._facts_key
+                facts_key, dims = snap and self._facts_key, self._dims
             if snap is None:
-                committed, _, tables = self._read_changes(wh, None)
+                committed, dims, tables = self._read_changes(wh, None)
                 wh._load_dimensions(tables)
                 if wh._tail_is_clean(committed):
                     wh.state = _FactsOnFirstRead(wh, committed)
-                    return wh
-                size = wh._load_all_facts(committed)
+                    size = wh.table_bytes[FACTS.file]
+                else:
+                    size = wh._load_all_facts(committed)
             else:
                 committed, size, _ = facts_key
                 wh.state = snap.state.copy()
                 wh.table_bytes = dict(snap.table_bytes)
                 wh._last_fact_id, wh._checkpoint_bytes = snap._last_fact_id, snap._checkpoint_bytes
-            if wh.table_bytes[FACTS.file] != size:
-                # drop the rows past the committed ones, and end the last row
-                # with a newline so that the next append starts a line of its own
-                wh._rewrite(FACTS)
+            for table in TABLES:
+                stored = size if table is FACTS else dims[table.file][0][1]
+                if wh.table_bytes[table.file] != stored:
+                    wh._cut(table, stored)
             if committed is None:
                 # marker missing (externally assembled warehouse): adopt as-is
                 wh._write_commit(wh._last_fact_id)
@@ -1352,6 +1409,8 @@ class SnapshotCache:
             new._checkpoint_bytes = old._checkpoint_bytes
         try:
             new._load_dimensions(tables)
+            for file, data in tables.items():  # hold the bytes of the rows loaded
+                dims[file] = dims[file][0], data[: new.table_bytes[file]]
             last = new._load_facts(fh, committed)
         except BaseException:
             if fh is not self._facts_fh:

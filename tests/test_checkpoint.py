@@ -579,7 +579,8 @@ def test_rewrite_validation_refuses_exactly_the_annotations_a_load_or_the_writer
                 for column, cell in zip(columns, cells):
                     if cell is not _KEEP:
                         column[i] = cell
-            annotated = _frozen(columns)
+            validation, records, height_m, dbh_cm = columns  # an empty record id is held as None, as loads read it
+            annotated = _frozen((validation, [record or None for record in records], height_m, dbh_cm))
             refused = _refused(list(fact_rows(wh.state.facts).values()), columns)
             try:
                 wh.rewrite_validation(*columns)

@@ -27,7 +27,7 @@ import pytest
 from canopydw import storage
 from canopydw.ingest import ClassMap, detection_file_name, ingest_image_batch
 from canopydw.reconcile import reconcile_warehouse
-from canopydw.storage import CHECKPOINT, DATES, FACTS, IMAGES, SPECIES, SnapshotCache, open_warehouse
+from canopydw.storage import CHECKPOINT, DATES, DIMENSIONS, FACTS, IMAGES, SPECIES, SnapshotCache, open_warehouse
 
 from helpers import counted_fact_parses, fact_rows, logical_state, make_draft, make_image, make_record
 
@@ -124,9 +124,30 @@ def _check(handle, before, after, name):
     return len(state[3])
 
 
+def _kept(torn):
+    """The bytes of a torn append that a read-write open keeps: its whole
+    lines, unless they start with a NUL."""
+    whole = torn[: torn.rfind(b"\n") + 1]
+    return b"" if whole.startswith(b"\0") else whole
+
+
+def _dimension_bytes(base, done, cut):
+    """Each dimension file's bytes once a read-write open has repaired the
+    crash state of base with done and cut: the torn append cut back to the
+    lines it keeps."""
+    files = {table.file: (base / table.file).read_bytes() for table in DIMENSIONS}
+    for kind, name, data in done:
+        if str(name) in files:
+            files[str(name)] = data if kind == "replace" else files[str(name)] + data
+    if cut is not None and str(cut[0]) in files:
+        files[str(cut[0])] += _kept(cut[1])
+    return files
+
+
 def _check_states(tmp_path, base, states, before, after):
     """Rebuild each crash state on a copy of base and check that every open
-    holds before or after, and that the next batch succeeds."""
+    holds before or after, that a read-write open cuts each dimension file
+    back to the lines it loads, and that the next batch succeeds."""
     for i, (name, done, cut) in enumerate(states):
         root = tmp_path / f"state{i}"
         shutil.copytree(base, root)
@@ -139,6 +160,8 @@ def _check_states(tmp_path, base, states, before, after):
                 assert _check(wh, before, after, name) == n, name
             with open_warehouse(root) as wh:  # logical_state reads state.facts
                 assert _check(wh, before, after, name) == n, name
+            expected = _dimension_bytes(base, done, cut)
+            assert {file: (root / file).read_bytes() for file in expected} == expected, name
             _batch(root, 10)  # the next batch succeeds
             with open_warehouse(root, "ro") as wh:
                 assert list(fact_rows(wh.state.facts)) == list(range(1, n + 5)), name
@@ -166,7 +189,9 @@ def test_every_crash_state_of_an_ingest_batch_opens_before_or_after_it(tmp_path,
     effects, states, before, after = _states_of(tmp_path, monkeypatch, base, lambda root: _batch(root, 2))
     assert {DATES.file, SPECIES.file, IMAGES.file, FACTS.file} <= {str(name) for _, name, _ in effects}
     assert before[3] != after[3]
-    assert len(states) == len(effects) + 1 + 4  # the append of 4 lines: 3 boundaries and 1 inside a line
+    # appends of 1 date, 1 species, 2 image and 4 fact lines: 0 + 0 + 1 + 3
+    # boundaries, and 1 cut inside the first line of each
+    assert len(states) == len(effects) + 1 + 4 + 4
     _check_states(tmp_path, base, states, before, after)
 
 
@@ -189,7 +214,7 @@ def test_every_crash_state_of_an_ingest_batch_whose_append_reads_back_as_nuls_ho
     clean = (base / FACTS.file).read_bytes()
     effects, _, before, after = _states_of(tmp_path, monkeypatch, base, lambda root: _batch(root, 2))
     states = list(_nul_states(effects))
-    assert len(states) == 3
+    assert len(states) == 4 * 3  # three for each append: the date, species, image and fact lines
     # the torn-line rule: every open holds the committed facts, and a read-write open cuts the tail off
     _check_states(tmp_path, base, states, before, (*after[:3], before[3], after[4]))
     for name, done, cut in states:
@@ -198,6 +223,8 @@ def test_every_crash_state_of_an_ingest_batch_whose_append_reads_back_as_nuls_ho
         _apply(root, done, cut)
         open_warehouse(root).close()
         assert (root / FACTS.file).read_bytes() == clean, name
+        # every dimension file has the bytes it had before the append the crash cut
+        assert {t.file: (root / t.file).read_bytes() for t in DIMENSIONS} == _dimension_bytes(base, done, None), name
         shutil.rmtree(root)
 
 

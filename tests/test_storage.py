@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import logging
 import multiprocessing
 import os
 import random
@@ -45,6 +46,7 @@ from canopydw.query import MEASURES, QuerySpec, run_query
 from canopydw.reconcile import reconcile_warehouse
 from canopydw.storage import (
     CHECKPOINT,
+    DATES,
     DIMENSIONS,
     FACTS,
     IMAGES,
@@ -366,6 +368,18 @@ def test_any_failure_of_the_write_restores_the_held_annotation(root, monkeypatch
         assert wh.table_bytes == table_bytes
 
 
+def test_an_empty_record_id_is_held_as_every_load_reads_it(root, monkeypatch):
+    with _base(root) as wh:
+        wh.append_facts([make_draft(wh.state.images[1])] * 2)
+        wh.rewrite_validation(*annotation(wh.state.facts, {1: ("unmatched", "", None, None)}))
+        assert _held_and_fresh(root, wh) == [("unmatched", None)] * 2
+        assert wh.state.facts.matched_record_id == [None, None]
+        inode = (root / FACT_TABLE).stat().st_ino
+        with _replaced_files(monkeypatch) as replaced:
+            wh.rewrite_validation(*annotation(wh.state.facts, {1: ("unmatched", None, None, None)}))
+        assert replaced == [] and (root / FACT_TABLE).stat().st_ino == inode
+
+
 def test_rewrite_validation_keeps_measures_when_update_omits_them(root):
     with _base(root) as wh:
         image = wh.state.images[1]
@@ -471,6 +485,28 @@ def test_repairing_open_replaces_only_the_fact_file(root, monkeypatch, tail):
     assert replaced == [FACT_TABLE]
     assert (root / "COMMIT").read_text() == "2\n"
     assert not (root / FACT_TABLE).read_text().endswith(tail)
+
+
+@pytest.mark.parametrize(
+    "table, tail",
+    [(FACT_TABLE, "3,20240115,1,1,0.5,0.5,0.2"), (IMAGES.file, "2,b.jpg,uav,20240115,4000,30")],
+    ids=["fact", "dim_image"],
+)
+def test_a_repairing_open_logs_the_tail_it_cuts(root, caplog, table, tail):
+    _committed_base(root)
+    path = root / table
+    kept = path.stat().st_size
+    with open(path, "a") as fh:
+        fh.write(tail)
+    caplog.set_level(logging.WARNING, logger="canopydw.storage")
+    open_warehouse(root, "ro").close()  # a load leaves the tail, and logs nothing
+    assert caplog.records == []
+    open_warehouse(root).close()
+    message = f"{path}: kept {kept} bytes, cut {len(tail)} bytes of a torn or uncommitted tail"
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [("canopydw.storage", logging.WARNING, message)]
+    assert path.stat().st_size == kept
+    open_warehouse(root).close()  # nothing left to cut
+    assert len(caplog.records) == 1
 
 
 def _uncommitted_row(fact_id):
@@ -626,8 +662,24 @@ def test_batch_commits_once_whatever_its_size(tmp_path, monkeypatch):
             counts[n] = (len(fsyncs), replaced)
         with open_warehouse(root, "ro") as wh:
             assert len(wh.state.images) == 1 + n and len(wh.state.facts) == 2 + 2 * n
-    # dim_image: file and directory; the fact append; COMMIT: file and directory
-    assert counts[1] == counts[20] == (5, [IMAGES.file, "COMMIT"])
+    # the dim_image append; the fact append; COMMIT: file and directory
+    assert counts[1] == counts[20] == (4, ["COMMIT"])
+
+
+def test_dim_date_is_appended_unless_a_new_date_sorts_before_a_stored_one(root):
+    with open_warehouse(root) as wh:
+        wh.ensure_date(20240115)
+    path = root / DATES.file
+    # (the dates one batch adds, whether the file is rewritten)
+    for dates, rewritten in (([20240301], False), ([20240401, 20240315], False), ([20240201], True), ([20240402], False)):
+        inode, before = path.stat().st_ino, path.read_bytes()
+        with open_warehouse(root) as wh:
+            with wh.batch():
+                for date_key in dates:
+                    wh.ensure_date(date_key)
+        assert (path.stat().st_ino != inode, path.read_bytes().startswith(before)) == (rewritten, not rewritten), dates
+        with open_warehouse(root, "ro") as wh:  # sorted by key either way
+            assert path.read_text() == DATES.text(wh.state.dates[key] for key in sorted(wh.state.dates)), dates
 
 
 def test_batch_writes_nothing_until_it_ends(root):
@@ -697,21 +749,24 @@ def test_threads_sharing_a_writer_lose_no_rows(root):
 
 def _ingest_and_die(root, crash_at):
     """Ingests a batch that changes every dimension and exits at crash_at."""
-    real_write = storage._atomic_write
+    real_write, real_append = storage._atomic_write, storage._append
 
     def atomic_write(path, text):
         if path.name == "COMMIT":  # the facts are appended, COMMIT not yet moved
             os._exit(0)
-        written = real_write(path, text)
-        if path.name == crash_at:  # the last dimension is rewritten, no fact appended
+        return real_write(path, text)
+
+    def append(path, data):
+        written = real_append(path, data)
+        if path.name == crash_at:  # the last dimension is appended, no fact appended
             os._exit(0)
         return written
 
-    storage._atomic_write = atomic_write
+    storage._atomic_write, storage._append = atomic_write, append
     metas, dets = _batch_inputs(4, date_key=20240301)
     with open_warehouse(root) as wh:
         ingest_image_batch(wh, metas, dets, ClassMap(["PSME", "TSHE"]))
-    os._exit(1)  # not reached: the batch commits after its last rewrite
+    os._exit(1)  # not reached: the batch commits after its last dimension write
 
 
 @pytest.mark.parametrize("crash_at", [IMAGES.file, "COMMIT"], ids=["before-append", "before-commit"])
@@ -722,7 +777,7 @@ def test_crash_between_dimension_rewrites_and_commit(root, crash_at):
     p.start()
     p.join(60)
     assert p.exitcode == 0
-    # the dimension rewrites reached disk, COMMIT did not move
+    # the dimension rows reached disk, COMMIT did not move
     assert b"TSHE" in (root / SPECIES.file).read_bytes()
     assert b"img_0005.jpg" in (root / IMAGES.file).read_bytes()
     assert (root / "COMMIT").read_text() == "2\n"
@@ -1039,7 +1094,7 @@ def _open_ro_until(root, cached, stop, out):
 
 
 def test_read_only_open_is_consistent_during_ingest(root):
-    # Every image brings a new date, so each batch rewrites dim_date and
+    # Every image brings a new date, so each batch appends to dim_date and
     # dim_image just before it commits facts that reference the new rows.
     with open_warehouse(root) as wh:
         wh.upsert_species("PSME")
@@ -1136,6 +1191,35 @@ def test_snapshot_rereads_an_extended_unterminated_row(root):
         assert fact_rows(handle.state.facts)[2].matched_record_id == "R10"
         with open_warehouse(root, "ro") as fresh:
             assert logical_state(handle) == logical_state(fresh)
+    finally:
+        snap.close()
+
+
+def test_snapshot_holds_only_the_whole_rows_of_a_torn_dimension_tail(root):
+    _committed_base(root)
+    path = root / IMAGES.file
+    held = path.read_bytes()
+    line = IMAGES.lines([DimImage(2, *make_image(file_name="b.jpg").meta)]).encode()  # as a writer appends it
+    snap = SnapshotCache(root)
+    try:
+        first = snap.current()
+        with open(path, "ab") as fh:  # torn by a crash
+            fh.write(line[:40])
+        assert list(snap.current().state.images) == [1]
+        snap.open_writer().close()  # a writer from the held snapshot cuts the torn line off
+        assert path.read_bytes() == held
+        with open(path, "ab") as fh:  # an append under way
+            fh.write(line[:40])
+        handle = snap.current()
+        assert list(handle.state.images) == [1]
+        assert handle.table_bytes[IMAGES.file] == len(held)
+        with open(path, "ab") as fh:
+            fh.write(line[40:])
+        handle = snap.current()
+        assert list(handle.state.images) == [1, 2]
+        assert handle.state.images[1] is first.state.images[1]  # parsed past the held rows, not reloaded
+        with open_warehouse(root, "ro") as fresh:
+            assert (logical_state(handle), handle.stats()) == (logical_state(fresh), fresh.stats())
     finally:
         snap.close()
 
