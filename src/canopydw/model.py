@@ -19,9 +19,9 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import attrgetter, ne
-from typing import Any, Callable, Container, NamedTuple
+from typing import Any, Callable, Container, NamedTuple, Sequence
 
 from .errors import InvalidDateError, InvalidMetadataError
 
@@ -45,7 +45,7 @@ BBOX_EDGE_TOLERANCE = 0.005
 MIN_YEAR = 1900
 MAX_YEAR = 2200
 
-_CHECKSUM_RE = re.compile(r"[0-9a-f]{64}")
+CHECKSUM_RE = re.compile(r"[0-9a-f]{64}")
 _ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -147,6 +147,46 @@ class Geotransform(NamedTuple):
         return v
 
 
+class Interval:
+    """The finite values from low to high, low left out when open_low. A rule
+    checks one value with holds (a plain function, for speed) and a whole
+    column with holds_all, and names the interval as str gives it: [0, 1],
+    (0, 1]."""
+
+    __slots__ = ("low", "high", "open_low", "holds")
+
+    def __init__(self, low: float, high: float, open_low: bool = False) -> None:
+        self.low, self.high, self.open_low = low, high, open_low
+        isfinite = math.isfinite
+        if open_low:
+            self.holds = lambda value: isfinite(value) and low < value <= high
+        else:
+            self.holds = lambda value: isfinite(value) and low <= value <= high
+
+    def __str__(self) -> str:
+        return f"{'(' if self.open_low else '['}{self.low:g}, {self.high:g}]"
+
+    def holds_all(self, column: Sequence[float]) -> bool:
+        """Whether holds is true of every value of column: each is finite, and
+        the least and the greatest lie in the interval (min and max skip a
+        NaN, so finiteness is checked first)."""
+        return all(map(math.isfinite, column)) and (not column or self.holds(min(column)) and self.holds(max(column)))
+
+
+UNIT = Interval(0.0, 1.0)
+POSITIVE = Interval(0.0, math.inf, open_low=True)
+
+SIZE = Interval(0.0, 1.0, open_low=True)
+# The interval of each cell of a box, in its field order.
+BOX_INTERVALS = {"cx": UNIT, "cy": UNIT, "w": SIZE, "h": SIZE}
+
+
+def in_frame(center: float, size: float) -> bool:
+    """Whether a box's extent on one axis, given by its (finite) center and
+    size, lies inside the unit frame, give or take BBOX_EDGE_TOLERANCE."""
+    return -BBOX_EDGE_TOLERANCE <= center - size / 2 and center + size / 2 <= 1.0 + BBOX_EDGE_TOLERANCE
+
+
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Detection box in center/size form, normalized to image dimensions."""
@@ -162,29 +202,27 @@ class BoundingBox:
 
 def box_violations(box: BoundingBox | FactRow) -> list[str]:
     """Checks on a box's cx, cy, w and h: a BoundingBox, or a FactRow's."""
+    cx, cy, w, h = box.cx, box.cy, box.w, box.h
+    if not (UNIT.holds(cx) and UNIT.holds(cy) and SIZE.holds(w) and SIZE.holds(h)):
+        cells = dict(zip(BOX_INTERVALS, (cx, cy, w, h)))
+        v = [f"{name} not finite" for name, value in cells.items() if not math.isfinite(value)]
+        return v or [f"{name} outside {BOX_INTERVALS[name]}" for name, value in cells.items() if not BOX_INTERVALS[name].holds(value)]
     v = []
-    for name in ("cx", "cy", "w", "h"):
-        if not math.isfinite(getattr(box, name)):
-            v.append(f"{name} not finite")
-    if v:
-        return v
-    if not 0.0 <= box.cx <= 1.0:
-        v.append("cx outside [0, 1]")
-    if not 0.0 <= box.cy <= 1.0:
-        v.append("cy outside [0, 1]")
-    if not 0.0 < box.w <= 1.0:
-        v.append("w outside (0, 1]")
-    if not 0.0 < box.h <= 1.0:
-        v.append("h outside (0, 1]")
-    if v:
-        return v
-    lo = -BBOX_EDGE_TOLERANCE
-    hi = 1.0 + BBOX_EDGE_TOLERANCE
-    if not (lo <= box.cx - box.w / 2 and box.cx + box.w / 2 <= hi):
+    if not in_frame(cx, w):
         v.append("box extends outside frame on x")
-    if not (lo <= box.cy - box.h / 2 and box.cy + box.h / 2 <= hi):
+    if not in_frame(cy, h):
         v.append("box extends outside frame on y")
     return v
+
+
+def boxes_hold(cx: Sequence[float], cy: Sequence[float], w: Sequence[float], h: Sequence[float]) -> bool:
+    """Whether box_violations finds nothing in any of the boxes these columns
+    hold (one entry per box), checked a column at a time."""
+    return (
+        all(interval.holds_all(column) for interval, column in zip(BOX_INTERVALS.values(), (cx, cy, w, h)))
+        and all(map(in_frame, cx, w))
+        and all(map(in_frame, cy, h))
+    )
 
 
 class DimSpecies(NamedTuple):
@@ -304,18 +342,53 @@ def image_meta_violations(meta: ImageMeta | DimImage, dates: Container[int] = ()
         v.append(f"platform {meta.platform!r} not one of {PLATFORMS}")
     if meta.capture_date_key not in dates and not is_valid_date_key(meta.capture_date_key):
         v.append(f"capture_date_key {meta.capture_date_key} invalid")
-    if not (isinstance(meta.width_px, int) and meta.width_px >= 1):
-        v.append("width_px must be >= 1")
-    if not (isinstance(meta.height_px, int) and meta.height_px >= 1):
-        v.append("height_px must be >= 1")
-    if not (math.isfinite(meta.gsd_cm_per_px) and meta.gsd_cm_per_px > 0):
+    v.extend(_below_minimum(meta, "width_px", "height_px"))
+    if not POSITIVE.holds(meta.gsd_cm_per_px):
         v.append("gsd_cm_per_px must be positive")
     v.extend(meta.geotransform.violations())
-    if not (isinstance(meta.size_bytes, int) and meta.size_bytes >= 0):
-        v.append("size_bytes must be >= 0")
-    if not _CHECKSUM_RE.fullmatch(meta.checksum or ""):
+    v.extend(_below_minimum(meta, "size_bytes"))
+    if not CHECKSUM_RE.fullmatch(meta.checksum or ""):
         v.append("checksum must be 64 lowercase hex characters")
     return v
+
+
+# The least value of each integer cell of an image.
+IMAGE_MINIMUMS = {"width_px": 1, "height_px": 1, "size_bytes": 0}
+
+
+def _below_minimum(meta: ImageMeta | DimImage, *names: str) -> list[str]:
+    return [
+        f"{name} must be >= {IMAGE_MINIMUMS[name]}"
+        for name in names
+        if not (isinstance(getattr(meta, name), int) and getattr(meta, name) >= IMAGE_MINIMUMS[name])
+    ]
+
+
+def image_columns_hold(columns: DimImage, state: WarehouseState) -> bool:
+    """Whether image rows, given as columns (a DimImage whose fields each
+    hold one column, geotransform a list of Geotransforms), pass every check
+    a load makes of each row after those state holds, checked a column at a
+    time: image_meta_violations with state.dates, a key or (file_name,
+    checksum) held or repeated, and a capture date not held. Each cell
+    already has its field's type."""
+    c, n = columns, len(columns.image_key)
+    identities = set(zip(c.file_name, c.checksum))
+    return (
+        n > 0
+        and len(set(c.image_key)) == n
+        and state.images.keys().isdisjoint(c.image_key)
+        and all(c.file_name)
+        and not any(map(text_problem, c.file_name))
+        and set(c.platform).issubset(PLATFORMS)
+        and state.dates.keys() >= set(c.capture_date_key)
+        and all(min(getattr(c, name)) >= least for name, least in IMAGE_MINIMUMS.items())
+        and POSITIVE.holds_all(c.gsd_cm_per_px)
+        and all(map(math.isfinite, chain.from_iterable(c.geotransform)))
+        and all(gt.determinant for gt in c.geotransform)
+        and all(map(CHECKSUM_RE.fullmatch, c.checksum))
+        and len(identities) == n
+        and state.images_by_identity.keys().isdisjoint(identities)
+    )
 
 
 # A loaded warehouse holds its facts as FactColumns, not as these objects;
@@ -391,6 +464,15 @@ FACT_COLUMNS = (
 FactRow = NamedTuple("FactRow", [(column.name, column.type) for column in FACT_COLUMNS])
 FactRow.__doc__ = "The typed cells of one stored fact line, in the fact table's column order."
 
+DraftColumns = NamedTuple("DraftColumns", [(column.name, Sequence) for column in FACT_COLUMNS[1:]])
+DraftColumns.__doc__ = "Facts before their fact_ids are assigned: one column per FactRow field after fact_id."
+
+
+def draft_columns(drafts: Iterable[FactDraft]) -> DraftColumns:
+    """The cells of drafts' rows as columns."""
+    columns = list(zip(*(draft.row(0)[1:] for draft in drafts)))
+    return DraftColumns._make(columns or [()] * len(DraftColumns._fields))
+
 
 # The range of a key column (array typecode "i") in FactColumns.
 KEY_MIN, KEY_MAX = -(2**31), 2**31 - 1
@@ -409,11 +491,39 @@ def fact_field_violations(fact: FactRow, dates: Container[int] = ()) -> list[str
         if not KEY_MIN <= getattr(fact, name) <= KEY_MAX:
             v.append(f"{name} outside [{KEY_MIN}, {KEY_MAX}]")
     v.extend("bbox " + item for item in box_violations(fact))
-    if not (math.isfinite(fact.confidence) and 0.0 <= fact.confidence <= 1.0):
-        v.append("confidence outside [0, 1]")
+    if not UNIT.holds(fact.confidence):
+        v.append(f"confidence outside {UNIT}")
     if not (math.isfinite(fact.geo_x) and math.isfinite(fact.geo_y)):
         v.append("geo coordinates not finite")
     return v + annotation_violations(fact.validation, fact.matched_record_id, fact.height_m, fact.dbh_cm)
+
+
+def facts_hold(columns: DraftColumns, state: WarehouseState) -> bool:
+    """Whether every fact these columns hold passes fact_field_violations
+    with state.dates and validate_fact with state, checked a column at a
+    time. Only facts without an annotation (unvalidated, with no match and
+    no measure) are checked so: any other fact, and a cell of a type the
+    passes do not take, gives False, which leaves the facts to the row
+    checks."""
+    c = columns
+    try:
+        capture_dates = {key: state.images[key].capture_date_key for key in set(c.image_key)}
+        return (
+            set(c.validation) <= {"unvalidated"}
+            and set(c.matched_record_id) <= {None}
+            and set(c.height_m) <= {None}
+            and set(c.dbh_cm) <= {None}
+            and all(KEY_MIN <= min(keys) and max(keys) <= KEY_MAX for keys in (c.image_key, c.species_key) if keys)
+            and state.dates.keys() >= set(c.date_key)
+            and state.species.keys() >= set(c.species_key)
+            and list(map(capture_dates.__getitem__, c.image_key)) == list(c.date_key)
+            and boxes_hold(c.cx, c.cy, c.w, c.h)
+            and UNIT.holds_all(c.confidence)
+            and all(map(math.isfinite, c.geo_x))
+            and all(map(math.isfinite, c.geo_y))
+        )
+    except (KeyError, TypeError):
+        return False
 
 
 def annotation_violations(
@@ -423,9 +533,9 @@ def annotation_violations(
     fact_field_violations) and an annotation write (Warehouse.rewrite_validation)
     both check. A measure of None is missing, or is not checked."""
     v = []
-    if height_m is not None and not (math.isfinite(height_m) and height_m > 0):
+    if height_m is not None and not POSITIVE.holds(height_m):
         v.append("height_m must be positive when present")
-    if dbh_cm is not None and not (math.isfinite(dbh_cm) and dbh_cm > 0):
+    if dbh_cm is not None and not POSITIVE.holds(dbh_cm):
         v.append("dbh_cm must be positive when present")
     if validation not in VALIDATION_STATES:
         v.append(f"validation {validation!r} not one of {VALIDATION_STATES}")
@@ -586,6 +696,10 @@ class FactColumns:
         return len(self.fact_id)
 
 
+def _larger(held: int | None, key: int) -> int:
+    return key if held is None or key > held else held
+
+
 @dataclass
 class WarehouseState:
     """In-memory image of the committed tables plus the dedup indexes."""
@@ -596,6 +710,9 @@ class WarehouseState:
     facts: FactColumns = field(default_factory=FactColumns)
     images_by_identity: dict[tuple[str, str], int] = field(default_factory=dict)
     species_by_code: dict[str, int] = field(default_factory=dict)
+    # the largest image and species keys held (None: none is held)
+    max_image_key: int | None = None
+    max_species_key: int | None = None
 
     def add_date(self, row: DimDate) -> None:
         self.dates[row.date_key] = row
@@ -603,10 +720,19 @@ class WarehouseState:
     def add_image(self, row: DimImage) -> None:
         self.images[row.image_key] = row
         self.images_by_identity[(row.file_name, row.checksum)] = row.image_key
+        self.max_image_key = _larger(self.max_image_key, row.image_key)
+
+    def add_images(self, rows: list[DimImage]) -> None:
+        """add_image of each of rows, a column at a time."""
+        keys = list(map(attrgetter("image_key"), rows))
+        self.images.update(zip(keys, rows))
+        self.images_by_identity.update(zip(map(attrgetter("file_name", "checksum"), rows), keys))
+        self.max_image_key = _larger(self.max_image_key, max(keys))
 
     def add_species(self, row: DimSpecies) -> None:
         self.species[row.species_key] = row
         self.species_by_code[row.code] = row.species_key
+        self.max_species_key = _larger(self.max_species_key, row.species_key)
 
     def add_fact(self, row: FactRow) -> None:
         self.facts.append(row)
@@ -614,7 +740,8 @@ class WarehouseState:
     def copy(self) -> WarehouseState:
         """A state with its own dicts and fact columns; the (immutable)
         dimension rows in the dicts are shared."""
-        return WarehouseState(*(getattr(self, f.name).copy() for f in fields(self)))
+        held = (getattr(self, f.name) for f in fields(self))
+        return WarehouseState(*(value.copy() if isinstance(value, (dict, FactColumns)) else value for value in held))
 
     def species_code_of(self, species_key: int) -> str:
         return self.species[species_key].code

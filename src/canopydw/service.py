@@ -245,8 +245,8 @@ class _Handler(BaseHTTPRequestHandler):
         meta = build_image_meta(manifest_row, source="<request>")
         class_map = ClassMap(class_codes)
         # validate up front so a rejected request leaves no partial state
-        for det in parse_detection_file(detections, source="<request>"):
-            class_map.code_for(det.class_id)
+        for class_id in parse_detection_file(detections, source="<request>").class_id:
+            class_map.code_for(class_id)
         det_files = {detection_file_name(meta.file_name): detections}
         with self._open_rw() as handle:
             report = ingest_image_batch(handle, [meta], det_files, class_map)

@@ -1,6 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from canopydw import ingest, model
 
 from canopydw.errors import (
     DuplicateRecordError,
@@ -544,3 +546,111 @@ def test_ingest_image_batch_class_id_out_of_range(wh):
     assert report.facts_added == 0
     assert len(report.errors) == 1
     assert "class map" in report.errors[0]
+
+
+# -- a detection file a column at a time ------------------------------------------------
+
+# Tokens a column pass could take apart from parse_detection_line: NaN at any
+# position (min and max skip it), a -0.0 size, values inside the clamp
+# tolerance and past it, "_" and non-ASCII digits (which int and float take).
+_ODD_TOKENS = (
+    "nan", "-nan", "inf", "-inf", "-0.0", "0.0", "1.0", "1.004", "-0.004", "1.0049", "1.006", "-0.006",
+    "0.999", "1_0", "0.2_5", "\u0663", "\uff10.\uff15", "+0.5", "5e-324", "1e-300", "-1", "x", "#",
+)
+# str.split splits at each of these, \x1c and other Unicode whitespace among them
+_SEPARATORS = (" ", "  ", "\t", "\x1c", "\x85", "\u2028", "\u3000")
+
+
+def _replace_token(draw, tokens):
+    if tokens:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+
+
+# Edits of one line's tokens that a column pass must leave to the row parser
+_LINE_EDITS = {
+    "odd": _replace_token,
+    "five": lambda draw, tokens: tokens and tokens.pop(draw(st.integers(0, len(tokens) - 1))),
+    "seven": lambda draw, tokens: tokens.insert(draw(st.integers(0, len(tokens))), "1"),
+    "comment": lambda draw, tokens: tokens.insert(0, "#"),
+    "blank": lambda draw, tokens: tokens.clear(),
+}
+
+
+@st.composite
+def _detection_lines(draw):
+    """Up to six canonical lines, at most two of them edited."""
+    files = []
+    for _ in range(draw(st.integers(0, 6))):
+        cx, cy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        # sizes up to just past what keeps the box in the frame
+        w = draw(st.floats(0.001, 1.0)) * (2 * min(cx, 1 - cx) + 0.012)
+        h = draw(st.floats(0.001, 1.0)) * (2 * min(cy, 1 - cy) + 0.012)
+        files.append([str(draw(st.integers(0, 2))), *map(repr, (cx, cy, w, h, draw(st.floats(0.0, 1.0))))])
+    if files:
+        for _ in range(draw(st.integers(0, 2))):
+            _LINE_EDITS[draw(st.sampled_from(sorted(_LINE_EDITS)))](draw, files[draw(st.integers(0, len(files) - 1))])
+    return [
+        draw(st.sampled_from(_SEPARATORS)).join(tokens) + draw(st.sampled_from(["", "\n", "\r\n", " \n"]))
+        for tokens in files
+    ]
+
+
+def _line_by_line(lines, source):
+    """parse_detection_line of each line: the canonical lines of the
+    detections, or the refusal as parse_detection_file words it."""
+    detections = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            det = parse_detection_line(line)
+        except (ParseError, RangeError) as exc:
+            return type(exc), f"{source}:{line_no}: {exc}", line_no
+        if det is not None:
+            detections.append(render_detection_line(det))
+    return detections
+
+
+def _whole_file(lines, source):
+    try:
+        return [render_detection_line(det) for det in parse_detection_file(lines, source=source)]
+    except (ParseError, RangeError) as exc:
+        return type(exc), str(exc), exc.line_no
+
+
+_CANONICAL = "0 0.5 0.5 0.1 0.1 0.9"
+
+
+@settings(max_examples=300)
+@given(_detection_lines())
+@example([_CANONICAL + " 1", "0.5 0.5 0.1 0.1 0.9"])  # 7 tokens, then 5: 12 in all
+@example([_CANONICAL, "-1 0.5 0.5 0.1 0.1 0.9"])
+@example([_CANONICAL, "0 0.5 nan 0.1 0.1 0.9"])
+@example([_CANONICAL, "0 0.5 0.5 0.1 0.1 nan"])
+@example([_CANONICAL, "0 0.5 0.5 -0.0 0.1 0.9"])
+@example([_CANONICAL, "0 0.5 0.5 0.1 0.1 1.004"])
+@example([_CANONICAL, "0 0.998 0.5 0.01 0.1 0.9"])  # in the frame within its tolerance
+@example([_CANONICAL, "# 0 0.5 0.5 0.1 0.1", ""])
+@example([_CANONICAL, "1_0\x1c0.5\u30000.5 0.1 0.1 0.9", "\u0663 0.5 0.5 0.1 0.1 0.9"])
+def test_a_detection_file_parses_a_column_at_a_time_as_line_by_line(lines):
+    """The same detections, bit for bit, or the same refusal at the same line."""
+    assert _whole_file(lines, "d.txt") == _line_by_line(lines, "d.txt")
+
+
+@settings(max_examples=40)
+@given(_detection_lines())
+@example([_CANONICAL] * 3)
+def test_an_image_batch_stores_the_same_bytes_a_column_at_a_time_as_row_by_row(tmp_path_factory, lines):
+    """Parsed and checked a column at a time, or by the row code, a detection
+    file gives the same report and stored bytes."""
+    base, outcomes = tmp_path_factory.mktemp("columns"), []
+    manifest = parse_image_manifest([MANIFEST_HEADER, _manifest_row()])
+    for columns in (True, False):
+        root = base / ("columns" if columns else "rows")
+        with pytest.MonkeyPatch.context() as m:
+            if not columns:
+                m.setattr(ingest, "_detection_columns", lambda lines: None)
+                m.setattr(model, "facts_hold", lambda columns, state: False)
+            with open_warehouse(root) as handle:
+                report = ingest_image_batch(handle, manifest, {"a.txt": lines}, ClassMap(["PSME", "TSHE", "THPL"]))
+        stored = {path.name: path.read_bytes() for path in sorted(root.glob("*.tbl"))}
+        outcomes.append((report, stored))
+    assert outcomes[0] == outcomes[1]

@@ -1,11 +1,14 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import logging
+import math
 import multiprocessing
 import os
 import random
 import re
+import shutil
 import sys
 import threading
 import tracemalloc
@@ -14,10 +17,10 @@ from array import array
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canopydw import storage
+from canopydw import model, storage
 from canopydw.errors import (
     CorruptTableError,
     DuplicateRecordError,
@@ -40,7 +43,15 @@ from canopydw.ingest import (
     ingest_species_registry,
     ingest_survey,
 )
-from canopydw.model import VALIDATION_STATES, DimImage, FactColumns, FactRow, SurveyRecord, encode_date_key
+from canopydw.model import (
+    VALIDATION_STATES,
+    BoundingBox,
+    DimImage,
+    FactColumns,
+    FactRow,
+    SurveyRecord,
+    encode_date_key,
+)
 from canopydw.report import csv_line
 from canopydw.query import MEASURES, QuerySpec, run_query
 from canopydw.reconcile import reconcile_warehouse
@@ -204,6 +215,69 @@ def test_append_facts_rejects_date_mismatch(root):
         with pytest.raises(IntegrityError) as err:
             wh.append_facts([make_draft(image, date_key=20240116)])
         assert "date mismatch" in str(err.value)
+
+
+# Edits of a fact draft's cells, for a root holding species 1, images 1 and
+# 2**40 dated 20240115, image 2 dated 20240116 and no image 3
+_DRAFT_EDITS = {
+    "image-unknown": {"image_key": 3},
+    "image-past-key-range": {"image_key": 2**40},
+    "date-mismatch": {"date_key": 20240116},
+    "date-unknown": {"date_key": 20240117},
+    "species-unknown": {"species_key": 2},
+    "species-past-key-range": {"species_key": -(2**40)},
+    "cx-nan": {"bbox": BoundingBox(math.nan, 0.5, 0.2, 0.2)},
+    "cx-1": {"bbox": BoundingBox(1.0, 0.5, 0.2, 0.2)},
+    "cx-negative-zero": {"bbox": BoundingBox(-0.0, 0.5, 0.01, 0.2)},
+    "w-negative-zero": {"bbox": BoundingBox(0.5, 0.5, -0.0, 0.2)},
+    "h-inf": {"bbox": BoundingBox(0.5, 0.5, 0.2, math.inf)},
+    "confidence-nan": {"confidence": math.nan},
+    "confidence-1.5": {"confidence": 1.5},
+    "geo-inf": {"geo_x": math.inf},
+    "height": {"height_m": 2.0},
+    "height-negative": {"height_m": -1.0},
+    "record-empty": {"matched_record_id": ""},
+    "unvalidated-with-record": {"matched_record_id": "R1"},
+    "confirmed": {"validation": "confirmed", "matched_record_id": "R1"},
+    "unmatched-with-record": {"validation": "unmatched", "matched_record_id": "R1"},
+    "record-line-break": {"validation": "confirmed", "matched_record_id": "R\n1"},
+}
+
+
+def _draft_root(root: Path) -> None:
+    _image_root(root, [_image_line(1, "a.jpg"), _image_line(2, "b.jpg", 20240116), _image_line(2**40, "c.jpg")])
+    with open_warehouse(root) as wh:
+        wh.upsert_species("PSME")
+
+
+@given(
+    images=st.lists(st.sampled_from([1, 2]), max_size=4),
+    edits=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(sorted(_DRAFT_EDITS))), max_size=2),
+)
+@example(images=[1, 2], edits=[(0, "image-past-key-range")])
+@example(images=[1, 2], edits=[(0, "unvalidated-with-record")])
+@example(images=[2, 1], edits=[(1, "date-mismatch")])
+def test_append_facts_checks_a_column_at_a_time_as_row_by_row(tmp_path_factory, images, edits):
+    """The same ids and stored bytes, or the same refusal, whether the column
+    passes (model.facts_hold) or the row checks decide."""
+    drafts = [make_draft(make_image(image_key=key, capture_date_key=20240114 + key)) for key in images]
+    for i, edit in edits:
+        if i < len(drafts):
+            drafts[i] = dataclasses.replace(drafts[i], **_DRAFT_EDITS[edit])
+    root, outcomes = tmp_path_factory.mktemp("drafts") / "wh", []
+    for columns in (True, False):
+        _draft_root(root)
+        with pytest.MonkeyPatch.context() as m:
+            if not columns:
+                m.setattr(model, "facts_hold", lambda columns, state: False)
+            with open_warehouse(root) as wh:
+                try:
+                    outcome = wh.append_facts(drafts)
+                except IntegrityError as exc:
+                    outcome = str(exc)
+        outcomes.append((outcome, (root / FACT_TABLE).read_bytes()))
+        shutil.rmtree(root)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_empty_batch_is_noop(root):
@@ -1067,6 +1141,132 @@ def test_non_utf8_byte_is_refused_with_its_line(root, table, cached):
     assert (err.value.path.name, err.value.line_no) == (table, line_no)
     reason = "bad commit marker" if table == "COMMIT" else "can't decode byte 0xff"
     assert f"{table}:{line_no}: " in str(err.value) and reason in str(err.value)
+
+
+# -- dim_image a column at a time -------------------------------------------------------
+
+# Edits of one image line's cells (as stored text, before csv_line quotes
+# them), given the cells of the first line, that a column pass must leave to
+# the row loop or take as it does.
+_IMAGE_CELL_EDITS = {
+    "key-repeated": lambda cells, first: [first[0], *cells[1:]],
+    "key-junk": lambda cells, first: ["x", *cells[1:]],
+    "key-underscore": lambda cells, first: ["9_9", *cells[1:]],  # int() takes it
+    "name-empty": lambda cells, first: [cells[0], "", *cells[2:]],
+    "name-quoted": lambda cells, first: [cells[0], 'q"t.jpg', *cells[2:]],
+    "name-comma": lambda cells, first: [cells[0], "a, b.jpg", *cells[2:]],
+    "identity-repeated": lambda cells, first: [cells[0], first[1], *cells[2:14], first[14]],
+    "platform": lambda cells, first: [*cells[:2], "blimp", *cells[3:]],
+    "date-missing": lambda cells, first: [*cells[:3], "20240117", *cells[4:]],
+    "date-invalid": lambda cells, first: [*cells[:3], "20241399", *cells[4:]],
+    "width-zero": lambda cells, first: [*cells[:4], "0", *cells[5:]],
+    "gsd-nan": lambda cells, first: [*cells[:6], "nan", *cells[7:]],
+    "gsd-negative": lambda cells, first: [*cells[:6], "-1.0", *cells[7:]],
+    "gt-inf": lambda cells, first: [*cells[:8], "inf", *cells[9:]],
+    "gt-singular": lambda cells, first: [*cells[:9], "0.0", *cells[10:12], "0.0", *cells[13:]],
+    "size-negative": lambda cells, first: [*cells[:13], "-1", cells[14]],
+    "checksum-upper": lambda cells, first: [*cells[:14], cells[14].upper()],
+    "cells-14": lambda cells, first: cells[:14],
+    "cells-16": lambda cells, first: [*cells, "x"],
+}
+# Edits of a stored line's bytes
+_IMAGE_BYTE_EDITS = {
+    "nul": lambda line: line[:3] + b"\0" + line[3:],
+    "cr": lambda line: line[:3] + b"\r" + line[3:],
+    "non-utf8": lambda line: line[:3] + b"\xff" + line[3:],
+    "blank": lambda line: b"",
+}
+
+
+def _image_line(key: int, name: str, date: int = 20240115) -> bytes:
+    return csv_line(IMAGES.cells(make_image(image_key=key, file_name=name, capture_date_key=date))).encode() + b"\n"
+
+
+@st.composite
+def _image_lines(draw):
+    """The lines of a hand-assembled dim_image.tbl past its header, each with
+    its newline: up to 12 images in any key order, at most two lines
+    edited, the last one perhaps torn."""
+    n = draw(st.integers(0, 12))
+    rows = [
+        [str(cell) for cell in IMAGES.cells(make_image(image_key=key, file_name=f"\u00e9{i}.jpg", capture_date_key=date))]
+        for i, (key, date) in enumerate(zip(draw(st.permutations(range(1, n + 1))), draw(st.lists(st.sampled_from([20240115, 20240116]), min_size=n, max_size=n))))
+    ]
+    edits = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(sorted({*_IMAGE_CELL_EDITS, *_IMAGE_BYTE_EDITS}))), max_size=2)) if n else []
+    for i, edit in edits:
+        if edit in _IMAGE_CELL_EDITS:
+            rows[i] = _IMAGE_CELL_EDITS[edit](rows[i], rows[0])
+    lines = [csv_line(cells).encode("utf-8") for cells in rows]
+    for i, edit in edits:
+        if edit in _IMAGE_BYTE_EDITS:
+            lines[i] = _IMAGE_BYTE_EDITS[edit](lines[i])
+    lines = [line + b"\n" for line in lines]
+    if lines and draw(st.booleans()):
+        lines[-1] = draw(st.sampled_from([lines[-1][:-1], lines[-1][: len(lines[-1]) // 2], b"\0" * len(lines[-1])]))
+    return lines
+
+
+def _image_root(root: Path, lines: list[bytes]) -> None:
+    """A root holding two dates and, in dim_image.tbl, the header and lines."""
+    with open_warehouse(root) as wh:
+        wh.ensure_date(20240115)
+        wh.ensure_date(20240116)
+    _write_images(root, lines)
+
+
+def _write_images(root: Path, lines: list[bytes]) -> None:
+    (root / IMAGES.file).write_bytes(IMAGES.header.encode() + b"\n" + b"".join(lines))
+
+
+def _image_load(load):
+    """The image rows, their indexes and the bytes held, of a load(), or its refusal."""
+    try:
+        wh = load()
+    except WarehouseError as exc:
+        return type(exc), str(exc)
+    state = wh.state
+    return state.images, state.images_by_identity, state.max_image_key, wh.table_bytes[IMAGES.file]
+
+
+_CHUNK = storage._COLUMN_CHUNK_LINES
+
+
+@settings(max_examples=100)
+@given(lines=_image_lines(), held=st.integers(0, 12), chunk=st.sampled_from([3, 5, _CHUNK]))
+@example(lines=[_image_line(k, f"{k}.jpg") for k in range(9, 0, -1)], held=0, chunk=_CHUNK)
+@example(lines=[_image_line(k, f"{k}.jpg") for k in range(1, 10)] + [_image_line(1, "x.jpg")], held=2, chunk=_CHUNK)
+@example(lines=[_image_line(k, 'q"t.jpg' if k == 3 else f"{k}.jpg") for k in range(1, 10)], held=0, chunk=_CHUNK)
+@example(lines=[_image_line(k, f"{k}.jpg", 20240117 if k == 4 else 20240115) for k in range(1, 10)], held=0, chunk=_CHUNK)
+@example(lines=[_image_line(k, f"{min(k, 8)}.jpg") for k in range(1, 10)], held=0, chunk=_CHUNK)
+@example(lines=[_image_line(k, f"{k}.jpg") for k in range(1, 13)], held=0, chunk=5)
+@example(lines=[_image_line(k if k != 8 else 3, f"{k}.jpg") for k in range(1, 13)], held=0, chunk=5)
+def test_dim_image_loads_a_column_at_a_time_as_one_line_at_a_time(tmp_path_factory, lines, held, chunk):
+    """A fresh load, and a cache refresh past the first `held` lines, give the
+    rows and bytes the row loop gives, or its refusal, file:line and all,
+    whatever the chunk of lines loaded a column at a time."""
+    root, outcomes = tmp_path_factory.mktemp("images") / "wh", []
+    for add_lines in (storage.IMAGES.add_lines, None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(storage, "_COLUMN_CHUNK_LINES", chunk)
+            m.setattr(storage.IMAGES, "add_lines", add_lines)
+            try:
+                _image_root(root, lines[:held])
+                with contextlib.closing(SnapshotCache(root)) as cache:
+                    first = _image_load(cache.current)
+                    _write_images(root, lines)
+                    outcomes.append((first, _image_load(cache.current), _image_load(lambda: open_warehouse(root, "ro"))))
+            finally:
+                shutil.rmtree(root)
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("images", [3, 9], ids=["row-loop", "columns"])
+def test_the_next_image_key_follows_the_largest_held_in_any_row_order(root, images):
+    keys = [2, 7, 1, 5, 3, 9, 4, 6, 8][:images]
+    _image_root(root, [_image_line(k, f"{k}.jpg") for k in keys])
+    with open_warehouse(root) as wh:
+        new = wh.insert_image(make_image(file_name="new.jpg").meta)
+    assert new == max(keys) + 1
 
 
 # -- read snapshots under a live writer -----------------------------------------------
