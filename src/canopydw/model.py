@@ -561,14 +561,17 @@ class SurveyColumns:
 
     A survey file is loaded into these columns, and reconciling reads them
     as they are: it builds no SurveyRecord. records gives the SurveyRecords
-    they hold; of gives the columns of either form.
+    they hold; of gives the columns of either form. surveys names where the
+    records come from when extend merged them from survey files: each
+    survey's id and number of records, in record order.
     """
 
-    __slots__ = SurveyRecord._fields
+    __slots__ = (*SurveyRecord._fields, "surveys")
 
     def __init__(self, *columns: list) -> None:
-        for name, column in zip(self.__slots__, columns or [[] for _ in self.__slots__], strict=True):
+        for name, column in zip(SurveyRecord._fields, columns or [[] for _ in SurveyRecord._fields], strict=True):
             setattr(self, name, column)
+        self.surveys: tuple[tuple[str, int], ...] = ()
 
     @classmethod
     def of(cls, records: SurveyColumns | Iterable[SurveyRecord]) -> SurveyColumns:
@@ -581,11 +584,13 @@ class SurveyColumns:
         return len(self.record_id)
 
     def records(self) -> list[SurveyRecord]:
-        return list(map(SurveyRecord, *attrgetter(*self.__slots__)(self)))
+        return list(map(SurveyRecord, *attrgetter(*SurveyRecord._fields)(self)))
 
-    def extend(self, other: SurveyColumns) -> None:
-        for name in self.__slots__:
+    def extend(self, other: SurveyColumns, survey_id: str) -> None:
+        """Add the records of other, the columns of survey survey_id."""
+        for name in SurveyRecord._fields:
             getattr(self, name).extend(getattr(other, name))
+        self.surveys += ((survey_id, len(other)),)
 
 
 _VALIDATION_CODES = {state: code for code, state in enumerate(VALIDATION_STATES)}

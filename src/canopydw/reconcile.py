@@ -9,8 +9,11 @@ per-species precision/recall.
 
 from __future__ import annotations
 
+import hashlib
+import logging
 import math
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, filterfalse, repeat
@@ -31,7 +34,9 @@ from .model import (
     pixel_to_geo,
 )
 from .report import ResultTable, render_cell
-from .storage import Warehouse
+from .storage import MatchRecord, Warehouse
+
+log = logging.getLogger(__name__)
 
 
 def geo_to_pixel(gt: Geotransform, x: float, y: float) -> tuple[float, float]:
@@ -158,8 +163,7 @@ def match_detections(
     of distinct cells differ. (With no widening, a grid of side
     2 * radius_m loses pairs at exactly radius_m to rounding.)
     """
-    if not (math.isfinite(radius_m) and radius_m >= 0.0):
-        raise ValueError(f"radius_m must be finite and non-negative, got {radius_m!r}")
+    _check_radius(radius_m)
     if isinstance(facts, FactColumns):
         fact_side = facts.fact_id, facts.geo_x, facts.geo_y
     else:
@@ -168,25 +172,227 @@ def match_detections(
     record_side = records.record_id, records.geo_x, records.geo_y
     _check_finite(*fact_side, "fact {}")
     _check_finite(*record_side, "record {!r}")
+    return _result(_greedy(_candidates(fact_side, record_side, radius_m)), fact_side[0], record_side[0])
+
+
+def _check_radius(radius_m: float) -> None:
+    if not (math.isfinite(radius_m) and radius_m >= 0.0):
+        raise ValueError(f"radius_m must be finite and non-negative, got {radius_m!r}")
+
+
+def _candidates(fact_side: tuple, record_side: tuple, radius_m: float) -> list[tuple[float, int, str]]:
+    """(distance, fact id, record id) for every pair within radius_m of the
+    facts and records, each given as (ids, xs, ys) of finite points: the
+    larger side is bucketed, with the cell side of match_detections."""
     extent = max(0.0, *(max(map(abs, xs), default=0.0) for points in (fact_side, record_side) for xs in points[1:]))
     side = max(2.0 * radius_m + (radius_m + extent) * 2.0**-48, 2.0**-960)
     if len(fact_side[0]) >= len(record_side[0]):
-        candidates = _near(fact_side, record_side, side, radius_m)
-    else:
-        candidates = [(dist, fid, rid) for dist, rid, fid in _near(record_side, fact_side, side, radius_m)]
+        return _near(fact_side, record_side, side, radius_m)
+    return [(dist, fid, rid) for dist, rid, fid in _near(record_side, fact_side, side, radius_m)]
+
+
+def _greedy(candidates: list[tuple[float, int, str]]) -> list[tuple[float, int, str]]:
+    """The candidates taken, smallest (distance, fact id, record id) first,
+    each fact and each record at most once; in that order."""
     candidates.sort()
     used_facts: set[int] = set()
     used_records: set[str] = set()
-    pairs = []
-    for dist, fid, rid in candidates:
+    taken = []
+    for candidate in candidates:
+        _, fid, rid = candidate
         if fid in used_facts or rid in used_records:
             continue
         used_facts.add(fid)
         used_records.add(rid)
-        pairs.append(MatchPair(fid, rid, dist))
-    unmatched_f = tuple(filterfalse(used_facts.__contains__, fact_side[0]))
-    unmatched_r = tuple(filterfalse(used_records.__contains__, record_side[0]))
-    return MatchResult(pairs=tuple(pairs), unmatched_fact_ids=unmatched_f, unmatched_record_ids=unmatched_r)
+        taken.append(candidate)
+    return taken
+
+
+def _result(taken: list[tuple[float, int, str]], fact_ids: Iterable[int], record_ids: Iterable[str]) -> MatchResult:
+    """The MatchResult of the pairs taken, (distance, fact id, record id) in
+    order, over the facts and records with these ids, in order."""
+    dists, fids, rids = zip(*taken) if taken else ((), (), ())
+    matched_facts, matched_records = set(fids), set(rids)
+    return MatchResult(
+        pairs=tuple(map(MatchPair, fids, rids, dists)),
+        unmatched_fact_ids=tuple(filterfalse(matched_facts.__contains__, fact_ids)),
+        unmatched_record_ids=tuple(filterfalse(matched_records.__contains__, record_ids)),
+    )
+
+
+# -- matching again only what changed ----------------------------------------------
+
+
+def _survey_digests(records: SurveyColumns) -> tuple[tuple[str, str], ...]:
+    """Each survey's id (records.surveys, as Warehouse.load_all_survey_records
+    gives them) and the blake2b of what matching reads of its records: their
+    count, coordinates and ids. No record id holds a line break, so the
+    digested bytes tell the ids apart."""
+    digests, at = [], 0
+    for survey_id, n in records.surveys:
+        digest = hashlib.blake2b(f"{n}\n".encode())
+        digest.update(array("d", records.geo_x[at : at + n]))
+        digest.update(array("d", records.geo_y[at : at + n]))
+        digest.update("\n".join(records.record_id[at : at + n]).encode("utf-8"))
+        digests.append((survey_id, digest.hexdigest()))
+        at += n
+    return tuple(digests)
+
+
+def _full_match_reason(last: MatchRecord | None, now: MatchRecord) -> str | None:
+    """Why the last match cannot be kept, or None when it can: it is
+    unknown, had another radius, or a survey it read changed or is gone."""
+    if last is None:
+        return "no-record"
+    if last.radius != now.radius:
+        return "radius-changed"
+    digests = dict(now.surveys)
+    for survey_id, digest in last.surveys:
+        if digests.get(survey_id) != digest:
+            return f"survey-{'changed' if survey_id in digests else 'missing'}:{survey_id}"
+    return None
+
+
+def _margin(radius_m: float, x: float) -> float:
+    """A width, in one coordinate, that half of is more than the farthest a
+    point within radius_m of a point at x can lie from x in it: a pair that
+    passes the distance test has each coordinate difference within
+    radius_m * (1 + 4u) (u = 2**-53), and half of this width is 2 * radius_m
+    plus 2**-41 of (radius_m + |x|), which is far more than the rounding of
+    x plus or minus it. The floor keeps it positive for a zero radius at 0."""
+    return max(4.0 * radius_m + (radius_m + abs(x)) * 2.0**-40, 2.0**-960)
+
+
+def _slabs(xs: Iterable[float], radius_m: float) -> list[float]:
+    """The union of the intervals [x - m, x + m) with m = _margin(x), for
+    each x, as their sorted edges: a value v lies in it when
+    bisect_right(edges, v) is odd."""
+    spans = sorted((x - _margin(radius_m, x), x + _margin(radius_m, x)) for x in xs)
+    edges: list[float] = []
+    for low, high in spans:
+        if edges and low <= edges[-1]:
+            edges[-1] = max(edges[-1], high)
+        else:
+            edges += (low, high)
+    return edges
+
+
+def _within(edges: list[float], xs: Sequence[float]) -> list[int]:
+    """The positions of the values of xs that lie in the slabs edges bounds."""
+    low, high = edges[0], edges[-1]
+    return [i for i, x in enumerate(xs) if low <= x < high and bisect_right(edges, x) & 1]
+
+
+def _covers(edges: list[float], low: float, high: float) -> bool:
+    """Whether one slab of edges holds [low, high]."""
+    at = bisect_right(edges, low)
+    return at % 2 == 1 and high < edges[at]
+
+
+def _components(
+    fact_side: tuple, record_side: tuple, new_facts: list[int], new_records: list[int], radius_m: float
+) -> tuple[list[tuple[float, int, str]], set[int], set[str]]:
+    """The candidates (as _candidates gives them) of the connected components
+    of the within-radius graph of facts and records, each given as (ids, xs,
+    ys), that hold the new ones (positions), with the ids of their facts and
+    of their records.
+
+    Only points in slabs of x around the components are read: a slab of
+    width 2 * _margin around each point of a component found so far. The
+    points in them are matched with _candidates, and the components are
+    taken from the new points through those pairs. When some point of them
+    lies less than half its margin from the edge of its slab (one of its
+    neighbours might lie past it), the slabs grow around every point of the
+    components, and this is done again. The slabs only grow, and each point
+    found gets a slab of its own, so this ends; it ends with every
+    neighbour of every point of the components read, so they are whole.
+    The pairs of different components share no fact and no record, and so
+    greedy matching of these candidates picks the pairs that matching every
+    fact against every record picks in these components."""
+    fids, fxs, fys = fact_side
+    rids, rxs, rys = record_side
+    seeds = {fids[i] for i in new_facts}, {rids[j] for j in new_records}
+    xs = [fxs[i] for i in new_facts] + [rxs[j] for j in new_records]
+    while True:
+        edges = _slabs(xs, radius_m)
+        near_facts, near_records = _within(edges, fxs), _within(edges, rxs)
+        candidates = _candidates(
+            ([fids[i] for i in near_facts], [fxs[i] for i in near_facts], [fys[i] for i in near_facts]),
+            ([rids[j] for j in near_records], [rxs[j] for j in near_records], [rys[j] for j in near_records]),
+            radius_m,
+        )
+        fact_at = dict(zip(map(fids.__getitem__, near_facts), near_facts))
+        record_at = dict(zip(map(rids.__getitem__, near_records), near_records))
+        records_of: dict[int, list[str]] = {}
+        facts_of: dict[str, list[int]] = {}
+        for _, fid, rid in candidates:
+            records_of.setdefault(fid, []).append(rid)
+            facts_of.setdefault(rid, []).append(fid)
+        facts, records = set(seeds[0]), set(seeds[1])
+        todo = [*((fid, True) for fid in facts), *((rid, False) for rid in records)]
+        while todo:
+            point, is_fact = todo.pop()
+            for other in (records_of if is_fact else facts_of).get(point, ()):
+                found = records if is_fact else facts
+                if other not in found:
+                    found.add(other)
+                    todo.append((other, not is_fact))
+        xs = [fxs[fact_at[fid]] for fid in facts] + [rxs[record_at[rid]] for rid in records]
+        if all(_covers(edges, x - _margin(radius_m, x) / 2, x + _margin(radius_m, x) / 2) for x in xs):
+            return [c for c in candidates if c[1] in facts], facts, records
+
+
+def _rematch(
+    facts: FactColumns, records: SurveyColumns, radius_m: float, last: MatchRecord | None, now: MatchRecord
+) -> MatchResult:
+    """match_detections(facts, records, radius_m), from the last match where
+    its record (last) allows: see reconcile_warehouse. Logs which path it
+    took on the canopydw.reconcile logger, at INFO."""
+    reason = _full_match_reason(last, now)
+    if reason is None:
+        record_at = dict(zip(records.record_id, count()))
+        n = last.facts
+        stored = facts.matched_record_id[:n]
+        kept_facts = list(compress(count(), stored))  # the pairs of the last match, by position
+        try:
+            kept_records = list(map(record_at.__getitem__, filter(None, stored)))
+        except KeyError as exc:
+            reason = f"stored-record-missing:{exc.args[0]}"
+    if reason is not None:
+        match = match_detections(facts, records, radius_m)
+        log.info(
+            "path=full reason=%s new_facts=%d new_records=%d affected_facts=%d affected_records=%d",
+            reason, len(facts), len(records), len(facts), len(records),
+        )
+        return match
+    fact_side = fids, fxs, fys = facts.fact_id, facts.geo_x, facts.geo_y
+    record_side = rids, rxs, rys = records.record_id, records.geo_x, records.geo_y
+    named = dict(last.surveys)
+    new_records, at = [], 0
+    for survey_id, size in records.surveys:
+        if survey_id not in named:
+            new_records += range(at, at + size)
+        at += size
+    new_facts = list(range(n, len(facts)))
+    _check_finite(*(points[n:] for points in fact_side), "fact {}")
+    _check_finite(*([points[j] for j in new_records] for points in record_side), "record {!r}")
+    candidates, touched_facts, touched_records = [], set(), set()
+    if new_facts or new_records:
+        candidates, touched_facts, touched_records = _components(fact_side, record_side, new_facts, new_records, radius_m)
+    taken = _greedy(candidates)
+    # the pairs of the last match outside the components, each distance by
+    # the expression of _near (whose sign does not change it)
+    taken += [
+        (hypot(fxs[i] - rxs[j], fys[i] - rys[j]), fids[i], rids[j])
+        for i, j in zip(kept_facts, kept_records)
+        if fids[i] not in touched_facts
+    ]
+    taken.sort()
+    log.info(
+        "path=incremental new_facts=%d new_records=%d affected_facts=%d affected_records=%d",
+        len(new_facts), len(new_records), len(touched_facts), len(touched_records),
+    )
+    return _result(taken, fids, rids)
 
 
 # -- metrics -------------------------------------------------------------------
@@ -293,7 +499,12 @@ class ReconcileOutcome:
     facts_updated: int
 
 
-def validate_facts(handle: Warehouse, match: MatchResult, records: SurveyColumns | Sequence[SurveyRecord]) -> int:
+def validate_facts(
+    handle: Warehouse,
+    match: MatchResult,
+    records: SurveyColumns | Sequence[SurveyRecord],
+    record: MatchRecord | None = None,
+) -> int:
     """Annotate every held fact with its match outcome; returns their number.
 
     Matched facts become "confirmed" when species agree (inheriting the
@@ -302,8 +513,9 @@ def validate_facts(handle: Warehouse, match: MatchResult, records: SurveyColumns
     match is to be made over all of them. The annotation is built as
     columns (codes starting all "unmatched", record ids all None, copies of
     the heights and DBHs), filled in at the matched facts' positions only,
-    and given whole to Warehouse.rewrite_validation. records (SurveyColumns
-    or SurveyRecords) are found by their positions in the columns.
+    and given whole to Warehouse.rewrite_validation, with record, the
+    MatchRecord of match (None: not known). records (SurveyColumns or
+    SurveyRecords) are found by their positions in the columns.
     """
     records = SurveyColumns.of(records)
     record_at = dict(zip(records.record_id, count()))
@@ -324,24 +536,43 @@ def validate_facts(handle: Warehouse, match: MatchResult, records: SurveyColumns
             height_m[i] = records.height_m[j]
         if dbh_cm[i] != dbh_cm[i] and records.dbh_cm[j] is not None:
             dbh_cm[i] = records.dbh_cm[j]
-    handle.rewrite_validation(validation, record_ids, height_m, dbh_cm)
+    handle.rewrite_validation(validation, record_ids, height_m, dbh_cm, record)
     return n
 
 
 def reconcile_warehouse(handle: Warehouse, radius_m: float = 2.0) -> ReconcileOutcome:
-    """Match all facts against all survey records and annotate the fact table.
+    """Match every fact against every survey record, as match_detections
+    does, and annotate the fact table; match again only what the last
+    match did not cover.
+
+    The checkpoint that a reconcile writes records what it matched (a
+    storage.MatchRecord): the radius, the facts (its rows) and the digest
+    of each survey (_survey_digests). When the facts held were loaded from
+    such a checkpoint, or this handle wrote one, and the radius and every
+    survey it names are unchanged, the pairs it stored (the facts'
+    matched_record_id) are kept. Only the connected components of the
+    within-radius graph that hold new facts (past its rows) or new records
+    (of surveys it does not name) are matched again, greedily: pairs in
+    different components share no fact and no record, so this gives the
+    pairs of the global greedy match (Gupta & Mumick, "Maintenance of
+    Materialized Views", 1995). Otherwise every fact is matched against
+    every record. Either way the MatchResult is that of match_detections,
+    distances included; a line on the canopydw.reconcile logger, at INFO,
+    tells which path was taken, and why.
 
     It reads the fact and survey columns and builds no object per fact or
     per record. facts_updated counts the facts annotated (every fact,
     matched or not), whether or not their annotation changed; a reconcile
-    that changes none writes nothing but a missing or stale checkpoint (see
-    Warehouse.rewrite_validation).
+    that changes none writes nothing but a missing or stale checkpoint, or
+    one whose record differs (see Warehouse.rewrite_validation).
     """
     records = handle.load_all_survey_records()
-    facts = handle.state.facts  # held in fact_id order
-    match = match_detections(facts, records, radius_m)
+    facts = handle.state.facts  # held in fact_id order; read before match_record
+    _check_radius(radius_m)
+    record = MatchRecord(float(radius_m).hex(), len(facts), _survey_digests(records))
+    match = _rematch(facts, records, radius_m, handle.match_record, record)
     codes = {key: species.code for key, species in handle.state.species.items()}
     fact_species = dict(zip(facts.fact_id, map(codes.__getitem__, facts.species_key)))
     metrics = compute_metrics(fact_species, records, match)
-    updated = validate_facts(handle, match, records)
+    updated = validate_facts(handle, match, records, record)
     return ReconcileOutcome(match=match, metrics=metrics, facts_updated=updated)

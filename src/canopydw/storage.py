@@ -88,7 +88,12 @@ parse the text until the next reconcile writes the checkpoint again. Only
 rewrite_validation writes it, under the writer lock: after a new fact file
 is renamed in, or, when no annotation changed, if the handle's rows were
 not all copied from a checkpoint covering the committed fact file (its
-load fell back, or rows were appended past B). Loading never writes it. A
+load fell back, or rows were appended past B), or if a reconcile's
+MatchRecord differs from the one the handle holds. A checkpoint written by
+a reconcile holds its MatchRecord (the radius, and each survey's id and
+digest; the facts it covers are the checkpoint's rows), which the next
+reconcile reads to match again only what is new; any other writer of it
+writes none. Loading never writes it. A
 crash before that write, a failed write or a hand edit leaves a checkpoint
 that is torn or stale, which the next load refuses until the next
 reconcile writes it again: the .tbl text stays the only truth. stats does
@@ -146,7 +151,7 @@ from contextlib import contextmanager
 from itertools import repeat
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import model
 from .errors import (
@@ -412,23 +417,39 @@ _COLUMN_MIN_LINES, _COLUMN_CHUNK_LINES = 8, 1024
 # fact file, so that a load from byte 0 copies them instead of parsing those
 # lines. Line 1 is _CHECKPOINT_FORMAT, which names each array, and the
 # blake2b of the rest of the file. Line 2 is the fact count n, the length of
-# the prefix and the blake2b of the prefix. Then come the bytes of each
-# array (n items each), then the matched record ids in UTF-8 joined by "\n",
-# empty for None.
+# the prefix and the blake2b of the prefix; when a reconcile wrote it, they
+# are followed by its MatchRecord: the radius (float.hex) and, for each
+# survey, its id and digest, all separated by spaces. Then come the bytes of
+# each array (n items each), then the matched record ids in UTF-8 joined by
+# "\n", empty for None.
 _CHECKPOINT_ARRAYS = tuple(column for column in model.FACT_COLUMNS if column.typecode)
 _CHECKPOINT_FORMAT = "canopydw-cols 1 {} {}".format(
     sys.byteorder, ",".join(f"{c.name}:{c.typecode}{array(c.typecode).itemsize}" for c in _CHECKPOINT_ARRAYS)
 )
 
 
+class MatchRecord(NamedTuple):
+    """What a reconcile matched, as the checkpoint it writes records it: the
+    radius (float.hex of it, so its exact bits), the number of facts, the
+    first ones in fact order, and each survey's id and the digest of what
+    matching reads of its records (reconcile._survey_digests), in survey id
+    order. Their matched_record_id cells hold the pairs it found."""
+
+    radius: str
+    facts: int
+    surveys: tuple[tuple[str, str], ...]
+
+
 def _digest(data: bytes | memoryview) -> str:
     return hashlib.blake2b(data).hexdigest()
 
 
-def _checkpoint(facts: FactColumns, text: bytes) -> bytes:
-    """The checkpoint of facts, the rows that text (a whole fact file) holds."""
+def _checkpoint(facts: FactColumns, text: bytes, record: MatchRecord | None) -> bytes:
+    """The checkpoint of facts, the rows that text (a whole fact file) holds,
+    with the record of the reconcile that matched them, if any."""
+    tokens = [] if record is None else [record.radius, *(token for survey in record.surveys for token in survey)]
     body = [
-        f"{len(facts)} {len(text)} {_digest(text)}\n".encode(),
+        " ".join([str(len(facts)), str(len(text)), _digest(text), *tokens]).encode() + b"\n",
         *(memoryview(getattr(facts, column.name)) for column in _CHECKPOINT_ARRAYS),
         "\n".join([record or "" for record in facts.matched_record_id]).encode("utf-8"),
     ]
@@ -438,10 +459,12 @@ def _checkpoint(facts: FactColumns, text: bytes) -> bytes:
     return b"".join([f"{_CHECKPOINT_FORMAT} {digest.hexdigest()}\n".encode(), *body])
 
 
-def _checkpoint_columns(blob: bytes, text: bytes) -> tuple[FactColumns, int]:
-    """The fact columns that blob, a checkpoint, holds, and the length of the
-    prefix of text (the fact file's bytes) whose rows they are. Raises
-    ValueError naming why blob does not describe text."""
+def _checkpoint_columns(blob: bytes, text: bytes) -> tuple[FactColumns, int, MatchRecord | None]:
+    """The fact columns that blob, a checkpoint, holds, the length of the
+    prefix of text (the fact file's bytes) whose rows they are, and the
+    record of the reconcile that wrote it (None: written otherwise, or
+    before checkpoints held one). Raises ValueError naming why blob does not
+    describe text."""
     head = blob.find(b"\n")
     fmt, _, digest = blob[:head].decode("latin-1").rpartition(" ")
     if fmt != _CHECKPOINT_FORMAT:
@@ -449,8 +472,14 @@ def _checkpoint_columns(blob: bytes, text: bytes) -> tuple[FactColumns, int]:
     if _digest(memoryview(blob)[head + 1 :]) != digest:
         raise ValueError("payload digest differs")
     counts = blob.index(b"\n", head + 1)
-    n, covered, prefix = blob[head + 1 : counts].decode().split(" ")
+    n, covered, prefix, *tokens = blob[head + 1 : counts].decode().split(" ")
     n, covered = int(n), int(covered)
+    record = None
+    if tokens:
+        radius, *surveys = tokens
+        if len(surveys) % 2:
+            raise ValueError("a survey of the match record has no digest")
+        record = MatchRecord(radius, n, tuple(zip(surveys[::2], surveys[1::2])))
     if covered > len(text) or _digest(memoryview(text)[:covered]) != prefix:
         raise ValueError(f"prefix digest differs: the fact file's first {covered} bytes changed")
     facts, view, at = FactColumns(), memoryview(blob), counts + 1
@@ -459,8 +488,8 @@ def _checkpoint_columns(blob: bytes, text: bytes) -> tuple[FactColumns, int]:
         column.frombytes(view[at : at + n * column.itemsize])
         at += n * column.itemsize
     if n:
-        facts.matched_record_id = [record or None for record in blob[at:].decode("utf-8").split("\n")]
-    return facts, covered
+        facts.matched_record_id = [rid or None for rid in blob[at:].decode("utf-8").split("\n")]
+    return facts, covered, record
 
 
 def _atomic_write(path: Path, text: str | bytes) -> int:
@@ -686,7 +715,7 @@ class _FactsOnFirstRead(WarehouseState):
                 self.facts = reader.state.facts
                 writer = self._writer()
                 if writer is not None:
-                    writer._checkpoint_bytes = reader._checkpoint_bytes
+                    writer._checkpoint_bytes, writer._match_record = reader._checkpoint_bytes, reader._match_record
             return self.facts
 
     def add_fact(self, row: FactRow) -> None:
@@ -726,6 +755,10 @@ class Warehouse:
         # the bytes of the fact file whose rows the checkpoint holds, as far
         # as this handle knows (0: none); fresh when it is all of them
         self._checkpoint_bytes = 0
+        # the record of the last match of the facts held: the one in the
+        # checkpoint they were loaded from, or the one this handle last
+        # wrote (None: no match is known; see match_record)
+        self._match_record: MatchRecord | None = None
         self._closed = False
 
     # Surrogate keys continue past the largest one held (from 1 when none
@@ -919,12 +952,15 @@ class Warehouse:
         when none, which it logs when a checkpoint is present.
 
         The row checks are not run again: only rewrite_validation writes a
-        checkpoint, of rows a load accepted and annotations it checked.
+        checkpoint, of rows a load accepted and annotations it checked. The
+        checkpoint's MatchRecord becomes the handle's; a checkpoint not
+        loaded leaves it None.
         """
         path = self._path(CHECKPOINT)
         state = self.state
+        self._match_record = None
         try:
-            facts, covered = _checkpoint_columns(path.read_bytes(), data)
+            facts, covered, record = _checkpoint_columns(path.read_bytes(), data)
             if committed is not None and facts and facts.fact_id[-1] > committed:
                 raise ValueError(f"its last fact_id {facts.fact_id[-1]} is past COMMIT {committed}")
             for name, rows in (("date_key", state.dates), ("image_key", state.images), ("species_key", state.species)):
@@ -939,7 +975,7 @@ class Warehouse:
         except (OSError, ValueError) as exc:
             log.warning("%s ignored, the fact rows are read from the text: %s", path, exc)
             return 0
-        state.facts = facts
+        state.facts, self._match_record = facts, record
         return covered
 
     def _check_fact(self, path: Path, line_no: int, row: FactRow) -> None:
@@ -990,14 +1026,16 @@ class Warehouse:
             log.warning("%s: kept %d bytes, cut %d bytes of a torn or uncommitted tail", path, kept, size - kept)
         self._rewrite(table)
 
-    def _write_checkpoint(self, text: bytes) -> None:
+    def _write_checkpoint(self, text: bytes, record: MatchRecord | None) -> None:
         """Write the checkpoint of the fact rows held, which text, the fact
-        file's bytes, stores. A failed write is logged, not raised: the
-        checkpoint is derived from the fact file, and a load that finds it
-        missing or stale reads the text."""
+        file's bytes, stores, with record; it becomes the handle's record. A
+        failed write is logged, not raised: the checkpoint is derived from
+        the fact file, and a load that finds it missing or stale reads the
+        text. The handle's record still describes the rows it holds."""
         path = self._path(CHECKPOINT)
+        self._match_record = record
         try:
-            _atomic_write(path, _checkpoint(self.state.facts, text))
+            _atomic_write(path, _checkpoint(self.state.facts, text, record))
         except OSError as exc:
             log.warning("%s not written: %s", path, exc)
         else:
@@ -1147,11 +1185,18 @@ class Warehouse:
 
         The facts are checked a column at a time (model.facts_hold); when a
         pass fails, each row goes through the row checks, which alone word
-        a refusal. Any invalid fact fails the whole call before anything is
+        a refusal. A key that is not an int (1.0, "1", True) is refused
+        first: it would hash as a held key but be stored as text no load
+        reads back. Any invalid fact fails the whole call before anything is
         staged. The rows commit together, with the batch they are staged in.
         """
         self._require_writer()
         columns = drafts if isinstance(drafts, DraftColumns) else model.draft_columns(drafts)
+        for name in ("date_key", "image_key", "species_key"):
+            keys = getattr(columns, name)
+            if not set(map(type, keys)) <= {int}:
+                i, key = next((i, key) for i, key in enumerate(keys) if type(key) is not int)
+                raise IntegrityError(f"fact {i}: {name} must be an int, not {type(key).__name__} {key!r}")
         with self.batch():
             first = self._next_fact_id
             ids = range(first, first + len(columns.date_key))
@@ -1169,20 +1214,39 @@ class Warehouse:
             self._appends += rows
             return list(ids)
 
+    @property
+    def match_record(self) -> MatchRecord | None:
+        """The MatchRecord of the last match of the facts held (None: none
+        is known): the one in the checkpoint they were loaded from, or the
+        one this handle's last rewrite_validation wrote. Read it after
+        state.facts: a writer opened without reading its facts reads them,
+        and the checkpoint, on their first access."""
+        return self._match_record
+
     def rewrite_validation(
-        self, validation: array, matched_record_id: list[str | None], height_m: array, dbh_cm: array
+        self,
+        validation: array,
+        matched_record_id: list[str | None],
+        height_m: array,
+        dbh_cm: array,
+        record: MatchRecord | None = None,
     ) -> None:
         """Give the held facts this validation annotation: one entry per fact
         in each column, in fact order, typed as the FactColumns ones (codes
         index VALIDATION_STATES, NaN is a missing measure); a column of
         another length or type is refused with ValueError. Every other fact
-        field stays unchanged; the columns become the held ones.
+        field stays unchanged; the columns become the held ones. record is
+        the MatchRecord of the match the annotation comes from
+        (reconcile_warehouse), or None.
 
         The columns are compared whole with the held ones
         (FactColumns.annotation_changes). When no stored cell changes, the
-        fact file keeps its bytes and inode, and only a checkpoint that does
-        not cover every committed fact row (a load fell back, or rows were
-        appended past it) is written, from the fact file's committed bytes.
+        fact file keeps its bytes and inode, and the checkpoint is written,
+        from the fact file's committed bytes, only when it does not cover
+        every committed fact row (a load fell back, or rows were appended
+        past it), or when record is given and differs from match_record.
+        Any checkpoint written holds record, so one written by a call that
+        gives none (other than a reconcile) holds no record.
         Otherwise each changed fact is checked before anything is written,
         by the row rule (model.annotation_violations, given the measures that
         change: a present one may not become missing) and as storable text.
@@ -1202,22 +1266,22 @@ class Warehouse:
                 if _kind(column) != _kind(held):
                     raise ValueError(f"annotation column {name} must be {_kind(held)}, not {_kind(column)}")
             if "" in matched_record_id:  # stored as an empty cell, which every load reads as None
-                matched_record_id = [record or None for record in matched_record_id]
+                matched_record_id = [rid or None for rid in matched_record_id]
                 columns = (validation, matched_record_id, height_m, dbh_cm)
             changed = facts.annotation_changes(*columns)
             size = self.table_bytes[FACTS.file]
             if not changed:
-                if facts and self._checkpoint_bytes != size:
-                    self._write_checkpoint(_read_bytes(self._path(FACTS.file))[:size])
+                if facts and (self._checkpoint_bytes != size or (record is not None and record != self._match_record)):
+                    self._write_checkpoint(_read_bytes(self._path(FACTS.file))[:size], record)
                 return
             for i in changed:
-                code, record = validation[i], matched_record_id[i]
+                code, rid = validation[i], matched_record_id[i]
                 if not 0 <= code < len(model.VALIDATION_STATES):
                     raise UnknownFactError(f"fact {facts.fact_id[i]}: bad validation code {code}")
                 height = None if model.same_cell(facts.height_m[i], height_m[i]) else height_m[i]
                 dbh = None if model.same_cell(facts.dbh_cm[i], dbh_cm[i]) else dbh_cm[i]
-                problems = model.annotation_violations(model.VALIDATION_STATES[code], record, height, dbh)
-                if record and (problem := model.text_problem(record)):
+                problems = model.annotation_violations(model.VALIDATION_STATES[code], rid, height, dbh)
+                if rid and (problem := model.text_problem(rid)):
                     problems.append(f"matched_record_id {problem}")
                 if problems:
                     raise UnknownFactError(f"fact {facts.fact_id[i]}: " + "; ".join(problems))
@@ -1232,7 +1296,7 @@ class Warehouse:
                 else:  # renamed in, perhaps not durably: a fresh open reads what holds
                     self.close()
                 raise
-            self._write_checkpoint(text)
+            self._write_checkpoint(text, record)
 
     # -- surveys -----------------------------------------------------------
 
@@ -1272,8 +1336,9 @@ class Warehouse:
         return self.survey_columns(survey_id).records()
 
     def load_all_survey_records(self) -> SurveyColumns:
-        """All survey records merged, in survey id order, as columns; record
-        ids must be globally unique."""
+        """All survey records merged, in survey id order, as columns (their
+        surveys name each survey and its record count); record ids must be
+        globally unique."""
         merged = SurveyColumns()
         owner: dict[str, str] = {}  # record id -> the survey that holds it
         for sid in self.list_survey_ids():
@@ -1282,7 +1347,7 @@ class Warehouse:
                 if rid in owner:
                     raise DuplicateRecordError(f"record id {rid!r} appears in surveys {owner[rid]!r} and {sid!r}")
                 owner[rid] = sid
-            merged.extend(columns)
+            merged.extend(columns, sid)
         return merged
 
     # -- stats ---------------------------------------------------------------
@@ -1411,6 +1476,7 @@ class SnapshotCache:
                 wh.state = snap.state.copy()
                 wh.table_bytes = dict(snap.table_bytes)
                 wh._last_fact_id, wh._checkpoint_bytes = snap._last_fact_id, snap._checkpoint_bytes
+                wh._match_record = snap._match_record
             for table in TABLES:
                 stored = size if table is FACTS else dims[table.file][0][1]
                 if wh.table_bytes[table.file] != stored:
@@ -1473,7 +1539,7 @@ class SnapshotCache:
             if os.pread(fh.fileno(), len(last), old.table_bytes[FACTS.file] - len(last)) != last:
                 return self._refresh(None)  # the fact file was rewritten in place
             new.state, new.table_bytes = old.state.copy(), dict(old.table_bytes)
-            new._checkpoint_bytes = old._checkpoint_bytes
+            new._checkpoint_bytes, new._match_record = old._checkpoint_bytes, old._match_record
         try:
             new._load_dimensions(tables)
             for file, data in tables.items():  # hold the bytes of the rows loaded
