@@ -18,22 +18,19 @@ Reals use the shortest round-trip decimal form; a fact line is rendered by
 _fact_line, which gives the bytes csv_line would. Every stored file is read as
 bytes split on "\n", and each line is decoded and parsed alone: a line that
 is not UTF-8, does not parse or fails its row checks is refused with its file
-and line. (The lines of dim_image are first loaded a column at a time, in
-chunks, by Table add_lines; from a chunk that fails a column pass on, they are
-loaded a line at a time, which alone refuses.) So every writer refuses,
-before it stages a row, text that no load would read back
-(model.text_problem): a line break, a lone surrogate, or more characters than
-csv.reader takes in a field.
+and line. (A survey file, and dim_image in chunks, are first read a column
+at a time by Table.columns; where that gives up, the lines are parsed one at
+a time, which alone refuses.) So every writer refuses, before it stages a
+row, what no load would read back as given: a value of a type its cell's
+converter does not give (Table.mistyped), or text (model.text_problem) with
+a line break, a lone surrogate, or more characters than csv.reader takes.
 
-Each table is described once, by a Table: its file, its header (the column
-names, the first of them the key), how the cells of a line become a row, and
-for a dimension the checks a loaded row must pass and the WarehouseState
-fields it fills. A row is a NamedTuple of its cells in header order (model),
-so it is rendered as it is; only an image row, which holds its geotransform
-as one Geotransform, is flattened first. The fact table's header comes
-from model.FACT_COLUMNS, as do FactRow and FactColumns. Parsing, rendering,
-loading, rewriting, stats and file creation all iterate these descriptions:
-TABLES, DIMENSIONS (in load order) and SURVEYS for survey files.
+Each table is described once, by a Table: its file, its row type (a model
+NamedTuple of its cells in header order), each cell's converter, and for a
+dimension its row checks and WarehouseState fields. Its header (the fact
+table's from model.FACT_COLUMNS), parsing, column reader and writers' type
+rule come from these. Parsing, rendering, loading, rewriting, stats and file
+creation iterate TABLES, DIMENSIONS (in load order) and SURVEYS.
 
 Commit protocol: dimension rows and facts are staged by a batch
 (Warehouse.batch; each method that adds them is a batch of its own) and
@@ -194,26 +191,44 @@ log = logging.getLogger(__name__)
 _SURVEY_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
+def _opt_float(cell: str) -> float | None:
+    return None if cell == "" else float(cell)
+
+
+def _opt_text(cell: str) -> str | None:
+    return cell or None
+
+
+# Per cell converter (None: the text as it is), the value types a load reads back as given, and their name.
+_WRITABLE = {int: ({int}, "an int"), float: ({float}, "a float"), None: ({str}, "a str"),
+             _opt_float: ({float, type(None)}, "a float or None"), _opt_text: ({str, type(None)}, "a str or None")}
+
+
 @dataclass(eq=False)
 class Table:
     """How one table is stored.
 
-    header names the columns; the first is the key. A row is a NamedTuple
-    of its cells in header order; cells gives them, which is the row itself
-    but for an image row. row builds a row from the cells of a line and
-    raises ValueError on a bad cell. state_field names the WarehouseState
-    field that holds the table's rows: a dict by key, or FactColumns for the
-    facts. A dimension also has check, which returns why a loaded row is
-    refused given the rows loaded before it (None: accepted), and add, which
-    puts an accepted row into the state. It may have add_lines, which loads
-    stored lines a column at a time, or returns False having loaded nothing
-    when one of its column passes fails; check and add then load them one
-    at a time.
+    type is the row type, a NamedTuple of a line's cells in header order;
+    convert holds each cell's converter, in header order (see _WRITABLE);
+    header (default: type's fields) names the columns, the first the key.
+    parse makes a row of a line's cells by row (the fact table's, unrolled
+    for speed) or else by convert and make (default type._make); cells
+    gives the cells back (an image's geotransform make groups, cells
+    flattens). columns reads many lines a column at a time; mistyped is the
+    writers' type rule. state_field names the WarehouseState field of the
+    rows: a dict by key, or FactColumns. A dimension's check returns why a
+    loaded row is refused given those before it (None: accepted), and add
+    puts an accepted row into the state; add_lines, if any, loads lines a
+    column at a time, or returns False having loaded nothing when a column
+    pass fails, leaving them to check and add one at a time.
     """
 
     file: str
-    header: str
-    row: Callable[[list[str]], Any]
+    type: Any
+    convert: tuple[Callable[[str], Any] | None, ...]
+    header: str = ""
+    make: Callable[[Sequence], Any] | None = None
+    row: Callable[[list[str]], Any] | None = None
     cells: Callable[[Any], Sequence[object]] = lambda row: row
     state_field: str = ""
     check: Callable[[WarehouseState, Any], str | None] | None = None
@@ -223,6 +238,8 @@ class Table:
     width: int = field(init=False)
 
     def __post_init__(self) -> None:
+        self.header = self.header or ",".join(self.type._fields)
+        self.make = self.make or self.type._make
         columns = self.header.split(",")
         self.key, self.width = columns[0], len(columns)
 
@@ -230,7 +247,35 @@ class Table:
         """The row of one line's cells."""
         if len(cells) != self.width:
             raise ValueError(f"expected {self.width} fields, got {len(cells)}")
-        return self.row(cells)
+        if self.row is not None:
+            return self.row(cells)
+        return self.make([cell if convert is None else convert(cell) for convert, cell in zip(self.convert, cells)])
+
+    def columns(self, lines: list[bytes]) -> list[list] | None:
+        """The converted columns of lines (stored lines, no newlines), split
+        once and sliced a column at a time; None when a line holds a quote, CR
+        or NUL, is not UTF-8 or has the wrong width, or a cell does not convert."""
+        try:
+            text = b"\n".join(lines).decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if '"' in text or "\r" in text or "\0" in text or set(map(bytes.count, lines, repeat(b","))) != {self.width - 1}:
+            return None
+        cells, width = text.replace("\n", ",").split(","), self.width
+        try:
+            return [cells[i::width] if f is None else list(map(f, cells[i::width])) for i, f in enumerate(self.convert)]
+        except ValueError:
+            return None
+
+    def mistyped(self, columns: Iterable[Sequence]) -> tuple[int, str] | None:
+        """The first cell, in column order, of columns (one per header column)
+        of a type that its converter does not read back: its row and why."""
+        for name, convert, column in zip(self.header.split(","), self.convert, columns):
+            types, what = _WRITABLE[convert]
+            if not set(map(type, column)) <= types:
+                i, value = next((i, value) for i, value in enumerate(column) if type(value) not in types)
+                return i, f"{name} must be {what}, not {type(value).__name__} {value!r}"
+        return None
 
     def rows(self, state: WarehouseState) -> Mapping | FactColumns:
         """The table's rows in state."""
@@ -243,14 +288,6 @@ class Table:
     def text(self, rows: Iterable[Any]) -> str:
         """A whole file of this table holding rows."""
         return self.header + "\n" + self.lines(rows)
-
-
-def _opt_float(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
-
-
-# The conversion of each survey cell, in header order; None: the text as it is.
-_SURVEY_CELLS = (None, float, float, None, _opt_float, _opt_float, int)
 
 
 def _date_problem(state: WarehouseState, row: DimDate) -> str | None:
@@ -273,39 +310,16 @@ def _species_problem(state: WarehouseState, row: DimSpecies) -> str | None:
     return None
 
 
-def _image_row(cells: list[str]) -> DimImage:
-    return DimImage(
-        int(cells[0]), cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5]), float(cells[6]),
-        Geotransform(*map(float, cells[7:13])), int(cells[13]), cells[14],
-    )
-
-
 def _add_image_lines(state: WarehouseState, lines: list[bytes]) -> bool:
-    """Add the image rows of lines a column at a time: the lines are joined
-    and split once, each column is converted whole, and the rows pass
-    model.image_columns_hold. False, having added nothing, when a line holds
-    a quote, CR or NUL (which _cells leaves to csv.reader), is not UTF-8 or
-    has the wrong width, or a cell does not convert or a pass fails."""
-    width = IMAGES.width
-    try:
-        text = b"\n".join(lines).decode("utf-8")
-    except UnicodeDecodeError:
+    """Add the image rows of lines a column at a time (IMAGES.columns), if they
+    pass model.image_columns_hold; else False, having added nothing."""
+    columns = IMAGES.columns(lines)
+    if columns is None:
         return False
-    if '"' in text or "\r" in text or "\0" in text or set(map(bytes.count, lines, repeat(b","))) != {width - 1}:
+    images = DimImage(*columns[:7], list(map(Geotransform, *columns[7:13])), *columns[13:])
+    if not model.image_columns_hold(images, state):
         return False
-    cells = text.replace("\n", ",").split(",")
-    try:
-        key, date, width_px, height_px, size = (list(map(int, cells[i::width])) for i in (0, 3, 4, 5, 13))
-        gsd, *geotransform = (list(map(float, cells[i::width])) for i in range(6, 13))
-    except ValueError:
-        return False
-    columns = DimImage(
-        key, cells[1::width], cells[2::width], date, width_px, height_px, gsd,
-        list(map(Geotransform, *geotransform)), size, cells[14::width],
-    )
-    if not model.image_columns_hold(columns, state):
-        return False
-    state.add_images(list(map(DimImage, *columns)))
+    state.add_images(list(map(DimImage, *images)))
     return True
 
 
@@ -355,17 +369,18 @@ def _fact_row(cells: list[str]) -> FactRow:
 
 DATES = Table(
     "dim_date.tbl",
-    "date_key,year,quarter,month,day,day_of_year",
-    row=lambda cells: DimDate(*map(int, cells)),
+    DimDate,
+    (int,) * 6,
     state_field="dates",
     check=_date_problem,
     add=WarehouseState.add_date,
 )
 IMAGES = Table(
     "dim_image.tbl",
-    "image_key,file_name,platform,capture_date_key,width_px,height_px,"
-    "gsd_cm_per_px,gt_origin_x,gt_origin_y,gt_a,gt_b,gt_d,gt_e,size_bytes,checksum",
-    row=_image_row,
+    DimImage,
+    (int, None, None, int, int, int, float, *(float,) * 6, int, None),
+    header=",".join([*DimImage._fields[:7], *("gt_" + name for name in Geotransform._fields), *DimImage._fields[8:]]),
+    make=lambda cells: DimImage(*cells[:7], Geotransform(*cells[7:13]), *cells[13:]),
     cells=lambda row: (*row[:7], *row.geotransform, *row[8:]),
     state_field="images",
     check=_image_problem,
@@ -374,26 +389,22 @@ IMAGES = Table(
 )
 SPECIES = Table(
     "dim_species.tbl",
-    "species_key,code,scientific_name,common_name,conservation_status",
-    row=lambda cells: DimSpecies(int(cells[0]), *cells[1:]),
+    DimSpecies,
+    (int, None, None, None, None),
     state_field="species",
     check=_species_problem,
     add=WarehouseState.add_species,
 )
 FACTS = Table(
     "fact_tree_metrics.tbl",
-    ",".join(column.stored or column.name for column in model.FACT_COLUMNS),
+    FactRow,
+    (int,) * 4 + (float,) * 7 + (_opt_float, _opt_float, None, _opt_text),
+    header=",".join(column.stored or column.name for column in model.FACT_COLUMNS),
     row=_fact_row,
     state_field="facts",
 )
 # one file per survey, under SURVEY_DIR
-SURVEYS = Table(
-    "",
-    "record_id,geo_x,geo_y,species_code,dbh_cm,height_m,surveyed_date_key",
-    row=lambda cells: SurveyRecord._make(
-        cell if convert is None else convert(cell) for convert, cell in zip(_SURVEY_CELLS, cells)
-    ),
-)
+SURVEYS = Table("", SurveyRecord, (None, float, float, None, _opt_float, _opt_float, int))
 
 TABLES = (DATES, IMAGES, SPECIES, FACTS)
 # In load order: an image row checks its date. Readers read the files in the
@@ -622,24 +633,6 @@ def _parse_line(path: Path, line_no: int, line: bytes, table: Table) -> Any:
         raise CorruptTableError(path, line_no, "unparseable CSV line")
     except ValueError as exc:  # UnicodeDecodeError among them
         raise CorruptTableError(path, line_no, str(exc))
-
-
-def _survey_columns(path: Path, data: bytes) -> SurveyColumns:
-    """The records of a survey file's bytes as columns. The lines are split
-    with _cells and each column is converted whole; should that fail, the
-    lines go through _parse_line one by one, so that the first bad line is
-    refused with its path and line number."""
-    lines, first = _table_lines(path, data, SURVEYS, 1)
-    try:
-        rows = list(map(_cells, b"\n".join(lines).decode("utf-8").split("\n")))
-        # a StopIteration out of _cells would end the list early
-        if len(rows) != len(lines) or set(map(len, rows)) != {SURVEYS.width}:
-            raise ValueError("wrong width")
-        return SurveyColumns(*(
-            list(cells if convert is None else map(convert, cells)) for convert, cells in zip(_SURVEY_CELLS, zip(*rows))
-        ))
-    except (ValueError, csv.Error):
-        return SurveyColumns.of(_parse_line(path, i, line, SURVEYS) for i, line in enumerate(lines, start=first))
 
 
 @dataclass(frozen=True)
@@ -1164,6 +1157,8 @@ class Warehouse:
     def insert_image(self, meta: ImageMeta) -> int:
         """Insert an image row; identical (file_name, checksum) is a no-op."""
         self._require_writer()
+        if mistyped := IMAGES.mistyped(zip(IMAGES.cells(DimImage(0, *meta)))):
+            raise InvalidMetadataError(mistyped[1])
         problems = model.image_meta_violations(meta) or model.frame_corner_violations(meta)
         if problems:
             raise InvalidMetadataError("; ".join(problems))
@@ -1185,18 +1180,15 @@ class Warehouse:
 
         The facts are checked a column at a time (model.facts_hold); when a
         pass fails, each row goes through the row checks, which alone word
-        a refusal. A key that is not an int (1.0, "1", True) is refused
-        first: it would hash as a held key but be stored as text no load
-        reads back. Any invalid fact fails the whole call before anything is
-        staged. The rows commit together, with the batch they are staged in.
+        a refusal. A cell that FACTS would not read back as given (a key of
+        1.0, "1" or True, a float cell's 1) is refused first (Table.mistyped).
+        Any invalid fact fails the whole call before anything is staged. The
+        rows commit together, with the batch they are staged in.
         """
         self._require_writer()
         columns = drafts if isinstance(drafts, DraftColumns) else model.draft_columns(drafts)
-        for name in ("date_key", "image_key", "species_key"):
-            keys = getattr(columns, name)
-            if not set(map(type, keys)) <= {int}:
-                i, key = next((i, key) for i, key in enumerate(keys) if type(key) is not int)
-                raise IntegrityError(f"fact {i}: {name} must be an int, not {type(key).__name__} {key!r}")
+        if mistyped := FACTS.mistyped(((), *columns)):  # no fact_id yet
+            raise IntegrityError("fact {}: {}".format(*mistyped))
         with self.batch():
             first = self._next_fact_id
             ids = range(first, first + len(columns.date_key))
@@ -1309,6 +1301,8 @@ class Warehouse:
         self._require_writer()
         if not _SURVEY_ID_RE.fullmatch(survey_id):
             raise WarehouseError(f"bad survey id {survey_id!r} (use letters, digits, . _ -)")
+        if mistyped := SURVEYS.mistyped(zip(*records)):
+            raise InvalidMetadataError("survey record {}: {}".format(*mistyped))
         for rec in records:
             model.require_storable("survey", (rec.record_id, rec.species_code))
         path = self.survey_path(survey_id)
@@ -1329,8 +1323,14 @@ class Warehouse:
         return sorted(p.stem for p in d.glob("*.tbl"))
 
     def survey_columns(self, survey_id: str) -> SurveyColumns:
+        """A survey file's records as columns (SURVEYS.columns, else line by
+        line, so that the first bad line is refused with its path and line)."""
         path = self.survey_path(survey_id)
-        return _survey_columns(path, _read_bytes(path))
+        lines, first = _table_lines(path, _read_bytes(path), SURVEYS, 1)
+        columns = SURVEYS.columns(lines)
+        if columns is None:
+            return SurveyColumns.of(_parse_line(path, i, line, SURVEYS) for i, line in enumerate(lines, start=first))
+        return SurveyColumns(*columns)
 
     def load_survey(self, survey_id: str) -> list[SurveyRecord]:
         return self.survey_columns(survey_id).records()

@@ -12,6 +12,7 @@ import shutil
 import sys
 import threading
 import tracemalloc
+import typing
 import weakref
 from array import array
 from pathlib import Path
@@ -49,6 +50,7 @@ from canopydw.model import (
     DimImage,
     FactColumns,
     FactRow,
+    Geotransform,
     SurveyRecord,
     encode_date_key,
 )
@@ -284,6 +286,85 @@ def test_empty_batch_is_noop(root):
     with _base(root) as wh:
         assert wh.append_facts([]) == []
         assert (root / "COMMIT").read_text() == "0\n"
+
+
+# -- cells a load reads back as given ----------------------------------------------
+
+
+def _opens(root) -> None:
+    """A read-only and a read-write open of root both succeed."""
+    open_warehouse(root, "ro").close()
+    open_warehouse(root).close()
+
+
+@pytest.mark.parametrize(
+    "cells, refusal",
+    [
+        # stored as True, which the next open refuses past COMMIT
+        ({"confidence": True}, "confidence must be a float, not bool True"),
+        # stored as 1,1,-1 and rewritten as 1.0,1.0,-1.0 by any later annotation
+        ({"geo_x": 1, "geo_y": -1, "confidence": 1}, "confidence must be a float, not int 1"),
+        ({"bbox": BoundingBox(0.5, 0.5, 0.2, 1)}, "bbox_h must be a float, not int 1"),
+        ({"height_m": 2}, "height_m must be a float or None, not int 2"),
+        ({"validation": None}, "validation must be a str, not NoneType None"),
+        ({"validation": "confirmed", "matched_record_id": 7}, "matched_record_id must be a str or None, not int 7"),
+    ],
+    ids=["confidence-bool", "ints-in-float-cells", "bbox-int", "height-int", "validation-none", "record-int"],
+)
+def test_append_facts_refuses_a_cell_no_load_reads_back_as_given(root, cells, refusal):
+    with _base(root) as wh:
+        image = wh.state.images[1]
+        wh.append_facts([make_draft(image)])
+        stored = _stored_files(root)
+        with pytest.raises(IntegrityError) as err:
+            wh.append_facts([make_draft(image), make_draft(image, **cells)])
+        assert str(err.value) == f"fact 1: {refusal}"
+        assert len(wh.state.facts) == 1
+    assert _stored_files(root) == stored
+    _opens(root)
+
+
+@pytest.mark.parametrize(
+    "cells, refusal",
+    [
+        ({"width_px": True}, "width_px must be an int, not bool True"),
+        ({"gsd_cm_per_px": True}, "gsd_cm_per_px must be a float, not bool True"),
+        ({"size_bytes": False}, "size_bytes must be an int, not bool False"),
+        ({"gsd_cm_per_px": 10}, "gsd_cm_per_px must be a float, not int 10"),
+        ({"geotransform": make_geotransform(e=-1)}, "gt_e must be a float, not int -1"),
+    ],
+    ids=["width-bool", "gsd-bool", "size-bool", "gsd-int", "geotransform-int"],
+)
+def test_insert_image_refuses_a_cell_no_load_reads_back_as_given(root, cells, refusal):
+    with open_warehouse(root) as wh:
+        wh.ensure_date(20240115)
+        stored = _stored_files(root)
+        with pytest.raises(InvalidMetadataError) as err:
+            wh.insert_image(make_image(**cells).meta)
+        assert str(err.value) == refusal
+        assert wh.state.images == {}
+    assert _stored_files(root) == stored
+    _opens(root)
+
+
+@pytest.mark.parametrize(
+    "record, refusal",
+    [
+        (SurveyRecord("R1", True, 2.0, "PSME", None, None, 20240110), "geo_x must be a float, not bool True"),
+        (make_record("R1", 1.0, 2, dbh_cm=30.5), "geo_y must be a float, not int 2"),
+        (make_record("R1", 1.0, 2.0, height_m=25), "height_m must be a float or None, not int 25"),
+        (make_record("R1", 1.0, 2.0, surveyed_date_key=True), "surveyed_date_key must be an int, not bool True"),
+        (make_record(None, 1.0, 2.0), "record_id must be a str, not NoneType None"),
+    ],
+    ids=["geo-bool", "geo-int", "height-int", "date-bool", "record-none"],
+)
+def test_save_survey_refuses_a_cell_no_load_reads_back_as_given(root, record, refusal):
+    with open_warehouse(root) as wh:
+        with pytest.raises(InvalidMetadataError) as err:
+            wh.save_survey("s1", [make_record("R0", 0.0, 0.0), record])
+        assert str(err.value) == f"survey record 1: {refusal}"
+        assert wh.list_survey_ids() == []
+        assert len(wh.load_all_survey_records()) == 0
 
 
 # -- validation rewrites -----------------------------------------------------------
@@ -1981,6 +2062,73 @@ def test_bad_survey_line_is_refused_with_its_path_and_line(root, bad_line, reaso
             assert str(err.value) == f"{path}:3: {reason}"
 
 
+_SURVEY_NUMBERS = st.sampled_from(["1.5", "-0.0", "600012.345678901", "1e16", "nan", " 2 ", "1_0"])
+_SURVEY_BAD_CELLS = st.sampled_from(["", "abc", "-3", "2024-01-10", "1.0", "x,y", 'q"t'])
+# Edits of one survey line: as csv_line renders its cells (quoting a comma
+# or a quote), or its cells joined raw, or blank, a cell short or long, with
+# a CR, or not UTF-8
+_SURVEY_LINE_EDITS = {
+    "csv": lambda cells: csv_line(cells).encode(),
+    "raw": lambda cells: ",".join(cells).encode(),
+    "blank": lambda cells: b"",
+    "short": lambda cells: csv_line(cells[:-1]).encode(),
+    "long": lambda cells: csv_line([*cells, "1"]).encode(),
+    "cr": lambda cells: csv_line(cells).encode() + b"\r",
+    "latin-1": lambda cells: csv_line(cells).encode("latin-1", "replace") + b"\xe9",
+}
+
+
+@st.composite
+def _survey_file(draw):
+    """The bytes of a hand-assembled survey file: the header and up to 6
+    lines, mostly good, each perhaps with a bad cell or edited, their text
+    holding commas and quotes in some files, perhaps with no last newline."""
+    texts = st.text(st.sampled_from('R1é樹 x,"' if draw(st.booleans()) else "R1é樹 x"), max_size=4)
+    lines = [SURVEYS.header.encode()]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(texts), draw(_SURVEY_NUMBERS), draw(_SURVEY_NUMBERS), draw(texts)]
+        cells += [draw(st.just("") | _SURVEY_NUMBERS), draw(st.just("") | _SURVEY_NUMBERS), "20240110"]
+        if draw(st.integers(0, 4)) == 0:
+            cells[draw(st.integers(0, 6))] = draw(_SURVEY_BAD_CELLS)
+        lines.append(_SURVEY_LINE_EDITS[draw(st.sampled_from(["csv"] * 8 + [*_SURVEY_LINE_EDITS]))](cells))
+    return b"\n".join(lines) + b"\n" * draw(st.integers(0, 1))
+
+
+def _survey_load(wh: Warehouse):
+    """The survey s's columns, each cell by its repr (-0.0 is not 0.0), or
+    the refusal, file:line and all."""
+    try:
+        columns = wh.survey_columns("s")
+    except CorruptTableError as exc:
+        return str(exc)
+    return [[repr(cell) for cell in getattr(columns, name)] for name in SurveyRecord._fields]
+
+
+_GOOD_SURVEY = SURVEYS.text([make_record("R1", 1.5, -0.0, dbh_cm=30.0), make_record("R2", 600012.345678901, 2.0)])
+
+
+@settings(max_examples=150)
+@given(data=_survey_file())
+@example(data=_GOOD_SURVEY.encode())
+@example(data=SURVEYS.text([make_record("R,1", 1.5, -2.5), make_record('R"2', 3.0, 4.0, "PS,ME")]).encode())
+@example(data=SURVEYS.text([make_record('R"1', 1.5, -2.5)]).encode())
+@example(data=(_GOOD_SURVEY + "\nR3,1.0,2.0,PSME,,,20240110\n").encode())
+@example(data=(_GOOD_SURVEY + "R3,1.0,abc,PSME,,,20240110\nR4,x,,,,,\n").encode())
+@example(data=(_GOOD_SURVEY + "R3,1.0,2.0,PSM\xe9,,,20240110\n").encode("latin-1"))
+def test_survey_loads_a_column_at_a_time_as_one_line_at_a_time(tmp_path_factory, data):
+    """A survey file gives the columns the row loop gives, or its refusal,
+    file:line and all, whether SURVEYS.columns reads it or gives None."""
+    root = tmp_path_factory.mktemp("survey") / "wh"
+    with open_warehouse(root) as wh:
+        wh.save_survey("s", [])
+        wh.survey_path("s").write_bytes(data)
+        by_columns = _survey_load(wh)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(SURVEYS, "columns", lambda lines: None)
+            assert _survey_load(wh) == by_columns
+    shutil.rmtree(root)
+
+
 @pytest.mark.parametrize(
     "surveys, message",
     [
@@ -2225,3 +2373,55 @@ def test_the_unrolled_fact_row_functions_follow_fact_columns(row):
     facts = FactColumns()
     facts.append(row)
     assert [_reprs(cells) for cells in facts.cells()] == [_reprs(row)]
+
+
+_STORED_TEXTS = st.text(
+    st.sampled_from(',"éß樹 aZ9') | st.characters(exclude_categories=("Cs",), exclude_characters="\r\n\0"), max_size=12
+)
+# Per type of a row field, values that a stored cell reads back as they are
+_FIELD_VALUES = {
+    int: st.integers(-(2**63), 2**63 - 1),
+    float: _NUMBER_FLOATS,
+    float | None: st.none() | _NUMBER_FLOATS,
+    str: _STORED_TEXTS,
+    str | None: st.none() | _STORED_TEXTS.filter(bool),  # an empty cell loads as None
+}
+
+
+def _rows(row_type):
+    """Rows of a NamedTuple type, each field drawn by its declared type (a
+    NamedTuple field, such as a Geotransform, by its own fields)."""
+    hints = typing.get_type_hints(row_type).values()
+    return st.builds(row_type, *(_rows(hint) if hasattr(hint, "_fields") else _FIELD_VALUES[hint] for hint in hints))
+
+
+def _header_names(row_type) -> list[str]:
+    """A row type's fields, a geotransform as its six gt_ cells."""
+    return [
+        name
+        for field in row_type._fields
+        for name in (["gt_" + name for name in Geotransform._fields] if field == "geotransform" else [field])
+    ]
+
+
+@pytest.mark.parametrize("table", [DATES, SPECIES, IMAGES, SURVEYS], ids=["date", "species", "image", "survey"])
+@given(data=st.data())
+def test_a_table_is_described_by_its_row_type_and_converters(table, data):
+    """The header is the row type's fields, there is a converter per column,
+    and a row that Table.lines renders parses back, through the converters,
+    to the row it was (each cell by its repr), its fields drawn by their
+    declared types."""
+    assert table.header.split(",") == _header_names(table.type)
+    assert len(table.convert) == table.width
+    row = data.draw(_rows(table.type))
+    line = table.lines([row])
+    assert line.count("\n") == 1 and line.endswith("\n")
+    assert _reprs(table.parse(storage._cells(line[:-1]))) == _reprs(row)
+
+
+@given(row=_rows(FactRow))
+def test_the_fact_converters_parse_a_line_as_the_unrolled_row_function_does(row):
+    """FACTS.convert, with which writers check a fact's cells, converts the
+    cells of a fact line as _fact_row does."""
+    cells = storage._cells(csv_line(row))
+    assert _reprs(dataclasses.replace(FACTS, row=None).parse(cells)) == _reprs(storage._fact_row(cells))
