@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 Results go to stdout, diagnostics to stderr. In csv mode the bytes on
 stdout are exactly the owning module's CSV serialization.
+
+Every command is one entry of COMMANDS, from which both the parser and
+the dispatch come. A call names its command first, so run_cli builds only
+that command's parser. `import canopydw` loads the HTTP service only when
+it is first used, and of the commands only `serve` uses it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .capacity import estimate_from_warehouse
 from .errors import WarehouseError
 from .ingest import (
     ClassMap,
+    detection_file_name,
     ingest_image_batch,
     ingest_species_registry,
     ingest_survey,
@@ -29,81 +35,6 @@ from .report import render_cell
 from .storage import open_warehouse, stats_rows
 
 ROOT_ENV_VAR = "CANOPYDW_ROOT"
-
-
-def _add_common(parser: argparse.ArgumentParser, fmt: bool = True) -> None:
-    parser.add_argument(
-        "--root",
-        default=None,
-        help=f"warehouse root directory (default: ${ROOT_ENV_VAR})",
-    )
-    if fmt:
-        parser.add_argument(
-            "--format",
-            choices=("table", "csv"),
-            default="table",
-            help="output format (default: table)",
-        )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="canopydw",
-        description="File-backed star-schema warehouse for forest inventory data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("init", help="create an empty warehouse")
-    _add_common(p, fmt=False)
-
-    p = sub.add_parser("ingest-species", help="load a species registry CSV")
-    _add_common(p, fmt=False)
-    p.add_argument("--registry", required=True, help="registry CSV file")
-
-    p = sub.add_parser("ingest-images", help="load an image manifest and its detection files")
-    _add_common(p, fmt=False)
-    p.add_argument("--manifest", required=True, help="image manifest CSV file")
-    p.add_argument("--detections-dir", required=True, help="directory of per-image .txt detection files")
-    p.add_argument("--class-map", required=True, help="file listing species codes, one per class index")
-
-    p = sub.add_parser("ingest-survey", help="load a ground-truth survey CSV")
-    _add_common(p, fmt=False)
-    p.add_argument("--file", required=True, help="survey CSV file")
-    p.add_argument("--survey-id", default=None, help="survey identifier (default: file stem)")
-
-    p = sub.add_parser("reconcile", help="match detections against survey records")
-    _add_common(p)
-    p.add_argument("--radius", type=float, default=2.0, help="match radius in meters (default: 2.0)")
-
-    p = sub.add_parser("query", help="run a star-join aggregation")
-    _add_common(p)
-    for name, option in QUERY_OPTIONS.items():
-        p.add_argument("--" + name.replace("_", "-"), help=option.help)
-
-    p = sub.add_parser("trend", help="detection counts over time for one species")
-    _add_common(p)
-    p.add_argument("--species-code", required=True)
-    p.add_argument("--granularity", choices=TIME_KEYS, default="month")
-
-    p = sub.add_parser("image-usage", help="image and detection counts by resolution and platform")
-    _add_common(p)
-
-    p = sub.add_parser("stats", help="table row counts and file sizes")
-    _add_common(p)
-
-    p = sub.add_parser("estimate", help="project warehouse growth")
-    _add_common(p)
-    p.add_argument("--years", type=int, default=10, help="projection horizon (default: 10)")
-    p.add_argument("--events-per-year", type=int, default=4, help="ingest events per year (default: 4)")
-
-    p = sub.add_parser("serve", help="run the HTTP service")
-    _add_common(p, fmt=False)
-    p.add_argument("--bind", default="127.0.0.1:8472", help="host:port to listen on")
-    p.add_argument("--auth-token", default=None, help="require this bearer token on every request")
-    p.add_argument("--max-body-bytes", type=int, default=64 * 2**20, help="request body limit")
-
-    sub.add_parser("version", help="print the package version")
-    return parser
 
 
 def _resolve_root(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
@@ -142,7 +73,8 @@ def _cmd_ingest_images(args, root) -> int:
     det_dir = Path(args.detections_dir)
     if not det_dir.is_dir():
         raise WarehouseError(f"detections dir not found: {det_dir}")
-    detection_files = {p.name: _read_lines(p) for p in sorted(det_dir.glob("*.txt"))}
+    names = sorted({detection_file_name(meta.file_name) for meta in manifest})
+    detection_files = {name: _read_lines(det_dir / name) for name in names if (det_dir / name).is_file()}
     with open_warehouse(root, "rw") as handle:
         report = ingest_image_batch(handle, manifest, detection_files, class_map)
     for err in report.errors:
@@ -223,30 +155,83 @@ def _cmd_serve(args, root) -> int:
     return 0
 
 
-_COMMANDS = {
-    "init": _cmd_init,
-    "ingest-species": _cmd_ingest_species,
-    "ingest-images": _cmd_ingest_images,
-    "ingest-survey": _cmd_ingest_survey,
-    "reconcile": _cmd_reconcile,
-    **dict.fromkeys(_REPORTS, _cmd_report),
-    "estimate": _cmd_estimate,
-    "serve": _cmd_serve,
+def _cmd_version(args, root) -> int:
+    print(__version__)
+    return 0
+
+
+# Each command: its help, whether it takes --format (None: neither --format
+# nor --root), its own options as (flag, add_argument keywords), and its handler.
+COMMANDS = {
+    "init": ("create an empty warehouse", False, [], _cmd_init),
+    "ingest-species": ("load a species registry CSV", False, [
+        ("--registry", dict(required=True, help="registry CSV file")),
+    ], _cmd_ingest_species),
+    "ingest-images": ("load an image manifest and its detection files", False, [
+        ("--manifest", dict(required=True, help="image manifest CSV file")),
+        ("--detections-dir", dict(required=True, help="directory of per-image .txt detection files")),
+        ("--class-map", dict(required=True, help="file listing species codes, one per class index")),
+    ], _cmd_ingest_images),
+    "ingest-survey": ("load a ground-truth survey CSV", False, [
+        ("--file", dict(required=True, help="survey CSV file")),
+        ("--survey-id", dict(default=None, help="survey identifier (default: file stem)")),
+    ], _cmd_ingest_survey),
+    "reconcile": ("match detections against survey records", True, [
+        ("--radius", dict(type=float, default=2.0, help="match radius in meters (default: 2.0)")),
+    ], _cmd_reconcile),
+    "query": ("run a star-join aggregation", True, [
+        ("--" + name.replace("_", "-"), dict(help=option.help)) for name, option in QUERY_OPTIONS.items()
+    ], _cmd_report),
+    "trend": ("detection counts over time for one species", True, [
+        ("--species-code", dict(required=True)),
+        ("--granularity", dict(choices=TIME_KEYS, default="month")),
+    ], _cmd_report),
+    "image-usage": ("image and detection counts by resolution and platform", True, [], _cmd_report),
+    "stats": ("table row counts and file sizes", True, [], _cmd_report),
+    "estimate": ("project warehouse growth", True, [
+        ("--years", dict(type=int, default=10, help="projection horizon (default: 10)")),
+        ("--events-per-year", dict(type=int, default=4, help="ingest events per year (default: 4)")),
+    ], _cmd_estimate),
+    "serve": ("run the HTTP service", False, [
+        ("--bind", dict(default="127.0.0.1:8472", help="host:port to listen on")),
+        ("--auth-token", dict(default=None, help="require this bearer token on every request")),
+        ("--max-body-bytes", dict(type=int, default=64 * 2**20, help="request body limit")),
+    ], _cmd_serve),
+    "version": ("print the package version", None, [], _cmd_version),
 }
 
 
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Given a command name, it holds only that command's
+    subparser, which parses, helps and errs as in the full parser; otherwise
+    it holds every command, so that the top-level help and errors list them."""
+    parser = argparse.ArgumentParser(
+        prog="canopydw",
+        description="File-backed star-schema warehouse for forest inventory data.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name in [command] if command in COMMANDS else COMMANDS:
+        help_text, fmt, options, _ = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if fmt is not None:
+            p.add_argument("--root", default=None, help=f"warehouse root directory (default: ${ROOT_ENV_VAR})")
+        if fmt:
+            p.add_argument("--format", choices=("table", "csv"), default="table", help="output format (default: table)")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        if args.command == "version":
-            print(__version__)
-            return 0
-        root = _resolve_root(args, parser)
+        root = _resolve_root(args, parser) if "root" in args else None
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, root)
+        return COMMANDS[args.command][-1](args, root)
     except (WarehouseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,13 +1,16 @@
+import argparse
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from canopydw import __version__
-from canopydw.cli import ROOT_ENV_VAR, run_cli
+from canopydw.cli import COMMANDS, ROOT_ENV_VAR, build_parser, run_cli
 from canopydw.ingest import MANIFEST_HEADER, REGISTRY_HEADER, SURVEY_HEADER, render_manifest_row
 from canopydw.model import Geotransform
 from canopydw.query import (
@@ -543,3 +546,84 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert run_cli(["init", "--root", str(root)]) == 0
     assert run_cli(["ingest-species", "--root", str(root),
                     "--registry", str(tmp_path / "nope.csv")]) == 1
+
+
+def _ingest_images(root, manifest, det_dir, class_map):
+    return run_cli([
+        "ingest-images", "--root", str(root), "--manifest", str(manifest),
+        "--detections-dir", str(det_dir), "--class-map", str(class_map),
+    ])
+
+
+def _stored(root):
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir()) if path.is_file()}
+
+
+@pytest.mark.parametrize("stray", ["non_utf8_file", "directory"])
+def test_ingest_images_reads_only_the_detection_files_its_manifest_names(tmp_path, stray, capsys):
+    registry, manifest, det_dir, class_map, survey = _write_inputs(tmp_path)
+    assert _ingest_images(tmp_path / "clean", manifest, det_dir, class_map) == 0
+    clean = capsys.readouterr()
+    if stray == "directory":
+        (det_dir / "sub.txt").mkdir()
+    else:
+        (det_dir / "other_image.txt").write_bytes(b"\xff0 0.5 0.5 0.2 0.2 0.9\n")
+    assert _ingest_images(tmp_path / "stray", manifest, det_dir, class_map) == 0
+    assert capsys.readouterr() == clean
+    assert _stored(tmp_path / "stray") == _stored(tmp_path / "clean")
+
+
+def test_ingest_images_refuses_a_named_detection_file_that_is_not_utf8(tmp_path, capsys):
+    registry, manifest, det_dir, class_map, survey = _write_inputs(tmp_path)
+    (det_dir / "plot_b.txt").write_bytes(b"0 0.75 0.75 0.2 0.2 0.4\xff\n")
+    root = tmp_path / "wh"
+    assert run_cli(["init", "--root", str(root)]) == 0
+    before = _stored(root)
+    capsys.readouterr()
+    assert _ingest_images(root, manifest, det_dir, class_map) == 1
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert _stored(root) == before
+
+
+# -- one parser per command -------------------------------------------------------
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _parse(parser, argv):
+    """What the parser makes of argv: its namespace, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_a_command_alone_parses_as_in_the_full_parser(name):
+    alone, full = build_parser(name), build_parser()
+    assert list(_subparsers(alone)) == [name]
+    mine, theirs = _subparsers(alone)[name], _subparsers(full)[name]
+    assert mine.format_help() == theirs.format_help()
+    assert mine.format_usage() == theirs.format_usage()
+    required = [arg for flag, kwargs in COMMANDS[name][2] if kwargs.get("required") for arg in (flag, "x")]
+    defaults = _parse(alone, [name, *required])
+    assert isinstance(defaults, dict) and defaults == _parse(full, [name, *required])
+    # each flag without its value, and with a value that no typed or choice
+    # option takes (--radius, --years, --format, ...), and an unknown flag
+    flags = [action.option_strings[0] for action in mine._actions if action.dest != "help"]
+    for extra in [*([flag] for flag in flags), *([flag, "not-a-number"] for flag in flags), ["--bogus"]]:
+        assert _parse(alone, [name, *required, *extra]) == _parse(full, [name, *required, *extra])
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["--root", "x", "stats"]])
+def test_a_call_not_naming_a_command_first_gets_the_full_parsers_output(argv, capsys):
+    code, out, err = _parse(build_parser(), argv)
+    assert run_cli(argv) == code
+    assert capsys.readouterr() == (out, err)
+    if argv in (["-h"], ["frobnicate"]):
+        assert all(name in out + err for name in COMMANDS)
